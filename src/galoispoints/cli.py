@@ -23,7 +23,7 @@ from typing import Optional
 
 from . import __version__
 from .config import RunConfig
-from .curve import PlaneCurve, curve_from_affine, line_intersection_divisor
+from .curve import PlaneCurve, curve_from_affine
 from .embedder import construct_embedding
 from .errors import (
     CenterSingular,
@@ -33,18 +33,17 @@ from .errors import (
     InputError,
     VerificationFailed,
 )
-from .families import FamilySpec, branch_certificate, build_family, verify_family
-from .galois import is_galois_point
+from .families import (
+    FamilySpec,
+    branch_certificate,
+    build_family,
+    lemma_line_predicates,
+    verify_family,
+)
+from .galois import GaloisReport, is_galois_point
 from .gf import FieldCtx, parse_field_spec
 from .polyring import parse_poly
-from .projective import (
-    PointDivisor,
-    Projectivity,
-    ProjPoint,
-    generate_group,
-    line_through,
-    product_structure,
-)
+from .projective import Projectivity, ProjPoint, generate_group, product_structure
 from .schema import validate_report
 
 
@@ -125,17 +124,12 @@ def parse_point(text: str, ctx: FieldCtx) -> ProjPoint:
     return ProjPoint(ctx, coords)
 
 
-def _galois_payload(curve: PlaneCurve, point: ProjPoint, strategy: str,
-                    cfg: RunConfig) -> dict:
-    report = is_galois_point(curve, point, strategy=strategy, cfg=cfg)
-    return report.to_jsonable()
-
-
 def cmd_check(args, cfg: RunConfig) -> int:
     curve = load_curve(args.curve)
     point = parse_point(args.point, curve.ctx)
     try:
-        payload = _galois_payload(curve, point, args.strategy, cfg)
+        payload = is_galois_point(curve, point, strategy=args.strategy,
+                                  cfg=cfg).to_jsonable()
     except CenterSingular as exc:
         raise InputError(str(exc))
     _write(_emit(payload, "galois_report", cfg), cfg)
@@ -149,19 +143,8 @@ def _pair_side(curve: PlaneCurve, pt: ProjPoint, cfg: RunConfig):
         report = is_galois_point(curve, pt, cfg=cfg)
         return report.to_jsonable(), report
     except CenterSingular as exc:
-        stub = {
-            "point": {"coords": list(pt.encoding()), "field": pt.ctx.spec},
-            "point_class": "invalid",
-            "projection_degree": 0,
-            "verdict": "inconclusive",
-            "method": None,
-            "trials": 0,
-            "notes": [str(exc)],
-            "group": None,
-            "descriptor": None,
-            "witness": None,
-        }
-        return stub, None
+        stub = GaloisReport(pt, "invalid", 0, "inconclusive", notes=[str(exc)])
+        return stub.to_jsonable(), None
 
 
 def cmd_pair(args, cfg: RunConfig) -> int:
@@ -176,23 +159,13 @@ def cmd_pair(args, cfg: RunConfig) -> int:
             and inner.group.n == outer.group.n):
         joint = product_structure(inner.group, outer.group,
                                   cap=cfg.closure_cap)
-    pq = line_through(inner_pt, outer_pt)
-    div = line_intersection_divisor(curve, pq, ext_cap=cfg.ext_cap)
-    d = curve.degree
-    support_size = len(div.support)
-    is_dp = div == PointDivisor(inner_pt.ctx, 2, {inner_pt: d})
-    meets = any(curve.contains(pt) and not curve.is_smooth_at(pt)
-                for pt in div.support)
+    lemma_line, _ = lemma_line_predicates(curve, inner_pt, outer_pt,
+                                          cfg.ext_cap)
     payload = {
         "inner": inner_payload,
         "outer": outer_payload,
         "joint": joint.to_jsonable() if joint else None,
-        "lemma_line": {
-            "support_size": support_size,
-            "is_1_or_d": support_size in (1, d),
-            "is_dP": bool(is_dp),
-            "support_meets_singular": bool(meets),
-        },
+        "lemma_line": lemma_line,
     }
     _write(_emit(payload, "pair_report", cfg), cfg)
     return 0
@@ -319,10 +292,13 @@ def build_parser() -> argparse.ArgumentParser:
 def dispatch(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = RunConfig(trials=args.trials, seed=args.seed, ext_cap=args.ext_cap,
-                    closure_cap=args.closure_cap, brute_q_cap=args.brute_q_cap,
-                    output=args.output)
     try:
+        try:
+            cfg = RunConfig(trials=args.trials, seed=args.seed,
+                            ext_cap=args.ext_cap, closure_cap=args.closure_cap,
+                            brute_q_cap=args.brute_q_cap, output=args.output)
+        except ValueError as exc:
+            raise InputError(str(exc)) from None
         return args.func(args, cfg)
     except InputError as exc:
         sys.stderr.write(json.dumps(

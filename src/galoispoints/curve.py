@@ -246,15 +246,17 @@ def _affine_singular_candidates(f: Polynomial, ext_cap: int):
     return candidates
 
 
-def point_multiplicity(C: PlaneCurve, pt: ProjPoint) -> int:
-    """Order of vanishing at a point: degree of the lowest homogeneous part
-    after translating the point to the origin of an affine chart."""
-    ctx = common_field(C.ctx, pt.ctx)
-    form = C.form.lift_to(ctx)
-    coords = [FqElement(ctx, c) for c in pt.lift_to(ctx).coords]
+def _translate_to_origin(form: Polynomial, pt: ProjPoint):
+    """Move ``pt`` to the origin of the affine chart of its last nonzero
+    coordinate; form and pt share one field.
+
+    Returns (shifted, chart, others, a0, a1): the chart variable is set to
+    1, (a0, a1) is pt's position in the variables others[0], others[1],
+    and shifted(u, v) is the chart polynomial at (u + a0, v + a1).
+    """
+    ctx = form.ctx
+    coords = [FqElement(ctx, c) for c in pt.coords]
     chart = max(i for i, c in enumerate(coords) if c)
-    # projectivity sending pt to the origin of the chart: translate the two
-    # affine coordinates by the point's affine position
     others = [i for i in range(3) if i != chart]
     inv = coords[chart].inverse()
     a0 = coords[others[0]] * inv
@@ -262,7 +264,14 @@ def point_multiplicity(C: PlaneCurve, pt: ProjPoint) -> int:
     aff = form.dehomogenize(chart)  # in vars others[0], others[1]
     u = Polynomial.variable(ctx, 2, 0)
     v = Polynomial.variable(ctx, 2, 1)
-    shifted = aff.compose([u + a0, v + a1])
+    return aff.compose([u + a0, v + a1]), chart, others, a0, a1
+
+
+def point_multiplicity(C: PlaneCurve, pt: ProjPoint) -> int:
+    """Order of vanishing at a point: degree of the lowest homogeneous part
+    after translating the point to the origin of an affine chart."""
+    ctx = common_field(C.ctx, pt.ctx)
+    shifted = _translate_to_origin(C.form.lift_to(ctx), pt.lift_to(ctx))[0]
     return min(sum(e) for e in shifted.terms)
 
 
@@ -381,21 +390,12 @@ def pencil_parametrization(C: PlaneCurve, S: ProjPoint
     """
     ctx = common_field(C.ctx, S.ctx)
     curve = C.lift_to(ctx)
-    pt = S.lift_to(ctx)
     d = curve.degree
-    m = point_multiplicity(curve, pt)
+    # g has the singular point at the origin
+    g, chart, others, a0, a1 = _translate_to_origin(curve.form, S.lift_to(ctx))
+    m = min(sum(e) for e in g.terms)
     if m != d - 1:
         raise ZeroInput(f"pencil parametrization needs multiplicity d-1, got {m}")
-    coords = [FqElement(ctx, c) for c in pt.coords]
-    chart = max(i for i, c in enumerate(coords) if c)
-    others = [i for i in range(3) if i != chart]
-    inv = coords[chart].inverse()
-    a0 = coords[others[0]] * inv
-    a1 = coords[others[1]] * inv
-    aff = curve.form.dehomogenize(chart)
-    u = Polynomial.variable(ctx, 2, 0)
-    v = Polynomial.variable(ctx, 2, 1)
-    g = aff.compose([u + a0, v + a1])    # singular point at the origin
     parts: dict[int, Polynomial] = {}
     for exp, rep in g.terms.items():
         deg = sum(exp)

@@ -56,7 +56,7 @@ from .projective import (
     point_p1,
     product_structure,
 )
-from .ratfunc import RationalMap1D
+from .ratfunc import RationalMap1D, _heval
 
 
 # ---------------------------------------------------------------------------
@@ -200,21 +200,11 @@ def projective_triple(f: RationalMap1D, g: RationalMap1D
 
 def evaluate_triple(triple, pt: ProjPoint) -> ProjPoint:
     """Evaluate a projective polynomial triple at a P^1 point."""
-    X, Y, Z = triple
-    ctx = common_field(X.ctx, pt.ctx)
+    ctx = common_field(triple[0].ctx, pt.ctx)
     x, z = pt.lift_to(ctx).coords
-    D = max(X.degree(), Y.degree(), Z.degree())
-
-    def heval(poly: Polynomial):
-        q = poly.lift_to(ctx)
-        acc = ctx.zero_t
-        for (e,), rep in q.terms.items():
-            term = ctx.mul_t(rep, ctx.pow_t(x, e))
-            term = ctx.mul_t(term, ctx.pow_t(z, D - e))
-            acc = ctx.add_t(acc, term)
-        return FqElement(ctx, acc)
-
-    return ProjPoint(ctx, [heval(X), heval(Y), heval(Z)])
+    D = max(poly.degree() for poly in triple)
+    return ProjPoint(ctx, [FqElement(ctx, _heval(poly.lift_to(ctx), x, z, D))
+                           for poly in triple])
 
 
 def implicitize(f: RationalMap1D, g: RationalMap1D,

@@ -96,6 +96,10 @@ class ParametrizationInvalid(GaloisPointError):
     """A supplied parametrization does not lie on the curve or is degenerate."""
 
 
+class SoundnessError(GaloisPointError):
+    """A verdict or group failed a soundness invariant (raised even under -O)."""
+
+
 # -- embedding pipeline ----------------------------------------------------------
 
 class LadderExhausted(GaloisPointError):

@@ -440,6 +440,8 @@ def build_family(spec: FamilySpec,
                 "klein" if pe == 4 else "elementary_abelian")
         elif pe == 4 and spec.m == 3:
             outer_tag = "a4"
+        elif pe * spec.m == 6:
+            outer_tag = "s3"
         else:
             outer_tag = "semidirect_p_cyclic"
         return curve, FamilyExpectation(
@@ -583,6 +585,28 @@ class FamilyVerdict:
         }
 
 
+def lemma_line_predicates(curve: PlaneCurve, P: ProjPoint, Q: ProjPoint,
+                          ext_cap: int) -> tuple[dict, PointDivisor]:
+    """The line predicates for the line through P and Q, and its divisor.
+
+    The divisor is the one cut on the curve by the line PQ; the predicates
+    record its support size, whether that size is 1 or deg C, whether the
+    divisor is d*P, and whether the support meets Sing(C).
+    """
+    d = curve.degree
+    div = line_intersection_divisor(curve, line_through(P, Q), ext_cap=ext_cap)
+    support_size = len(div.support)
+    is_dP = div == PointDivisor(P.ctx, 2, {P: d})
+    meets_singular = any(curve.contains(pt) and not curve.is_smooth_at(pt)
+                         for pt in div.support)
+    return {
+        "support_size": support_size,
+        "is_1_or_d": support_size in (1, d),
+        "is_dP": bool(is_dP),
+        "support_meets_singular": bool(meets_singular),
+    }, div
+
+
 def _check(checks: list, name: str, expected, got) -> None:
     checks.append({"name": name, "expected": expected, "got": got,
                    "passed": expected == got})
@@ -642,20 +666,9 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
 
     # Lemma-line predicates on the line through P and Q
     d = curve.degree
-    pq = line_through(expected.P, expected.Q)
-    div = line_intersection_divisor(curve, pq, ext_cap=cfg.ext_cap)
-    support_size = len(div.support)
-    is_dP = div == PointDivisor(expected.P.ctx, 2, {expected.P: d})
-    meets_singular = any(
-        not curve.is_smooth_at(pt) if curve.contains(pt) else False
-        for pt in div.support)
-    lemma_line = {
-        "support_size": support_size,
-        "is_1_or_d": support_size in (1, d),
-        "is_dP": bool(is_dP),
-        "support_meets_singular": bool(meets_singular),
-    }
-    _check(checks, "lemma_line_support_1_or_d", True, support_size in (1, d))
+    lemma_line, div = lemma_line_predicates(curve, expected.P, expected.Q,
+                                            cfg.ext_cap)
+    _check(checks, "lemma_line_support_1_or_d", True, lemma_line["is_1_or_d"])
 
     sing_cache: Optional[object] = None
 
@@ -667,10 +680,11 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
 
     for token in expected.extra_checks:
         if token == "pq_line_is_dP":
-            _check(checks, token, True, bool(is_dP))
+            _check(checks, token, True, lemma_line["is_dP"])
         elif token == "pq_support_d_distinct":
             _check(checks, token, True,
-                   support_size == d and all(m == 1 for m in div.support.values()))
+                   lemma_line["support_size"] == d
+                   and all(m == 1 for m in div.support.values()))
         elif token == "smooth_on_ellP_eq_1":
             ell = expected.ell_P
             ell_div = line_intersection_divisor(curve, ell, ext_cap=cfg.ext_cap)

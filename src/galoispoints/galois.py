@@ -44,10 +44,17 @@ from .errors import (
     ExtensionCapExceeded,
     MissingParametrization,
     ParametrizationInvalid,
+    SoundnessError,
     ZeroInput,
 )
 from .gf import FieldCtx, FqElement, common_field, lift, make_field
-from .polyring import Polynomial, factor_univariate, poly_gcd, splitting_roots
+from .polyring import (
+    Polynomial,
+    _split_by_var,
+    factor_univariate,
+    poly_gcd,
+    splitting_roots,
+)
 from .projective import (
     FiniteProjectivityGroup,
     GroupDescriptor,
@@ -112,20 +119,17 @@ def _move_center(ctx: FieldCtx, center: ProjPoint, target_col: int) -> Projectiv
     raise ZeroInput("could not complete center to a basis")  # pragma: no cover
 
 
-def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
-    """Fiber polynomial of the projection from a center on or off the curve.
+def _normalize_center(curve: PlaneCurve, pt: ProjPoint, col: int):
+    """Move ``pt`` to e_col (col 0 or 1) and restrict the moved form.
 
-    Raises CenterSingular when the center is a singular point of C.
+    ``curve`` and ``pt`` must share one field.  Returns (g, moved, fiber):
+    the projectivity g with g(pt) = e_col, the form composed with g^-1, and
+    the fiber polynomial F(t, s) in the chart z = 1, where s is the
+    coordinate at e_col and t the other one, so lines through e_col are
+    t = const.
     """
-    ctx = common_field(C.ctx, center.ctx)
-    curve = C.lift_to(ctx)
-    pt = center.lift_to(ctx)
-    on_curve = curve.contains(pt)
-    if on_curve and not any(curve.gradient_at(pt)):
-        raise CenterSingular(f"{center!r} lies in Sing(C)")
-    inner = bool(on_curve)
-    target_col = 1 if inner else 0
-    g = _move_center(ctx, pt, target_col)
+    ctx = curve.ctx
+    g = _move_center(ctx, pt, col)
     g_inv = g.inverse()
     xv = Polynomial.variable(ctx, 3, 0)
     yv = Polynomial.variable(ctx, 3, 1)
@@ -139,10 +143,23 @@ def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
     t = Polynomial.variable(ctx, 2, 0)
     s = Polynomial.variable(ctx, 2, 1)
     one = Polynomial.const(ctx, 2, 1)
-    if inner:
-        fib = moved.compose([t, s, one])
-    else:
-        fib = moved.compose([s, t, one])
+    fiber = moved.compose([t, s, one] if col == 1 else [s, t, one])
+    return g, moved, fiber
+
+
+def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
+    """Fiber polynomial of the projection from a center on or off the curve.
+
+    Raises CenterSingular when the center is a singular point of C.
+    """
+    ctx = common_field(C.ctx, center.ctx)
+    curve = C.lift_to(ctx)
+    pt = center.lift_to(ctx)
+    on_curve = curve.contains(pt)
+    if on_curve and not any(curve.gradient_at(pt)):
+        raise CenterSingular(f"{center!r} lies in Sing(C)")
+    inner = bool(on_curve)
+    g, _, fib = _normalize_center(curve, pt, 1 if inner else 0)
     n = curve.degree - (1 if inner else 0)
     if fib.degree_in(1) != n:
         raise ZeroInput(  # pragma: no cover - smoothness guarantees the degree
@@ -171,12 +188,18 @@ class GaloisReport:
     notes: list = field(default_factory=list)
 
     def __post_init__(self):
-        if self.verdict == "certified_galois":
-            assert self.group is not None
-            assert len(self.group) == self.projection_degree
-        if self.verdict == "certified_not_galois":
-            assert self.witness is not None
-            assert len(set(self.witness["factor_degrees"])) >= 2
+        if self.verdict == "certified_galois" and (
+                self.group is None
+                or len(self.group) != self.projection_degree):
+            raise SoundnessError(
+                "certified_galois needs a group of order equal to the "
+                "projection degree")
+        if self.verdict == "certified_not_galois" and (
+                self.witness is None
+                or len(set(self.witness["factor_degrees"])) < 2):
+            raise SoundnessError(
+                "certified_not_galois needs a witness with two distinct "
+                "factor degrees")
 
     def to_jsonable(self) -> dict:
         out = {
@@ -208,7 +231,7 @@ class GaloisReport:
 # ---------------------------------------------------------------------------
 
 def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
-                       seed: int = 0, ext_cap: int = 12) -> GaloisReport:
+                       seed: int = 0) -> GaloisReport:
     """Factor-degree census over random unramified specializations.
 
     Any squarefree full-degree specialization whose irreducible factors
@@ -337,28 +360,15 @@ def central_collineation_group(C: PlaneCurve, center: ProjPoint,
     fib = fiber_polynomial(C, center)  # raises CenterSingular as needed
     ctx = fib.poly.ctx
     # re-normalize with the center at (0:1:0) so the collineation shape is
-    # (x : beta x + lam y + delta z : z) in the moved coordinates
-    g = _move_center(ctx, center.lift_to(ctx), 1)
+    # (x : beta x + lam y + delta z : z) in the moved coordinates, and the
+    # fiber polynomial has t = x, s = y, z = 1
+    g, moved, fpoly = _normalize_center(C.lift_to(ctx), center.lift_to(ctx), 1)
     g_inv = g.inverse()
-    xv = Polynomial.variable(ctx, 3, 0)
-    yv = Polynomial.variable(ctx, 3, 1)
-    zv = Polynomial.variable(ctx, 3, 2)
-    imgs = []
-    for i in range(3):
-        row = g_inv.mat[i]
-        imgs.append(xv * FqElement(ctx, row[0]) + yv * FqElement(ctx, row[1])
-                    + zv * FqElement(ctx, row[2]))
-    moved = C.lift_to(ctx).form.compose(imgs)
     n = fib.degree
     if n < 1:
         raise ZeroInput("degenerate curve for collineation search")
     if n == 1:
         return trivial_group(ctx, 3)
-    # fiber polynomial in the (0:1:0) normalization: t = x, s = y, z = 1
-    t = Polynomial.variable(ctx, 2, 0)
-    s = Polynomial.variable(ctx, 2, 1)
-    one2 = Polynomial.const(ctx, 2, 1)
-    fpoly = moved.compose([t, s, one2])
     if fpoly.degree_in(1) != n:  # pragma: no cover
         raise ZeroInput("fiber degree mismatch in collineation search")
 
@@ -386,16 +396,18 @@ def central_collineation_group(C: PlaneCurve, center: ProjPoint,
                            cap=max(n + 1, 2))
     if len(group) != len(elements):
         raise ZeroInput("collineation scan returned a non-closed set")  # pragma: no cover
-    assert len(group) <= n, "soundness: collineation count exceeds degree"
+    if len(group) > n:
+        raise SoundnessError("collineation count exceeds degree")
     group = group.descend_to(C.ctx)
-    for e in group.elements:
-        assert e.apply(center.lift_to(group.ctx)) == center.lift_to(group.ctx)
+    c = center.lift_to(group.ctx)
+    if any(e.apply(c) != c for e in group.elements):
+        raise SoundnessError("a collineation moves its center")
     return group
 
 
 def _brute_scan(moved: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
     """Exhaustive scan of central collineations over the base field."""
-    a_parts = _y_parts(moved)
+    a_parts = _split_by_var(moved, 1)
     # cheap point filter: images of a few curve points must stay on the curve
     probe = _probe_points(moved, ctx)
     out = []
@@ -408,8 +420,7 @@ def _brute_scan(moved: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
                 ok = True
                 for (px, py, pz) in probe:
                     iy = beta * px + lam * py + delta * pz
-                    val = _eval3(moved, px, iy, pz)
-                    if val:
+                    if moved.evaluate([px, iy, pz]):
                         ok = False
                         break
                 if not ok:
@@ -419,15 +430,6 @@ def _brute_scan(moved: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
                                                   [beta, lam, delta],
                                                   [0, 0, 1]]))
     return out
-
-
-def _y_parts(moved: Polynomial) -> list[Polynomial]:
-    from .polyring import _split_by_var
-    return _split_by_var(moved, 1)
-
-
-def _eval3(form: Polynomial, x, y, z) -> FqElement:
-    return form.evaluate([x, y, z])
 
 
 def _probe_points(moved: Polynomial, ctx: FieldCtx, want: int = 3):
@@ -461,7 +463,7 @@ def _fiber_permutation_scan(moved: Polynomial, fpoly: Polynomial,
     r2 = [lift(r, wctx) for r in roots2]
     tv1, tv2 = lift(t1, wctx), lift(t2, wctx)
     set1, set2 = set(r1), set(r2)
-    a_parts = [p.lift_to(wctx) for p in _y_parts(moved)]
+    a_parts = [p.lift_to(wctx) for p in _split_by_var(moved, 1)]
     formP = moved.lift_to(wctx)
     s1, s2 = r1[0], r1[1]
     s3 = r2[0]
@@ -514,37 +516,14 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12, seed: int = 0,
     base = h.ctx
     if n == 1:
         return trivial_group(base, 2)
-    rng = random.Random(f"deck:{seed}:{base.spec}")
-    fibers = []
-    seen_v = []
-    cycle = (1,) * 10 + (2,) * 6 + (3,) * 4 + (1, 2, 3)
-    for attempt in range(attempts):
-        j = cycle[attempt % len(cycle)]
-        ectx = base if j == 1 else make_field(base.p, base.k * j)
-        v = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
-        if any(lift(v, common_field(ectx, w.ctx)) ==
-               lift(w, common_field(ectx, w.ctx)) for w in seen_v):
-            continue
-        num = h.num.lift_to(ectx)
-        den = h.den.lift_to(ectx)
-        g = num - den * v
-        if g.degree() != n:
-            continue
-        der = g.derivative(0)
-        if der.is_zero or poly_gcd(g, der).degree() > 0:
-            continue
-        try:
-            rm = splitting_roots(g, ext_cap=max(1, ext_cap // j))
-        except ExtensionCapExceeded:
-            continue
-        fibers.append((v, [r for r, _ in rm.roots], rm.ext))
-        seen_v.append(v)
-        if len(fibers) == 2:
-            break
-    if len(fibers) < 2:
-        raise DegenerateFibers(
-            f"no two squarefree fibers found in {attempts} attempts")
-    (v1, roots1, ctx1), (v2, roots2, ctx2) = fibers
+    # the fiber over t = v is num(s) - v den(s) = 0
+    def in_s(poly: Polynomial) -> Polynomial:
+        return Polynomial(base, 2, {(0, e): rep
+                                    for (e,), rep in poly.terms.items()})
+
+    fpoly = in_s(h.num) - Polynomial.variable(base, 2, 0) * in_s(h.den)
+    (_, roots1, ctx1), (_, roots2, ctx2) = _fiber_search(
+        fpoly, n, ext_cap, f"deck:{seed}:{base.spec}", attempts=attempts)
     wctx = common_field(ctx1, ctx2)
     r1 = [point_p1(wctx, lift(r, wctx)) for r in roots1]
     r2 = [point_p1(wctx, lift(r, wctx)) for r in roots2]
@@ -572,9 +551,10 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12, seed: int = 0,
                            [Projectivity.identity(wctx, 2)], cap=n + 1)
     if len(group) != len(elements):
         raise ZeroInput("deck scan returned a non-closed set")  # pragma: no cover
-    assert len(group) <= n, "soundness: deck group exceeds covering degree"
-    for sigma in group.elements:
-        assert hw.compose_mobius(sigma) == hw
+    if len(group) > n:
+        raise SoundnessError("deck group exceeds covering degree")
+    if any(hw.compose_mobius(sigma) != hw for sigma in group.elements):
+        raise SoundnessError("a deck map does not preserve the map")
     return group.descend_to(base)
 
 
@@ -679,8 +659,7 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
                                     descriptor=identify_group(dg),
                                     method="deck", notes=notes)
 
-    mc = monte_carlo_galois(fib, trials=cfg.trials, seed=cfg.seed,
-                            ext_cap=cfg.ext_cap)
+    mc = monte_carlo_galois(fib, trials=cfg.trials, seed=cfg.seed)
     mc.notes = notes + mc.notes
     if coll_group is not None and len(coll_group) > 1 \
             and mc.verdict == "certified_not_galois":

@@ -16,8 +16,11 @@ Design notes
   pair and cached.  Each embedding maps the source generator to the
   canonical root of the source modulus inside the multiplicative copy of
   the subfield, so the same homomorphism is used every time.
-* ``FieldCtx`` and ``FqElement`` are immutable after construction and safe
-  to share across threads.
+* ``FqElement`` is immutable.  ``FieldCtx`` is not: its multiplicative
+  generator (``_gen``) and unit-group factorization (``_unit_factors``) are
+  filled in lazily on first use.  The embedding and descent tables
+  (``_EMBED_CACHE``, ``_DESCEND_CACHE``) are module-level dicts that grow
+  without bound, one entry per field pair.  Nothing here takes a lock.
 
 Characteristic-0 statements are emulated by choosing a prime p that does
 not divide the degrees involved; this is an approximation of tameness, not
@@ -31,6 +34,7 @@ from typing import Iterator, Optional
 
 from .errors import (
     IncompatibleFields,
+    InputError,
     IrreducibleSearchExhausted,
     NonPrimeCharacteristic,
     PDividesN,
@@ -90,26 +94,26 @@ def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
     return _fp_trim(out)
 
 
-def _fp_mod(a: list[int], m: list[int], p: int) -> list[int]:
-    # m monic
-    a = a[:]
-    dm = len(m) - 1
-    while len(a) - 1 >= dm and a:
-        c = a[-1]
+def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
+    """Quotient and remainder of a by a nonzero b."""
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - len(b) + 1, 1)
+    rem = a[:]
+    db = len(b) - 1
+    while rem and len(rem) - 1 >= db:
+        c = (rem[-1] * inv) % p
+        off = len(rem) - 1 - db
         if c:
-            off = len(a) - 1 - dm
-            for i, mi in enumerate(m):
-                a[off + i] = (a[off + i] - c * mi) % p
-        a.pop()
-    return _fp_trim(a)
+            q[off] = c
+            for i, bi in enumerate(b):
+                rem[off + i] = (rem[off + i] - c * bi) % p
+        rem.pop()
+    return _fp_trim(q), _fp_trim(rem)
 
 
 def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = a[:], b[:]
     while b:
-        inv = pow(b[-1], p - 2, p)
-        bm = [(c * inv) % p for c in b]
-        a, b = b, _fp_mod(a, bm, p)
+        a, b = b, _fp_divmod(a, b, p)[1]
     if a:
         inv = pow(a[-1], p - 2, p)
         a = [(c * inv) % p for c in a]
@@ -125,11 +129,11 @@ def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
 
 def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
     result = [1]
-    base = _fp_mod(a, m, p)
+    base = _fp_divmod(a, m, p)[1]
     while e:
         if e & 1:
-            result = _fp_mod(_fp_mul(result, base, p), m, p)
-        base = _fp_mod(_fp_mul(base, base, p), m, p)
+            result = _fp_divmod(_fp_mul(result, base, p), m, p)[1]
+        base = _fp_divmod(_fp_mul(base, base, p), m, p)[1]
         e >>= 1
     return result
 
@@ -310,24 +314,12 @@ class FieldCtx:
         r0, r1 = list(self.modulus), _fp_trim(list(a))
         s0, s1 = [], [1]
         while r1:
-            # divide r0 by r1: quotient q, remainder rem
-            inv = pow(r1[-1], p - 2, p)
-            q = [0] * max(len(r0) - len(r1) + 1, 1)
-            rem = r0[:]
-            dm = len(r1) - 1
-            while rem and len(rem) - 1 >= dm:
-                c = (rem[-1] * inv) % p
-                off = len(rem) - 1 - dm
-                if c:
-                    q[off] = c
-                    for i, mi in enumerate(r1):
-                        rem[off + i] = (rem[off + i] - c * mi) % p
-                rem.pop()
-            r0, r1 = r1, _fp_trim(rem)
+            q, rem = _fp_divmod(r0, r1, p)
+            r0, r1 = r1, rem
             s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
         lead_inv = pow(r0[-1], p - 2, p)
         res = [(c * lead_inv) % p for c in s0]
-        res = _fp_mod(res, list(self.modulus), p)
+        res = _fp_divmod(res, list(self.modulus), p)[1]
         return tuple(res + [0] * (k - len(res)))
 
     def pow_t(self, a, e: int):
@@ -655,8 +647,9 @@ def try_descend(a: FqElement, sub: FieldCtx) -> Optional[FqElement]:
 
 def parse_field_spec(spec: str) -> FieldCtx:
     """Parse a "p^k" (or bare "p") field spec string."""
-    s = spec.strip()
-    if "^" in s:
-        ps, ks = s.split("^", 1)
-        return make_field(int(ps), int(ks))
-    return make_field(int(s), 1)
+    ps, caret, ks = spec.strip().partition("^")
+    try:
+        p, k = int(ps), int(ks) if caret else 1
+    except ValueError:
+        raise InputError(f"field spec {spec!r} is not \"p^k\"") from None
+    return make_field(p, k)

@@ -34,6 +34,19 @@ from .gf import FieldCtx, FqElement, embed, lift, make_field
 _VAR_NAMES = ("x", "y", "z")
 
 
+def _accumulate(ctx: FieldCtx, out: dict, exp: tuple, rep: tuple) -> None:
+    """out[exp] += rep in a sparse term map, deleting the term on zero."""
+    cur = out.get(exp)
+    if cur is None:
+        out[exp] = rep
+    else:
+        s = ctx.add_t(cur, rep)
+        if any(s):
+            out[exp] = s
+        else:
+            del out[exp]
+
+
 class Polynomial:
     """A sparse polynomial in 1..3 variables over one field context."""
 
@@ -124,10 +137,6 @@ class Polynomial:
         exp = max(self.terms, key=lambda e: (sum(e), e))
         return exp, FqElement(self.ctx, self.terms[exp])
 
-    def iter_terms(self):
-        for exp, rep in self.terms.items():
-            yield exp, FqElement(self.ctx, rep)
-
     # -- ring operations ----------------------------------------------------
 
     def _check(self, other: "Polynomial"):
@@ -144,15 +153,7 @@ class Polynomial:
         ctx = self.ctx
         out = dict(self.terms)
         for exp, rep in other.terms.items():
-            cur = out.get(exp)
-            if cur is None:
-                out[exp] = rep
-            else:
-                s = ctx.add_t(cur, rep)
-                if any(s):
-                    out[exp] = s
-                else:
-                    del out[exp]
+            _accumulate(ctx, out, exp, rep)
         return Polynomial(ctx, self.nvars, out)
 
     __radd__ = __add__
@@ -187,17 +188,8 @@ class Polynomial:
         out: dict = {}
         for e1, r1 in self.terms.items():
             for e2, r2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                prod = ctx.mul_t(r1, r2)
-                cur = out.get(exp)
-                if cur is None:
-                    out[exp] = prod
-                else:
-                    s = ctx.add_t(cur, prod)
-                    if any(s):
-                        out[exp] = s
-                    else:
-                        del out[exp]
+                _accumulate(ctx, out, tuple(a + b for a, b in zip(e1, e2)),
+                            ctx.mul_t(r1, r2))
         return Polynomial(ctx, self.nvars, out)
 
     __rmul__ = __mul__
@@ -226,9 +218,6 @@ class Polynomial:
                                frozenset(self.terms.items())))
         return self._hash
 
-    def scale(self, c) -> "Polynomial":
-        return self * c
-
     def monic(self) -> "Polynomial":
         """Divide by the graded-lex leading coefficient."""
         if self.is_zero:
@@ -248,16 +237,7 @@ class Polynomial:
             c = ctx.smul_t(e, rep)
             if not any(c):
                 continue
-            nexp = exp[:var] + (e - 1,) + exp[var + 1:]
-            cur = out.get(nexp)
-            if cur is None:
-                out[nexp] = c
-            else:
-                s = ctx.add_t(cur, c)
-                if any(s):
-                    out[nexp] = s
-                else:
-                    del out[nexp]
+            _accumulate(ctx, out, exp[:var] + (e - 1,) + exp[var + 1:], c)
         return Polynomial(ctx, self.nvars, out)
 
     def lift_to(self, ctx2: FieldCtx) -> "Polynomial":
@@ -320,13 +300,6 @@ class Polynomial:
             acc = acc + term
         return acc
 
-    def substitute(self, var: int, image: "Polynomial") -> "Polynomial":
-        images = [Polynomial.variable(image.ctx, image.nvars, i)
-                  if i != var else image for i in range(self.nvars)]
-        if image.nvars != self.nvars:
-            raise ValueError("image must have the same number of variables")
-        return self.compose(images)
-
     def partial_evaluate(self, var: int, value: FqElement) -> "Polynomial":
         """Fix one variable to a field value; drops that variable."""
         ectx = value.ctx
@@ -344,16 +317,7 @@ class Polynomial:
             c = ectx.mul_t(rep, vpow(e)) if e else rep
             if not any(c):
                 continue
-            nexp = exp[:var] + exp[var + 1:]
-            cur = out.get(nexp)
-            if cur is None:
-                out[nexp] = c
-            else:
-                s = ectx.add_t(cur, c)
-                if any(s):
-                    out[nexp] = s
-                else:
-                    del out[nexp]
+            _accumulate(ectx, out, exp[:var] + exp[var + 1:], c)
         return Polynomial(ectx, self.nvars - 1, out)
 
     def homogenize(self) -> "Polynomial":
@@ -371,16 +335,7 @@ class Polynomial:
         ctx = self.ctx
         out: dict = {}
         for exp, rep in self.terms.items():
-            nexp = exp[:var] + exp[var + 1:]
-            cur = out.get(nexp)
-            if cur is None:
-                out[nexp] = rep
-            else:
-                s = ctx.add_t(cur, rep)
-                if any(s):
-                    out[nexp] = s
-                else:
-                    del out[nexp]
+            _accumulate(ctx, out, exp[:var] + exp[var + 1:], rep)
         return Polynomial(ctx, self.nvars - 1, out)
 
     # -- univariate dense view --------------------------------------------------

@@ -198,12 +198,6 @@ class Projectivity:
         return cls(ctx, [[1 if i == j else 0 for j in range(n)]
                          for i in range(n)])
 
-    @classmethod
-    def diagonal(cls, ctx: FieldCtx, entries: Sequence) -> "Projectivity":
-        n = len(entries)
-        return cls(ctx, [[entries[i] if i == j else 0 for j in range(n)]
-                         for i in range(n)])
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Projectivity):
             return NotImplemented
@@ -292,22 +286,6 @@ class Projectivity:
                 acc = add(acc, mul(g.mat[i][j], p.coords[j]))
             out.append(FqElement(ctx, acc))
         return ProjPoint(ctx, out)
-
-    def apply_line(self, line: ProjLine) -> ProjLine:
-        """Image of a line: coefficients transform by the inverse matrix."""
-        if self.n != 3:
-            raise DimensionMismatch("lines live in P^2")
-        ctx = common_field(self.ctx, line.ctx)
-        inv = self.inverse().lift_to(ctx)
-        l = line.lift_to(ctx)
-        mul, add = ctx.mul_t, ctx.add_t
-        out = []
-        for j in range(3):
-            acc = ctx.zero_t
-            for i in range(3):
-                acc = add(acc, mul(l.coeffs[i], inv.mat[i][j]))
-            out.append(FqElement(ctx, acc))
-        return ProjLine(ctx, out)
 
     def row_major(self) -> list[int]:
         """Row-major list of coefficient encodings (report serialization)."""

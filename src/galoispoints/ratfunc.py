@@ -21,6 +21,37 @@ from .polyring import Polynomial, poly_gcd, exact_div, splitting_roots
 from .projective import PointDivisor, ProjPoint, Projectivity, point_p1
 
 
+def _heval(poly: Polynomial, x: tuple, z: tuple, deg: int) -> tuple:
+    """Raw value at (x : z) of univariate ``poly`` homogenized to degree
+    ``deg``; x and z are raw reps in poly's field."""
+    ctx = poly.ctx
+    acc = ctx.zero_t
+    for (e,), rep in poly.terms.items():
+        term = ctx.mul_t(rep, ctx.pow_t(x, e))
+        term = ctx.mul_t(term, ctx.pow_t(z, deg - e))
+        acc = ctx.add_t(acc, term)
+    return acc
+
+
+def _hsubst(poly: Polynomial, a: Polynomial, b: Polynomial, deg: int) -> Polynomial:
+    """poly(a / b) * b^deg: univariate ``poly`` homogenized to degree
+    ``deg`` and evaluated at (a : b); all three share one field."""
+    ctx = poly.ctx
+    powers_a: dict[int, Polynomial] = {0: Polynomial.const(ctx, 1, 1)}
+    powers_b: dict[int, Polynomial] = {0: Polynomial.const(ctx, 1, 1)}
+
+    def pw(cache, base, e):
+        if e not in cache:
+            cache[e] = pw(cache, base, e - 1) * base
+        return cache[e]
+
+    acc = Polynomial.zero(ctx, 1)
+    for (e,), rep in poly.terms.items():
+        term = pw(powers_a, a, e) * pw(powers_b, b, deg - e)
+        acc = acc + term * FqElement(ctx, rep)
+    return acc
+
+
 class RationalMap1D:
     """A reduced rational function num(t)/den(t) over one field context."""
 
@@ -150,18 +181,10 @@ class RationalMap1D:
         """Image of a P^1 point under the morphism (projective, total)."""
         ectx = common_field(self.ctx, pt.ctx)
         x, z = pt.lift_to(ectx).coords
-        n = self.num.lift_to(ectx)
-        d = self.den.lift_to(ectx)
         deg = self.degree()
         # homogenize both to degree deg and evaluate at (x : z)
-        def heval(poly: Polynomial):
-            acc = ectx.zero_t
-            for (e,), rep in poly.terms.items():
-                term = ectx.mul_t(rep, ectx.pow_t(x, e))
-                term = ectx.mul_t(term, ectx.pow_t(z, deg - e))
-                acc = ectx.add_t(acc, term)
-            return acc
-        nv, dv = heval(n), heval(d)
+        nv = _heval(self.num.lift_to(ectx), x, z, deg)
+        dv = _heval(self.den.lift_to(ectx), x, z, deg)
         if not any(nv) and not any(dv):
             # common root of the homogenized pair cannot happen (reduced);
             # reaching here means deg-truncation at infinity: split by lc
@@ -183,52 +206,17 @@ class RationalMap1D:
         t = Polynomial.variable(ectx, 1, 0)
         lin1 = t * FqElement(ectx, a) + FqElement(ectx, b)   # a t + b
         lin2 = t * FqElement(ectx, c) + FqElement(ectx, d)   # c t + d
-        n = self.num.lift_to(ectx)
-        dn = self.den.lift_to(ectx)
         deg = self.degree()
-
-        def subst(poly: Polynomial) -> Polynomial:
-            acc = Polynomial.zero(ectx, 1)
-            # cache powers
-            p1: dict[int, Polynomial] = {0: Polynomial.const(ectx, 1, 1)}
-            p2: dict[int, Polynomial] = {0: Polynomial.const(ectx, 1, 1)}
-
-            def pw(cache, base, e):
-                if e not in cache:
-                    cache[e] = pw(cache, base, e - 1) * base
-                return cache[e]
-
-            for (e,), rep in poly.terms.items():
-                term = pw(p1, lin1, e) * pw(p2, lin2, deg - e)
-                acc = acc + term * FqElement(ectx, rep)
-            return acc
-
-        return RationalMap1D(subst(n), subst(dn))
+        return RationalMap1D(_hsubst(self.num.lift_to(ectx), lin1, lin2, deg),
+                             _hsubst(self.den.lift_to(ectx), lin1, lin2, deg))
 
     def compose(self, inner: "RationalMap1D") -> "RationalMap1D":
         """self o inner as rational functions."""
         ectx = common_field(self.ctx, inner.ctx)
-        outer_n = self.num.lift_to(ectx)
-        outer_d = self.den.lift_to(ectx)
         inn = inner.lift_to(ectx)
         deg = self.degree()
-
-        def subst(poly: Polynomial) -> Polynomial:
-            acc = Polynomial.zero(ectx, 1)
-            cache_n: dict[int, Polynomial] = {0: Polynomial.const(ectx, 1, 1)}
-            cache_d: dict[int, Polynomial] = {0: Polynomial.const(ectx, 1, 1)}
-
-            def pw(cache, base, e):
-                if e not in cache:
-                    cache[e] = pw(cache, base, e - 1) * base
-                return cache[e]
-
-            for (e,), rep in poly.terms.items():
-                term = pw(cache_n, inn.num, e) * pw(cache_d, inn.den, deg - e)
-                acc = acc + term * FqElement(ectx, rep)
-            return acc
-
-        return RationalMap1D(subst(outer_n), subst(outer_d))
+        return RationalMap1D(_hsubst(self.num.lift_to(ectx), inn.num, inn.den, deg),
+                             _hsubst(self.den.lift_to(ectx), inn.num, inn.den, deg))
 
     # -- divisors ----------------------------------------------------------------
 

@@ -43,6 +43,24 @@ class TestCheck:
         code = dispatch(["check", str(bad), "--point", "0:1:0"])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--ext-cap", "-1"]])
+    def test_bad_config_exit_1(self, capsys, flags):
+        code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json"),
+                         "--point", "0:1:0"] + flags)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "InputError"
+        assert "Traceback" not in err
+
+    def test_bad_field_spec_exit_1(self, tmp_path, capsys):
+        bad = tmp_path / "curve.json"
+        bad.write_text(json.dumps({"field": "abc", "affine_poly": "x+y"}))
+        code = dispatch(["check", str(bad), "--point", "0:1:0"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "InputError"
+        assert "Traceback" not in err
+
     def test_missing_file_exit_1(self, tmp_path):
         code = dispatch(["check", str(tmp_path / "nope.json"),
                          "--point", "0:1:0"])
@@ -118,6 +136,20 @@ class TestGoldenReports:
     @pytest.mark.parametrize("args, golden", [
         (["branch", "--d", "3", "--field", "13^1"], "golden_branch_d3_f13.json"),
         (["branch", "--d", "4", "--field", "7^1"], "golden_branch_d4_f7.json"),
+        (["family", str(FIXTURES / "thm3_cubic_f13.json")],
+         "golden_family_thm3_cubic_f13.json"),
+        (["family", str(FIXTURES / "prop4_p2e2_f4.json")],
+         "golden_family_prop4_p2e2_f4.json"),
+        (["family", str(FIXTURES / "thm2_tame_d4_f13.json")],
+         "golden_family_thm2_tame_d4_f13.json"),
+        (["pair", str(FIXTURES / "thm3_cubic_curve.json"),
+          "--inner", "12:0:1", "--outer", "1:0:0"],
+         "golden_pair_thm3_cubic_invalid.json"),
+        (["check", str(FIXTURES / "thm3_quartic_curve.json"),
+          "--point", "1:0:0", "--strategy", "monte_carlo"],
+         "golden_check_thm3_quartic_mc.json"),
+        (["embed", str(FIXTURES / "groups_toy_conic_f13.json")],
+         "golden_embed_toy_conic_f13.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)

@@ -197,6 +197,16 @@ class TestVerifyFamily:
         assert v.joint.joint_descriptor.tag == "a4"
         assert v.joint.classification == "right_semidirect"
 
+    def test_thm2_wild_order_6_outer_group_is_s3(self):
+        # p^e m = 6: the outer group (Z/3) x| Z/2 is S3 in the catalogue
+        curve, exp = build_family(FamilySpec(tag="thm2_wild", field="3^2",
+                                             p=3, e=1, m=2))
+        assert exp.outer_tag == "s3"
+        v = verify_family(curve, exp, RunConfig(seed=0))
+        assert v.success, [c for c in v.checks if not c["passed"]]
+        assert v.outer.descriptor.tag == "s3"
+        assert v.joint.joint_descriptor.tag == "semidirect_p_cyclic"
+
     def test_thm2_tame_second_primes(self):
         # the tame family verifies over a second prime for each degree
         for d, p in ((4, 11), (5, 13), (6, 7)):

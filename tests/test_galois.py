@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +12,10 @@ from galoispoints.errors import (
     BruteCapExceeded,
     CenterSingular,
     MissingParametrization,
+    SoundnessError,
 )
 from galoispoints.galois import (
+    GaloisReport,
     central_collineation_group,
     deck_group,
     fiber_polynomial,
@@ -235,6 +241,38 @@ class TestIsGaloisPoint:
                               strategy="monte_carlo", cfg=RunConfig(trials=16))
         assert rep.verdict == "probably_galois"
         assert rep.method == "monte_carlo"
+
+
+class TestSoundnessGuards:
+    def test_certified_galois_needs_group(self, F13):
+        with pytest.raises(SoundnessError):
+            GaloisReport(ProjPoint(F13, [0, 1, 0]), "inner", 2,
+                         "certified_galois", group=None)
+
+    def test_certified_not_galois_needs_witness(self, F13):
+        with pytest.raises(SoundnessError):
+            GaloisReport(ProjPoint(F13, [0, 1, 0]), "inner", 2,
+                         "certified_not_galois", witness=None)
+
+    def test_guard_survives_optimize_flag(self):
+        # python -O strips assert statements; the guards must still raise
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from galoispoints.errors import SoundnessError\n"
+            "from galoispoints.galois import GaloisReport\n"
+            "from galoispoints.gf import make_field\n"
+            "from galoispoints.projective import ProjPoint\n"
+            "assert False, 'asserts are live'\n"
+            "F = make_field(13)\n"
+            "try:\n"
+            "    GaloisReport(ProjPoint(F, [0, 1, 0]), 'inner', 2,\n"
+            "                 'certified_galois', group=None)\n"
+            "except SoundnessError:\n"
+            "    print('raised')\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "raised"
 
 
 class TestAgreement:
