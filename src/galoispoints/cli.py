@@ -64,8 +64,12 @@ def _emit(payload: dict, kind: str, cfg: RunConfig) -> str:
 
 def _write(text: str, cfg: RunConfig) -> None:
     if cfg.output and cfg.output != "-":
-        with open(cfg.output, "w") as fh:
-            fh.write(text)
+        try:
+            with open(cfg.output, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(
+                f"cannot write {cfg.output}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -87,9 +91,16 @@ def _field_from_file(data: dict, path: str) -> FieldCtx:
         raise InputError(f"{path}: missing 'field'")
     ctx = parse_field_spec(str(data["field"]))
     if "modulus" in data:
-        modulus = tuple(int(c) for c in data["modulus"])
+        try:
+            modulus = tuple(int(c) for c in data["modulus"])
+        except (TypeError, ValueError):
+            raise InputError(
+                f"{path}: 'modulus' must be a list of integers") from None
         if modulus != ctx.modulus:
-            ctx = FieldCtx(ctx.p, ctx.k, modulus)
+            try:
+                ctx = FieldCtx(ctx.p, ctx.k, modulus)
+            except GaloisPointError as exc:
+                raise InputError(f"{path}: bad modulus: {exc}") from None
     return ctx
 
 
@@ -237,8 +248,16 @@ def cmd_branch(args, cfg: RunConfig) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError (exit 1 with
+    a JSON error) instead of printing usage and exiting 2."""
+
+    def error(self, message):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="galoispoints",
         description="Construct, detect and certify Galois points of plane "
                     "curves over finite fields.")
@@ -259,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("curve", help="curve JSON file")
     p.add_argument("--point", required=True, help='projective point "x:y:z"')
     p.add_argument("--strategy", default="auto",
-                   choices=["auto", "collineation", "deck", "monte_carlo"])
+                   choices=["auto", "collineation", "monte_carlo"])
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pair", parents=[common],
@@ -291,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(argv: Optional[list] = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         try:
             cfg = RunConfig(trials=args.trials, seed=args.seed,
                             ext_cap=args.ext_cap, closure_cap=args.closure_cap,

@@ -24,6 +24,7 @@ from .errors import (
     NotSquarefree,
     PointNotOnCurve,
     PointSingular,
+    SoundnessError,
     ZeroInput,
 )
 from .gf import FieldCtx, FqElement, common_field, lift
@@ -162,7 +163,6 @@ def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
     """
     from .polyring import resultant
 
-    ctx = A.ctx
     bez = max(A.degree(), 1) * max(B.degree(), 1)
     da, db = A.degree_in(1), B.degree_in(1)
     if da == 0 and db == 0:
@@ -171,7 +171,7 @@ def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
     if da == 0 or db == 0:
         u = A if da == 0 else B
         other = B if da == 0 else A
-        ux = Polynomial.from_dense(ctx, [rep for rep in _as_univar_x(u)])
+        ux = u.dehomogenize(1)
         if ux.degree() < 1:
             return []
         out = []
@@ -184,7 +184,7 @@ def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
                 out.append((lift(x0, ectx), lift(y0, ectx)))
         return out
     r = resultant(A, B, 1)   # eliminate y -> polynomial in x
-    rx = Polynomial.from_dense(ctx, _as_univar_x(r))
+    rx = r.dehomogenize(1)
     if rx.is_zero:
         raise ZeroInput("internal: resultant of coprime pair vanished")
     if rx.degree() < 1:
@@ -206,17 +206,6 @@ def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
         for y0 in _roots_bounded(g, ext_cap, bez):
             ectx = common_field(x0.ctx, y0.ctx)
             out.append((lift(x0, ectx), lift(y0, ectx)))
-    return out
-
-
-def _as_univar_x(f: Polynomial) -> list:
-    """Dense x-coefficient reps of a bivariate polynomial with deg_y = 0."""
-    d = f.degree_in(0)
-    out = [f.ctx.zero_t] * (d + 1)
-    for (a, b), rep in f.terms.items():
-        if b != 0:
-            raise ValueError("polynomial is not y-free")
-        out[a] = rep
     return out
 
 
@@ -298,8 +287,7 @@ def singular_points(C: PlaneCurve, ext_cap: int = 12) -> SingularLocus:
     if on_line.is_zero:
         raise NotSquarefree("z divides the curve form; form is not reduced")
     # roots of F(1, y, 0); the x-exponent is determined by homogeneity
-    fy_line = Polynomial(ctx, 1, {(b,): rep
-                                  for (a, b), rep in on_line.terms.items()})
+    fy_line = on_line.dehomogenize(0)
     candidates = []
     if fy_line.degree() >= 1:
         for y0 in _roots_bounded(fy_line, ext_cap, fy_line.degree()):
@@ -317,8 +305,8 @@ def singular_points(C: PlaneCurve, ext_cap: int = 12) -> SingularLocus:
     lifted = sorted({pt.lift_to(target) for pt in found},
                     key=lambda p: p.encoding())
     pts = tuple((pt, point_multiplicity(C, pt)) for pt in lifted)
-    for _, m in pts:
-        assert m >= 2
+    if any(m < 2 for _, m in pts):
+        raise SoundnessError("a singular point has multiplicity below 2")
     return SingularLocus(pts, target)
 
 
@@ -371,7 +359,8 @@ def line_intersection_divisor(C: PlaneCurve, L: ProjLine,
     if extra > 0:
         support[A.lift_to(ectx)] = support.get(A.lift_to(ectx), 0) + extra
     div = PointDivisor(ectx, 2, support)
-    assert div.degree() == d
+    if div.degree() != d:
+        raise SoundnessError(f"line divisor has degree {div.degree()} != {d}")
     return div
 
 
@@ -396,29 +385,18 @@ def pencil_parametrization(C: PlaneCurve, S: ProjPoint
     m = min(sum(e) for e in g.terms)
     if m != d - 1:
         raise ZeroInput(f"pencil parametrization needs multiplicity d-1, got {m}")
-    parts: dict[int, Polynomial] = {}
+    parts: dict[int, dict] = {}
     for exp, rep in g.terms.items():
-        deg = sum(exp)
-        parts.setdefault(deg, Polynomial.zero(ctx, 2))
-        parts[deg] = parts[deg] + Polynomial(ctx, 2, {exp: rep})
-    low = parts.get(d - 1)
-    top = parts.get(d)
-    if low is None or top is None or set(parts) != {d - 1, d}:
+        parts.setdefault(sum(exp), {})[exp] = rep
+    if set(parts) != {d - 1, d}:
         raise ZeroInput("unexpected homogeneous parts at the singular point")
-    # restrict to the line v = t*u:  g = u^(d-1) (low(1,t) + u top(1,t))
-    tvar = Polynomial.variable(ctx, 1, 0)
-    def binary_at_t(h: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(ctx, 1)
-        for (eu, ev), rep in h.terms.items():
-            acc = acc + tvar ** ev * FqElement(ctx, rep)
-        return acc
-    low_t = binary_at_t(low)
-    top_t = binary_at_t(top)
-    r = RationalMap1D(-low_t, top_t)      # residual u-coordinate
-    u_t = r
-    v_t = RationalMap1D.from_poly(tvar) * r
+    low, top = (Polynomial(ctx, 2, parts[e]) for e in (d - 1, d))
+    # restrict to the line v = t*u:  g = u^(d-1) (low(1,t) + u top(1,t)),
+    # so the residual point has u = -low(1,t) / top(1,t) and v = t*u
+    r = RationalMap1D(-low.dehomogenize(0), top.dehomogenize(0))
     # back to the original chart coordinates
-    local = {others[0]: u_t + a0, others[1]: v_t + a1,
+    local = {others[0]: r + a0,
+             others[1]: r * Polynomial.variable(ctx, 1, 0) + a1,
              chart: RationalMap1D.const(ctx, 1)}
     denom = local[2]
     if denom.num.is_zero:
@@ -433,24 +411,9 @@ def verify_on_curve(C: PlaneCurve, x_t: RationalMap1D, y_t: RationalMap1D) -> No
     """Exact check that form(x(t), y(t), 1) vanishes identically."""
     from .errors import ParametrizationInvalid
     ctx = common_field(common_field(C.ctx, x_t.ctx), y_t.ctx)
-    form = C.form.lift_to(ctx)
     x = x_t.lift_to(ctx)
     y = y_t.lift_to(ctx)
-    d = C.degree
-    acc = Polynomial.zero(ctx, 1)
-    xn_pow = {0: Polynomial.const(ctx, 1, 1)}
-    xd_pow = {0: Polynomial.const(ctx, 1, 1)}
-    yn_pow = {0: Polynomial.const(ctx, 1, 1)}
-    yd_pow = {0: Polynomial.const(ctx, 1, 1)}
-
-    def pw(cache, base, e):
-        if e not in cache:
-            cache[e] = pw(cache, base, e - 1) * base
-        return cache[e]
-
-    for (ex, ey, ez), rep in form.terms.items():
-        term = (pw(xn_pow, x.num, ex) * pw(xd_pow, x.den, d - ex)
-                * pw(yn_pow, y.num, ey) * pw(yd_pow, y.den, d - ey))
-        acc = acc + term * FqElement(ctx, rep)
-    if not acc.is_zero:
+    # (x.den y.den)^d form(x, y, 1): a nonzero multiple, so the zero test holds
+    if not C.form.compose([x.num * y.den, y.num * x.den,
+                           x.den * y.den]).is_zero:
         raise ParametrizationInvalid("parametrization does not satisfy the curve")

@@ -56,7 +56,7 @@ from .projective import (
     point_p1,
     product_structure,
 )
-from .ratfunc import RationalMap1D, _heval
+from .ratfunc import RationalMap1D
 
 
 # ---------------------------------------------------------------------------
@@ -133,8 +133,6 @@ def invariant_generator(G: FiniteProjectivityGroup, Q0: ProjPoint) -> RationalMa
     n = len(H)
     maps = _mobius_maps(H)
 
-    candidates = []
-
     def ladder():
         powers = [RationalMap1D.const(ctx, 1) for _ in maps]
         for j in range(1, 2 * n + 1):
@@ -201,10 +199,9 @@ def projective_triple(f: RationalMap1D, g: RationalMap1D
 def evaluate_triple(triple, pt: ProjPoint) -> ProjPoint:
     """Evaluate a projective polynomial triple at a P^1 point."""
     ctx = common_field(triple[0].ctx, pt.ctx)
-    x, z = pt.lift_to(ctx).coords
+    xz = [FqElement(ctx, c) for c in pt.lift_to(ctx).coords]
     D = max(poly.degree() for poly in triple)
-    return ProjPoint(ctx, [FqElement(ctx, _heval(poly.lift_to(ctx), x, z, D))
-                           for poly in triple])
+    return ProjPoint(ctx, [poly.homogenize(D).evaluate(xz) for poly in triple])
 
 
 def implicitize(f: RationalMap1D, g: RationalMap1D,
@@ -222,22 +219,14 @@ def implicitize(f: RationalMap1D, g: RationalMap1D,
     ctx = common_field(f.ctx, g.ctx)
     fl, gl = f.lift_to(ctx), g.lift_to(ctx)
     # ring in (t, x, y)
-    def promote(poly: Polynomial, slot: int) -> Polynomial:
-        out = {}
-        for (e,), rep in poly.terms.items():
-            exp = [e, 0, 0]
-            out[tuple(exp)] = rep
-        return Polynomial(ctx, 3, out)
-
-    xvar = Polynomial.variable(ctx, 3, 1)
-    yvar = Polynomial.variable(ctx, 3, 2)
-    A = promote(fl.num, 0) - xvar * promote(fl.den, 0)
-    B = promote(gl.num, 0) - yvar * promote(gl.den, 0)
+    t, xvar, yvar = (Polynomial.variable(ctx, 3, i) for i in range(3))
+    A = fl.num.compose([t]) - xvar * fl.den.compose([t])
+    B = gl.num.compose([t]) - yvar * gl.den.compose([t])
     from .polyring import resultant
     res = resultant(A, B, 0)
     if res.is_zero:
         raise ZeroInput("resultant vanished; the pair does not separate points")
-    flat = Polynomial(ctx, 2, {exp[1:]: rep for exp, rep in res.terms.items()})
+    flat = res.dehomogenize(0)   # t no longer occurs
     for var in (0, 1):
         cont = content_in(flat, var)
         if cont.degree() > 0:

@@ -49,9 +49,11 @@ from .errors import (
     InputError,
     NotSubgroup,
     ScalingUnstable,
+    SoundnessError,
 )
 from .galois import GaloisReport, is_galois_point
-from .gf import FieldCtx, FqElement, common_field, nth_root_of_unity
+from .gf import (FieldCtx, FqElement, common_field, nth_root_of_unity,
+                 parse_field_spec)
 from .polyring import Polynomial, factor_univariate, splitting_roots
 from .projective import (
     PointDivisor,
@@ -297,9 +299,9 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
             if not beta_sq:
                 continue
             # all three relations, re-checked independently
-            assert a + 2 == c * 3
-            assert a * 2 + beta_sq + one == c * c * 3
-            assert a == c ** 3
+            if not (a + 2 == c * 3 and a * 2 + beta_sq + one == c * c * 3
+                    and a == c ** 3):
+                raise SoundnessError("d = 3 branch relations fail")
             solutions.append((c, a, beta_sq))
         if not solutions:
             raise DegenerateOnly("only the beta = 0 branch exists")
@@ -331,10 +333,9 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
         beta_cu = c * d0 * 2 - a * 3 - one
         if not beta_cu:
             continue
-        assert a + 3 == c * 2
-        assert a * 3 + 3 == c * c + d0 * 2
-        assert a * 3 + beta_cu + one == c * d0 * 2
-        assert a == d0 * d0
+        if not (a + 3 == c * 2 and a * 3 + 3 == c * c + d0 * 2
+                and a * 3 + beta_cu + one == c * d0 * 2 and a == d0 * d0):
+            raise SoundnessError("d = 4 branch relations fail")
         solutions.append((d0, a, c, beta_cu))
     if not solutions:
         raise DegenerateOnly("only the beta = 0 branch exists")
@@ -356,12 +357,13 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
 # Family construction
 # ---------------------------------------------------------------------------
 
-def _parse_field(spec: str) -> FieldCtx:
-    from .gf import parse_field_spec
-    try:
-        return parse_field_spec(spec)
-    except Exception as exc:
-        raise InputError(f"bad field spec {spec!r}: {exc}") from exc
+def _pencil_point(curve: PlaneCurve, ext_cap: int) -> ProjPoint:
+    """The curve's one singular point, which must have multiplicity d - 1."""
+    (S, mult), = singular_points(curve, ext_cap=ext_cap).points
+    if mult != curve.degree - 1:
+        raise SoundnessError(
+            f"pencil point has multiplicity {mult} != {curve.degree - 1}")
+    return S
 
 
 def _subfield_elements(ctx: FieldCtx, e: int) -> list[FqElement]:
@@ -376,7 +378,7 @@ def _subfield_elements(ctx: FieldCtx, e: int) -> list[FqElement]:
 def build_family(spec: FamilySpec,
                  ext_cap: int = 12) -> tuple[PlaneCurve, FamilyExpectation]:
     """Construct the family curve and its expectation skeleton."""
-    ctx = _parse_field(spec.field)
+    ctx = parse_field_spec(spec.field)
     p = ctx.p
     if spec.tag == "thm2_tame":
         d = spec.d
@@ -428,8 +430,7 @@ def build_family(spec: FamilySpec,
             S = _subfield_elements(ctx, spec.e)
             g = additive_poly_from_subgroup(S, spec.m).poly
         x = Polynomial.variable(ctx, 2, 0)
-        gy = Polynomial(ctx, 2, {(0, exp): rep
-                                 for (exp,), rep in g.terms.items()})
+        gy = g.compose([Polynomial.variable(ctx, 2, 1)])
         curve = curve_from_affine(x ** (d - 1) + gy ** spec.m + spec.c)
         P = ProjPoint(ctx, [1, 0, 0])
         Q = ProjPoint(ctx, [0, 1, 0])
@@ -466,10 +467,7 @@ def build_family(spec: FamilySpec,
             extra = ("mult3_singular_on_ellP", "noncommuting_pair")
         P = ProjPoint(ctx, [0, 1, 0])
         Q = ProjPoint(ctx, [1, 0, 0])
-        sing = singular_points(curve, ext_cap=ext_cap)
-        (S, mult), = sing.points
-        assert mult == d - 1
-        param = pencil_parametrization(curve, S)
+        param = pencil_parametrization(curve, _pencil_point(curve, ext_cap))
         return curve, FamilyExpectation(
             P=P, Q=Q, inner_order=d - 1, outer_order=d,
             inner_strategy="collineation", outer_strategy="deck",
@@ -512,10 +510,7 @@ def build_family(spec: FamilySpec,
             curve = curve_from_affine(y ** (d - 1) * x + (x + 1) ** d)
             P = ProjPoint(ctx, [0, 1, 0])
             Q = ProjPoint(ctx, [1, 0, 0])
-            sing = singular_points(curve, ext_cap=ext_cap)
-            (S, mult), = sing.points
-            assert mult == d - 1
-            param = pencil_parametrization(curve, S)
+            param = pencil_parametrization(curve, _pencil_point(curve, ext_cap))
             ell_P = ProjLine(ctx, [0, 1, 0])
         else:
             raise InputError(f"unknown prop4 variant {spec.variant!r}")

@@ -147,18 +147,27 @@ def _normalize_center(curve: PlaneCurve, pt: ProjPoint, col: int):
     return g, moved, fiber
 
 
+def _classify_center(C: PlaneCurve, center: ProjPoint):
+    """Lift curve and center to one field and classify the center.
+
+    Returns (curve, pt, inner); raises CenterSingular when the center is a
+    singular point of C.
+    """
+    ctx = common_field(C.ctx, center.ctx)
+    curve = C.lift_to(ctx)
+    pt = center.lift_to(ctx)
+    inner = curve.contains(pt)
+    if inner and not any(curve.gradient_at(pt)):
+        raise CenterSingular(f"{center!r} lies in Sing(C)")
+    return curve, pt, inner
+
+
 def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
     """Fiber polynomial of the projection from a center on or off the curve.
 
     Raises CenterSingular when the center is a singular point of C.
     """
-    ctx = common_field(C.ctx, center.ctx)
-    curve = C.lift_to(ctx)
-    pt = center.lift_to(ctx)
-    on_curve = curve.contains(pt)
-    if on_curve and not any(curve.gradient_at(pt)):
-        raise CenterSingular(f"{center!r} lies in Sing(C)")
-    inner = bool(on_curve)
+    curve, pt, inner = _classify_center(C, center)
     g, _, fib = _normalize_center(curve, pt, 1 if inner else 0)
     n = curve.degree - (1 if inner else 0)
     if fib.degree_in(1) != n:
@@ -284,8 +293,8 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
 # ---------------------------------------------------------------------------
 
 def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
-                  count: int = 2, attempts: int = 64):
-    """Find ``count`` squarefree full-degree fibers of F(t, s) with split roots.
+                  attempts: int = 64):
+    """Find two squarefree full-degree fibers of F(t, s) with split roots.
 
     Returns a list of (t0, roots, root_ctx); t0 values are pairwise
     distinct after lifting to a common field.
@@ -314,10 +323,10 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
             continue
         found.append((t0, [r for r, _ in rm.roots], rm.ext))
         seen_t.append(t0)
-        if len(found) == count:
+        if len(found) == 2:
             return found
     raise DegenerateFibers(
-        f"no {count} usable fibers within {attempts} attempts")
+        f"no 2 usable fibers within {attempts} attempts")
 
 
 def _semi_invariance_check(a_parts: list[Polynomial], formP: Polynomial,
@@ -357,14 +366,14 @@ def central_collineation_group(C: PlaneCurve, center: ProjPoint,
     order never exceeds the projection degree.
     """
     cfg = cfg or RunConfig()
-    fib = fiber_polynomial(C, center)  # raises CenterSingular as needed
-    ctx = fib.poly.ctx
-    # re-normalize with the center at (0:1:0) so the collineation shape is
+    curve, pt, inner = _classify_center(C, center)
+    ctx = curve.ctx
+    # normalize with the center at (0:1:0) so the collineation shape is
     # (x : beta x + lam y + delta z : z) in the moved coordinates, and the
     # fiber polynomial has t = x, s = y, z = 1
-    g, moved, fpoly = _normalize_center(C.lift_to(ctx), center.lift_to(ctx), 1)
+    g, moved, fpoly = _normalize_center(curve, pt, 1)
     g_inv = g.inverse()
-    n = fib.degree
+    n = curve.degree - (1 if inner else 0)
     if n < 1:
         raise ZeroInput("degenerate curve for collineation search")
     if n == 1:
@@ -501,8 +510,8 @@ def _fiber_permutation_scan(moved: Polynomial, fpoly: Polynomial,
 # Deck transformations of rational maps
 # ---------------------------------------------------------------------------
 
-def deck_group(h: RationalMap1D, ext_cap: int = 12, seed: int = 0,
-               attempts: int = 32) -> FiniteProjectivityGroup:
+def deck_group(h: RationalMap1D, ext_cap: int = 12,
+               seed: int = 0) -> FiniteProjectivityGroup:
     """{sigma in PGL(2) : h o sigma = h}, certified complete.
 
     Two generic fibers are computed; every deck map permutes each fiber, so
@@ -517,13 +526,10 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12, seed: int = 0,
     if n == 1:
         return trivial_group(base, 2)
     # the fiber over t = v is num(s) - v den(s) = 0
-    def in_s(poly: Polynomial) -> Polynomial:
-        return Polynomial(base, 2, {(0, e): rep
-                                    for (e,), rep in poly.terms.items()})
-
-    fpoly = in_s(h.num) - Polynomial.variable(base, 2, 0) * in_s(h.den)
+    sv = [Polynomial.variable(base, 2, 1)]
+    fpoly = h.num.compose(sv) - Polynomial.variable(base, 2, 0) * h.den.compose(sv)
     (_, roots1, ctx1), (_, roots2, ctx2) = _fiber_search(
-        fpoly, n, ext_cap, f"deck:{seed}:{base.spec}", attempts=attempts)
+        fpoly, n, ext_cap, f"deck:{seed}:{base.spec}", attempts=32)
     wctx = common_field(ctx1, ctx2)
     r1 = [point_p1(wctx, lift(r, wctx)) for r in roots1]
     r2 = [point_p1(wctx, lift(r, wctx)) for r in roots2]

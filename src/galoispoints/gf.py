@@ -646,10 +646,15 @@ def try_descend(a: FqElement, sub: FieldCtx) -> Optional[FqElement]:
 
 
 def parse_field_spec(spec: str) -> FieldCtx:
-    """Parse a "p^k" (or bare "p") field spec string."""
+    """Parse a "p^k" (or bare "p") field spec string; InputError unless p
+    is prime and k >= 1."""
     ps, caret, ks = spec.strip().partition("^")
     try:
         p, k = int(ps), int(ks) if caret else 1
     except ValueError:
         raise InputError(f"field spec {spec!r} is not \"p^k\"") from None
+    if not is_prime(p):
+        raise InputError(f"field spec {spec!r}: {p} is not prime")
+    if k < 1:
+        raise InputError(f"field spec {spec!r}: extension degree must be >= 1")
     return make_field(p, k)

@@ -8,8 +8,9 @@ The module provides the computational substrate used everywhere else:
 * univariate factorization (squarefree decomposition, then distinct-degree,
   then randomized equal-degree splitting with deterministic seed threading),
 * root extraction over the smallest sufficient splitting extension,
-* resultants by subresultant polynomial remainder sequences, with a literal
-  Sylvester-matrix determinant kept alongside as an independent oracle,
+* resultants by the subresultant polynomial remainder sequence alone, one
+  code path for one to three variables, with a literal Sylvester-matrix
+  determinant kept alongside as an independent test oracle,
 * gcds and exact division in one to three variables (primitive PRS).
 
 Coefficients are stored as raw representation tuples; FqElement wrappers
@@ -320,15 +321,20 @@ class Polynomial:
             _accumulate(ectx, out, exp[:var] + exp[var + 1:], c)
         return Polynomial(ectx, self.nvars - 1, out)
 
-    def homogenize(self) -> "Polynomial":
-        """Bivariate f(x, y) -> trivariate form z^d f(x/z, y/z)."""
-        if self.nvars != 2:
-            raise ValueError("homogenize expects a bivariate polynomial")
-        d = self.degree()
-        out = {}
-        for (a, b), rep in self.terms.items():
-            out[(a, b, d - a - b)] = rep
-        return Polynomial(self.ctx, 3, out)
+    def homogenize(self, degree: Optional[int] = None) -> "Polynomial":
+        """Append one variable whose exponent pads each term to ``degree``.
+
+        ``degree`` defaults to the total degree d and may not be smaller.
+        A bivariate f(x, y) becomes the form z^d f(x/z, y/z); a univariate
+        f(t) becomes the binary form z^degree f(t/z), whose value at
+        (a : b) is b^degree f(a/b).
+        """
+        d = self.degree() if degree is None else degree
+        if d < self.degree():
+            raise ValueError("homogenizing degree below the total degree")
+        return Polynomial(self.ctx, self.nvars + 1,
+                          {exp + (d - sum(exp),): rep
+                           for exp, rep in self.terms.items()})
 
     def dehomogenize(self, var: int) -> "Polynomial":
         """Set one variable to 1 and drop it."""
@@ -458,12 +464,6 @@ def _u_mul(ctx, a, b):
     return _u_trim(out)
 
 
-def _u_smul(ctx, c, a):
-    if not any(c):
-        return []
-    return _u_trim([ctx.mul_t(c, x) for x in a])
-
-
 def _u_divmod(ctx, a, b):
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
@@ -512,13 +512,6 @@ def _u_powmod(ctx, a, e, m):
 
 def _u_diff(ctx, a):
     return _u_trim([ctx.smul_t(i, a[i]) for i in range(1, len(a))])
-
-
-def _u_eval(ctx, a, x_rep):
-    acc = ctx.zero_t
-    for c in reversed(a):
-        acc = ctx.add_t(ctx.mul_t(acc, x_rep), c)
-    return acc
 
 
 def _u_pth_root(ctx, a):
@@ -854,12 +847,6 @@ def squarefree_part(f: Polynomial) -> Polynomial:
         raise ZeroInput("squarefree part of zero is undefined")
     if f.degree() == 0:
         return Polynomial.const(f.ctx, f.nvars, 1)
-    if f.nvars == 1:
-        parts = _squarefree_decomposition(f.ctx, f.to_dense())
-        acc = Polynomial.const(f.ctx, 1, 1)
-        for part, _ in parts:
-            acc = acc * Polynomial.from_dense(f.ctx, part)
-        return acc.monic()
     partials = [f.derivative(i) for i in range(f.nvars)]
     if all(d.is_zero for d in partials):
         return squarefree_part(_poly_pth_root(f))
@@ -883,32 +870,6 @@ def squarefree_part(f: Polynomial) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Resultants
 # ---------------------------------------------------------------------------
-
-def _res_univ(ctx, A: list, B: list):
-    """Standard resultant Res(A, B) for dense univariate reps over a field."""
-    if not A or not B:
-        return ctx.zero_t
-    s_neg = False
-    if _u_deg(A) < _u_deg(B):
-        if (_u_deg(A) * _u_deg(B)) % 2 == 1:
-            s_neg = True
-        A, B = B, A
-    res = ctx.one_t
-    while True:
-        da, db = _u_deg(A), _u_deg(B)
-        if db == 0:
-            res = ctx.mul_t(res, ctx.pow_t(B[0], da))
-            break
-        _, R = _u_divmod(ctx, A, B)
-        if not R:
-            return ctx.zero_t
-        dr = _u_deg(R)
-        res = ctx.mul_t(res, ctx.pow_t(B[-1], da - dr))
-        if (da * db) % 2 == 1:
-            s_neg = not s_neg
-        A, B = B, R
-    return ctx.neg_t(res) if s_neg else res
-
 
 def _res_multi(A: list[Polynomial], B: list[Polynomial], ctx, nvars) -> Polynomial:
     """Standard resultant by the subresultant PRS over the coefficient ring."""
@@ -967,9 +928,6 @@ def resultant(f: Polynomial, g: Polynomial, var: int = 0) -> Polynomial:
     ctx = f.ctx
     if f.degree_in(var) == 0 and g.degree_in(var) == 0:
         return Polynomial.const(ctx, f.nvars, 1)
-    if f.nvars == 1:
-        rep = _res_univ(ctx, g.to_dense(), f.to_dense())
-        return Polynomial(ctx, 1, {(0,): rep} if any(rep) else {})
     A = _split_by_var(g, var)
     B = _split_by_var(f, var)
     return _res_multi(A, B, ctx, f.nvars)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .errors import ClosureCapExceeded, DimensionMismatch
+from .errors import ClosureCapExceeded, DimensionMismatch, SoundnessError
 from .gf import FieldCtx, FqElement, common_field, lift
 
 
@@ -293,11 +293,6 @@ class Projectivity:
 
     def __repr__(self) -> str:
         return f"PGL{self.n}{tuple(self.row_major())} over {self.ctx!r}"
-
-
-def mobius(ctx: FieldCtx, a, b, c, d) -> Projectivity:
-    """The Moebius map t -> (a t + b) / (c t + d) as an element of PGL(2)."""
-    return Projectivity(ctx, [[a, b], [c, d]])
 
 
 def mobius_three_points(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Projectivity:
@@ -738,5 +733,7 @@ def orbit(G: FiniteProjectivityGroup, x: ProjPoint) -> PointDivisor:
         img = g.apply(x).lift_to(ctx)
         counts[img] = counts.get(img, 0) + 1
     div = PointDivisor(ctx, x.dim, counts)
-    assert div.degree() == len(G)
+    if div.degree() != len(G):
+        raise SoundnessError(
+            f"orbit divisor degree {div.degree()} != |G| = {len(G)}")
     return div

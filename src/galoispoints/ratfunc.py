@@ -21,37 +21,6 @@ from .polyring import Polynomial, poly_gcd, exact_div, splitting_roots
 from .projective import PointDivisor, ProjPoint, Projectivity, point_p1
 
 
-def _heval(poly: Polynomial, x: tuple, z: tuple, deg: int) -> tuple:
-    """Raw value at (x : z) of univariate ``poly`` homogenized to degree
-    ``deg``; x and z are raw reps in poly's field."""
-    ctx = poly.ctx
-    acc = ctx.zero_t
-    for (e,), rep in poly.terms.items():
-        term = ctx.mul_t(rep, ctx.pow_t(x, e))
-        term = ctx.mul_t(term, ctx.pow_t(z, deg - e))
-        acc = ctx.add_t(acc, term)
-    return acc
-
-
-def _hsubst(poly: Polynomial, a: Polynomial, b: Polynomial, deg: int) -> Polynomial:
-    """poly(a / b) * b^deg: univariate ``poly`` homogenized to degree
-    ``deg`` and evaluated at (a : b); all three share one field."""
-    ctx = poly.ctx
-    powers_a: dict[int, Polynomial] = {0: Polynomial.const(ctx, 1, 1)}
-    powers_b: dict[int, Polynomial] = {0: Polynomial.const(ctx, 1, 1)}
-
-    def pw(cache, base, e):
-        if e not in cache:
-            cache[e] = pw(cache, base, e - 1) * base
-        return cache[e]
-
-    acc = Polynomial.zero(ctx, 1)
-    for (e,), rep in poly.terms.items():
-        term = pw(powers_a, a, e) * pw(powers_b, b, deg - e)
-        acc = acc + term * FqElement(ctx, rep)
-    return acc
-
-
 class RationalMap1D:
     """A reduced rational function num(t)/den(t) over one field context."""
 
@@ -168,11 +137,8 @@ class RationalMap1D:
 
     def evaluate(self, t: FqElement) -> Optional[FqElement]:
         """Value at an affine point, or None when t is a pole."""
-        ectx = t.ctx
-        n = self.num.lift_to(ectx) if ectx != self.ctx else self.num
-        d = self.den.lift_to(ectx) if ectx != self.ctx else self.den
-        dv = d.evaluate([t])
-        nv = n.evaluate([t])
+        dv = self.den.evaluate([t])
+        nv = self.num.evaluate([t])
         if not dv:
             return None
         return nv / dv
@@ -180,16 +146,16 @@ class RationalMap1D:
     def value_at_point(self, pt: ProjPoint) -> ProjPoint:
         """Image of a P^1 point under the morphism (projective, total)."""
         ectx = common_field(self.ctx, pt.ctx)
-        x, z = pt.lift_to(ectx).coords
+        xz = [FqElement(ectx, c) for c in pt.lift_to(ectx).coords]
         deg = self.degree()
         # homogenize both to degree deg and evaluate at (x : z)
-        nv = _heval(self.num.lift_to(ectx), x, z, deg)
-        dv = _heval(self.den.lift_to(ectx), x, z, deg)
-        if not any(nv) and not any(dv):
+        nv = self.num.homogenize(deg).evaluate(xz)
+        dv = self.den.homogenize(deg).evaluate(xz)
+        if not nv and not dv:
             # common root of the homogenized pair cannot happen (reduced);
             # reaching here means deg-truncation at infinity: split by lc
             raise ArithmeticError("unreduced projective evaluation")
-        return ProjPoint(ectx, [FqElement(ectx, nv), FqElement(ectx, dv)])
+        return ProjPoint(ectx, [nv, dv])
 
     def value_at_infinity(self) -> ProjPoint:
         return self.value_at_point(point_p1(self.ctx, infinity=True))
@@ -207,45 +173,33 @@ class RationalMap1D:
         lin1 = t * FqElement(ectx, a) + FqElement(ectx, b)   # a t + b
         lin2 = t * FqElement(ectx, c) + FqElement(ectx, d)   # c t + d
         deg = self.degree()
-        return RationalMap1D(_hsubst(self.num.lift_to(ectx), lin1, lin2, deg),
-                             _hsubst(self.den.lift_to(ectx), lin1, lin2, deg))
+        return RationalMap1D(self.num.homogenize(deg).compose([lin1, lin2]),
+                             self.den.homogenize(deg).compose([lin1, lin2]))
 
     def compose(self, inner: "RationalMap1D") -> "RationalMap1D":
         """self o inner as rational functions."""
         ectx = common_field(self.ctx, inner.ctx)
         inn = inner.lift_to(ectx)
         deg = self.degree()
-        return RationalMap1D(_hsubst(self.num.lift_to(ectx), inn.num, inn.den, deg),
-                             _hsubst(self.den.lift_to(ectx), inn.num, inn.den, deg))
+        return RationalMap1D(self.num.homogenize(deg).compose([inn.num, inn.den]),
+                             self.den.homogenize(deg).compose([inn.num, inn.den]))
 
     # -- divisors ----------------------------------------------------------------
 
     def pole_divisor(self, ext_cap: int = 12) -> PointDivisor:
         """(h)_infinity as an effective divisor on P^1 (degree = deg h)."""
-        ctx = self.ctx
-        support: dict[ProjPoint, int] = {}
-        ectx = ctx
-        if self.den.degree() > 0:
-            rm = splitting_roots(self.den, ext_cap=ext_cap)
-            ectx = rm.ext
-            for r, m in rm.roots:
-                support[point_p1(ectx, r)] = m
-        extra = self.num.degree() - self.den.degree()
-        if extra > 0:
-            support[point_p1(ectx, infinity=True).lift_to(ectx)] = extra
-        return PointDivisor(ectx, 1, {pt.lift_to(ectx): m
-                                      for pt, m in support.items()})
+        return self.fiber_divisor(None, ext_cap=ext_cap)
 
     def fiber_divisor(self, value: Optional[FqElement], ext_cap: int = 12) -> PointDivisor:
-        """Pullback divisor h^*(value); value None means infinity."""
+        """Pullback divisor h^*(value); value None means infinity, whose
+        affine part is cut out by the denominator."""
         if value is None:
-            return self.pole_divisor(ext_cap=ext_cap)
-        ectx0 = common_field(self.ctx, value.ctx)
-        n = self.num.lift_to(ectx0)
-        d = self.den.lift_to(ectx0)
-        g = n - d * lift(value, ectx0)
+            ectx = self.ctx
+            g = self.den
+        else:
+            ectx = common_field(self.ctx, value.ctx)
+            g = self.num.lift_to(ectx) - self.den.lift_to(ectx) * lift(value, ectx)
         support: dict[ProjPoint, int] = {}
-        ectx = ectx0
         if g.degree() > 0:
             rm = splitting_roots(g, ext_cap=ext_cap)
             ectx = rm.ext

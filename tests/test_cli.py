@@ -43,23 +43,54 @@ class TestCheck:
         code = dispatch(["check", str(bad), "--point", "0:1:0"])
         assert code == 1
 
-    @pytest.mark.parametrize("flags", [["--trials", "0"], ["--ext-cap", "-1"]])
+    @pytest.mark.parametrize("flags", [
+        ["--point", "0:1:0", "--trials", "0"],
+        ["--point", "0:1:0", "--ext-cap", "-1"],
+        [],                                         # --point is missing
+        ["--point", "0:1:0", "--trials", "abc"],
+        ["--point", "0:1:0", "--strategy", "deck"],
+        ["--point", "0:1:0", "--output", "."],       # a directory
+    ])
     def test_bad_config_exit_1(self, capsys, flags):
-        code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json"),
-                         "--point", "0:1:0"] + flags)
+        code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json")]
+                        + flags)
         assert code == 1
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "InputError"
         assert "Traceback" not in err
 
-    def test_bad_field_spec_exit_1(self, tmp_path, capsys):
-        bad = tmp_path / "curve.json"
-        bad.write_text(json.dumps({"field": "abc", "affine_poly": "x+y"}))
-        code = dispatch(["check", str(bad), "--point", "0:1:0"])
+    @pytest.mark.parametrize("argv, data", [
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "abc", "affine_poly": "x+y"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "4^1", "affine_poly": "x+y"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "3^2", "modulus": [2, 0, 1], "affine_poly": "x+y"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "3^2", "modulus": [1, 1], "affine_poly": "x+y"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "3^2", "modulus": ["a", 0, 1], "affine_poly": "x+y"}),
+        (["family", "FILE"], {"tag": "thm2_tame", "field": "9^1", "d": 4}),
+        (["branch", "--d", "3", "--field", "9^1"], None),
+        (["branch", "--d", "3", "--field", "13^0"], None),
+    ], ids=["field_abc", "field_4^1", "modulus_reducible", "modulus_short",
+            "modulus_not_int", "family_field_9^1", "branch_9^1", "branch_13^0"])
+    def test_bad_field_spec_exit_1(self, tmp_path, capsys, argv, data):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        code = dispatch([str(path) if a == "FILE" else a for a in argv])
         assert code == 1
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "InputError"
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"],
+                                      ["check", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            dispatch(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
 
     def test_missing_file_exit_1(self, tmp_path):
         code = dispatch(["check", str(tmp_path / "nope.json"),
@@ -150,6 +181,16 @@ class TestGoldenReports:
          "golden_check_thm3_quartic_mc.json"),
         (["embed", str(FIXTURES / "groups_toy_conic_f13.json")],
          "golden_embed_toy_conic_f13.json"),
+        (["family", str(FIXTURES / "thm3_quartic_f13.json")],
+         "golden_family_thm3_quartic_f13.json"),
+        (["family", str(FIXTURES / "prop4_p2e2_f4_power.json")],
+         "golden_family_prop4_p2e2_f4_power.json"),
+        (["embed", str(FIXTURES / "groups_a4_f13.json")],
+         "golden_embed_groups_a4_f13.json"),
+        (["family", str(FIXTURES / "thm2_tame_d4_f13_c0.json")],
+         "golden_family_thm2_tame_d4_f13_c0.json"),
+        (["family", str(FIXTURES / "thm2_wild_p3e1m2_f9.json")],
+         "golden_family_thm2_wild_p3e1m2_f9.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)

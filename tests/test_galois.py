@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -273,6 +274,15 @@ class TestSoundnessGuards:
                              capture_output=True, text=True, check=True,
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.strip() == "raised"
+
+    def test_src_has_no_assert_statement(self):
+        # python -O strips asserts, so no guard may be written as one
+        src = Path(__file__).resolve().parent.parent / "src" / "galoispoints"
+        found = [f"{path.name}:{node.lineno}"
+                 for path in sorted(src.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Assert)]
+        assert found == []
 
 
 class TestAgreement:

@@ -147,6 +147,27 @@ class TestSquarefreePart:
         assert squarefree_part(f) == ((x ** 2 + y) * (x + y)).monic()
 
 
+class TestHomogenize:
+    def test_univariate_to_given_degree(self, F13):
+        # 2 + t^2 padded to degree 3 is the binary form 2 z^3 + t^2 z
+        f = upoly(F13, [2, 0, 1])
+        h = f.homogenize(3)
+        assert h == Polynomial.from_terms(F13, 2, {(0, 3): 2, (2, 1): 1})
+        # its value at (a : b) is b^3 f(a / b)
+        a, b = F13.element(5), F13.element(7)
+        assert h.evaluate([a, b]) == b ** 3 * f.evaluate([a / b])
+
+    def test_default_degree_is_total_degree(self, F13):
+        f = Polynomial.from_terms(F13, 2, {(2, 1): 1, (0, 1): 3, (0, 0): 4})
+        assert f.homogenize() == Polynomial.from_terms(
+            F13, 3, {(2, 1, 0): 1, (0, 1, 2): 3, (0, 0, 3): 4})
+        assert f.homogenize().dehomogenize(2) == f
+
+    def test_degree_below_total_degree_raises(self, F13):
+        with pytest.raises(ValueError):
+            upoly(F13, [1, 0, 1]).homogenize(1)
+
+
 class TestTextForm:
     def test_roundtrip(self):
         F169 = make_field(13, 2)
