@@ -126,10 +126,14 @@ def parse_point(text: str, ctx: FieldCtx) -> ProjPoint:
     if len(parts) not in (2, 3):
         raise InputError(f"point {text!r} must have 2 or 3 coordinates")
     try:
-        coords = [ctx.element(int(p)) for p in parts]
+        codes = [int(p) for p in parts]
     except ValueError:
         raise InputError(f"point {text!r}: coordinates must be integers "
                          f"(base-{ctx.p} encodings)")
+    if not all(0 <= v < ctx.order for v in codes):
+        raise InputError(f"point {text!r}: coordinates must be encodings "
+                         f"0..{ctx.order - 1} of {ctx.spec}")
+    coords = [ctx.element(v) for v in codes]
     if not any(coords):
         raise InputError(f"point {text!r} is the zero vector")
     return ProjPoint(ctx, coords)

@@ -74,6 +74,10 @@ FAMILY_TAGS = ("thm2_tame", "thm2_wild", "thm3_cubic", "thm3_quartic",
                "prop4", "gk")
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class FamilySpec:
     """A family selector plus its parameters and ground field."""
@@ -102,6 +106,18 @@ class FamilySpec:
         kwargs = {k: data[k] for k in
                   ("d", "c", "p", "e", "m", "alphas", "q", "variant")
                   if k in data}
+        for k, v in kwargs.items():
+            if k == "variant":
+                ok, want = isinstance(v, str), "a string"
+            elif k == "alphas":
+                ok = isinstance(v, dict) and all(
+                    i.isdigit() and _is_int(c) for i, c in v.items())
+                want = "an object from digit strings to integers"
+            else:
+                ok, want = _is_int(v), "an integer"
+            if not ok:
+                raise InputError(f"family parameter {k!r} must be {want}, "
+                                 f"got {v!r}")
         return cls(tag=tag, field=str(data["field"]), **kwargs)
 
     def to_jsonable(self) -> dict:
@@ -420,6 +436,10 @@ def build_family(spec: FamilySpec,
                 i = int(i_str)
                 if i > spec.e:
                     raise InputError(f"alpha index {i} exceeds e = {spec.e}")
+                if not 0 <= int(enc) < ctx.order:
+                    raise InputError(f"family parameter 'alphas': alpha_{i} "
+                                     f"= {enc} is not an encoding "
+                                     f"0..{ctx.order - 1} of {ctx.spec}")
                 if int(enc) and i > 0 and (p ** i - 1) % spec.m != 0:
                     raise InputError(
                         f"alpha_{i} must vanish unless m | p^{i} - 1")

@@ -51,7 +51,7 @@ from .gf import FieldCtx, FqElement, common_field, lift, make_field
 from .polyring import (
     Polynomial,
     _split_by_var,
-    factor_univariate,
+    factor_degrees,
     poly_gcd,
     splitting_roots,
 )
@@ -245,8 +245,11 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
 
     Any squarefree full-degree specialization whose irreducible factors
     have two distinct degrees certifies NOT Galois, with the witness
-    recorded.  Uniform degrees across all trials give ``probably_galois``
-    only: cycle-type uniformity does not prove a cover Galois.
+    recorded.  The degrees come from distinct-degree factorization alone
+    (``factor_degrees``); the factors themselves are never split out, so
+    the only randomness is the ``mc:{seed}:{trial}`` choice of t0.
+    Uniform degrees across all trials give ``probably_galois`` only:
+    cycle-type uniformity does not prove a cover Galois.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -269,8 +272,7 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
         if der.is_zero or poly_gcd(spec, der).degree() > 0:
             continue
         usable += 1
-        degrees = sorted(f.degree() for f, _ in
-                         factor_univariate(spec, seed=seed * 1000003 + trial))
+        degrees = factor_degrees(spec)
         if len(set(degrees)) >= 2:
             witness = {
                 "t0": t0.encoding(),

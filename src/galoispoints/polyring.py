@@ -7,20 +7,18 @@ The module provides the computational substrate used everywhere else:
 * ring arithmetic, substitution/composition, homogenization,
 * univariate factorization (squarefree decomposition, then distinct-degree,
   then randomized equal-degree splitting with deterministic seed threading),
+* factor degrees of a squarefree univariate by distinct-degree
+  factorization alone (the Monte Carlo screen needs nothing more),
 * root extraction over the smallest sufficient splitting extension,
 * resultants by the subresultant polynomial remainder sequence alone, one
-  code path for one to three variables, with a literal Sylvester-matrix
-  determinant kept alongside as an independent test oracle,
+  code path for one to three variables,
 * gcds and exact division in one to three variables (primitive PRS).
 
 Coefficients are stored as raw representation tuples; FqElement wrappers
-appear only at the public boundary.  The resultant convention follows the
-text form used throughout the toolkit::
-
-    resultant(f, g, var) == det(sylvester_matrix(f, g, var))
-
-which for univariate f, g equals ``lc(g)^deg(f) * prod f(beta)`` over the
-roots beta of g.
+appear only at the public boundary.  ``resultant(f, g, var)`` is the
+determinant of the Sylvester matrix whose first deg(f) rows are shifted
+copies of g's coefficients; for univariate f, g it equals
+``lc(g)^deg(f) * prod f(beta)`` over the roots beta of g.
 """
 
 from __future__ import annotations
@@ -467,12 +465,13 @@ def _u_mul(ctx, a, b):
 def _u_divmod(ctx, a, b):
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
-    inv = ctx.inv_t(b[-1])
+    # a monic divisor (every powmod and DDF modulus) needs no inverse
+    inv = None if b[-1] == ctx.one_t else ctx.inv_t(b[-1])
     q = [ctx.zero_t] * max(len(a) - len(b) + 1, 1)
     rem = a[:]
     db = len(b) - 1
     while rem and len(rem) - 1 >= db:
-        c = ctx.mul_t(rem[-1], inv)
+        c = rem[-1] if inv is None else ctx.mul_t(rem[-1], inv)
         off = len(rem) - 1 - db
         if any(c):
             q[off] = c
@@ -642,6 +641,19 @@ def factor_univariate(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, in
                 out.append((Polynomial.from_dense(ctx, _u_monic(ctx, irr)), mult))
     out.sort(key=lambda fm: (fm[0].degree(), fm[0].to_text()))
     return out
+
+
+def factor_degrees(f: Polynomial) -> list[int]:
+    """Sorted degrees of the irreducible factors of a squarefree univariate f.
+
+    Precondition: f is squarefree (gcd(f, f') = 1); a repeated factor makes
+    the distinct-degree parts hold powers and the count wrong.  Each part g
+    of distinct-degree factorization collecting degree-d irreducibles holds
+    deg(g)/d of them, so no equal-degree splitting is needed.
+    """
+    ctx = f.ctx
+    parts = _distinct_degree(ctx, _u_monic(ctx, f.to_dense()))
+    return sorted(d for g, d in parts for _ in range(_u_deg(g) // d))
 
 
 @dataclass(frozen=True)
@@ -919,8 +931,8 @@ def resultant(f: Polynomial, g: Polynomial, var: int = 0) -> Polynomial:
     """Resultant of f and g with respect to one variable.
 
     Zero iff f and g share a factor of positive degree in ``var``; equal to
-    ``det(sylvester_matrix(f, g, var))``.  For univariate inputs the result
-    is a constant polynomial.
+    the determinant of the Sylvester matrix of f and g in ``var``.  For
+    univariate inputs the result is a constant polynomial.
     """
     if f.is_zero or g.is_zero:
         raise ZeroInput("resultant of zero polynomial")
@@ -931,53 +943,3 @@ def resultant(f: Polynomial, g: Polynomial, var: int = 0) -> Polynomial:
     A = _split_by_var(g, var)
     B = _split_by_var(f, var)
     return _res_multi(A, B, ctx, f.nvars)
-
-
-def sylvester_matrix(f: Polynomial, g: Polynomial, var: int = 0) -> list[list[Polynomial]]:
-    """The Sylvester matrix whose determinant equals resultant(f, g, var).
-
-    Rows: deg_var(f) shifted copies of g's coefficient vector followed by
-    deg_var(g) shifted copies of f's (descending powers of var).
-    """
-    if f.is_zero or g.is_zero:
-        raise ZeroInput("Sylvester matrix of zero polynomial")
-    f._check(g)
-    m = f.degree_in(var)
-    n = g.degree_in(var)
-    size = m + n
-    if size == 0:
-        return [[Polynomial.const(f.ctx, f.nvars, 1)]]
-    gc = list(reversed(_split_by_var(g, var)))  # descending
-    fc = list(reversed(_split_by_var(f, var)))
-    zero = Polynomial.zero(f.ctx, f.nvars)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        for j, c in enumerate(gc):
-            row[i + j] = c
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        for j, c in enumerate(fc):
-            row[i + j] = c
-        rows.append(row)
-    return rows
-
-
-def determinant(matrix: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor-expansion determinant over the polynomial ring (test oracle)."""
-    n = len(matrix)
-    if n == 1:
-        return matrix[0][0]
-    first = matrix[0][0]
-    ctx, nvars = first.ctx, first.nvars
-    acc = Polynomial.zero(ctx, nvars)
-    for j in range(n):
-        entry = matrix[0][j]
-        if entry.is_zero:
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        sub = determinant(minor)
-        term = entry * sub
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc

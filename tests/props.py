@@ -12,6 +12,7 @@ from galoispoints.gf import common_field, embed, lift, make_field, nth_root_of_u
 from galoispoints.polyring import (
     Polynomial,
     exact_div,
+    factor_degrees,
     factor_univariate,
     poly_gcd,
     resultant,
@@ -114,6 +115,37 @@ def polyring_factor_remultiplies(cases=500):
             assert p.degree() >= 1
             prod = prod * p ** e
         assert prod * f.coefficient((f.degree(),)) == f
+
+
+def polyring_factor_degrees(cases=500):
+    """factor_degrees of a squarefree product of distinct irreducibles, with
+    several sharing one degree, matches the full factorization over F_13,
+    F_4 and F_9."""
+    rng = random.Random(204)
+    fields = [make_field(13), make_field(2, 2), make_field(3, 2)]
+    irreducibles = {}
+    for ctx in fields:
+        found = irreducibles[ctx] = {}
+        for d in (1, 2, 3):
+            while len(found.setdefault(d, set())) < 3:
+                g = rand_univ(rng, ctx, d).monic()
+                fs = factor_univariate(g)
+                if len(fs) == 1 and fs[0] == (g, 1):
+                    found[d].add(g)
+        for d in found:
+            found[d] = sorted(found[d], key=Polynomial.to_text)
+    for i in range(cases):
+        ctx = fields[i % len(fields)]
+        repeated = rng.choice((1, 2, 3))
+        chosen = rng.sample(irreducibles[ctx][repeated], rng.choice((2, 3)))
+        for d in (1, 2, 3):
+            chosen += rng.sample(irreducibles[ctx][d], rng.randrange(2))
+        f = Polynomial.const(ctx, 1, rng.randrange(1, ctx.order))
+        for g in set(chosen):
+            f = f * g
+        expect = sorted(g.degree() for g in set(chosen))
+        assert factor_degrees(f) == expect
+        assert expect == sorted(g.degree() for g, _ in factor_univariate(f))
 
 
 def polyring_splitting_roots(cases=500):

@@ -84,6 +84,51 @@ class TestCheck:
         assert json.loads(err)["error"] == "InputError"
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("spec, param", [
+        ({"tag": "thm2_tame", "field": "13^1", "d": "4"}, "d"),
+        ({"tag": "thm2_tame", "field": "13^1", "d": True}, "d"),
+        ({"tag": "thm2_tame", "field": "13^1", "d": 4.0}, "d"),
+        ({"tag": "thm2_tame", "field": "13^1", "d": 4, "c": "1"}, "c"),
+        ({"tag": "thm2_tame", "field": "13^1", "d": 4, "c": False}, "c"),
+        ({"tag": "thm2_wild", "field": "2^4", "p": "2", "e": 2, "m": 3}, "p"),
+        ({"tag": "thm2_wild", "field": "2^4", "p": 2, "e": None, "m": 3}, "e"),
+        ({"tag": "thm2_wild", "field": "2^4", "p": 2, "e": 2, "m": [3]}, "m"),
+        ({"tag": "thm2_wild", "field": "2^4", "p": 2, "e": 2, "m": 3,
+          "alphas": {"0": "1", "2": 1}}, "alphas"),
+        ({"tag": "thm2_wild", "field": "2^4", "p": 2, "e": 2, "m": 3,
+          "alphas": {"x": 1}}, "alphas"),
+        ({"tag": "thm2_wild", "field": "2^4", "p": 2, "e": 2, "m": 3,
+          "alphas": {"0": 16, "2": 1}}, "alphas"),
+        ({"tag": "prop4", "field": "2^2", "p": 2, "e": 2, "variant": 1},
+         "variant"),
+        ({"tag": "gk", "field": "2^6", "q": "2"}, "q"),
+    ], ids=["d_str", "d_bool", "d_float", "c_str", "c_bool", "p_str",
+            "e_null", "m_list", "alphas_value", "alphas_key", "alphas_range",
+            "variant_int", "q_str"])
+    def test_bad_family_parameter_exit_1(self, tmp_path, capsys, spec, param):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code = dispatch(["family", str(path)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "InputError"
+        assert f"family parameter {param!r}" in json.loads(err)["message"]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("field, point", [
+        ("13^1", "99:1:0"), ("13^1", "13:0:1"), ("13^1", "-1:0:1"),
+        ("2^2", "4:1:0"), ("2^2", "-1:1:0"),
+    ])
+    def test_out_of_range_point_exit_1(self, tmp_path, capsys, field, point):
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"field": field,
+                                    "affine_poly": "1*x^3*y^0+1*x^0*y^2+1"}))
+        code = dispatch(["check", str(path), f"--point={point}"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert "coordinates must be encodings" in err["message"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["check", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
@@ -191,6 +236,12 @@ class TestGoldenReports:
          "golden_family_thm2_tame_d4_f13_c0.json"),
         (["family", str(FIXTURES / "thm2_wild_p3e1m2_f9.json")],
          "golden_family_thm2_wild_p3e1m2_f9.json"),
+        (["check", str(FIXTURES / "tame_d5_f19_curve.json"),
+          "--point", "0:1:0", "--strategy", "monte_carlo"],
+         "golden_check_tame_d5_f19_outer_mc.json"),
+        (["check", str(FIXTURES / "tame_d5_f19_curve.json"),
+          "--point", "1:0:0", "--strategy", "monte_carlo"],
+         "golden_check_tame_d5_f19_inner_mc.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)

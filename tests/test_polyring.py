@@ -7,7 +7,11 @@ from galoispoints.errors import ExtensionCapExceeded, ZeroInput
 from galoispoints.gf import make_field
 from galoispoints.polyring import (
     Polynomial,
-    determinant,
+    _split_by_var,
+    _u_add,
+    _u_divmod,
+    _u_mul,
+    _u_trim,
     exact_div,
     factor_univariate,
     parse_poly,
@@ -15,11 +19,40 @@ from galoispoints.polyring import (
     resultant,
     splitting_roots,
     squarefree_part,
-    sylvester_matrix,
 )
 
 import props
 from conftest import rand_poly, upoly
+
+
+def sylvester_matrix(f, g, var):
+    """Rows: deg_var(f) shifted copies of g's coefficient vector followed by
+    deg_var(g) shifted copies of f's (descending powers of var)."""
+    m, n = f.degree_in(var), g.degree_in(var)
+    if m + n == 0:
+        return [[Polynomial.const(f.ctx, f.nvars, 1)]]
+    zero = Polynomial.zero(f.ctx, f.nvars)
+    rows = []
+    for count, coeffs in ((m, _split_by_var(g, var)), (n, _split_by_var(f, var))):
+        for i in range(count):
+            row = [zero] * (m + n)
+            for j, c in enumerate(reversed(coeffs)):
+                row[i + j] = c
+            rows.append(row)
+    return rows
+
+
+def determinant(matrix):
+    """Cofactor expansion along the first row, over the polynomial ring."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    acc = Polynomial.zero(matrix[0][0].ctx, matrix[0][0].nvars)
+    for j, entry in enumerate(matrix[0]):
+        if entry.is_zero:
+            continue
+        term = entry * determinant([row[:j] + row[j + 1:] for row in matrix[1:]])
+        acc = acc + (term if j % 2 == 0 else -term)
+    return acc
 
 
 class TestResultant:
@@ -85,6 +118,24 @@ class TestFactorUnivariate:
     def test_zero_raises(self, F13):
         with pytest.raises(ZeroInput):
             factor_univariate(Polynomial.zero(F13, 1))
+
+
+class TestDenseDivmod:
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("monic", [True, False])
+    def test_quotient_and_remainder(self, k, monic):
+        # q*b + r == a and deg r < deg b, whether or not b is monic
+        ctx = make_field(13, k)
+        rng = random.Random(10 * k + monic)
+        for _ in range(40):
+            a = _u_trim([ctx.decode(rng.randrange(ctx.order))
+                         for _ in range(rng.randrange(0, 9))])
+            b = [ctx.decode(rng.randrange(ctx.order))
+                 for _ in range(rng.randrange(0, 5))]
+            b.append(ctx.one_t if monic else ctx.decode(rng.randrange(2, ctx.order)))
+            q, r = _u_divmod(ctx, a, b)
+            assert _u_add(ctx, _u_mul(ctx, q, b), r) == a
+            assert len(r) < len(b)
 
 
 class TestSplittingRoots:
@@ -252,6 +303,9 @@ class TestProperties:
 
     def test_factor_remultiplies(self):
         props.polyring_factor_remultiplies(150)
+
+    def test_factor_degrees(self):
+        props.polyring_factor_degrees(150)
 
     def test_splitting_roots(self):
         props.polyring_splitting_roots(150)
