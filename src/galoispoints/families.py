@@ -52,7 +52,7 @@ from .errors import (
     SoundnessError,
 )
 from .galois import GaloisReport, is_galois_point
-from .gf import (FieldCtx, FqElement, common_field, nth_root_of_unity,
+from .gf import (FieldCtx, FqElement, nth_root_of_unity,
                  parse_field_spec)
 from .polyring import Polynomial, factor_univariate, splitting_roots
 from .projective import (
@@ -711,23 +711,13 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
                       for pt, m in get_sing().points)
             _check(checks, token, True, hit)
         elif token == "noncommuting_pair":
+            # joint exists exactly when both groups do, in one dimension
             ok = False
-            if g_inner is not None and g_outer is not None and g_inner.n == g_outer.n:
-                ctx2 = common_field(g_inner.ctx, g_outer.ctx)
-                h1 = g_inner.lift_to(ctx2)
-                h2 = g_outer.lift_to(ctx2)
-                ident = h1.identity()
-                for a in h1.elements:
-                    if a == ident:
-                        continue
-                    for b in h2.elements:
-                        if b == h2.identity():
-                            continue
-                        if a * b != b * a:
-                            ok = True
-                            break
-                    if ok:
-                        break
+            if joint is not None:
+                J = joint.joint
+                s2 = J.positions(g_outer)
+                ok = any(J.mul(a, b) != J.mul(b, a)
+                         for a in J.positions(g_inner) for b in s2)
             _check(checks, token, True, ok)
         elif token == "g2_not_normal":
             _check(checks, token, False,

@@ -3,11 +3,12 @@
 Scalar normalization (first nonzero coordinate equal to 1) gives every
 point, line and projectivity a unique representative, so equality in
 PGL(2) / PGL(3) is syntactic and hash-set group closure works.  Groups are
-explicit element lists closed under product and inverse; structure
-identification matches the order histogram against the small catalogue
-that the classification needs (trivial, cyclic, Klein, elementary abelian,
-S3, A4, p-group-by-cyclic semidirect) and reports "other" instead of
-guessing anything finer.
+explicit element lists with a multiplication table on element positions,
+built by the closure itself, so orders, normality and product sets cost no
+matrix products; structure identification matches the order histogram
+against the small catalogue that the classification needs (trivial,
+cyclic, Klein, elementary abelian, S3, A4, p-group-by-cyclic semidirect)
+and reports "other" instead of guessing anything finer.
 
 Objects over different extensions of the same prime field are lifted to a
 common context on demand; see :func:`galoispoints.gf.common_field`.
@@ -24,6 +25,8 @@ from .gf import FieldCtx, FqElement, common_field, lift
 
 def _normalize(ctx: FieldCtx, vec: tuple) -> tuple:
     for c in vec:
+        if c == ctx.one_t:
+            return vec
         if any(c):
             inv = ctx.inv_t(c)
             return tuple(ctx.mul_t(inv, x) for x in vec)
@@ -216,16 +219,19 @@ class Projectivity:
         b = other.lift_to(ctx)
         n = self.n
         mul, add = ctx.mul_t, ctx.add_t
-        out = []
+        flat = []
         for i in range(n):
-            row = []
             for j in range(n):
                 acc = ctx.zero_t
                 for l in range(n):
                     acc = add(acc, mul(a.mat[i][l], b.mat[l][j]))
-                row.append(FqElement(ctx, acc))
-            out.append(row)
-        return Projectivity(ctx, out)
+                flat.append(acc)
+        # a product of invertible matrices needs no determinant check
+        prod = object.__new__(Projectivity)
+        norm = _normalize(ctx, tuple(flat))
+        prod.ctx, prod.n = ctx, n
+        prod.mat = tuple(norm[i * n:i * n + n] for i in range(n))
+        return prod
 
     def inverse(self) -> "Projectivity":
         ctx, m, n = self.ctx, self.mat, self.n
@@ -243,18 +249,6 @@ class Projectivity:
             adj = [[cof(j, i) for j in range(3)] for i in range(3)]
         return Projectivity(ctx, [[FqElement(ctx, c) for c in row]
                                   for row in adj])
-
-    def __pow__(self, e: int) -> "Projectivity":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = Projectivity.identity(self.ctx, self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def order(self, cap: int = 4096) -> int:
         acc = self
@@ -331,17 +325,66 @@ def mobius_three_points(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> P
 # ---------------------------------------------------------------------------
 
 class FiniteProjectivityGroup:
-    """An explicitly closed finite subgroup of PGL(2) or PGL(3)."""
+    """An explicitly closed finite subgroup of PGL(2) or PGL(3).
 
-    __slots__ = ("ctx", "n", "elements", "generators", "_set")
+    ``elements`` are sorted by encoding; ``index`` maps each to its position.
+    The table on positions is ``(e, gens, cols, words)``: the identity, a
+    reduced generating set, ``cols[j][x] = x * gens[j]`` and ``words[x]``,
+    the columns whose product is x.  ``generate_group`` builds it while
+    closing, ``lift_to``/``conjugate``/``descend_to`` carry it over, and any
+    other group builds it from ``generators`` on first use.
+    """
+
+    __slots__ = ("ctx", "n", "elements", "generators", "index", "_table")
 
     def __init__(self, ctx: FieldCtx, n: int, elements: list[Projectivity],
-                 generators: list[Projectivity]):
+                 generators: list[Projectivity], table: Optional[tuple] = None):
+        # ``table`` is indexed by positions in the given ``elements``
         self.ctx = ctx
         self.n = n
         self.elements = sorted(elements, key=lambda g: g.row_major())
+        self.index = {g: i for i, g in enumerate(self.elements)}
         self.generators = generators
-        self._set = frozenset(self.elements)
+        self._table = table and _relabel(table, [self.index[g] for g in elements])
+
+    def table(self) -> tuple:
+        if self._table is None:
+            elements, table = _close(self.generators, len(self))
+            if len(elements) != len(self):
+                raise SoundnessError("generators do not generate the group")
+            self._table = _relabel(table, [self.index[g] for g in elements])
+        return self._table
+
+    def mul(self, a: int, b: int) -> int:
+        """Position of the product of the elements at positions a and b."""
+        _, _, cols, words = self.table()
+        for j in words[b]:
+            a = cols[j][a]
+        return a
+
+    def order(self, a: int) -> int:
+        e, x = self.table()[0], a
+        for k in range(1, len(self) + 1):
+            if x == e:
+                return k
+            x = self.mul(x, a)
+        raise SoundnessError("element order exceeds the group order")
+
+    def inv(self, a: int) -> int:
+        x = self.table()[0]
+        for _ in range(self.order(a) - 1):
+            x = self.mul(x, a)
+        return x
+
+    def positions(self, H: "FiniteProjectivityGroup") -> set[int]:
+        """Positions of the elements of a subgroup H."""
+        return {self.index[h.lift_to(self.ctx)] for h in H.elements}
+
+    def normalizes(self, S: set[int]) -> bool:
+        """Whether g S = S g for every generator g, i.e. S is normal."""
+        _, gens, cols, _ = self.table()
+        return all({self.mul(g, a) for a in S} == {col[a] for a in S}
+                   for g, col in zip(gens, cols))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -351,36 +394,34 @@ class FiniteProjectivityGroup:
 
     def __contains__(self, g: Projectivity) -> bool:
         if g.ctx == self.ctx:
-            return g in self._set
+            return g in self.index
         ctx = common_field(self.ctx, g.ctx)
         return g.lift_to(ctx) in {e.lift_to(ctx) for e in self.elements}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FiniteProjectivityGroup):
             return NotImplemented
-        return self.ctx == other.ctx and self._set == other._set
+        return self.ctx == other.ctx and self.index.keys() == other.index.keys()
 
     def __hash__(self) -> int:
-        return hash((self.ctx, self._set))
+        return hash((self.ctx, frozenset(self.index)))
 
-    def identity(self) -> Projectivity:
-        return Projectivity.identity(self.ctx, self.n)
+    def _map(self, ctx: FieldCtx, image) -> "FiniteProjectivityGroup":
+        """The isomorphic group of the images, carrying the table over."""
+        new = {g: image(g) for g in self.elements}
+        return FiniteProjectivityGroup(ctx, self.n, list(new.values()),
+                                       [new[g] for g in self.generators],
+                                       self._table)
 
     def lift_to(self, ctx2: FieldCtx) -> "FiniteProjectivityGroup":
         if ctx2 == self.ctx:
             return self
-        return FiniteProjectivityGroup(
-            ctx2, self.n,
-            [g.lift_to(ctx2) for g in self.elements],
-            [g.lift_to(ctx2) for g in self.generators])
+        return self._map(ctx2, lambda g: g.lift_to(ctx2))
 
     def conjugate(self, h: Projectivity) -> "FiniteProjectivityGroup":
         hinv = h.inverse()
         ctx = common_field(self.ctx, h.ctx)
-        return FiniteProjectivityGroup(
-            ctx, self.n,
-            [(h * g * hinv).lift_to(ctx) for g in self.elements],
-            [(h * g * hinv).lift_to(ctx) for g in self.generators])
+        return self._map(ctx, lambda g: (h * g * hinv).lift_to(ctx))
 
     def descend_to(self, sub: FieldCtx) -> "FiniteProjectivityGroup":
         """Rewrite over the smallest field between ``sub`` and the current
@@ -395,47 +436,74 @@ class FiniteProjectivityGroup:
         for j in divisors:
             from .gf import make_field
             target = sub if j == sub.k else make_field(sub.p, j)
-            new_elements = []
-            ok = True
+            down = {}
             for g in self.elements:
-                rows = []
-                for row in g.mat:
-                    out_row = []
-                    for c in row:
-                        d = try_descend(FqElement(self.ctx, c), target)
-                        if d is None:
-                            ok = False
-                            break
-                        out_row.append(d)
-                    if not ok:
-                        break
-                    rows.append(out_row)
-                if not ok:
+                rows = [[try_descend(FqElement(self.ctx, c), target)
+                         for c in row] for row in g.mat]
+                if any(None in row for row in rows):
                     break
-                new_elements.append(Projectivity(target, rows))
-            if ok:
-                return FiniteProjectivityGroup(target, self.n, new_elements,
-                                               new_elements)
+                down[g] = Projectivity(target, rows)
+            else:
+                return self._map(target, down.__getitem__)
         return self
-
-    def is_closed(self) -> bool:
-        for g in self.elements:
-            if g.inverse() not in self._set:
-                return False
-            for h in self.elements:
-                if g * h not in self._set:
-                    return False
-        return True
 
     def __repr__(self) -> str:
         return f"Group(order {len(self.elements)}, PGL{self.n}, {self.ctx!r})"
 
 
-def generate_group(gens: Sequence[Projectivity], cap: int = 4096) -> FiniteProjectivityGroup:
-    """Breadth-first closure of a generating set under products.
+def _close(gens: Sequence[Projectivity], cap: int) -> tuple[list, tuple]:
+    """Closure of ``gens`` (one context) under right products by a reduced
+    generating set: a generator already in the group built so far is
+    skipped, so at most log2|G| of them are kept.  Returns the elements in
+    discovery order, identity first, and their table (see
+    FiniteProjectivityGroup); each (element, kept generator) pair costs one
+    matrix product."""
+    ident = Projectivity.identity(gens[0].ctx, gens[0].n)
+    elements, index, words = [ident], {ident: 0}, [()]
+    kept, cols = [], []
+    for g in gens:
+        if g in index:
+            continue
+        kept.append(g)
+        cols.append([])
+        x = 0
+        while x < len(elements):
+            for j, col in enumerate(cols):
+                if len(col) == x:
+                    prod = elements[x] * kept[j]
+                    k = index.get(prod)
+                    if k is None:
+                        if len(elements) >= cap:
+                            raise ClosureCapExceeded(
+                                f"group closure exceeded cap {cap}")
+                        k = index[prod] = len(elements)
+                        elements.append(prod)
+                        words.append(words[x] + (j,))
+                    col.append(k)
+            x += 1
+    return elements, (0, [index[g] for g in kept], cols, words)
 
-    Raises ClosureCapExceeded when the closure grows past ``cap`` (an
-    infinite or too-large group).
+
+def _relabel(table: tuple, perm: list[int]) -> tuple:
+    """The table with position x renamed perm[x]."""
+    e, gens, cols, words = table
+    new_cols = [[0] * len(perm) for _ in cols]
+    new_words = [()] * len(perm)
+    for x, px in enumerate(perm):
+        new_words[px] = words[x]
+        for col, new in zip(cols, new_cols):
+            new[px] = perm[col[x]]
+    return perm[e], [perm[g] for g in gens], new_cols, new_words
+
+
+def generate_group(gens: Sequence[Projectivity], cap: int = 4096) -> FiniteProjectivityGroup:
+    """Closure of a generating set under products, with its table.
+
+    Candidates already in the group built so far are dropped, so the
+    closure costs |G| matrix products per kept generator and keeps at most
+    log2|G| of them as ``generators`` (the identity alone for the trivial
+    group).  Raises ClosureCapExceeded exactly when the group's order
+    exceeds ``cap`` (an infinite or too-large group).
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -445,23 +513,10 @@ def generate_group(gens: Sequence[Projectivity], cap: int = 4096) -> FiniteProje
         if g.n != n:
             raise DimensionMismatch("mixed dimensions in generating set")
         ctx = common_field(ctx, g.ctx)
-    gens = [g.lift_to(ctx) for g in gens]
-    ident = Projectivity.identity(ctx, n)
-    seen = {ident: ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in gens:
-                prod = g * h
-                if prod not in seen:
-                    if len(seen) >= cap:
-                        raise ClosureCapExceeded(
-                            f"group closure exceeded cap {cap}")
-                    seen[prod] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    return FiniteProjectivityGroup(ctx, n, list(seen), list(gens))
+    elements, table = _close([g.lift_to(ctx) for g in gens], cap)
+    return FiniteProjectivityGroup(ctx, n, elements,
+                                   [elements[g] for g in table[1]] or elements[:1],
+                                   table)
 
 
 def trivial_group(ctx: FieldCtx, n: int) -> FiniteProjectivityGroup:
@@ -500,16 +555,16 @@ def identify_group(G: FiniteProjectivityGroup) -> GroupDescriptor:
     Tags: trivial, cyclic, klein, elementary_abelian (params p, e), s3, a4,
     semidirect_p_cyclic (params p, e, m), other.  The tag is derived from
     the order histogram and abelianness only; anything unmatched is
-    "other" rather than a guess.
+    "other" rather than a guess.  Orders, commutation of the generators and
+    the p-part tests are read off G's table, without matrix products.
     """
     order = len(G)
+    orders = [G.order(a) for a in range(order)]
     hist: dict[int, int] = {}
-    orders = {}
-    for g in G.elements:
-        o = g.order(cap=order + 1)
-        orders[g] = o
+    for o in orders:
         hist[o] = hist.get(o, 0) + 1
-    abelian = all(a * b == b * a for a in G.generators for b in G.generators)
+    _, gens, _, _ = G.table()
+    abelian = all(G.mul(a, b) == G.mul(b, a) for a in gens for b in gens)
 
     def mk(tag, **params):
         return GroupDescriptor(order, abelian, hist, tag, params)
@@ -549,15 +604,10 @@ def identify_group(G: FiniteProjectivityGroup) -> GroupDescriptor:
         pe *= p
     m = order // pe
     if pe > 1 and m > 1:
-        p_part = [g for g in G.elements if orders[g] == 1 or
-                  _is_p_power(orders[g], p)]
+        p_part = {a for a in range(order) if _is_p_power(orders[a], p)}
         if len(p_part) == pe:
-            pset = set(p_part)
-            closed = all(a * b in pset for a in p_part for b in p_part)
-            normal = all(h * a * h.inverse() in pset
-                         for h in G.generators for a in p_part)
-            has_cyclic = any(orders[g] == m for g in G.elements)
-            if closed and normal and has_cyclic:
+            closed = all(G.mul(a, b) in p_part for a in p_part for b in p_part)
+            if closed and G.normalizes(p_part) and m in orders:
                 e = 0
                 q = pe
                 while q % p == 0:
@@ -611,22 +661,19 @@ def product_structure(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
       * ``right_semidirect``-- product set = J, trivial intersection, G2 normal only
       * ``neither``         -- product set = J but no semidirect structure
       * ``not_a_product``   -- the product set is smaller than J
+
+    Only the closure of J multiplies matrices; G1 and G2 become sets of
+    positions in J, and the product set, the intersection and normality
+    (g S = S g for each generator g of J) are computed on J's table.
     """
     if G1.n != G2.n:
         raise DimensionMismatch("groups act on different spaces")
-    ctx = common_field(G1.ctx, G2.ctx)
-    H1 = G1.lift_to(ctx)
-    H2 = G2.lift_to(ctx)
-    gens = H1.generators + H2.generators
-    J = generate_group(gens, cap=cap)
-    s1, s2 = set(H1.elements), set(H2.elements)
+    J = generate_group(G1.generators + G2.generators, cap=cap)
+    s1, s2 = J.positions(G1), J.positions(G2)
     inter = s1 & s2
-    products = {a * b for a in H1.elements for b in H2.elements}
-    product_equals = products == set(J.elements)
-    g1_normal = all(h * a * h.inverse() in s1
-                    for h in J.generators for a in H1.elements)
-    g2_normal = all(h * a * h.inverse() in s2
-                    for h in J.generators for a in H2.elements)
+    product_equals = len({J.mul(a, b) for a in s1 for b in s2}) == len(J)
+    g1_normal = J.normalizes(s1)
+    g2_normal = J.normalizes(s2)
     if not product_equals:
         cls = "not_a_product"
     elif len(inter) != 1:

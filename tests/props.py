@@ -18,7 +18,9 @@ from galoispoints.polyring import (
     resultant,
     splitting_roots,
 )
+from galoispoints.errors import ClosureCapExceeded
 from galoispoints.projective import (
+    FiniteProjectivityGroup,
     Projectivity,
     ProjPoint,
     generate_group,
@@ -192,14 +194,14 @@ def polyring_resultant_multiplicative(cases=500):
 # projective
 # ---------------------------------------------------------------------------
 
-def _assorted_groups(rng, count):
+def _group_pool():
     F13 = make_field(13)
     F5 = make_field(5)
     F7 = make_field(7)
     z3 = nth_root_of_unity(F13, 3)
     z4 = nth_root_of_unity(F13, 4)
     z6 = nth_root_of_unity(F13, 6)
-    pool = [
+    return [
         generate_group([Projectivity(F13, [[z3, 0], [0, 1]])]),
         generate_group([Projectivity(F13, [[z4, 0], [0, 1]])]),
         generate_group([Projectivity(F13, [[z6, 0], [0, 1]])]),
@@ -211,10 +213,20 @@ def _assorted_groups(rng, count):
         generate_group([Projectivity(F7, [[0, -1], [1, 0]])]),
         trivial_group(F13, 2),
     ]
-    out = []
-    for _ in range(count):
-        out.append(pool[rng.randrange(len(pool))])
-    return out
+
+
+def _assorted_groups(rng, count):
+    pool = _group_pool()
+    return [pool[rng.randrange(len(pool))] for _ in range(count)]
+
+
+def is_closed(G):
+    """Matrix-product oracle: G's elements are closed under product and
+    inverse.  It never reads G's multiplication table, so it can check the
+    closure that built that table."""
+    elements = set(G.elements)
+    return all(g.inverse() in elements and all(g * h in elements for h in G)
+               for g in G)
 
 
 def projective_group_closure(cases=500):
@@ -223,8 +235,70 @@ def projective_group_closure(cases=500):
     checked = 0
     for G in _assorted_groups(rng, 24):
         assert len(G) <= 64
-        assert G.is_closed()
+        assert is_closed(G)
         checked += len(G) ** 2 + len(G)
+    assert checked >= cases
+
+
+def _table_groups(rng):
+    """Every group of _assorted_groups, the same groups rebuilt by lift_to,
+    conjugate, descend_to and the plain constructor (tables carried over or
+    built on first use), and joint groups of product_structure."""
+    F5, F13 = make_field(5), make_field(13)
+    F25 = make_field(5, 2)
+    z3, z4 = nth_root_of_unity(F13, 3), nth_root_of_unity(F13, 4)
+    pool = _group_pool()
+    out = list(pool)
+    for G in pool:
+        ctx = G.ctx
+        h = Projectivity(ctx, [[rng.randrange(ctx.order), 1], [1, 0]])
+        out.append(G.conjugate(h))
+        out.append(G.lift_to(make_field(ctx.p, 2)).descend_to(ctx))
+        out.append(FiniteProjectivityGroup(ctx, G.n, list(G.elements),
+                                           list(G.elements)))
+    pairs = [
+        ([Projectivity(F13, [[z3, 0], [0, 1]])], [Projectivity(F13, [[0, 1], [1, 0]])]),
+        ([Projectivity(F13, [[-1, 0], [0, 1]]), Projectivity(F13, [[0, 1], [1, 0]])],
+         [Projectivity(F13, [[z3, 0], [0, 1]])]),
+        ([Projectivity(F5, [[1, 1], [0, 1]])], [Projectivity(F5, [[0, -1], [1, 0]])]),
+        ([Projectivity(F25, [[1, 1], [0, 1]])], [Projectivity(F5, [[2, 0], [0, 1]])]),
+        ([Projectivity(F13, [[z4, 0, 0], [0, 1, 0], [0, 0, 1]])],
+         [Projectivity(F13, [[1, 0, 0], [0, z3, 0], [0, 0, 1]]),
+          Projectivity(F13, [[1, 0, 0], [0, 1, 0], [3, 0, 1]])]),
+    ]
+    for g1, g2 in pairs:
+        out.append(product_structure(generate_group(g1), generate_group(g2)).joint)
+    return out
+
+
+def projective_table(cases=500):
+    """The multiplication table agrees with matrix arithmetic: mul, inv and
+    order against ``*``, ``inverse()`` and ``Projectivity.order``.  The
+    closure of all elements in shuffled order gives the same elements and
+    descriptor from at most log2|G| generators, and its cap trips exactly
+    above |G|."""
+    rng = random.Random(306)
+    checked = 0
+    for G in _table_groups(rng):
+        els, N = G.elements, len(G)
+        for a in range(N):
+            assert els[G.inv(a)] == els[a].inverse()
+            assert G.order(a) == els[a].order()
+            for b in rng.sample(range(N), min(N, 12)):
+                assert els[G.mul(a, b)] == els[a] * els[b]
+                checked += 1
+        shuffled = list(els)
+        rng.shuffle(shuffled)
+        H = generate_group(shuffled, cap=N)
+        assert H.elements == els
+        assert identify_group(H) == identify_group(G)
+        assert 2 ** len(H.table()[1]) <= N
+        if N > 1:
+            try:
+                generate_group(shuffled, cap=N - 1)
+                raise AssertionError("closure cap not enforced")
+            except ClosureCapExceeded:
+                pass
     assert checked >= cases
 
 

@@ -242,6 +242,10 @@ class TestGoldenReports:
         (["check", str(FIXTURES / "tame_d5_f19_curve.json"),
           "--point", "1:0:0", "--strategy", "monte_carlo"],
          "golden_check_tame_d5_f19_inner_mc.json"),
+        (["family", str(FIXTURES / "thm2_wild_p2e2m3_f16.json")],
+         "golden_family_thm2_wild_p2e2m3_f16.json"),
+        (["family", str(FIXTURES / "thm2_tame_d6_f13.json")],
+         "golden_family_thm2_tame_d6_f13.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)

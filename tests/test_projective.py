@@ -221,3 +221,6 @@ class TestProperties:
 
     def test_identify_conjugation_stable(self):
         props.projective_identify_conjugation_stable(150)
+
+    def test_table_matches_matrices(self):
+        props.projective_table(500)
