@@ -17,6 +17,8 @@ with identical inputs and configuration produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 from typing import Optional
@@ -86,6 +88,19 @@ def _load_json(path: str) -> dict:
             f"{exc.msg}")
 
 
+# The top-level keys each kind of input file may carry
+_CURVE_KEYS = ("field", "modulus", "affine_poly", "assume_irreducible")
+_GROUPS_KEYS = ("field", "modulus", "g1", "g2", "point")
+_FAMILY_KEYS = tuple(f.name for f in dataclasses.fields(FamilySpec))
+
+
+def _reject_unknown_keys(data: dict, allowed: tuple, path: str) -> None:
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise InputError(f"{path}: unknown key {unknown[0]!r}; allowed keys "
+                         f"are {', '.join(allowed)}")
+
+
 def _field_from_file(data: dict, path: str) -> FieldCtx:
     if "field" not in data:
         raise InputError(f"{path}: missing 'field'")
@@ -110,6 +125,7 @@ def load_curve(path: str) -> PlaneCurve:
     data = _load_json(path)
     if not isinstance(data, dict):
         raise InputError(f"{path}: curve file must be a JSON object")
+    _reject_unknown_keys(data, _CURVE_KEYS, path)
     ctx = _field_from_file(data, path)
     if "affine_poly" not in data:
         raise InputError(f"{path}: missing 'affine_poly'")
@@ -207,6 +223,7 @@ def cmd_embed(args, cfg: RunConfig) -> int:
     data = _load_json(args.groups)
     if not isinstance(data, dict):
         raise InputError(f"{args.groups}: groups file must be a JSON object")
+    _reject_unknown_keys(data, _GROUPS_KEYS, args.groups)
     ctx = _field_from_file(data, args.groups)
     G1 = _load_group(data, ctx, "g1", cfg.closure_cap)
     G2 = _load_group(data, ctx, "g2", cfg.closure_cap)
@@ -233,6 +250,8 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 
 def cmd_family(args, cfg: RunConfig) -> int:
     data = _load_json(args.spec)
+    if isinstance(data, dict):
+        _reject_unknown_keys(data, _FAMILY_KEYS, args.spec)
     spec = FamilySpec.from_dict(data)
     curve, expected = build_family(spec, ext_cap=cfg.ext_cap)
     verdict = verify_family(curve, expected, cfg)
@@ -260,7 +279,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(f"{self.prog}: {message}")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing keeps no
+    state in it, so every ``dispatch`` call can share it."""
     parser = _Parser(
         prog="galoispoints",
         description="Construct, detect and certify Galois points of plane "

@@ -385,7 +385,7 @@ def pgl2_elements(ctx: FieldCtx) -> list[Projectivity]:
                     rc = ctx.decode(c)
                     rd = ctx.decode(d)
                     det = ctx.sub_t(ctx.mul_t(ra, rd), ctx.mul_t(rb, rc))
-                    if not any(det):
+                    if not det:
                         continue
                     g = Projectivity(ctx, [[FqElement(ctx, ra), FqElement(ctx, rb)],
                                            [FqElement(ctx, rc), FqElement(ctx, rd)]])

@@ -208,8 +208,10 @@ def additive_poly_from_subgroup(S: Sequence[FqElement], m: int) -> AdditivePolyn
         e += 1
     if n != 1 or e == 0:
         raise NotSubgroup(f"size {size} is not a positive power of p = {p}")
-    for a in elems:
-        for b in elems:
+    # encoding order, so the reported failing pair does not depend on hashing
+    ordered = sorted(elems, key=lambda x: x.encoding())
+    for a in ordered:
+        for b in ordered:
             if a + b not in elems:
                 raise NotSubgroup(f"not closed under addition at "
                                   f"{a.encoding()} + {b.encoding()}")
@@ -226,7 +228,7 @@ def additive_poly_from_subgroup(S: Sequence[FqElement], m: int) -> AdditivePolyn
             f"(new elements {bad})")
     y = Polynomial.variable(ctx, 1, 0)
     g = Polynomial.const(ctx, 1, 1)
-    for a in sorted(elems, key=lambda x: x.encoding()):
+    for a in ordered:
         g = g * (y - a)
     coeffs: dict[int, FqElement] = {}
     powers = {p ** i: i for i in range(e + 1)}

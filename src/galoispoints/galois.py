@@ -62,7 +62,7 @@ from .projective import (
     ProjPoint,
     generate_group,
     identify_group,
-    mobius_three_points,
+    _to_standard,
     point_p1,
     trivial_group,
 )
@@ -337,7 +337,7 @@ def _semi_invariance_check(a_parts: list[Polynomial], formP: Polynomial,
     (x : beta x + lam y + delta z : z), using the y-coefficient split."""
     L = Polynomial(ctx, 3, {k: v for k, v in
                             (((1, 0, 0), beta.rep), ((0, 1, 0), lam.rep),
-                             ((0, 0, 1), delta.rep)) if any(v)})
+                             ((0, 0, 1), delta.rep)) if v})
     if L.is_zero:
         return False
     acc = Polynomial.zero(ctx, 3)
@@ -537,14 +537,15 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
     r2 = [point_p1(wctx, lift(r, wctx)) for r in roots2]
     set1, set2 = set(r1), set(r2)
     hw = h.lift_to(wctx)
-    anchors = (r1[0], r1[1], r2[0])
+    # sigma sends the anchors r1[0], r1[1], r2[0] to (b1, b2, b3)
+    from_anchors = _to_standard([r1[0], r1[1], r2[0]]).inverse()
     found = {}
     for b1 in r1:
         for b2 in r1:
             if b1 == b2:
                 continue
             for b3 in r2:
-                sigma = mobius_three_points(list(anchors), [b1, b2, b3])
+                sigma = _to_standard([b1, b2, b3]) * from_anchors
                 key = tuple(sigma.row_major())
                 if key in found:
                     continue

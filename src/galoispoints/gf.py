@@ -1,8 +1,40 @@
 """Exact arithmetic in finite prime fields and their extensions.
 
 F_{p^k} is modelled as the quotient F_p[x]/(m(x)) for a monic irreducible
-modulus m of degree k.  Elements are coefficient vectors of length k over
-F_p, always kept reduced; all arithmetic is exact.
+modulus m of degree k.  An element is the residue of a coefficient vector
+(c_0, ..., c_{k-1}) over F_p; its *encoding* is the integer sum(c_i p^i),
+which is what files and reports print.  Internally every element is one
+Python ``int``, its *rep*; all arithmetic is exact.
+
+Representations
+---------------
+A :class:`FieldCtx` picks its arithmetic once, at construction, from p and
+k alone:
+
+* prime fields (k = 1): the rep is the residue in [0, p), with integer
+  arithmetic mod p.
+* extension fields with at most ``_TABLE_BOUND`` = 4096 elements: the rep
+  is the encoding.  Multiplication, inversion and powers read log/antilog
+  tables over the canonical multiplicative generator; for odd p, addition,
+  subtraction and negation read Zech-logarithm and negation tables too.
+  The tables are ``array('H')`` buffers built on the first arithmetic
+  call, about 12 bytes per element for odd p and 6 for p = 2: at most
+  45 KB per field.
+* larger fields of characteristic 2: the rep is the bit polynomial, again
+  the encoding.  Addition is xor, multiplication shift-and-xor with
+  reduction by the modulus, inversion the binary extended Euclid.
+* larger fields of odd characteristic: the rep packs digit i into bits
+  [i w, (i + 1) w), with a slot width w (8, 16, 32, ...) wide enough that
+  no slot of a product overflows.  Addition adds slot-wise within one
+  int and subtracts p from each slot that reached p; a product is one
+  big-int multiplication, reduced through the packed rows of
+  x^(k+i) mod m by one more; inversion is the extended Euclid over F_p on
+  the dense kernel of :mod:`galoispoints.polyring`.  Only this shape's rep
+  differs from the encoding; ``encode``/``decode`` convert at I/O and for
+  sort keys.
+
+A constant c in [0, p) has rep c in every shape, so 0 and 1 are the reps
+of zero and one everywhere, and a zero test is the int's truthiness.
 
 Design notes
 ------------
@@ -16,11 +48,12 @@ Design notes
   pair and cached.  Each embedding maps the source generator to the
   canonical root of the source modulus inside the multiplicative copy of
   the subfield, so the same homomorphism is used every time.
-* ``FqElement`` is immutable.  ``FieldCtx`` is not: its multiplicative
-  generator (``_gen``) and unit-group factorization (``_unit_factors``) are
-  filled in lazily on first use.  The embedding and descent tables
-  (``_EMBED_CACHE``, ``_DESCEND_CACHE``) are module-level dicts that grow
-  without bound, one entry per field pair.  Nothing here takes a lock.
+* ``FqElement`` is immutable.  ``FieldCtx`` is not: its tables, its
+  multiplicative generator (``_gen``) and unit-group factorization
+  (``_unit_factors``) are filled in lazily on first use.  The embedding
+  and descent tables (``_EMBED_CACHE``, ``_DESCEND_CACHE``) are
+  module-level dicts that grow without bound, one entry per field pair.
+  Nothing here takes a lock.
 
 Characteristic-0 statements are emulated by choosing a prime p that does
 not divide the degrees involved; this is an approximation of tameness, not
@@ -30,6 +63,7 @@ an equivalence, and is documented where it is used.
 from __future__ import annotations
 
 import functools
+from array import array
 from typing import Iterator, Optional
 
 from .errors import (
@@ -39,6 +73,13 @@ from .errors import (
     NonPrimeCharacteristic,
     PDividesN,
 )
+
+# Extension fields with at most this many elements do their arithmetic
+# through log tables (see the module docstring).
+_TABLE_BOUND = 1 << 12
+
+# The raw operations every FieldCtx binds, in the order the builders return
+_OPS = ("add_t", "sub_t", "neg_t", "smul_t", "mul_t", "inv_t", "pow_t")
 
 
 def is_prime(n: int) -> bool:
@@ -71,93 +112,277 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Dense univariate arithmetic over F_p, used only for modulus bookkeeping.
-# Polynomials are lists of ints in [0, p), ascending degree, no trailing zeros.
-# ---------------------------------------------------------------------------
-
-def _fp_trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
+def _code_digits(code: int, p: int, k: int) -> list[int]:
+    """The k base-p digits of an encoding, lowest first."""
+    out = []
+    for _ in range(k):
+        code, d = divmod(code, p)
+        out.append(d)
+    return out
 
 
-def _fp_mul(a: list[int], b: list[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
+def _digits_code(digits, p: int) -> int:
+    """The encoding of a digit vector, lowest digit first."""
+    out = 0
+    for d in reversed(digits):
+        out = out * p + d
+    return out
 
 
-def _fp_divmod(a: list[int], b: list[int], p: int) -> tuple[list[int], list[int]]:
-    """Quotient and remainder of a by a nonzero b."""
-    inv = pow(b[-1], p - 2, p)
-    q = [0] * max(len(a) - len(b) + 1, 1)
-    rem = a[:]
-    db = len(b) - 1
-    while rem and len(rem) - 1 >= db:
-        c = (rem[-1] * inv) % p
-        off = len(rem) - 1 - db
-        if c:
-            q[off] = c
-            for i, bi in enumerate(b):
-                rem[off + i] = (rem[off + i] - c * bi) % p
-        rem.pop()
-    return _fp_trim(q), _fp_trim(rem)
-
-
-def _fp_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _fp_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = [(c * inv) % p for c in a]
-    return a
-
-
-def _fp_sub(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    a = a + [0] * (n - len(a))
-    b = b + [0] * (n - len(b))
-    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
-
-
-def _fp_powmod(a: list[int], e: int, m: list[int], p: int) -> list[int]:
-    result = [1]
-    base = _fp_divmod(a, m, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_divmod(_fp_mul(result, base, p), m, p)[1]
-        base = _fp_divmod(_fp_mul(base, base, p), m, p)[1]
-        e >>= 1
-    return result
-
-
-def _fp_is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic m over F_p."""
+def _is_irreducible(m: list[int], p: int) -> bool:
+    """Rabin irreducibility test for a monic m over F_p, on the dense
+    kernel over the prime field."""
+    from .polyring import _u_gcd, _u_powmod, _u_sub
     k = len(m) - 1
     if k < 1:
         return False
     if k == 1:
         return True
+    fp = _prime_field(p)
     x = [0, 1]
     # x^(p^j) mod m for j = 0..k
     frob = [x]
     h = x
     for _ in range(k):
-        h = _fp_powmod(h, p, m, p)
+        h = _u_powmod(fp, h, p, m)
         frob.append(h)
-    if _fp_sub(frob[k], x, p):
+    if _u_sub(fp, frob[k], x):
         return False
     for r in factorize(k):
-        if len(_fp_gcd(_fp_sub(frob[k // r], x, p), m, p)) > 1:
+        if len(_u_gcd(fp, _u_sub(fp, frob[k // r], x), m)) > 1:
             return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic of each field shape.  A builder returns the closures for _OPS
+# on int reps; see the module docstring for the representations.
+# ---------------------------------------------------------------------------
+
+def _square_and_multiply(mul, inv):
+    def power(a, e):
+        if e < 0:
+            a, e = inv(a), -e
+        result = 1
+        while e:
+            if e & 1:
+                result = mul(result, a)
+            e >>= 1
+            if e:
+                a = mul(a, a)
+        return result
+    return power
+
+
+def _prime_ops(p: int) -> tuple:
+    def add(a, b):
+        return (a + b) % p
+
+    def sub(a, b):
+        return (a - b) % p
+
+    def neg(a):
+        return -a % p
+
+    def smul(c, a):
+        return c * a % p
+
+    def mul(a, b):
+        return a * b % p
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return pow(a, -1, p)
+
+    def power(a, e):
+        if e < 0:
+            a, e = inv(a), -e
+        return pow(a, e, p)
+
+    return add, sub, neg, smul, mul, inv, power
+
+
+def _bitpoly_ops(k: int, modulus: tuple) -> tuple:
+    m = _digits_code(modulus, 2)
+
+    def add(a, b):
+        return a ^ b
+
+    def neg(a):
+        return a
+
+    def smul(c, a):
+        return a if c & 1 else 0
+
+    def mul(a, b):
+        acc = 0
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a >> k:
+                a ^= m
+        return acc
+
+    def inv(a):
+        # binary extended Euclid: a*g1 = u and a*g2 = v mod m throughout
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        u, v, g1, g2 = a, m, 1, 0
+        while u != 1:
+            j = u.bit_length() - v.bit_length()
+            if j < 0:
+                u, v, g1, g2, j = v, u, g2, g1, -j
+            u ^= v << j
+            g1 ^= g2 << j
+        return g1
+
+    return add, add, neg, smul, mul, inv, _square_and_multiply(mul, inv)
+
+
+def _packed_ops(p: int, k: int, modulus: tuple) -> tuple:
+    """Packed-slot arithmetic for odd p: the _OPS closures, then the
+    (digits, from_digits) converters between a rep and its digit list."""
+    # the widest slot is one of (high half of a product) x (reduction rows)
+    need = (k - 1) * k * (p - 1) ** 3
+    w = 8
+    while need >> w or p >> (w - 1):
+        w *= 2
+    nbytes = w // 8
+    code = next((t for t in "BHIQ" if array(t).itemsize == nbytes), None)
+    if code is not None:
+        def unpack(x, n):
+            return array(code, x.to_bytes(n * nbytes, "little"))
+
+        def pack(ds):
+            return int.from_bytes(array(code, ds).tobytes(), "little")
+    else:
+        mask = (1 << w) - 1
+
+        def unpack(x, n):
+            return [x >> (i * w) & mask for i in range(n)]
+
+        def pack(ds):
+            return sum(d << (i * w) for i, d in enumerate(ds))
+
+    ones = sum(1 << (i * w) for i in range(k))
+    half, shift = 1 << (w - 1), w - 1
+    full, bias, tops = p * ones, (half - p) * ones, half * ones
+
+    def add(a, b):
+        # a slot holding s in [0, 2p) gets its top bit set by s + half - p
+        # exactly when s >= p, and loses p then
+        s = a + b
+        return s - (((s + bias) & tops) >> shift) * p
+
+    def sub(a, b):
+        s = a + full - b
+        return s - (((s + bias) & tops) >> shift) * p
+
+    def neg(a):
+        s = full - a
+        return s - (((s + bias) & tops) >> shift) * p
+
+    def smul(c, a):
+        return pack([x % p for x in unpack(c % p * a, k)])
+
+    # rows[i] = x^(k+i) mod m; packed so that slot (k-2) + j*stride of
+    # high * rows_packed holds sum_i high_i * rows[i][j]
+    rows = []
+    cur = [(-c) % p for c in modulus[:-1]]
+    for _ in range(k - 1):
+        rows.append(cur)
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [(c + top * r) % p for c, r in zip(cur, rows[0])]
+    stride = 2 * k - 3
+    rows_packed = sum(r << (((k - 2 - i) + j * stride) * w)
+                      for i, row in enumerate(rows) for j, r in enumerate(row))
+    kw, low, nslots = k * w, (1 << k * w) - 1, k * stride
+
+    def mul(a, b):
+        c = a * b
+        folded = unpack((c >> kw) * rows_packed, nslots)[k - 2::stride]
+        return pack([(x + y) % p for x, y in zip(unpack(c & low, k), folded)])
+
+    fp, mod = _prime_field(p), list(modulus)
+
+    def inv(a):
+        from .polyring import _u_invmod, _u_trim
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        r = _u_invmod(fp, _u_trim(list(unpack(a, k))), mod)
+        return pack(r + [0] * (k - len(r)))
+
+    def digits(rep):
+        return list(unpack(rep, k))
+
+    return ((add, sub, neg, smul, mul, inv, _square_and_multiply(mul, inv)),
+            (digits, pack))
+
+
+def _table_ops(p: int, n: int, exp: array, log: array,
+               zech: Optional[array], negt: Optional[array]) -> dict:
+    """Log-table operations over a generator g: exp[i] = g^i (twice over,
+    then zeros), log[exp[i]] = i; for odd p, g^zech[i] = 1 + g^i (2n
+    when that is 0) and negt[a] = -a.  Returns the bindings to replace."""
+
+    def mul(a, b):
+        if a and b:
+            return exp[log[a] + log[b]]
+        return 0
+
+    def inv(a):
+        if not a:
+            raise ZeroDivisionError("inverse of zero")
+        return exp[n - log[a]]
+
+    def power(a, e):
+        if a:
+            return exp[log[a] * e % n]
+        if e < 0:
+            raise ZeroDivisionError("inverse of zero")
+        return 0 if e else 1
+
+    ops = {"mul_t": mul, "inv_t": inv, "pow_t": power}
+    if p == 2:
+        return ops
+
+    def add(a, b):
+        # g^la + g^lb = g^la (1 + g^(lb - la)); a negative index wraps mod n
+        if a and b:
+            la = log[a]
+            return exp[la + zech[log[b] - la]]
+        return a or b
+
+    def sub(a, b):
+        b = negt[b]
+        if a and b:
+            la = log[a]
+            return exp[la + zech[log[b] - la]]
+        return a or b
+
+    def neg(a):
+        return negt[a]
+
+    def smul(c, a):
+        return mul(c % p, a)
+
+    ops.update(add_t=add, sub_t=sub, neg_t=neg, smul_t=smul)
+    return ops
+
+
+def _first_generator(q: int, decode, power, primes) -> int:
+    """The first encoding in 2..q-1 whose element has order q - 1."""
+    n = q - 1
+    for code in range(2, q):
+        g = decode(code)
+        if all(power(g, n // r) != 1 for r in primes):
+            return code
+    raise IrreducibleSearchExhausted("no multiplicative generator found")
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +392,25 @@ def _fp_is_irreducible(m: list[int], p: int) -> bool:
 class FieldCtx:
     """The field F_{p^k} presented as F_p[x]/(modulus).
 
-    Raw element representations are tuples of k ints in [0, p); the
-    ``*_t`` methods operate on those tuples directly and are the fast path
-    used by the polynomial layer.  ``element`` wraps a representation in an
-    :class:`FqElement` for the public API.
+    Raw element representations (reps) are ints, in the shape the module
+    docstring describes for (p, k): residues for prime fields, encodings
+    with log tables up to ``_TABLE_BOUND`` = 4096 elements (built on the
+    first arithmetic call, at most 45 KB, held until the context is
+    dropped), bit polynomials above it for p = 2, packed digit slots above
+    it for odd p.
+    The ``*_t`` attributes (``add_t``, ``sub_t``, ``neg_t``, ``smul_t``,
+    ``mul_t``, ``inv_t``, ``pow_t``) are the shape's closures on reps and
+    the fast path of the polynomial layer; ``zero_t`` and ``one_t`` are 0
+    and 1.  ``element`` wraps a rep in an :class:`FqElement` for the
+    public API, and ``encode``/``decode`` convert reps to and from
+    encodings.
 
     Two contexts interoperate only if they are equal (same p, k and
     modulus); cross-field data must be moved explicitly with :func:`embed`.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "_red", "_mod_bits", "_gen",
-                 "_unit_factors", "_hash")
+    __slots__ = ("p", "k", "modulus", "order", "zero_t", "one_t") + _OPS + (
+        "_packed", "_tables", "_gen", "_unit_factors", "_hash")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...],
                  _validate: bool = True):
@@ -188,28 +421,85 @@ class FieldCtx:
                 raise IncompatibleFields("extension degree must be >= 1")
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise IncompatibleFields("modulus must be monic of degree k")
-            if k > 1 and not _fp_is_irreducible(list(modulus), p):
+            if k > 1 and not _is_irreducible(list(modulus), p):
                 raise IrreducibleSearchExhausted(
                     f"modulus {modulus} is reducible over GF({p})")
         self.p = p
         self.k = k
         self.modulus = tuple(c % p for c in modulus)
         self.order = p ** k
-        # reduction table: x^(k+i) mod modulus, i = 0..k-2
-        red = []
-        cur = [(-c) % p for c in self.modulus[:-1]]  # x^k
-        red.append(tuple(cur))
-        for _ in range(k - 2):
-            top = cur[-1]
-            cur = [0] + cur[:-1]
-            if top:
-                cur = [(c + top * r) % p for c, r in zip(cur, red[0])]
-            red.append(tuple(cur))
-        self._red = tuple(red)
-        self._mod_bits = sum(c << i for i, c in enumerate(self.modulus)) if p == 2 else 0
-        self._gen: Optional[tuple[int, ...]] = None
+        self.zero_t, self.one_t = 0, 1
+        self._packed: Optional[tuple] = None   # (digits, from_digits)
+        self._tables: Optional[tuple] = None
+        self._gen: Optional[int] = None
         self._unit_factors: Optional[dict[int, int]] = None
         self._hash = hash((p, k, self.modulus))
+        tabled = k > 1 and self.order <= _TABLE_BOUND
+        if k == 1:
+            ops = _prime_ops(p)
+        elif p == 2:
+            ops = _bitpoly_ops(k, self.modulus)
+        elif not tabled:
+            ops, self._packed = _packed_ops(p, k, self.modulus)
+        else:
+            ops = (None,) * len(_OPS)
+        for name, fn in zip(_OPS, ops):
+            setattr(self, name, fn)
+        if tabled:
+            for name in (_OPS[4:] if p == 2 else _OPS):
+                setattr(self, name, self._first_use(name))
+
+    def _first_use(self, name: str):
+        """A stand-in for one table operation that builds the tables."""
+        def first_use(*args):
+            self._build_tables()
+            return getattr(self, name)(*args)
+        return first_use
+
+    def _build_tables(self) -> None:
+        """Build the log tables over the canonical generator (found with
+        the shape's table-free arithmetic) and bind the table operations."""
+        p, k, q = self.p, self.k, self.order
+        n = q - 1
+        if p == 2:
+            raw = _bitpoly_ops(k, self.modulus)
+
+            def to_raw(code):
+                return code
+
+            from_raw = to_raw
+        else:
+            raw, (digits, from_digits) = _packed_ops(p, k, self.modulus)
+
+            def to_raw(code):
+                return from_digits(_code_digits(code, p, k))
+
+            def from_raw(rep):
+                return _digits_code(digits(rep), p)
+
+        mul, power = raw[4], raw[6]
+        gen = _first_generator(q, to_raw, power, _unit_group_factors(self))
+        exp = array("H", bytes(2 * (2 if p == 2 else 3) * n))
+        log = array("H", bytes(2 * q))
+        g, cur = to_raw(gen), 1
+        for i in range(n):
+            e = from_raw(cur)
+            exp[i] = exp[i + n] = e
+            log[e] = i
+            cur = mul(cur, g)
+        zech = negt = None
+        if p > 2:
+            zech = array("H", bytes(2 * n))
+            negt = array("H", bytes(2 * q))
+            for i in range(n):
+                e = exp[i]
+                s = e - e % p + (e + 1) % p          # e + 1, digit-wise
+                zech[i] = log[s] if s else 2 * n
+                negt[e] = exp[i + n // 2]             # -1 = g^(n/2)
+        self._tables = tuple(t for t in (exp, log, zech, negt) if t is not None)
+        self._gen = gen
+        for name, fn in _table_ops(p, n, exp, log, zech, negt).items():
+            setattr(self, name, fn)
 
     # -- identity ----------------------------------------------------------
 
@@ -232,110 +522,7 @@ class FieldCtx:
         """Field spec string "p^k" used in files and reports."""
         return f"{self.p}^{self.k}"
 
-    # -- raw tuple arithmetic ------------------------------------------------
-
-    @property
-    def zero_t(self) -> tuple[int, ...]:
-        return (0,) * self.k
-
-    @property
-    def one_t(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.k - 1)
-
-    def add_t(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub_t(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg_t(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def smul_t(self, c: int, a):
-        p = self.p
-        c %= p
-        return tuple((c * x) % p for x in a)
-
-    def mul_t(self, a, b):
-        p, k = self.p, self.k
-        if k == 1:
-            return ((a[0] * b[0]) % p,)
-        if p == 2:
-            return self._mul2(a, b)
-        conv = [0] * (2 * k - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = [c % p for c in conv[:k]]
-        red = self._red
-        for idx in range(k, 2 * k - 1):
-            c = conv[idx] % p
-            if c:
-                row = red[idx - k]
-                for i in range(k):
-                    ri = row[i]
-                    if ri:
-                        out[i] = (out[i] + c * ri) % p
-        return tuple(out)
-
-    def _mul2(self, a, b):
-        k = self.k
-        ai = 0
-        for i in range(k):
-            if a[i]:
-                ai |= 1 << i
-        bi = 0
-        for i in range(k):
-            if b[i]:
-                bi |= 1 << i
-        acc = 0
-        while ai:
-            low = ai & -ai
-            acc ^= bi << low.bit_length() - 1
-            ai ^= low
-        mod = self._mod_bits
-        for j in range(2 * k - 2, k - 1, -1):
-            if acc >> j & 1:
-                acc ^= mod << (j - k)
-        return tuple((acc >> i) & 1 for i in range(k))
-
-    def inv_t(self, a):
-        p, k = self.p, self.k
-        if not any(a):
-            raise ZeroDivisionError("inverse of zero")
-        if k == 1:
-            return (pow(a[0], p - 2, p),)
-        # extended Euclid in F_p[x] against the modulus
-        r0, r1 = list(self.modulus), _fp_trim(list(a))
-        s0, s1 = [], [1]
-        while r1:
-            q, rem = _fp_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
-        lead_inv = pow(r0[-1], p - 2, p)
-        res = [(c * lead_inv) % p for c in s0]
-        res = _fp_divmod(res, list(self.modulus), p)[1]
-        return tuple(res + [0] * (k - len(res)))
-
-    def pow_t(self, a, e: int):
-        if e < 0:
-            a = self.inv_t(a)
-            e = -e
-        result = self.one_t
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul_t(result, base)
-            base = self.mul_t(base, base)
-            e >>= 1
-        return result
-
-    # -- element factory and enumeration -------------------------------------
+    # -- element factory, conversions and enumeration --------------------------
 
     def element(self, v) -> "FqElement":
         """Build an element from an int encoding, an int constant, an
@@ -345,38 +532,45 @@ class FieldCtx:
                 raise IncompatibleFields("element belongs to another field")
             return v
         if isinstance(v, int):
-            if 0 <= v < self.p:
-                return FqElement(self, (v,) + (0,) * (self.k - 1))
-            if self.k == 1 or v < 0:
-                return FqElement(self, ((v % self.p),) + (0,) * (self.k - 1))
+            if 0 <= v < self.p or self.k == 1 or v < 0:
+                return FqElement(self, v % self.p)
             return FqElement(self, self.decode(v))
-        rep = tuple(int(c) % self.p for c in v)
-        if len(rep) != self.k:
+        digits = [int(c) % self.p for c in v]
+        if len(digits) != self.k:
             raise IncompatibleFields("representation length mismatch")
-        return FqElement(self, rep)
+        return FqElement(self, self._from_digits(digits))
 
     @property
     def zero(self) -> "FqElement":
-        return FqElement(self, self.zero_t)
+        return FqElement(self, 0)
 
     @property
     def one(self) -> "FqElement":
-        return FqElement(self, self.one_t)
+        return FqElement(self, 1)
 
-    def encode(self, rep: tuple[int, ...]) -> int:
-        out = 0
-        for c in reversed(rep):
-            out = out * self.p + c
-        return out
+    def _digits(self, rep: int) -> list[int]:
+        if self._packed:
+            return self._packed[0](rep)
+        return _code_digits(rep, self.p, self.k)
 
-    def decode(self, code: int) -> tuple[int, ...]:
+    def _from_digits(self, digits: list[int]) -> int:
+        if self._packed:
+            return self._packed[1](digits)
+        return _digits_code(digits, self.p)
+
+    def encode(self, rep: int) -> int:
+        """The base-p encoding of a rep."""
+        if self._packed:
+            return _digits_code(self._packed[0](rep), self.p)
+        return rep
+
+    def decode(self, code: int) -> int:
+        """The rep of a base-p encoding in [0, order)."""
         if not 0 <= code < self.order:
             raise ValueError(f"encoding {code} out of range for {self!r}")
-        rep = []
-        for _ in range(self.k):
-            rep.append(code % self.p)
-            code //= self.p
-        return tuple(rep)
+        if self._packed:
+            return self._packed[1](_code_digits(code, self.p, self.k))
+        return code
 
     def elements(self) -> Iterator["FqElement"]:
         """All field elements in canonical (encoding) order."""
@@ -389,7 +583,7 @@ class FqElement:
 
     __slots__ = ("ctx", "rep")
 
-    def __init__(self, ctx: FieldCtx, rep: tuple[int, ...]):
+    def __init__(self, ctx: FieldCtx, rep: int):
         self.ctx = ctx
         self.rep = rep
 
@@ -400,7 +594,7 @@ class FqElement:
                     f"cannot mix {self.ctx!r} and {other.ctx!r}; embed first")
             return other
         if isinstance(other, int):
-            return self.ctx.element(other % self.ctx.p)
+            return FqElement(self.ctx, other % self.ctx.p)
         return NotImplemented  # type: ignore[return-value]
 
     def __add__(self, other):
@@ -450,13 +644,13 @@ class FqElement:
         return FqElement(self.ctx, self.ctx.neg_t(self.rep))
 
     def __bool__(self) -> bool:
-        return any(self.rep)
+        return bool(self.rep)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FqElement):
             return self.ctx == other.ctx and self.rep == other.rep
         if isinstance(other, int):
-            return self.rep == ((other % self.ctx.p),) + (0,) * (self.ctx.k - 1)
+            return self.rep == other % self.ctx.p
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -470,23 +664,26 @@ class FqElement:
         return self.ctx.encode(self.rep)
 
     def multiplicative_order(self) -> int:
-        if not any(self.rep):
+        if not self.rep:
             raise ZeroDivisionError("order of zero is undefined")
         n = self.ctx.order - 1
         for q, e in _unit_group_factors(self.ctx).items():
-            while n % q == 0 and self.ctx.pow_t(self.rep, n // q) == self.ctx.one_t:
+            while n % q == 0 and self.ctx.pow_t(self.rep, n // q) == 1:
                 n //= q
         return n
 
     def __repr__(self) -> str:
-        if self.ctx.k == 1:
-            return f"Fq({self.rep[0]} in {self.ctx!r})"
         return f"Fq({self.encoding()} in {self.ctx!r})"
 
 
 # ---------------------------------------------------------------------------
 # Public constructors and maps
 # ---------------------------------------------------------------------------
+
+@functools.lru_cache(maxsize=None)
+def _prime_field(p: int) -> FieldCtx:
+    return FieldCtx(p, 1, (0, 1), _validate=False)
+
 
 @functools.lru_cache(maxsize=None)
 def make_field(p: int, k: int = 1) -> FieldCtx:
@@ -501,15 +698,10 @@ def make_field(p: int, k: int = 1) -> FieldCtx:
     if k < 1:
         raise IncompatibleFields("extension degree must be >= 1")
     if k == 1:
-        return FieldCtx(p, 1, (0, 1), _validate=False)
+        return _prime_field(p)
     for code in range(p ** k):
-        coeffs = []
-        c = code
-        for _ in range(k):
-            coeffs.append(c % p)
-            c //= p
-        m = coeffs + [1]
-        if _fp_is_irreducible(m, p):
+        m = _code_digits(code, p, k) + [1]
+        if _is_irreducible(m, p):
             return FieldCtx(p, k, tuple(m), _validate=False)
     raise IrreducibleSearchExhausted(
         f"no irreducible modulus of degree {k} over GF({p})")
@@ -524,16 +716,13 @@ def _unit_group_factors(ctx: FieldCtx) -> dict[int, int]:
 def multiplicative_generator(ctx: FieldCtx) -> FqElement:
     """The canonical generator of the unit group: the first element in
     encoding order whose order is p^k - 1.  Cached on the context."""
-    if ctx._gen is not None:
-        return FqElement(ctx, ctx._gen)
-    n = ctx.order - 1
-    primes = list(_unit_group_factors(ctx))
-    for code in range(2, ctx.order):
-        rep = ctx.decode(code)
-        if all(ctx.pow_t(rep, n // q) != ctx.one_t for q in primes):
-            ctx._gen = rep
-            return FqElement(ctx, rep)
-    raise IrreducibleSearchExhausted("no multiplicative generator found")
+    if ctx._gen is None:
+        if ctx.k > 1 and ctx.order <= _TABLE_BOUND:
+            ctx._build_tables()
+        else:
+            ctx._gen = ctx.decode(_first_generator(
+                ctx.order, ctx.decode, ctx.pow_t, _unit_group_factors(ctx)))
+    return FqElement(ctx, ctx._gen)
 
 
 def nth_root_of_unity(ctx: FieldCtx, n: int) -> Optional[FqElement]:
@@ -552,7 +741,7 @@ def nth_root_of_unity(ctx: FieldCtx, n: int) -> Optional[FqElement]:
     return FqElement(ctx, ctx.pow_t(g.rep, (ctx.order - 1) // n))
 
 
-_EMBED_CACHE: dict[tuple[tuple, tuple], tuple[tuple[int, ...], ...]] = {}
+_EMBED_CACHE: dict[tuple[tuple, tuple], tuple[int, ...]] = {}
 
 
 def embed(src: FieldCtx, dst: FieldCtx, a: FqElement) -> FqElement:
@@ -570,7 +759,7 @@ def embed(src: FieldCtx, dst: FieldCtx, a: FqElement) -> FqElement:
     if src == dst:
         return a
     if src.k == 1:
-        return FqElement(dst, (a.rep[0],) + (0,) * (dst.k - 1))
+        return FqElement(dst, a.rep)
     key = ((src.p, src.k, src.modulus), (dst.p, dst.k, dst.modulus))
     powers = _EMBED_CACHE.get(key)
     if powers is None:
@@ -578,27 +767,25 @@ def embed(src: FieldCtx, dst: FieldCtx, a: FqElement) -> FqElement:
         step = (dst.order - 1) // (src.order - 1)
         delta = dst.pow_t(multiplicative_generator(dst).rep, step)
         root = None
-        cur = dst.one_t
+        cur = 1
         for _ in range(src.order - 1):
             # evaluate src.modulus at cur
-            acc = dst.zero_t
+            acc = 0
             for c in reversed(src.modulus):
-                acc = dst.mul_t(acc, cur)
-                if c:
-                    acc = dst.add_t(acc, dst.smul_t(c, dst.one_t))
-            if acc == dst.zero_t:
+                acc = dst.add_t(dst.mul_t(acc, cur), c)
+            if not acc:
                 root = cur
                 break
             cur = dst.mul_t(cur, delta)
         if root is None:
             raise IncompatibleFields("source modulus has no root in dst")
-        pw = [dst.one_t]
+        pw = [1]
         for _ in range(src.k - 1):
             pw.append(dst.mul_t(pw[-1], root))
         powers = tuple(pw)
         _EMBED_CACHE[key] = powers
-    acc = dst.zero_t
-    for digit, pw in zip(a.rep, powers):
+    acc = 0
+    for digit, pw in zip(src._digits(a.rep), powers):
         if digit:
             acc = dst.add_t(acc, dst.smul_t(digit, pw))
     return FqElement(dst, acc)

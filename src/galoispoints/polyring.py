@@ -14,10 +14,11 @@ The module provides the computational substrate used everywhere else:
   code path for one to three variables,
 * gcds and exact division in one to three variables (primitive PRS).
 
-Coefficients are stored as raw representation tuples; FqElement wrappers
-appear only at the public boundary.  ``resultant(f, g, var)`` is the
-determinant of the Sylvester matrix whose first deg(f) rows are shifted
-copies of g's coefficients; for univariate f, g it equals
+Coefficients are stored as raw int reps (see :mod:`galoispoints.gf`);
+FqElement wrappers appear only at the public boundary.
+``resultant(f, g, var)`` is the determinant of the Sylvester matrix whose
+first deg(f) rows are shifted copies of g's coefficients; for univariate
+f, g it equals
 ``lc(g)^deg(f) * prod f(beta)`` over the roots beta of g.
 """
 
@@ -33,14 +34,14 @@ from .gf import FieldCtx, FqElement, embed, lift, make_field
 _VAR_NAMES = ("x", "y", "z")
 
 
-def _accumulate(ctx: FieldCtx, out: dict, exp: tuple, rep: tuple) -> None:
+def _accumulate(ctx: FieldCtx, out: dict, exp: tuple, rep: int) -> None:
     """out[exp] += rep in a sparse term map, deleting the term on zero."""
     cur = out.get(exp)
     if cur is None:
         out[exp] = rep
     else:
         s = ctx.add_t(cur, rep)
-        if any(s):
+        if s:
             out[exp] = s
         else:
             del out[exp]
@@ -68,7 +69,7 @@ class Polynomial:
     @classmethod
     def const(cls, ctx: FieldCtx, nvars: int, value) -> "Polynomial":
         rep = ctx.element(value).rep
-        if not any(rep):
+        if not rep:
             return cls(ctx, nvars, {})
         return cls(ctx, nvars, {(0,) * nvars: rep})
 
@@ -87,7 +88,7 @@ class Polynomial:
             if len(exp) != nvars or any(e < 0 for e in exp):
                 raise ValueError(f"bad exponent vector {exp}")
             rep = ctx.element(coeff).rep
-            if any(rep):
+            if rep:
                 terms[exp] = rep
         return cls(ctx, nvars, terms)
 
@@ -98,8 +99,8 @@ class Polynomial:
         for i, rep in enumerate(reps):
             if isinstance(rep, FqElement):
                 rep = rep.rep
-            if any(rep):
-                terms[(i,)] = tuple(rep)
+            if rep:
+                terms[(i,)] = rep
         return cls(ctx, 1, terms)
 
     # -- basic queries ---------------------------------------------------------
@@ -177,18 +178,19 @@ class Polynomial:
             if isinstance(other, int):
                 other %= self.ctx.p
             rep = self.ctx.element(other).rep
-            if not any(rep):
+            if not rep:
                 return Polynomial.zero(self.ctx, self.nvars)
             ctx = self.ctx
             return Polynomial(ctx, self.nvars,
                               {e: ctx.mul_t(r, rep) for e, r in self.terms.items()})
         self._check(other)
         ctx = self.ctx
+        mul = ctx.mul_t
         out: dict = {}
         for e1, r1 in self.terms.items():
             for e2, r2 in other.terms.items():
                 _accumulate(ctx, out, tuple(a + b for a, b in zip(e1, e2)),
-                            ctx.mul_t(r1, r2))
+                            mul(r1, r2))
         return Polynomial(ctx, self.nvars, out)
 
     __rmul__ = __mul__
@@ -234,7 +236,7 @@ class Polynomial:
             if e == 0:
                 continue
             c = ctx.smul_t(e, rep)
-            if not any(c):
+            if not c:
                 continue
             _accumulate(ctx, out, exp[:var] + (e - 1,) + exp[var + 1:], c)
         return Polynomial(ctx, self.nvars, out)
@@ -254,7 +256,7 @@ class Polynomial:
             raise ValueError("wrong number of values")
         ectx = vals[0].ctx
         f = self.lift_to(ectx) if ectx != self.ctx else self
-        pow_cache: list[dict[int, tuple]] = [{} for _ in range(self.nvars)]
+        pow_cache: list[dict[int, int]] = [{} for _ in range(self.nvars)]
 
         def vpow(i: int, e: int):
             cache = pow_cache[i]
@@ -304,7 +306,7 @@ class Polynomial:
         ectx = value.ctx
         f = self.lift_to(ectx) if ectx != self.ctx else self
         out: dict = {}
-        pw: dict[int, tuple] = {}
+        pw: dict[int, int] = {}
 
         def vpow(e):
             if e not in pw:
@@ -314,7 +316,7 @@ class Polynomial:
         for exp, rep in f.terms.items():
             e = exp[var]
             c = ectx.mul_t(rep, vpow(e)) if e else rep
-            if not any(c):
+            if not c:
                 continue
             _accumulate(ectx, out, exp[:var] + exp[var + 1:], c)
         return Polynomial(ectx, self.nvars - 1, out)
@@ -424,7 +426,7 @@ def parse_poly(text: str, ctx: FieldCtx, nvars: int) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 def _u_trim(a: list) -> list:
-    while a and not any(a[-1]):
+    while a and not a[-1]:
         a.pop()
     return a
 
@@ -435,49 +437,48 @@ def _u_deg(a: list) -> int:
 
 def _u_add(ctx, a, b):
     n = max(len(a), len(b))
-    z = ctx.zero_t
-    a = a + [z] * (n - len(a))
-    b = b + [z] * (n - len(b))
-    return _u_trim([ctx.add_t(x, y) for x, y in zip(a, b)])
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return _u_trim(list(map(ctx.add_t, a, b)))
 
 
 def _u_sub(ctx, a, b):
     n = max(len(a), len(b))
-    z = ctx.zero_t
-    a = a + [z] * (n - len(a))
-    b = b + [z] * (n - len(b))
-    return _u_trim([ctx.sub_t(x, y) for x, y in zip(a, b)])
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return _u_trim(list(map(ctx.sub_t, a, b)))
 
 
 def _u_mul(ctx, a, b):
     if not a or not b:
         return []
-    z = ctx.zero_t
-    out = [z] * (len(a) + len(b) - 1)
+    add, mul = ctx.add_t, ctx.mul_t
+    out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
-        if any(ai):
+        if ai:
             for j, bj in enumerate(b):
-                if any(bj):
-                    out[i + j] = ctx.add_t(out[i + j], ctx.mul_t(ai, bj))
+                if bj:
+                    out[i + j] = add(out[i + j], mul(ai, bj))
     return _u_trim(out)
 
 
 def _u_divmod(ctx, a, b):
     if not b:
         raise ZeroDivisionError("division by zero polynomial")
+    sub, mul = ctx.sub_t, ctx.mul_t
     # a monic divisor (every powmod and DDF modulus) needs no inverse
-    inv = None if b[-1] == ctx.one_t else ctx.inv_t(b[-1])
-    q = [ctx.zero_t] * max(len(a) - len(b) + 1, 1)
+    inv = None if b[-1] == 1 else ctx.inv_t(b[-1])
+    q = [0] * max(len(a) - len(b) + 1, 1)
     rem = a[:]
     db = len(b) - 1
     while rem and len(rem) - 1 >= db:
-        c = rem[-1] if inv is None else ctx.mul_t(rem[-1], inv)
+        c = rem[-1] if inv is None else mul(rem[-1], inv)
         off = len(rem) - 1 - db
-        if any(c):
+        if c:
             q[off] = c
             for i, bi in enumerate(b):
-                if any(bi):
-                    rem[off + i] = ctx.sub_t(rem[off + i], ctx.mul_t(c, bi))
+                if bi:
+                    rem[off + i] = sub(rem[off + i], mul(c, bi))
         rem.pop()
     return _u_trim(q), _u_trim(rem)
 
@@ -487,6 +488,18 @@ def _u_monic(ctx, a):
         return a
     inv = ctx.inv_t(a[-1])
     return [ctx.mul_t(inv, x) for x in a]
+
+
+def _u_invmod(ctx, a, m):
+    """The inverse of a modulo m, for a coprime to m (extended Euclid)."""
+    r0, r1 = m[:], _u_trim(a[:])
+    s0, s1 = [], [1]
+    while r1:
+        q, rem = _u_divmod(ctx, r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, _u_sub(ctx, s0, _u_mul(ctx, q, s1))
+    lead_inv = ctx.inv_t(r0[-1])
+    return _u_divmod(ctx, [ctx.mul_t(lead_inv, c) for c in s0], m)[1]
 
 
 def _u_gcd(ctx, a, b):

@@ -25,9 +25,9 @@ from .gf import FieldCtx, FqElement, common_field, lift
 
 def _normalize(ctx: FieldCtx, vec: tuple) -> tuple:
     for c in vec:
-        if c == ctx.one_t:
+        if c == 1:
             return vec
-        if any(c):
+        if c:
             inv = ctx.inv_t(c)
             return tuple(ctx.mul_t(inv, x) for x in vec)
     raise ValueError("zero vector cannot be normalized")
@@ -123,22 +123,22 @@ class ProjLine:
         ctx = common_field(self.ctx, pt.ctx)
         line = self.lift_to(ctx)
         p = pt.lift_to(ctx)
-        acc = ctx.zero_t
+        acc = 0
         for c, x in zip(line.coeffs, p.coords):
             acc = ctx.add_t(acc, ctx.mul_t(c, x))
-        return not any(acc)
+        return not acc
 
     def spanning_points(self) -> tuple[ProjPoint, ProjPoint]:
         """Two distinct points spanning the line (deterministic kernel basis)."""
         ctx = self.ctx
-        pivot = next(i for i, c in enumerate(self.coeffs) if any(c))
+        pivot = next(i for i, c in enumerate(self.coeffs) if c)
         inv = ctx.inv_t(self.coeffs[pivot])
         basis = []
         for j in range(3):
             if j == pivot:
                 continue
-            vec = [ctx.zero_t] * 3
-            vec[j] = ctx.one_t
+            vec = [0] * 3
+            vec[j] = 1
             vec[pivot] = ctx.neg_t(ctx.mul_t(inv, self.coeffs[j]))
             basis.append(ProjPoint(ctx, [FqElement(ctx, c) for c in vec]))
         return basis[0], basis[1]
@@ -183,7 +183,7 @@ class Projectivity:
         self.n = n
         self.mat = tuple(tuple(norm[i * n + j] for j in range(n))
                          for i in range(n))
-        if not any(self._det()):
+        if not self._det():
             raise ValueError("projectivity matrix is singular")
 
     def _det(self):
@@ -222,7 +222,7 @@ class Projectivity:
         flat = []
         for i in range(n):
             for j in range(n):
-                acc = ctx.zero_t
+                acc = 0
                 for l in range(n):
                     acc = add(acc, mul(a.mat[i][l], b.mat[l][j]))
                 flat.append(acc)
@@ -275,7 +275,7 @@ class Projectivity:
         mul, add = ctx.mul_t, ctx.add_t
         out = []
         for i in range(self.n):
-            acc = ctx.zero_t
+            acc = 0
             for j in range(self.n):
                 acc = add(acc, mul(g.mat[i][j], p.coords[j]))
             out.append(FqElement(ctx, acc))
@@ -289,34 +289,36 @@ class Projectivity:
         return f"PGL{self.n}{tuple(self.row_major())} over {self.ctx!r}"
 
 
+def _to_standard(pts: Sequence[ProjPoint]) -> Projectivity:
+    """The projectivity of P^1 sending (1:0), (0:1) and (1:1) to three
+    distinct points of one field, in that order."""
+    ctx = pts[0].ctx
+    (p0, p1, p2) = pts
+    # solve lam*p0 + mu*p1 = p2
+    a, b = p0.coords, p1.coords
+    c = p2.coords
+    mul, sub = ctx.mul_t, ctx.sub_t
+    det = sub(mul(a[0], b[1]), mul(a[1], b[0]))
+    if not det:
+        raise ValueError("anchor points are not distinct")
+    inv = ctx.inv_t(det)
+    lam = ctx.mul_t(inv, sub(mul(c[0], b[1]), mul(c[1], b[0])))
+    mu = ctx.mul_t(inv, sub(mul(a[0], c[1]), mul(a[1], c[0])))
+    cols = [[FqElement(ctx, ctx.mul_t(lam, a[0])), FqElement(ctx, ctx.mul_t(mu, b[0]))],
+            [FqElement(ctx, ctx.mul_t(lam, a[1])), FqElement(ctx, ctx.mul_t(mu, b[1]))]]
+    return Projectivity(ctx, cols)
+
+
 def mobius_three_points(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Projectivity:
     """The unique projectivity of P^1 sending three distinct points to
     three distinct points, src[i] -> dst[i]."""
-
-    def to_standard(pts):
-        ctx = pts[0].ctx
-        (p0, p1, p2) = pts
-        # solve lam*p0 + mu*p1 = p2
-        a, b = p0.coords, p1.coords
-        c = p2.coords
-        mul, sub = ctx.mul_t, ctx.sub_t
-        det = sub(mul(a[0], b[1]), mul(a[1], b[0]))
-        if not any(det):
-            raise ValueError("anchor points are not distinct")
-        inv = ctx.inv_t(det)
-        lam = ctx.mul_t(inv, sub(mul(c[0], b[1]), mul(c[1], b[0])))
-        mu = ctx.mul_t(inv, sub(mul(a[0], c[1]), mul(a[1], c[0])))
-        cols = [[FqElement(ctx, ctx.mul_t(lam, a[0])), FqElement(ctx, ctx.mul_t(mu, b[0]))],
-                [FqElement(ctx, ctx.mul_t(lam, a[1])), FqElement(ctx, ctx.mul_t(mu, b[1]))]]
-        return Projectivity(ctx, cols)
-
     ctx = src[0].ctx
     for p in list(src) + list(dst):
         ctx = common_field(ctx, p.ctx)
     src = [p.lift_to(ctx) for p in src]
     dst = [p.lift_to(ctx) for p in dst]
-    m_src = to_standard(src)
-    m_dst = to_standard(dst)
+    m_src = _to_standard(src)
+    m_dst = _to_standard(dst)
     return m_dst * m_src.inverse()
 
 

@@ -8,7 +8,14 @@ them at lower counts for quick iteration.
 
 import random
 
-from galoispoints.gf import common_field, embed, lift, make_field, nth_root_of_unity
+from galoispoints.gf import (
+    common_field,
+    embed,
+    lift,
+    make_field,
+    nth_root_of_unity,
+    try_descend,
+)
 from galoispoints.polyring import (
     Polynomial,
     exact_div,
@@ -37,6 +44,184 @@ from conftest import rand_poly, rand_univ
 # ---------------------------------------------------------------------------
 # gf
 # ---------------------------------------------------------------------------
+
+class DigitField:
+    """Reference arithmetic of F_p[x]/(modulus) on digit tuples, lowest
+    digit first: schoolbook products reduced by the rows x^(k+i) mod m,
+    inverses by the extended Euclid over F_p on digit lists.  It shares no
+    code with the int reps of galoispoints.gf, whose results it checks."""
+
+    def __init__(self, p, k, modulus):
+        self.p, self.k, self.modulus = p, k, tuple(c % p for c in modulus)
+        red = []
+        cur = [(-c) % p for c in self.modulus[:-1]]  # x^k
+        red.append(tuple(cur))
+        for _ in range(k - 2):
+            top = cur[-1]
+            cur = [0] + cur[:-1]
+            if top:
+                cur = [(c + top * r) % p for c, r in zip(cur, red[0])]
+            red.append(tuple(cur))
+        self.red = red
+
+    def digits(self, code):
+        out = []
+        for _ in range(self.k):
+            code, d = divmod(code, self.p)
+            out.append(d)
+        return tuple(out)
+
+    def code(self, digits):
+        out = 0
+        for d in reversed(digits):
+            out = out * self.p + d
+        return out
+
+    def add(self, a, b):
+        return tuple((x + y) % self.p for x, y in zip(a, b))
+
+    def sub(self, a, b):
+        return tuple((x - y) % self.p for x, y in zip(a, b))
+
+    def neg(self, a):
+        return tuple((-x) % self.p for x in a)
+
+    def smul(self, c, a):
+        return tuple((c * x) % self.p for x in a)
+
+    def mul(self, a, b):
+        p, k = self.p, self.k
+        conv = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            for j, bj in enumerate(b):
+                conv[i + j] += ai * bj
+        out = [c % p for c in conv[:k]]
+        for idx in range(k, 2 * k - 1):
+            c = conv[idx] % p
+            for i, r in enumerate(self.red[idx - k]):
+                out[i] = (out[i] + c * r) % p
+        return tuple(out)
+
+    def inv(self, a):
+        p = self.p
+        if not any(a):
+            raise ZeroDivisionError("inverse of zero")
+        r0, r1 = list(self.modulus), _fp_trim(list(a))
+        s0, s1 = [], [1]
+        while r1:
+            q, rem = _fp_divmod(r0, r1, p)
+            r0, r1 = r1, rem
+            s0, s1 = s1, _fp_sub(s0, _fp_mul(q, s1, p), p)
+        lead_inv = pow(r0[-1], p - 2, p)
+        res = _fp_divmod([(c * lead_inv) % p for c in s0], list(self.modulus), p)[1]
+        return tuple(res + [0] * (self.k - len(res)))
+
+    def pow(self, a, e):
+        if e < 0:
+            a, e = self.inv(a), -e
+        result = (1,) + (0,) * (self.k - 1)
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+
+def _fp_trim(a):
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _fp_mul(a, b, p):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return _fp_trim(out)
+
+
+def _fp_divmod(a, b, p):
+    inv = pow(b[-1], p - 2, p)
+    q = [0] * max(len(a) - len(b) + 1, 1)
+    rem = a[:]
+    db = len(b) - 1
+    while rem and len(rem) - 1 >= db:
+        c = (rem[-1] * inv) % p
+        off = len(rem) - 1 - db
+        q[off] = c
+        for i, bi in enumerate(b):
+            rem[off + i] = (rem[off + i] - c * bi) % p
+        rem.pop()
+    return _fp_trim(q), _fp_trim(rem)
+
+
+def _fp_sub(a, b, p):
+    n = max(len(a), len(b))
+    a = a + [0] * (n - len(a))
+    b = b + [0] * (n - len(b))
+    return _fp_trim([(x - y) % p for x, y in zip(a, b)])
+
+
+def gf_matches_digit_oracle(ctx, cases=200):
+    """Every raw operation of ``ctx`` agrees with DigitField on encodings:
+    add, sub, neg, smul, mul, inv and pow, the encode/decode round trip and
+    elements built from digit lists; inv of zero raises.  Operands mix
+    uniform draws with 0, 1, -1 and the all-(p-1) digit vector, which
+    exercise the zero tests, the table sentinels and the slot carries."""
+    rng = random.Random(f"oracle:{ctx.p}^{ctx.k}:{ctx.modulus}")
+    ref = DigitField(ctx.p, ctx.k, ctx.modulus)
+    q, p = ctx.order, ctx.p
+    edges = [0, 1, p - 1, q - 1]
+
+    def draw():
+        return rng.choice(edges) if rng.random() < 0.2 else rng.randrange(q)
+
+    try:
+        ctx.inv_t(ctx.zero_t)
+        raise AssertionError(f"inverse of zero in {ctx!r}")
+    except ZeroDivisionError:
+        pass
+    for _ in range(cases):
+        a, b = draw(), draw()
+        ra, rb = ctx.decode(a), ctx.decode(b)
+        da, db = ref.digits(a), ref.digits(b)
+        assert ctx.encode(ra) == a
+        assert ctx.element(list(da)).rep == ra
+        enc = ctx.encode
+        assert enc(ctx.add_t(ra, rb)) == ref.code(ref.add(da, db))
+        assert enc(ctx.sub_t(ra, rb)) == ref.code(ref.sub(da, db))
+        assert enc(ctx.neg_t(ra)) == ref.code(ref.neg(da))
+        c = rng.randrange(-2 * p, 2 * p)
+        assert enc(ctx.smul_t(c, ra)) == ref.code(ref.smul(c, da))
+        assert enc(ctx.mul_t(ra, rb)) == ref.code(ref.mul(da, db))
+        e = rng.choice([0, 1, 2, p, q - 1, q, rng.randrange(3 * q)])
+        assert enc(ctx.pow_t(ra, e)) == ref.code(ref.pow(da, e))
+        if a:
+            assert enc(ctx.inv_t(ra)) == ref.code(ref.inv(da))
+            assert enc(ctx.pow_t(ra, -e)) == ref.code(ref.pow(da, -e))
+
+
+def gf_embed_descend_round_trip(src, dst, cases=50):
+    """try_descend inverts embed on the subfield copy and finds nothing
+    outside it; embed is a ring homomorphism on random pairs."""
+    rng = random.Random(f"descend:{src.spec}:{dst.spec}")
+    for _ in range(cases):
+        a = src.element(rng.randrange(src.order))
+        b = src.element(rng.randrange(src.order))
+        ea = embed(src, dst, a)
+        assert try_descend(ea, src) == a
+        assert embed(src, dst, a * b) == ea * embed(src, dst, b)
+        assert embed(src, dst, a - b) == ea - embed(src, dst, b)
+        x = dst.element(rng.randrange(dst.order))
+        down = try_descend(x, src)
+        assert (down is not None) == (x ** src.order == x)
+        if down is not None:
+            assert embed(src, dst, down) == x
+
 
 def gf_frobenius_closure(cases=500):
     """a^(p^k) = a for every element, exhaustively on fields up to 4096."""

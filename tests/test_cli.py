@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,8 +76,16 @@ class TestCheck:
         (["family", "FILE"], {"tag": "thm2_tame", "field": "9^1", "d": 4}),
         (["branch", "--d", "3", "--field", "9^1"], None),
         (["branch", "--d", "3", "--field", "13^0"], None),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "13^1", "affine_poly": "x^3+y^2+1", "unknown": 1}),
+        (["family", "FILE"],
+         {"tag": "thm2_tame", "field": "13^1", "d": 4, "unknown": 1}),
+        (["embed", "FILE"],
+         {"field": "13^1", "g1": [[12, 0, 0, 1]], "g2": [[0, 1, 1, 0]],
+          "point": "2", "unknown": 1}),
     ], ids=["field_abc", "field_4^1", "modulus_reducible", "modulus_short",
-            "modulus_not_int", "family_field_9^1", "branch_9^1", "branch_13^0"])
+            "modulus_not_int", "family_field_9^1", "branch_9^1", "branch_13^0",
+            "curve_unknown_key", "family_unknown_key", "groups_unknown_key"])
     def test_bad_field_spec_exit_1(self, tmp_path, capsys, argv, data):
         path = tmp_path / "input.json"
         path.write_text(json.dumps(data))
@@ -83,6 +94,8 @@ class TestCheck:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "InputError"
         assert "Traceback" not in err
+        if data and "unknown" in data:
+            assert "unknown key 'unknown'" in json.loads(err)["message"]
 
     @pytest.mark.parametrize("spec, param", [
         ({"tag": "thm2_tame", "field": "13^1", "d": "4"}, "d"),
@@ -136,6 +149,28 @@ class TestCheck:
             dispatch(argv)
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+    def test_repeated_dispatch_matches_fresh_processes(self, capsys):
+        # dispatch shares one parser per process: no default or error state
+        # may leak from one call into the next
+        curve = str(FIXTURES / "thm3_cubic_curve.json")
+        runs = [["check", curve, "--point", "0:1:0", "--seed", "5"],
+                ["check", curve, "--point", "0:1:0", "--seed", "x"],
+                ["check", curve, "--point", "0:1:0"]]
+        src = str(ROOT / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep
+                   + os.environ.get("PYTHONPATH", ""))
+        for argv in runs:
+            code = dispatch(argv)
+            got = capsys.readouterr()
+            alone = subprocess.run(
+                [sys.executable, "-c",
+                 "import sys; from galoispoints.cli import dispatch; "
+                 "sys.exit(dispatch(sys.argv[1:]))"] + argv,
+                capture_output=True, text=True, env=env)
+            assert (code, got.out, got.err) == (alone.returncode, alone.stdout,
+                                                alone.stderr)
+        assert json.loads(got.out)["config"]["seed"] == 0
 
     def test_missing_file_exit_1(self, tmp_path):
         code = dispatch(["check", str(tmp_path / "nope.json"),

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -81,7 +83,7 @@ class TestArithmetic:
 class TestRootsOfUnity:
     def test_order_3_in_f7(self, F7):
         z = nth_root_of_unity(F7, 3)
-        assert z.rep[0] in (2, 4)
+        assert z.encoding() in (2, 4)
         assert z ** 3 == F7.one and z != F7.one
 
     def test_absent_when_not_dividing(self, F7):
@@ -131,6 +133,43 @@ class TestEmbed:
 def test_parse_field_spec():
     assert parse_field_spec("13^2") == make_field(13, 2)
     assert parse_field_spec("7") == make_field(7)
+
+
+# Every representation, on both sides of the log-table bound of 4096
+# elements: prime residues, tabled encodings (p = 2 and odd), bit
+# polynomials and packed digit slots, the last with slots wider than the
+# 64 bits an array item holds.
+ORACLE_FIELDS = [(13, 1), (31, 1), (2, 2), (2, 6), (2, 12), (2, 13), (2, 48),
+                 (3, 2), (13, 3), (3, 8), (5, 10), (31, 6), (2097169, 2)]
+
+
+class TestRepresentations:
+    @pytest.mark.parametrize("p, k", ORACLE_FIELDS,
+                             ids=[f"{p}^{k}" for p, k in ORACLE_FIELDS])
+    def test_matches_digit_oracle(self, p, k):
+        props.gf_matches_digit_oracle(make_field(p, k), 40 if k > 40 else 200)
+
+    @pytest.mark.parametrize("field, modulus", [
+        ("3^2", [2, 2, 1]), ("3^8", [1, 0, 1, 1, 0, 0, 0, 0, 1])],
+        ids=["3^2", "3^8"])
+    def test_noncanonical_modulus_from_curve_file(self, tmp_path, field,
+                                                  modulus):
+        from galoispoints.cli import load_curve
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"field": field, "modulus": modulus,
+                                    "affine_poly": "x^3+y^2+1"}))
+        ctx = load_curve(str(path)).ctx
+        assert list(ctx.modulus) == modulus
+        assert ctx != make_field(ctx.p, ctx.k)
+        props.gf_matches_digit_oracle(ctx, 200)
+
+    @pytest.mark.parametrize("src, dst", [
+        ((2, 1), (2, 13)), ((2, 2), (2, 6)), ((2, 6), (2, 12)),
+        ((2, 12), (2, 48)), ((13, 1), (13, 3)), ((3, 2), (3, 8)),
+        ((5, 2), (5, 10)), ((31, 2), (31, 6))],
+        ids=lambda f: f"{f[0]}^{f[1]}")
+    def test_embed_descend_round_trip(self, src, dst):
+        props.gf_embed_descend_round_trip(make_field(*src), make_field(*dst))
 
 
 class TestProperties:
