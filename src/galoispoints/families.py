@@ -101,11 +101,14 @@ class FamilySpec:
         if tag not in FAMILY_TAGS:
             raise InputError(f"unknown family tag {tag!r}; "
                              f"expected one of {FAMILY_TAGS}")
+        params = ("d", "c", "p", "e", "m", "alphas", "q", "variant")
+        unknown = sorted(set(data) - {"tag", "field", *params})
+        if unknown:
+            raise InputError(f"unknown key {unknown[0]!r}; allowed keys are "
+                             f"tag, field, {', '.join(params)}")
         if "field" not in data:
             raise InputError("family spec needs a 'field' (\"p^k\")")
-        kwargs = {k: data[k] for k in
-                  ("d", "c", "p", "e", "m", "alphas", "q", "variant")
-                  if k in data}
+        kwargs = {k: data[k] for k in params if k in data}
         for k, v in kwargs.items():
             if k == "variant":
                 ok, want = isinstance(v, str), "a string"

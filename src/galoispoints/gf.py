@@ -400,7 +400,7 @@ class FieldCtx:
     it for odd p.
     The ``*_t`` attributes (``add_t``, ``sub_t``, ``neg_t``, ``smul_t``,
     ``mul_t``, ``inv_t``, ``pow_t``) are the shape's closures on reps and
-    the fast path of the polynomial layer; ``zero_t`` and ``one_t`` are 0
+    the fast path of the polynomial layer; zero and one are the reps 0
     and 1.  ``element`` wraps a rep in an :class:`FqElement` for the
     public API, and ``encode``/``decode`` convert reps to and from
     encodings.
@@ -409,7 +409,7 @@ class FieldCtx:
     modulus); cross-field data must be moved explicitly with :func:`embed`.
     """
 
-    __slots__ = ("p", "k", "modulus", "order", "zero_t", "one_t") + _OPS + (
+    __slots__ = ("p", "k", "modulus", "order") + _OPS + (
         "_packed", "_tables", "_gen", "_unit_factors", "_hash")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...],
@@ -428,7 +428,6 @@ class FieldCtx:
         self.k = k
         self.modulus = tuple(c % p for c in modulus)
         self.order = p ** k
-        self.zero_t, self.one_t = 0, 1
         self._packed: Optional[tuple] = None   # (digits, from_digits)
         self._tables: Optional[tuple] = None
         self._gen: Optional[int] = None
@@ -451,8 +450,10 @@ class FieldCtx:
 
     def _first_use(self, name: str):
         """A stand-in for one table operation that builds the tables."""
+        # callers may keep this stand-in in a local past the first call
         def first_use(*args):
-            self._build_tables()
+            if self._tables is None:
+                self._build_tables()
             return getattr(self, name)(*args)
         return first_use
 
@@ -717,11 +718,8 @@ def multiplicative_generator(ctx: FieldCtx) -> FqElement:
     """The canonical generator of the unit group: the first element in
     encoding order whose order is p^k - 1.  Cached on the context."""
     if ctx._gen is None:
-        if ctx.k > 1 and ctx.order <= _TABLE_BOUND:
-            ctx._build_tables()
-        else:
-            ctx._gen = ctx.decode(_first_generator(
-                ctx.order, ctx.decode, ctx.pow_t, _unit_group_factors(ctx)))
+        ctx._gen = ctx.decode(_first_generator(
+            ctx.order, ctx.decode, ctx.pow_t, _unit_group_factors(ctx)))
     return FqElement(ctx, ctx._gen)
 
 

@@ -78,7 +78,7 @@ class Polynomial:
         if not 0 <= index < nvars:
             raise ValueError("variable index out of range")
         exp = tuple(1 if i == index else 0 for i in range(nvars))
-        return cls(ctx, nvars, {exp: ctx.one_t})
+        return cls(ctx, nvars, {exp: 1})
 
     @classmethod
     def from_terms(cls, ctx: FieldCtx, nvars: int, data: dict) -> "Polynomial":
@@ -266,7 +266,7 @@ class Polynomial:
                 cache[e] = got
             return got
 
-        acc = ectx.zero_t
+        acc = 0
         for exp, rep in f.terms.items():
             term = rep
             for i, e in enumerate(exp):
@@ -350,7 +350,7 @@ class Polynomial:
         if self.nvars != 1:
             raise ValueError("dense view is univariate only")
         d = self.degree()
-        out = [self.ctx.zero_t] * (d + 1)
+        out = [0] * (d + 1)
         for (e,), rep in self.terms.items():
             out[e] = rep
         return out
@@ -511,7 +511,7 @@ def _u_gcd(ctx, a, b):
 
 
 def _u_powmod(ctx, a, e, m):
-    result = [ctx.one_t]
+    result = [1]
     _, base = _u_divmod(ctx, a, m)
     while e:
         if e & 1:
@@ -579,7 +579,7 @@ def _distinct_degree(ctx, f) -> list[tuple[list, int]]:
     """Split a monic squarefree f into products of same-degree irreducibles."""
     out = []
     q = ctx.order
-    h = [ctx.zero_t, ctx.one_t]  # x
+    h = [0, 1]  # x
     x = h[:]
     dd = 1
     while _u_deg(f) >= 2 * dd:
@@ -623,7 +623,7 @@ def _equal_degree(ctx, f, dd, rng) -> list[list]:
         else:
             e = (q ** dd - 1) // 2
             s = _u_powmod(ctx, u, e, f)
-            g = _u_gcd(ctx, _u_sub(ctx, s, [ctx.one_t]), f)
+            g = _u_gcd(ctx, _u_sub(ctx, s, [1]), f)
             if not (0 < _u_deg(g) < n):
                 continue
         rest, _ = _u_divmod(ctx, f, g)

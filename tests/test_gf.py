@@ -171,6 +171,22 @@ class TestRepresentations:
     def test_embed_descend_round_trip(self, src, dst):
         props.gf_embed_descend_round_trip(make_field(*src), make_field(*dst))
 
+    def test_tables_built_once(self, monkeypatch):
+        # _u_mul keeps ctx.add_t/mul_t in locals before the first product,
+        # so every later product goes through the first-use stand-ins
+        from galoispoints import gf
+        from galoispoints.polyring import _u_mul
+        builds = []
+        build = FieldCtx._build_tables
+        monkeypatch.setattr(FieldCtx, "_build_tables",
+                            lambda self: builds.append(self) or build(self))
+        ctx = FieldCtx(3, 4, make_field(3, 4).modulus)
+        assert ctx.order <= gf._TABLE_BOUND
+        a = [ctx.decode(c) for c in range(1, 30)]
+        got = _u_mul(ctx, a, a)
+        assert builds == [ctx]
+        assert got == _u_mul(make_field(3, 4), a, a)
+
 
 class TestProperties:
     def test_frobenius_closure(self):

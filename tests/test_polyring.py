@@ -132,7 +132,7 @@ class TestDenseDivmod:
                          for _ in range(rng.randrange(0, 9))])
             b = [ctx.decode(rng.randrange(ctx.order))
                  for _ in range(rng.randrange(0, 5))]
-            b.append(ctx.one_t if monic else ctx.decode(rng.randrange(2, ctx.order)))
+            b.append(1 if monic else ctx.decode(rng.randrange(2, ctx.order)))
             q, r = _u_divmod(ctx, a, b)
             assert _u_add(ctx, _u_mul(ctx, q, b), r) == a
             assert len(r) < len(b)
