@@ -29,6 +29,7 @@ Frobenius factor patterns from geometric monodromy.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Optional
@@ -299,7 +300,8 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
     """Find two squarefree full-degree fibers of F(t, s) with split roots.
 
     Returns a list of (t0, roots, root_ctx); t0 values are pairwise
-    distinct after lifting to a common field.
+    distinct after lifting to their common field, whose degree over F's
+    field is at most ``ext_cap``.
     """
     base = fpoly.ctx
     rng = random.Random(seed_tag)
@@ -322,6 +324,8 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
         try:
             rm = splitting_roots(spec, ext_cap=max(1, ext_cap // j))
         except ExtensionCapExceeded:
+            continue
+        if found and math.lcm(found[0][2].k, rm.ext.k) > ext_cap * base.k:
             continue
         found.append((t0, [r for r, _ in rm.roots], rm.ext))
         seen_t.append(t0)

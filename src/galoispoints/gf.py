@@ -44,10 +44,13 @@ Design notes
   unity, reports) reproducible across runs and platforms.
 * An algebraic closure is never materialised.  Callers that need roots
   request the smallest extension in which the relevant polynomial splits;
-  compatible embeddings F_{p^a} -> F_{p^b} (a | b) are computed once per
-  pair and cached.  Each embedding maps the source generator to the
-  canonical root of the source modulus inside the multiplicative copy of
-  the subfield, so the same homomorphism is used every time.
+  one embedding F_{p^a} -> F_{p^b} (a | b) per pair is computed once and
+  cached.  Each embedding maps the source generator to the canonical root
+  of the source modulus inside the multiplicative copy of the subfield,
+  so the same homomorphism is used every time.  The embeddings are fixed
+  per pair but not compatible: through an intermediate field the composite
+  can differ from the direct map by a power of Frobenius (F_9 -> F_81 ->
+  F_6561 sends the generator of F_9 to the conjugate of its direct image).
 * ``FqElement`` is immutable.  ``FieldCtx`` is not: its tables, its
   multiplicative generator (``_gen``) and unit-group factorization
   (``_unit_factors``) are filled in lazily on first use.  The embedding
@@ -761,17 +764,14 @@ def embed(src: FieldCtx, dst: FieldCtx, a: FqElement) -> FqElement:
     key = ((src.p, src.k, src.modulus), (dst.p, dst.k, dst.modulus))
     powers = _EMBED_CACHE.get(key)
     if powers is None:
+        from .polyring import _u_eval
         # subfield units of dst = <gen^((q_dst-1)/(q_src-1))>
         step = (dst.order - 1) // (src.order - 1)
         delta = dst.pow_t(multiplicative_generator(dst).rep, step)
         root = None
         cur = 1
         for _ in range(src.order - 1):
-            # evaluate src.modulus at cur
-            acc = 0
-            for c in reversed(src.modulus):
-                acc = dst.add_t(dst.mul_t(acc, cur), c)
-            if not acc:
+            if not _u_eval(dst, src.modulus, cur):
                 root = cur
                 break
             cur = dst.mul_t(cur, delta)

@@ -9,7 +9,8 @@ The module provides the computational substrate used everywhere else:
   then randomized equal-degree splitting with deterministic seed threading),
 * factor degrees of a squarefree univariate by distinct-degree
   factorization alone (the Monte Carlo screen needs nothing more),
-* root extraction over the smallest sufficient splitting extension,
+* roots over the smallest splitting extension: one root per irreducible
+  factor by equal-degree splitting, the others as its Frobenius conjugates,
 * resultants by the subresultant polynomial remainder sequence alone, one
   code path for one to three variables,
 * gcds and exact division in one to three variables (primitive PRS).
@@ -28,8 +29,9 @@ import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import ExtensionCapExceeded, IncompatibleFields, ZeroInput
-from .gf import FieldCtx, FqElement, embed, lift, make_field
+from .errors import (ExtensionCapExceeded, IncompatibleFields, SoundnessError,
+                     ZeroInput)
+from .gf import FieldCtx, FqElement, embed, make_field
 
 _VAR_NAMES = ("x", "y", "z")
 
@@ -522,6 +524,13 @@ def _u_powmod(ctx, a, e, m):
     return result
 
 
+def _u_eval(ctx, a, x):
+    acc = 0
+    for c in reversed(a):
+        acc = ctx.add_t(ctx.mul_t(acc, x), c)
+    return acc
+
+
 def _u_diff(ctx, a):
     return _u_trim([ctx.smul_t(i, a[i]) for i in range(1, len(a))])
 
@@ -595,39 +604,57 @@ def _distinct_degree(ctx, f) -> list[tuple[list, int]]:
     return out
 
 
-def _equal_degree(ctx, f, dd, rng) -> list[list]:
-    """Cantor-Zassenhaus split of a monic product of degree-dd irreducibles."""
+def _split_once(ctx, f, dd, rng) -> list:
+    """A proper monic factor of a monic product f of degree-dd irreducibles
+    (deg f > dd) by Cantor-Zassenhaus draws from ``rng``.  A draw splits f
+    about half the time, so 128 failed draws raise SoundnessError."""
     n = _u_deg(f)
-    if n == dd:
-        return [f]
-    q = ctx.order
-    while True:
-        u = [ctx.decode(rng.randrange(ctx.order)) for _ in range(n)]
-        u = _u_trim(u)
+    for _ in range(128):
+        u = _u_trim([ctx.decode(rng.randrange(ctx.order)) for _ in range(n)])
         if _u_deg(u) < 1:
             continue
         g = _u_gcd(ctx, u, f)
-        if 0 < _u_deg(g) < n:
-            pass
-        elif ctx.p == 2:
+        if _u_deg(g) == 0 and ctx.p == 2:
             # trace map over F_2: T(u) = u + u^2 + ... + u^(2^(k*dd - 1))
-            t = u
-            acc = u
+            t = acc = u
             for _ in range(ctx.k * dd - 1):
-                t = _u_powmod(ctx, _u_mul(ctx, t, t), 1, f)
+                t = _u_divmod(ctx, _u_mul(ctx, t, t), f)[1]
                 acc = _u_add(ctx, acc, t)
-            _, acc = _u_divmod(ctx, acc, f)
             g = _u_gcd(ctx, acc, f)
-            if not (0 < _u_deg(g) < n):
-                continue
-        else:
-            e = (q ** dd - 1) // 2
-            s = _u_powmod(ctx, u, e, f)
+        elif _u_deg(g) == 0:
+            s = _u_powmod(ctx, u, (ctx.order ** dd - 1) // 2, f)
             g = _u_gcd(ctx, _u_sub(ctx, s, [1]), f)
-            if not (0 < _u_deg(g) < n):
-                continue
-        rest, _ = _u_divmod(ctx, f, g)
-        return _equal_degree(ctx, g, dd, rng) + _equal_degree(ctx, rest, dd, rng)
+        if 0 < _u_deg(g) < n:
+            return g
+    raise SoundnessError("no equal-degree split in 128 draws")
+
+
+def _equal_degree(ctx, f, dd, rng) -> list[list]:
+    """Cantor-Zassenhaus split of a monic product of degree-dd irreducibles."""
+    if _u_deg(f) == dd:
+        return [f]
+    g = _split_once(ctx, f, dd, rng)
+    rest, _ = _u_divmod(ctx, f, g)
+    return _equal_degree(ctx, g, dd, rng) + _equal_degree(ctx, rest, dd, rng)
+
+
+def _conjugate_roots(ectx, f, q, rng) -> list[int]:
+    """The roots in ectx of a monic f irreducible over F_q and split in ectx:
+    degree-1 splits keep the smaller part down to x - r, and the others are
+    r^q, ..., r^(q^(d-1)); SoundnessError unless that orbit closes, has d
+    distinct values and annihilates f."""
+    d = _u_deg(f)
+    g = f
+    while _u_deg(g) > 1:
+        h = _split_once(ectx, g, 1, rng)
+        g = min(h, _u_divmod(ectx, g, h)[0], key=len)
+    roots = [ectx.neg_t(g[0])]
+    for _ in range(d):
+        roots.append(ectx.pow_t(roots[-1], q))
+    if roots.pop() != roots[0] or len(set(roots)) != d or any(
+            _u_eval(ectx, f, r) for r in roots):
+        raise SoundnessError("Frobenius orbit is not the root set of its factor")
+    return roots
 
 
 def factor_univariate(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
@@ -686,8 +713,11 @@ class RootMultiset:
 def splitting_roots(f: Polynomial, ext_cap: int = 12, seed: int = 0) -> RootMultiset:
     """All roots of a univariate f over the smallest extension where it splits.
 
-    The extension degree is the lcm of the irreducible factor degrees; if it
-    exceeds ``ext_cap`` (relative to f's own field) the search aborts.
+    The extension degree j is the lcm of the irreducible factor degrees; if
+    it exceeds ``ext_cap`` (relative to f's own field F_q) the search aborts.
+    Each irreducible factor is split over F_{q^j} only down to one root r,
+    and its other roots are the Frobenius conjugates of r.  Roots are sorted
+    by encoding, so the seeded splitting draws never reach the result.
     """
     if f.nvars != 1:
         raise ValueError("splitting_roots expects a univariate polynomial")
@@ -703,21 +733,12 @@ def splitting_roots(f: Polynomial, ext_cap: int = 12, seed: int = 0) -> RootMult
         raise ExtensionCapExceeded(
             f"splitting needs extension degree {j} > cap {ext_cap}")
     ectx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
+    rng = random.Random(seed)
     roots: list[tuple[FqElement, int]] = []
     for irr, mult in factors:
-        if irr.degree() == 1:
-            dense = irr.to_dense()
-            root = FqElement(ctx, ctx.neg_t(dense[0]))
-            roots.append((lift(root, ectx), mult))
-        else:
-            lifted = irr.lift_to(ectx)
-            for lin, m2 in factor_univariate(lifted, seed=seed):
-                if lin.degree() != 1:
-                    raise ExtensionCapExceeded(
-                        "internal: factor did not split in computed extension")
-                dense = lin.to_dense()
-                root = FqElement(ectx, ectx.neg_t(dense[0]))
-                roots.append((root, mult * m2))
+        dense = irr.lift_to(ectx).to_dense()
+        roots += [(FqElement(ectx, r), mult)
+                  for r in _conjugate_roots(ectx, dense, ctx.order, rng)]
     roots.sort(key=lambda rm: rm[0].encoding())
     return RootMultiset(tuple(roots), ectx)
 

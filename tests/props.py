@@ -6,6 +6,7 @@ The acceptance suite runs every suite at >= 500 cases; module tests reuse
 them at lower counts for quick iteration.
 """
 
+import math
 import random
 
 from galoispoints.gf import (
@@ -358,6 +359,61 @@ def polyring_splitting_roots(cases=500):
         if rm.ext.order <= 2500:
             brute = {e.rep for e in rm.ext.elements() if not lifted.evaluate([e])}
             assert brute == {r.rep for r, _ in rm.roots}
+
+
+def _refactored_roots(f, seed=0):
+    """Reference root multiset of f: every irreducible factor is lifted into
+    the splitting field and factored there again into linear factors.
+    Returns (ext, sorted (encoding, multiplicity) pairs)."""
+    factors = factor_univariate(f, seed=seed)
+    ext = make_field(f.ctx.p, f.ctx.k * math.lcm(*(g.degree() for g, _ in factors)))
+    roots = []
+    for irr, mult in factors:
+        for lin, m2 in factor_univariate(irr.lift_to(ext), seed=seed):
+            assert lin.degree() == 1
+            roots.append(((-lin.coefficient((0,))).encoding(), mult * m2))
+    return ext, sorted(roots)
+
+
+# (p, k, degree choices): every field shape as base and as splitting field.
+_ROOT_SHAPES = [
+    (13, 1, [(1, 1, 1)]),                       # prime
+    (2, 2, [(3,), (1, 3)]),                     # 2^k tabled: 2^2 -> 2^6
+    (2, 4, [(4,), (2, 4)]),                     # 2^k bit polynomials: -> 2^16
+    (3, 2, [(2,), (1, 2)]),                     # odd tabled: 3^2 -> 3^4
+    (5, 2, [(3,), (1, 3)]),                     # odd packed: 5^2 -> 5^6
+    (13, 1, [(4,), (2, 4)]),                    # odd packed: 13 -> 13^4
+    (2, 1, [(2,), (3,), (4,), (5,), (6,)]),     # one factor, degree 2..6
+    (3, 1, [(2,), (3,), (4,), (5,), (6,)]),
+    (2, 1, [(2, 3)]),                           # d < j: degrees 2, 3, j = 6
+    (3, 1, [(2, 3)]),
+    (2, 2, [(2, 3)]),
+    (5, 1, [(2, 3)]),
+]
+
+
+def polyring_roots_match_refactor(cases=500):
+    """splitting_roots (one split per factor, Frobenius conjugates) agrees
+    with the lift-and-refactor oracle on the splitting field and the root
+    multiset, over every field shape, with repeated factors."""
+    rng = random.Random(205)
+
+    def irreducible(ctx, d):
+        while True:
+            g = rand_univ(rng, ctx, d).monic()
+            if factor_univariate(g) == [(g, 1)]:
+                return g
+
+    for i in range(cases):
+        p, k, choices = _ROOT_SHAPES[i % len(_ROOT_SHAPES)]
+        ctx = make_field(p, k)
+        f = Polynomial.const(ctx, 1, rng.randrange(1, ctx.order))
+        for d in rng.choice(choices):
+            f = f * irreducible(ctx, d) ** rng.choice((1, 1, 2, 3))
+        rm = splitting_roots(f, ext_cap=12, seed=i)
+        ext, roots = _refactored_roots(f, seed=i)
+        assert rm.ext == ext
+        assert sorted((r.encoding(), m) for r, m in rm.roots) == roots
 
 
 def polyring_resultant_multiplicative(cases=500):

@@ -281,6 +281,9 @@ class TestGoldenReports:
          "golden_family_thm2_wild_p2e2m3_f16.json"),
         (["family", str(FIXTURES / "thm2_tame_d6_f13.json")],
          "golden_family_thm2_tame_d6_f13.json"),
+        (["check", str(FIXTURES / "wild_p2e2_f4_perturbed_curve.json"),
+          "--point", "0:1:1"],
+         "golden_check_wild_p2e2_f4_perturbed.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)

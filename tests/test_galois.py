@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import random
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from galoispoints import galois
+from galoispoints.cli import load_curve
 from galoispoints.config import RunConfig
 from galoispoints.curve import curve_from_affine, pencil_parametrization, singular_points
 from galoispoints.errors import (
@@ -29,6 +32,8 @@ from galoispoints.projective import ProjPoint, Projectivity, identify_group, poi
 from galoispoints.ratfunc import RationalMap1D
 
 import props
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -171,6 +176,24 @@ class TestCentralCollineations:
                 continue
             assert len(G) <= fib.degree
             done += 1
+
+    def test_fiber_common_field_within_ext_cap(self, monkeypatch):
+        # over F_4 the first usable fiber of this perturbed wild quartic at
+        # (0:1:1) splits over 2^6; the next one splits over 2^16, within the
+        # cap alone, but the scan would compare the two over 2^48
+        curve = load_curve(str(FIXTURES / "wild_p2e2_f4_perturbed_curve.json"))
+        seen = []
+        search = galois._fiber_search
+
+        def spy(fpoly, n, ext_cap, *args, **kwargs):
+            fibers = search(fpoly, n, ext_cap, *args, **kwargs)
+            seen.append((fpoly.ctx.k * ext_cap, [ctx.k for _, _, ctx in fibers]))
+            return fibers
+
+        monkeypatch.setattr(galois, "_fiber_search", spy)
+        central_collineation_group(curve, ProjPoint(curve.ctx, [0, 1, 1]))
+        (cap, ks), = seen
+        assert math.lcm(*ks) <= cap
 
 
 class TestDeckGroup:

@@ -123,6 +123,16 @@ class TestEmbed:
         g = multiplicative_generator(F4)
         assert embed(F4, F16, g) == embed(F4, F16, g)
 
+    def test_not_compatible_through_a_tower(self):
+        # embeddings are fixed per pair, but F_9 -> F_81 -> F_6561 sends x,
+        # a root of x^2 + 1, to the Frobenius conjugate of its direct image
+        A, B, C = make_field(3, 2), make_field(3, 4), make_field(3, 8)
+        assert A.modulus == (1, 0, 1)
+        x = A.element(3)
+        direct, composite = embed(A, C, x), embed(B, C, embed(A, B, x))
+        assert composite != direct
+        assert composite == direct ** 3
+
     def test_common_field(self, F4, F16):
         assert common_field(F4, F16) == F16
         assert common_field(F16, F4) == F16

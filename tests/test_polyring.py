@@ -3,11 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from galoispoints.errors import ExtensionCapExceeded, ZeroInput
-from galoispoints.gf import make_field
+from galoispoints.errors import ExtensionCapExceeded, SoundnessError, ZeroInput
+from galoispoints.gf import FqElement, make_field
 from galoispoints.polyring import (
     Polynomial,
+    _conjugate_roots,
     _split_by_var,
+    _split_once,
     _u_add,
     _u_divmod,
     _u_mul,
@@ -173,6 +175,26 @@ class TestSplittingRoots:
         with pytest.raises(ExtensionCapExceeded):
             splitting_roots(f, ext_cap=4)
 
+    def test_orbit_guard_rejects_wrong_frobenius(self):
+        # x^2 + x + 3 is irreducible over F_9 (3 is the encoding of the
+        # generator a, a^2 = -1): its roots are conjugate under x -> x^9,
+        # and x -> x^3 leaves the root set
+        F9, F81 = make_field(3, 2), make_field(3, 4)
+        f = upoly(F9, [3, 1, 1])
+        assert factor_univariate(f) == [(f, 1)]
+        dense = f.lift_to(F81).to_dense()
+        roots = _conjugate_roots(F81, dense, 9, random.Random(0))
+        assert len(set(roots)) == 2
+        assert not any(f.lift_to(F81).evaluate([FqElement(F81, r)]) for r in roots)
+        with pytest.raises(SoundnessError):
+            _conjugate_roots(F81, dense, 3, random.Random(0))
+
+    def test_split_guard_stops_on_an_unsplittable_factor(self):
+        # x^2 + 1 is irreducible over F_3: degree-1 draws never split it
+        F3 = make_field(3)
+        with pytest.raises(SoundnessError):
+            _split_once(F3, [1, 0, 1], 1, random.Random(0))
+
 
 class TestSquarefreePart:
     def test_simple(self, F13):
@@ -309,6 +331,9 @@ class TestProperties:
 
     def test_splitting_roots(self):
         props.polyring_splitting_roots(150)
+
+    def test_roots_match_refactor(self):
+        props.polyring_roots_match_refactor(120)
 
     def test_resultant_multiplicative(self):
         props.polyring_resultant_multiplicative(200)
