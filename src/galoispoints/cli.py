@@ -135,10 +135,12 @@ def load_curve(path: str) -> PlaneCurve:
         raise InputError(f"{path}: bad curve: {exc}")
 
 
-def parse_point(text: str, ctx: FieldCtx) -> ProjPoint:
+def _encodings(text: str, ctx: FieldCtx, count: int) -> list:
+    """The field elements of ``count`` ":"-separated encodings 0..q-1;
+    anything else is rejected, not reduced."""
     parts = text.strip().split(":")
-    if len(parts) not in (2, 3):
-        raise InputError(f"point {text!r} must have 2 or 3 coordinates")
+    if len(parts) != count:
+        raise InputError(f"point {text!r} must have {count} coordinates")
     try:
         codes = [int(p) for p in parts]
     except ValueError:
@@ -147,7 +149,12 @@ def parse_point(text: str, ctx: FieldCtx) -> ProjPoint:
     if not all(0 <= v < ctx.order for v in codes):
         raise InputError(f"point {text!r}: coordinates must be encodings "
                          f"0..{ctx.order - 1} of {ctx.spec}")
-    coords = [ctx.element(v) for v in codes]
+    return [ctx.element(v) for v in codes]
+
+
+def parse_point(text: str, ctx: FieldCtx) -> ProjPoint:
+    """A point of P^2 given as "x:y:z"."""
+    coords = _encodings(text, ctx, 3)
     if not any(coords):
         raise InputError(f"point {text!r} is the zero vector")
     return ProjPoint(ctx, coords)
@@ -229,13 +236,11 @@ def cmd_embed(args, cfg: RunConfig) -> int:
     if point_text is None:
         raise InputError("no point given (groups file 'point' or --point)")
     from .projective import point_p1
-    if str(point_text).strip() in ("inf", "oo", "infinity"):
+    point_text = str(point_text).strip()
+    if point_text in ("inf", "oo", "infinity"):
         P = point_p1(ctx, infinity=True)
     else:
-        try:
-            P = point_p1(ctx, ctx.element(int(point_text)))
-        except ValueError:
-            raise InputError(f"bad point {point_text!r}")
+        P = point_p1(ctx, *_encodings(point_text, ctx, 1))
     try:
         result = construct_embedding(G1, G2, P, cfg)
     except (ConditionBFails, VerificationFailed) as exc:

@@ -144,7 +144,6 @@ class FamilyExpectation:
     outer_order: int
     inner_strategy: str = "collineation"
     outer_strategy: str = "collineation"
-    joint_mode: str = "collineation"    # representation used for the joint
     parametrization: Optional[tuple] = None
     classification: str = "direct"
     joint_order: Optional[int] = None
@@ -496,7 +495,7 @@ def build_family(spec: FamilySpec,
         return curve, FamilyExpectation(
             P=P, Q=Q, inner_order=d - 1, outer_order=d,
             inner_strategy="collineation", outer_strategy="deck",
-            joint_mode="deck", parametrization=param,
+            parametrization=param,
             classification="right_semidirect",
             joint_order=joint_order, joint_tag=joint_tag,
             inner_tag="cyclic",
@@ -542,7 +541,7 @@ def build_family(spec: FamilySpec,
         return curve, FamilyExpectation(
             P=P, Q=Q, inner_order=d - 1, outer_order=d,
             inner_strategy="collineation", outer_strategy="deck",
-            joint_mode="deck", parametrization=param,
+            parametrization=param,
             classification="right_semidirect",
             joint_order=d * (d - 1),
             inner_tag="cyclic", outer_tag=outer_tag,
@@ -637,9 +636,10 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
     """Re-derive the family's Galois structure and diff against the skeleton.
 
     Runs the certification engine on both designated centers, computes the
-    joint product structure in the expectation's representation, evaluates
-    the line predicates for the line through P and Q, and all named extra
-    checks.  Per-check failures are recorded, not raised.
+    joint product structure (from deck groups in PGL(2) when the
+    expectation carries a parametrization), evaluates the line predicates
+    for the line through P and Q, and all named extra checks.  Per-check
+    failures are recorded, not raised.
     """
     cfg = cfg or RunConfig()
     checks: list = []
@@ -658,20 +658,19 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
     if expected.outer_tag and outer.descriptor:
         _check(checks, "outer_tag", expected.outer_tag, outer.descriptor.tag)
 
-    # joint structure in one common representation
+    # joint structure in one common representation: with a
+    # parametrization, deck groups in PGL(2)
     joint = None
     g_inner, g_outer = inner.group, outer.group
-    if expected.joint_mode == "deck" and expected.parametrization is not None:
-        if inner.method != "deck" or g_inner is None or g_inner.n != 2:
-            rep = is_galois_point(curve, expected.P, strategy="deck",
-                                  parametrization=expected.parametrization,
-                                  cfg=cfg)
-            g_inner = rep.group
-        if outer.method != "deck" or g_outer is None or g_outer.n != 2:
-            rep = is_galois_point(curve, expected.Q, strategy="deck",
-                                  parametrization=expected.parametrization,
-                                  cfg=cfg)
-            g_outer = rep.group
+    if expected.parametrization is not None:
+        groups = []
+        for g, pt in ((g_inner, expected.P), (g_outer, expected.Q)):
+            if g is None or g.n != 2:
+                g = is_galois_point(curve, pt, strategy="deck",
+                                    parametrization=expected.parametrization,
+                                    cfg=cfg).group
+            groups.append(g)
+        g_inner, g_outer = groups
     if g_inner is not None and g_outer is not None and g_inner.n == g_outer.n:
         joint = product_structure(g_inner, g_outer, cap=cfg.closure_cap)
         _check(checks, "classification", expected.classification,

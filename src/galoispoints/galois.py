@@ -23,8 +23,14 @@ methods are implemented, in decreasing order of authority:
   necessary but not sufficient, so the best positive verdict here is
   ``probably_galois``; it is never upgraded.
 
-Specialization sampling cycles extension degrees 1..3 to decouple
-Frobenius factor patterns from geometric monodromy.
+Specialization sampling cycles extension degrees 1..3, which does not
+decouple Frobenius from geometric monodromy: over a field lacking roots of
+unity the geometric group needs, a point that is Galois over the algebraic
+closure can show two factor degrees.
+
+Every method reads one ``ProjectionFiber``, built once per center by
+``fiber_polynomial``: the curve and center lifted to one field, the center
+moved to (0:1:0) and the moved form restricted to the chart z = 1.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import permutations
 from typing import Optional
 
 from .config import RunConfig
@@ -78,17 +85,20 @@ from .ratfunc import RationalMap1D, linear_fraction
 class ProjectionFiber:
     """The fiber polynomial F(t, s) of a projection.
 
-    After a projectivity moves the center to (0:1:0) (inner point) or to
-    (1:0:0) (outer point), lines through the center are t = const in the
-    chart z = 1 and the restricted form has exact s-degree n, with
-    n = d - 1 for an inner center and n = d for an outer one.
+    ``curve`` and ``center`` are lifted to one field.  The projectivity
+    ``normalizer`` moves the center to (0:1:0) and ``moved`` is the curve's
+    form composed with its inverse, so lines through the center are
+    x = const; in the chart z = 1, F(t, s) = moved(t, s, 1) has exact
+    s-degree n, with n = d - 1 for an inner center and n = d for an outer
+    one.
     """
 
     center: ProjPoint
     inner: bool
     degree: int
     poly: Polynomial        # bivariate, var 0 = pencil t, var 1 = fiber s
-    normalizer: Projectivity  # maps center to the standard position
+    moved: Polynomial       # the form in coordinates with the center at (0:1:0)
+    normalizer: Projectivity  # maps center to (0:1:0)
     curve: PlaneCurve
 
     @property
@@ -96,63 +106,26 @@ class ProjectionFiber:
         return "inner" if self.inner else "outer"
 
 
-def _move_center(ctx: FieldCtx, center: ProjPoint, target_col: int) -> Projectivity:
-    """A deterministic projectivity g with g(center) = e_{target_col}."""
-    coords = center.coords
-    cols = [None, None, None]
-    cols[target_col] = coords
-    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    free = [i for i in range(3) if i != target_col]
-    for i in range(3):
-        for j in range(3):
-            if i == j:
-                continue
-            trial = list(cols)
-            trial[free[0]] = tuple(ctx.element(b).rep for b in basis[i])
-            trial[free[1]] = tuple(ctx.element(b).rep for b in basis[j])
-            mat = [[FqElement(ctx, trial[c][r]) for c in range(3)]
-                   for r in range(3)]
-            try:
-                g_inv = Projectivity(ctx, mat)
-            except ValueError:
-                continue
-            return g_inv.inverse()
+def _move_center(ctx: FieldCtx, center: ProjPoint) -> Projectivity:
+    """A deterministic projectivity g with g(center) = (0:1:0)."""
+    basis = [[ctx.element(int(i == r)) for r in range(3)] for i in range(3)]
+    for i, j in permutations(range(3), 2):
+        cols = (basis[i], center.elements(), basis[j])
+        try:
+            g_inv = Projectivity(ctx, [[col[r] for col in cols]
+                                       for r in range(3)])
+        except ValueError:
+            continue
+        return g_inv.inverse()
     raise ZeroInput("could not complete center to a basis")  # pragma: no cover
 
 
-def _normalize_center(curve: PlaneCurve, pt: ProjPoint, col: int):
-    """Move ``pt`` to e_col (col 0 or 1) and restrict the moved form.
+def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
+    """Fiber polynomial of the projection from a center on or off the curve.
 
-    ``curve`` and ``pt`` must share one field.  Returns (g, moved, fiber):
-    the projectivity g with g(pt) = e_col, the form composed with g^-1, and
-    the fiber polynomial F(t, s) in the chart z = 1, where s is the
-    coordinate at e_col and t the other one, so lines through e_col are
-    t = const.
-    """
-    ctx = curve.ctx
-    g = _move_center(ctx, pt, col)
-    g_inv = g.inverse()
-    xv = Polynomial.variable(ctx, 3, 0)
-    yv = Polynomial.variable(ctx, 3, 1)
-    zv = Polynomial.variable(ctx, 3, 2)
-    imgs = []
-    for i in range(3):
-        row = g_inv.mat[i]
-        imgs.append(xv * FqElement(ctx, row[0]) + yv * FqElement(ctx, row[1])
-                    + zv * FqElement(ctx, row[2]))
-    moved = curve.form.compose(imgs)
-    t = Polynomial.variable(ctx, 2, 0)
-    s = Polynomial.variable(ctx, 2, 1)
-    one = Polynomial.const(ctx, 2, 1)
-    fiber = moved.compose([t, s, one] if col == 1 else [s, t, one])
-    return g, moved, fiber
-
-
-def _classify_center(C: PlaneCurve, center: ProjPoint):
-    """Lift curve and center to one field and classify the center.
-
-    Returns (curve, pt, inner); raises CenterSingular when the center is a
-    singular point of C.
+    Lifts C and the center to one field, classifies the center and moves
+    it to (0:1:0); every certifier reads the returned fiber.  Raises
+    CenterSingular when the center is a singular point of C.
     """
     ctx = common_field(C.ctx, center.ctx)
     curve = C.lift_to(ctx)
@@ -160,21 +133,19 @@ def _classify_center(C: PlaneCurve, center: ProjPoint):
     inner = curve.contains(pt)
     if inner and not any(curve.gradient_at(pt)):
         raise CenterSingular(f"{center!r} lies in Sing(C)")
-    return curve, pt, inner
-
-
-def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
-    """Fiber polynomial of the projection from a center on or off the curve.
-
-    Raises CenterSingular when the center is a singular point of C.
-    """
-    curve, pt, inner = _classify_center(C, center)
-    g, _, fib = _normalize_center(curve, pt, 1 if inner else 0)
+    g = _move_center(ctx, pt)
+    x, y, z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+    moved = curve.form.compose([
+        x * FqElement(ctx, a) + y * FqElement(ctx, b) + z * FqElement(ctx, c)
+        for a, b, c in g.inverse().mat])
+    fib = moved.compose([Polynomial.variable(ctx, 2, 0),
+                         Polynomial.variable(ctx, 2, 1),
+                         Polynomial.const(ctx, 2, 1)])
     n = curve.degree - (1 if inner else 0)
     if fib.degree_in(1) != n:
         raise ZeroInput(  # pragma: no cover - smoothness guarantees the degree
             f"fiber degree {fib.degree_in(1)} != expected {n}")
-    return ProjectionFiber(pt, inner, n, fib, g, curve)
+    return ProjectionFiber(pt, inner, n, fib, moved, g, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +211,18 @@ class GaloisReport:
 # Monte Carlo screen
 # ---------------------------------------------------------------------------
 
+def _usable_fiber(fpoly: Polynomial, n: int, t0: FqElement
+                  ) -> Optional[Polynomial]:
+    """F(t0, s) when it has full degree n and is squarefree, else None."""
+    spec = fpoly.partial_evaluate(0, t0)
+    if spec.degree() != n:
+        return None
+    der = spec.derivative(0)
+    if der.is_zero or poly_gcd(spec, der).degree() > 0:
+        return None
+    return spec
+
+
 def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
                        seed: int = 0) -> GaloisReport:
     """Factor-degree census over random unramified specializations.
@@ -266,11 +249,8 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
         ectx = base if j == 1 else make_field(base.p, base.k * j)
         rng = random.Random(f"mc:{seed}:{trial}")
         t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
-        spec = fib.poly.partial_evaluate(0, t0)
-        if spec.degree() != n:
-            continue
-        der = spec.derivative(0)
-        if der.is_zero or poly_gcd(spec, der).degree() > 0:
+        spec = _usable_fiber(fib.poly, n, t0)
+        if spec is None:
             continue
         usable += 1
         degrees = factor_degrees(spec)
@@ -315,11 +295,8 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
         if any(lift(t0, common_field(ectx, t.ctx))
                == lift(t, common_field(ectx, t.ctx)) for t in seen_t):
             continue
-        spec = fpoly.partial_evaluate(0, t0)
-        if spec.degree() != n:
-            continue
-        der = spec.derivative(0)
-        if der.is_zero or poly_gcd(spec, der).degree() > 0:
+        spec = _usable_fiber(fpoly, n, t0)
+        if spec is None:
             continue
         try:
             rm = splitting_roots(spec, ext_cap=max(1, ext_cap // j))
@@ -358,65 +335,65 @@ def _semi_invariance_check(a_parts: list[Polynomial], formP: Polynomial,
     return acc == formP * c
 
 
-def central_collineation_group(C: PlaneCurve, center: ProjPoint,
+def central_collineation_group(fib: ProjectionFiber,
                                mode: str = "exact",
                                cfg: Optional[RunConfig] = None
                                ) -> FiniteProjectivityGroup:
-    """All projectivities fixing ``center`` and every line through it that
-    send the curve to a scalar multiple of itself.
+    """All projectivities fixing the fiber's center and every line through
+    it that send the curve to a scalar multiple of itself.
 
-    In ``exact`` mode the group is enumerated completely through its action
-    on two squarefree fibers; ``brute`` mode scans all (beta, lambda, delta)
-    over the base field and is limited by ``cfg.brute_q_cap``.  The result
-    lives in the original coordinates (possibly over an extension) and its
-    order never exceeds the projection degree.
+    In the fiber's moved coordinates such a collineation has the shape
+    (x : beta x + lam y + delta z : z).  In ``exact`` mode the group is
+    enumerated completely through its action on two squarefree fibers;
+    ``brute`` mode scans all (beta, lambda, delta) over the base field and
+    is limited by ``cfg.brute_q_cap``.  The result lives in the original
+    coordinates (possibly over an extension) and its order never exceeds
+    the projection degree.
     """
     cfg = cfg or RunConfig()
-    curve, pt, inner = _classify_center(C, center)
-    ctx = curve.ctx
-    # normalize with the center at (0:1:0) so the collineation shape is
-    # (x : beta x + lam y + delta z : z) in the moved coordinates, and the
-    # fiber polynomial has t = x, s = y, z = 1
-    g, moved, fpoly = _normalize_center(curve, pt, 1)
-    g_inv = g.inverse()
-    n = curve.degree - (1 if inner else 0)
+    ctx = fib.curve.ctx
+    n = fib.degree
     if n < 1:
         raise ZeroInput("degenerate curve for collineation search")
     if n == 1:
         return trivial_group(ctx, 3)
-    if fpoly.degree_in(1) != n:  # pragma: no cover
-        raise ZeroInput("fiber degree mismatch in collineation search")
 
     if mode == "brute":
         q = ctx.order
         if q > cfg.brute_q_cap:
             raise BruteCapExceeded(f"|F| = {q} > brute cap {cfg.brute_q_cap}")
-        found = _brute_scan(moved, ctx, n)
+        found = _brute_scan(fib.moved, ctx, n)
     elif mode == "exact":
         try:
-            fibers = _fiber_search(fpoly, n, cfg.ext_cap,
+            fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
                                    f"coll:{cfg.seed}:{ctx.spec}")
         except DegenerateFibers as exc:
             raise ExactModeDegenerate(str(exc)) from exc
-        found = _fiber_permutation_scan(moved, fpoly, fibers, n)
+        found = _fiber_permutation_scan(fib.moved, fibers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
-    wctx = found[0].ctx if found else ctx
-    g_back = g_inv.lift_to(wctx)
-    g_fwd = g.lift_to(wctx)
-    elements = [g_back * sigma * g_fwd for sigma in found]
-    group = generate_group(elements if elements else
-                           [Projectivity.identity(wctx, 3)],
-                           cap=max(n + 1, 2))
-    if len(group) != len(elements):
-        raise ZeroInput("collineation scan returned a non-closed set")  # pragma: no cover
-    if len(group) > n:
-        raise SoundnessError("collineation count exceeds degree")
-    group = group.descend_to(C.ctx)
-    c = center.lift_to(group.ctx)
+    # the identity is always found, so found[0] names the working field
+    wctx = found[0].ctx
+    g_fwd = fib.normalizer.lift_to(wctx)
+    g_back = fib.normalizer.inverse().lift_to(wctx)
+    group = _closed_group([g_back * sigma * g_fwd for sigma in found], n,
+                          "collineation").descend_to(ctx)
+    c = fib.center.lift_to(group.ctx)
     if any(e.apply(c) != c for e in group.elements):
         raise SoundnessError("a collineation moves its center")
+    return group
+
+
+def _closed_group(elements: list[Projectivity], n: int,
+                  what: str) -> FiniteProjectivityGroup:
+    """The group of a scan's verified maps, which must be closed and of
+    order at most the degree ``n``."""
+    group = generate_group(elements, cap=n + 1)
+    if len(group) != len(elements):
+        raise ZeroInput(f"{what} scan returned a non-closed set")  # pragma: no cover
+    if len(group) > n:
+        raise SoundnessError(f"{what} group order exceeds the degree")
     return group
 
 
@@ -468,8 +445,7 @@ def _probe_points(moved: Polynomial, ctx: FieldCtx, want: int = 3):
     return out
 
 
-def _fiber_permutation_scan(moved: Polynomial, fpoly: Polynomial,
-                            fibers, n: int) -> list[Projectivity]:
+def _fiber_permutation_scan(moved: Polynomial, fibers) -> list[Projectivity]:
     """Enumerate central collineations via their affine action on two fibers."""
     (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
     wctx = common_field(common_field(ctx1, ctx2),
@@ -559,13 +535,7 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
                     continue
                 if hw.compose_mobius(sigma) == hw:
                     found[key] = sigma
-    elements = list(found.values())
-    group = generate_group(elements if elements else
-                           [Projectivity.identity(wctx, 2)], cap=n + 1)
-    if len(group) != len(elements):
-        raise ZeroInput("deck scan returned a non-closed set")  # pragma: no cover
-    if len(group) > n:
-        raise SoundnessError("deck group exceeds covering degree")
+    group = _closed_group(list(found.values()), n, "deck")
     if any(hw.compose_mobius(sigma) != hw for sigma in group.elements):
         raise SoundnessError("a deck map does not preserve the map")
     return group.descend_to(base)
@@ -575,25 +545,20 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
 # Orchestrator
 # ---------------------------------------------------------------------------
 
-def projection_map(C: PlaneCurve, center: ProjPoint,
+def projection_map(fib: ProjectionFiber,
                    parametrization: tuple[RationalMap1D, RationalMap1D]
                    ) -> RationalMap1D:
-    """The projection from ``center`` composed with a parametrization of C."""
+    """The projection from the fiber's center composed with a
+    parametrization of its curve: the moved x-coordinate over the moved
+    z-coordinate, since lines through (0:1:0) are x = const."""
     from .curve import verify_on_curve
     x_t, y_t = parametrization
-    verify_on_curve(C, x_t, y_t)
-    fib = fiber_polynomial(C, center)
-    ctx = common_field(common_field(C.ctx, x_t.ctx),
-                       common_field(center.ctx, y_t.ctx))
-    g = fib.normalizer.lift_to(ctx)
-    rows = g.mat
-    if fib.inner:
-        row_num, row_den = rows[0], rows[2]
-    else:
-        row_num, row_den = rows[1], rows[2]
+    verify_on_curve(fib.curve, x_t, y_t)
+    ctx = common_field(common_field(fib.curve.ctx, x_t.ctx), y_t.ctx)
+    rows = fib.normalizer.lift_to(ctx).mat
     h = linear_fraction(x_t.lift_to(ctx), y_t.lift_to(ctx),
-                        [FqElement(ctx, c) for c in row_num],
-                        [FqElement(ctx, c) for c in row_den])
+                        [FqElement(ctx, c) for c in rows[0]],
+                        [FqElement(ctx, c) for c in rows[2]])
     if h.degree() != fib.degree:
         raise ParametrizationInvalid(
             f"projection degree {h.degree()} != fiber degree {fib.degree}; "
@@ -631,11 +596,11 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
     coll_group = None
     if strategy in ("auto", "collineation"):
         try:
-            coll_group = central_collineation_group(C, P, mode="exact", cfg=cfg)
+            coll_group = central_collineation_group(fib, mode="exact", cfg=cfg)
         except ExactModeDegenerate as exc:
             notes.append(f"exact collineation search degenerate: {exc}")
             if fib.poly.ctx.order <= cfg.brute_q_cap:
-                coll_group = central_collineation_group(C, P, mode="brute",
+                coll_group = central_collineation_group(fib, mode="brute",
                                                         cfg=cfg)
                 notes.append("fell back to brute collineation scan")
         if coll_group is not None and len(coll_group) == n:
@@ -658,7 +623,7 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
                 raise MissingParametrization(
                     "deck certification needs a parametrization")
         else:
-            h = projection_map(C, P, parametrization)
+            h = projection_map(fib, parametrization)
             dg = deck_group(h, ext_cap=cfg.ext_cap, seed=cfg.seed)
             if len(dg) == n:
                 return GaloisReport(fib.center, fib.point_class, n,

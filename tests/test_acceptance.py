@@ -258,7 +258,7 @@ def test_acceptance_8_non_galois_refutation():
                 mc = monte_carlo_galois(fib, trials=cfg.trials, seed=done)
             except AllSpecializationsRamified:
                 continue
-            coll = central_collineation_group(C, pt, mode="brute", cfg=cfg)
+            coll = central_collineation_group(fib, mode="brute", cfg=cfg)
             if mc.verdict == "certified_not_galois":
                 refuted += 1
                 # independent witness re-verification

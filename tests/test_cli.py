@@ -142,6 +142,38 @@ class TestCheck:
         assert err["error"] == "InputError"
         assert "coordinates must be encodings" in err["message"]
 
+    @pytest.mark.parametrize("argv", [
+        ["check", "thm3_cubic_curve.json", "--point", "1:0"],
+        ["pair", "thm3_cubic_curve.json", "--inner", "1:0", "--outer", "0:1:0"],
+    ], ids=["check_two_coords", "pair_two_coords"])
+    def test_plane_point_needs_three_coordinates(self, capsys, argv):
+        code = dispatch([str(FIXTURES / a) if a.endswith(".json") else a
+                         for a in argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert json.loads(err)["error"] == "InputError"
+        assert "3 coordinates" in json.loads(err)["message"]
+
+    @pytest.mark.parametrize("point", ["99", "-1"])
+    def test_out_of_range_embed_point_exit_1(self, capsys, point):
+        code = dispatch(["embed", str(FIXTURES / "groups_a4_f13.json"),
+                         f"--point={point}"])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert "encoding" in err["message"]
+
+    def test_out_of_range_groups_file_point_exit_1(self, tmp_path, capsys):
+        data = json.loads((FIXTURES / "groups_a4_f13.json").read_text())
+        data["point"] = "99"
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(data))
+        code = dispatch(["embed", str(path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert "encoding" in err["message"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["check", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):
@@ -284,6 +316,9 @@ class TestGoldenReports:
         (["check", str(FIXTURES / "wild_p2e2_f4_perturbed_curve.json"),
           "--point", "0:1:1"],
          "golden_check_wild_p2e2_f4_perturbed.json"),
+        (["pair", str(FIXTURES / "tame_d5_f19_curve.json"),
+          "--inner", "1:0:0", "--outer", "0:1:0"],
+         "golden_pair_tame_d5_f19.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)

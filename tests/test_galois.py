@@ -1,4 +1,5 @@
 import ast
+import json
 import math
 import os
 import random
@@ -124,7 +125,8 @@ class TestMonteCarlo:
 
 class TestCentralCollineations:
     def test_cubic_inner_order_two(self, cubic3a, F13):
-        G = central_collineation_group(cubic3a, ProjPoint(F13, [0, 1, 0]))
+        G = central_collineation_group(
+            fiber_polynomial(cubic3a, ProjPoint(F13, [0, 1, 0])))
         assert len(G) == 2
         mats = sorted(g.row_major() for g in G.elements)
         assert mats == [[1, 0, 0, 0, 1, 0, 0, 0, 1],
@@ -135,7 +137,8 @@ class TestCentralCollineations:
         x = Polynomial.variable(F11, 2, 0)
         y = Polynomial.variable(F11, 2, 1)
         C = curve_from_affine(x ** 4 + y ** 5 + 1)
-        G = central_collineation_group(C, ProjPoint(F11, [0, 1, 0]))
+        G = central_collineation_group(
+            fiber_polynomial(C, ProjPoint(F11, [0, 1, 0])))
         assert len(G) == 5
         assert identify_group(G).tag == "cyclic"
 
@@ -143,22 +146,24 @@ class TestCentralCollineations:
         x = Polynomial.variable(F7, 2, 0)
         y = Polynomial.variable(F7, 2, 1)
         C = curve_from_affine(y * y * x + x ** 3 + x + 1)
-        G = central_collineation_group(C, ProjPoint(F7, [1, 0, 0]),
-                                       mode="brute", cfg=RunConfig(brute_q_cap=7))
+        G = central_collineation_group(
+            fiber_polynomial(C, ProjPoint(F7, [1, 0, 0])),
+            mode="brute", cfg=RunConfig(brute_q_cap=7))
         assert len(G) == 1
 
     def test_exact_and_brute_agree(self, cubic3a, F13):
         cfg = RunConfig(brute_q_cap=13)
-        P = ProjPoint(F13, [0, 1, 0])
-        exact = central_collineation_group(cubic3a, P, mode="exact", cfg=cfg)
-        brute = central_collineation_group(cubic3a, P, mode="brute", cfg=cfg)
+        fib = fiber_polynomial(cubic3a, ProjPoint(F13, [0, 1, 0]))
+        exact = central_collineation_group(fib, mode="exact", cfg=cfg)
+        brute = central_collineation_group(fib, mode="brute", cfg=cfg)
         assert {tuple(g.row_major()) for g in exact.elements} == \
                {tuple(g.row_major()) for g in brute.elements}
 
     def test_brute_cap(self, cubic3a, F13):
         with pytest.raises(BruteCapExceeded):
-            central_collineation_group(cubic3a, ProjPoint(F13, [0, 1, 0]),
-                                       mode="brute", cfg=RunConfig(brute_q_cap=5))
+            central_collineation_group(
+                fiber_polynomial(cubic3a, ProjPoint(F13, [0, 1, 0])),
+                mode="brute", cfg=RunConfig(brute_q_cap=5))
 
     def test_soundness_order_bounded_by_degree(self, F7):
         rng = random.Random(17)
@@ -171,7 +176,7 @@ class TestCentralCollineations:
                 continue
             fib = fiber_polynomial(C, pt)
             try:
-                G = central_collineation_group(C, pt, cfg=RunConfig(seed=done))
+                G = central_collineation_group(fib, cfg=RunConfig(seed=done))
             except Exception:
                 continue
             assert len(G) <= fib.degree
@@ -191,7 +196,8 @@ class TestCentralCollineations:
             return fibers
 
         monkeypatch.setattr(galois, "_fiber_search", spy)
-        central_collineation_group(curve, ProjPoint(curve.ctx, [0, 1, 1]))
+        central_collineation_group(
+            fiber_polynomial(curve, ProjPoint(curve.ctx, [0, 1, 1])))
         (cap, ks), = seen
         assert math.lcm(*ks) <= cap
 
@@ -267,6 +273,55 @@ class TestIsGaloisPoint:
                               strategy="monte_carlo", cfg=RunConfig(trials=16))
         assert rep.verdict == "probably_galois"
         assert rep.method == "monte_carlo"
+
+    def test_center_moved_once_per_check(self, cubic3a, cubic3a_param, F13,
+                                         monkeypatch):
+        # the outer center goes through the collineation scan, then the
+        # deck scan: both read the one fiber built for it
+        calls = []
+        move = galois._move_center
+
+        def spy(*args):
+            calls.append(args)
+            return move(*args)
+
+        monkeypatch.setattr(galois, "_move_center", spy)
+        rep = is_galois_point(cubic3a, ProjPoint(F13, [1, 0, 0]),
+                              parametrization=cubic3a_param)
+        assert rep.verdict == "certified_galois" and rep.method == "deck"
+        assert len(calls) == 1
+
+    def test_exact_to_brute_fallback(self, tmp_path, capsys, F4, monkeypatch):
+        # every fiber of y^4 + y^2 + y + x from (1:1:0) is inseparable in
+        # characteristic 2: the exact scan finds no usable fiber, the brute
+        # scan finds the translation (x : y : z) -> (x + z : y + z : z),
+        # which is s -> s + 1 on the fiber, and the screen has nothing left
+        from galoispoints.cli import dispatch
+        from galoispoints.errors import ExactModeDegenerate
+        x = Polynomial.variable(F4, 2, 0)
+        y = Polynomial.variable(F4, 2, 1)
+        C = curve_from_affine(y ** 4 + y ** 2 + x + y)
+        fib = fiber_polynomial(C, ProjPoint(F4, [1, 1, 0]))
+        with pytest.raises(ExactModeDegenerate):
+            central_collineation_group(fib, "exact")
+        G = central_collineation_group(fib, "brute")
+        assert sorted(g.row_major() for g in G.elements) == [
+            [1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 1, 0, 1, 1, 0, 0, 1]]
+        modes = []
+        scan = galois.central_collineation_group
+
+        def spy(fib, mode="exact", cfg=None):
+            modes.append(mode)
+            return scan(fib, mode, cfg)
+
+        monkeypatch.setattr(galois, "central_collineation_group", spy)
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"field": "2^2",
+                                    "affine_poly": C.affine().to_text()}))
+        assert dispatch(["check", str(path), "--point", "1:1:0"]) == 2
+        assert modes == ["exact", "brute"]
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "AllSpecializationsRamified"
 
 
 class TestSoundnessGuards:
