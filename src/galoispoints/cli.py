@@ -130,26 +130,34 @@ def load_curve(path: str) -> PlaneCurve:
     poly = parse_poly(str(data["affine_poly"]), ctx, 2)
     assume = bool(data.get("assume_irreducible", True))
     try:
-        return curve_from_affine(poly, assume_irreducible=assume)
+        curve = curve_from_affine(poly, assume_irreducible=assume)
     except GaloisPointError as exc:
         raise InputError(f"{path}: bad curve: {exc}")
+    if curve.degree < 2:
+        raise InputError(f"{path}: bad curve: degree {curve.degree}; Galois "
+                         "points are checked on curves of degree >= 2")
+    return curve
+
+
+def _elements(values, ctx: FieldCtx, what: str) -> list:
+    """The field elements of integer encodings 0..q-1 (ints or their
+    decimal strings); anything else is rejected, not reduced or truncated."""
+    try:
+        codes = [int(str(v)) for v in values]     # no floats, no booleans
+    except ValueError:
+        raise InputError(f"{what} must be integers (base-{ctx.p} encodings)")
+    if not all(0 <= v < ctx.order for v in codes):
+        raise InputError(f"{what} must be encodings 0..{ctx.order - 1} of "
+                         f"{ctx.spec}")
+    return [ctx.element(v) for v in codes]
 
 
 def _encodings(text: str, ctx: FieldCtx, count: int) -> list:
-    """The field elements of ``count`` ":"-separated encodings 0..q-1;
-    anything else is rejected, not reduced."""
+    """The field elements of ``count`` ":"-separated encodings."""
     parts = text.strip().split(":")
     if len(parts) != count:
         raise InputError(f"point {text!r} must have {count} coordinates")
-    try:
-        codes = [int(p) for p in parts]
-    except ValueError:
-        raise InputError(f"point {text!r}: coordinates must be integers "
-                         f"(base-{ctx.p} encodings)")
-    if not all(0 <= v < ctx.order for v in codes):
-        raise InputError(f"point {text!r}: coordinates must be encodings "
-                         f"0..{ctx.order - 1} of {ctx.spec}")
-    return [ctx.element(v) for v in codes]
+    return _elements(parts, ctx, f"point {text!r}: coordinates")
 
 
 def parse_point(text: str, ctx: FieldCtx) -> ProjPoint:
@@ -216,9 +224,9 @@ def _load_group(data, ctx: FieldCtx, name: str, cap: int):
     for m in mats:
         if not (isinstance(m, list) and len(m) == 4):
             raise InputError(f"groups file: each {name} matrix needs 4 entries")
+        e = _elements(m, ctx, f"groups file: {name} matrix {m}: entries")
         try:
-            gens.append(Projectivity(ctx, [[ctx.element(int(m[0])), ctx.element(int(m[1]))],
-                                           [ctx.element(int(m[2])), ctx.element(int(m[3]))]]))
+            gens.append(Projectivity(ctx, [e[:2], e[2:]]))
         except ValueError as exc:
             raise InputError(f"groups file: bad matrix {m}: {exc}")
     return generate_group(gens, cap=cap)

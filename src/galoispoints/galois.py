@@ -239,7 +239,9 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
         raise ValueError("trials must be >= 1")
     n = fib.degree
     base = fib.poly.ctx
-    if n <= 1:
+    if n < 1:
+        raise ZeroInput("degenerate curve for the Monte Carlo screen")
+    if n == 1:
         return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])

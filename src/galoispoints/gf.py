@@ -24,14 +24,17 @@ k alone:
   the encoding.  Addition is xor, multiplication shift-and-xor with
   reduction by the modulus, inversion the binary extended Euclid.
 * larger fields of odd characteristic: the rep packs digit i into bits
-  [i w, (i + 1) w), with a slot width w (8, 16, 32, ...) wide enough that
-  no slot of a product overflows.  Addition adds slot-wise within one
-  int and subtracts p from each slot that reached p; a product is one
-  big-int multiplication, reduced through the packed rows of
-  x^(k+i) mod m by one more; inversion is the extended Euclid over F_p on
-  the dense kernel of :mod:`galoispoints.polyring`.  Only this shape's rep
-  differs from the encoding; ``encode``/``decode`` convert at I/O and for
-  sort keys.
+  [i w, (i + 1) w), with a slot width w (a power of two: at most 64
+  bits up to 19^29 and 31^17) derived once from p and k so that no slot
+  of any intermediate overflows.  Addition adds slot-wise within one
+  int and subtracts p from each slot that reached p.  Multiplication is a
+  fixed sequence of big-int operations on whole reps: the product, a
+  polynomial Barrett reduction mod m through the packed constants
+  floor(x^(2k-1) / m) and -m, and an exact slot-wise Barrett division by
+  p.  Inversion is the Itoh-Tsujii norm map: a^-1 = N(a)^-1 a^(p + ... +
+  p^(k-1)), with the Frobenius powers as precomputed F_p-linear maps on
+  the slots.  Only this shape's rep differs from the encoding;
+  ``encode``/``decode`` convert at I/O and for sort keys.
 
 A constant c in [0, p) has rep c in every shape, so 0 and 1 are the reps
 of zero and one everywhere, and a zero test is the int's truthiness.
@@ -66,6 +69,7 @@ an equivalence, and is documented where it is used.
 from __future__ import annotations
 
 import functools
+import operator
 from array import array
 from typing import Iterator, Optional
 
@@ -248,24 +252,38 @@ def _bitpoly_ops(k: int, modulus: tuple) -> tuple:
 def _packed_ops(p: int, k: int, modulus: tuple) -> tuple:
     """Packed-slot arithmetic for odd p: the _OPS closures, then the
     (digits, from_digits) converters between a rep and its digit list."""
-    # the widest slot is one of (high half of a product) x (reduction rows)
-    need = (k - 1) * k * (p - 1) ** 3
+    # Slot bounds, for operands with every slot in [0, p).  A product c =
+    # a*b holds at most k terms (p-1)^2 in a slot: bc.  Its high half times
+    # MU (below) holds at most k-1 terms bc*(p-1): bq, which bounds the
+    # quotient q.  c + q*MNEG holds at most bc + (k-1)*bq*(p-1) = bt in a
+    # slot, and bt >= bc also bounds c*a and a Frobenius image.  A slot
+    # t_i <= bt < 2^N goes to t_i mod p as t_i - floor(t_i bm / 2^bshift) p,
+    # with bshift = N + bitlen(p) and bm = ceil(2^bshift / p): that quotient
+    # is exact for every t_i < 2^N (Granlund and Montgomery, "Division by
+    # invariant integers using multiplication", 1994, theorem 4.2).  The
+    # width w is the first power of two above bt*bm, so no slot of any
+    # intermediate carries into the next, and p < 2^(w-1) as add needs.
+    bc = k * (p - 1) ** 2
+    bq = (k - 1) * bc * (p - 1)
+    bt = bc + (k - 1) * bq * (p - 1)
+    bshift = bt.bit_length() + p.bit_length()
+    bm = -(-(1 << bshift) // p)
     w = 8
-    while need >> w or p >> (w - 1):
+    while (bt * bm) >> w:
         w *= 2
     nbytes = w // 8
     code = next((t for t in "BHIQ" if array(t).itemsize == nbytes), None)
     if code is not None:
-        def unpack(x, n):
-            return array(code, x.to_bytes(n * nbytes, "little"))
+        def unpack(x):
+            return array(code, x.to_bytes(k * nbytes, "little"))
 
         def pack(ds):
             return int.from_bytes(array(code, ds).tobytes(), "little")
     else:
         mask = (1 << w) - 1
 
-        def unpack(x, n):
-            return [x >> (i * w) & mask for i in range(n)]
+        def unpack(x):
+            return [x >> (i * w) & mask for i in range(k)]
 
         def pack(ds):
             return sum(d << (i * w) for i, d in enumerate(ds))
@@ -273,6 +291,7 @@ def _packed_ops(p: int, k: int, modulus: tuple) -> tuple:
     ones = sum(1 << (i * w) for i in range(k))
     half, shift = 1 << (w - 1), w - 1
     full, bias, tops = p * ones, (half - p) * ones, half * ones
+    qmask = ((1 << (w - bshift)) - 1) * ones
 
     def add(a, b):
         # a slot holding s in [0, 2p) gets its top bit set by s + half - p
@@ -288,43 +307,74 @@ def _packed_ops(p: int, k: int, modulus: tuple) -> tuple:
         s = full - a
         return s - (((s + bias) & tops) >> shift) * p
 
-    def smul(c, a):
-        return pack([x % p for x in unpack(c % p * a, k)])
+    def reduce(t):
+        # every slot t_i <= bt to t_i mod p
+        return t - (t * bm >> bshift & qmask) * p
 
-    # rows[i] = x^(k+i) mod m; packed so that slot (k-2) + j*stride of
-    # high * rows_packed holds sum_i high_i * rows[i][j]
-    rows = []
-    cur = [(-c) % p for c in modulus[:-1]]
-    for _ in range(k - 1):
-        rows.append(cur)
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [(c + top * r) % p for c, r in zip(cur, rows[0])]
-    stride = 2 * k - 3
-    rows_packed = sum(r << (((k - 2 - i) + j * stride) * w)
-                      for i, row in enumerate(rows) for j, r in enumerate(row))
-    kw, low, nslots = k * w, (1 << k * w) - 1, k * stride
+    def smul(c, a):
+        return reduce(c % p * a)
+
+    # Barrett reduction mod m (von zur Gathen and Gerhard, Modern Computer
+    # Algebra, 9.1): with MU = floor(x^(2k-1) / m), the quotient of c
+    # (degree <= 2k-2) by m is q = floor((c div x^k) MU / x^(k-1)), and
+    # c mod m = (c - q m) mod x^k = (c + q MNEG) mod x^k for MNEG = -m.
+    # Both maps are F_p-linear, so they run on unreduced slots.  (c div
+    # x^k) MU has 2k-2 slots, so the shift leaves exactly q's k-1.
+    from .polyring import _u_divmod
+    mu = _u_divmod(_prime_field(p), [0] * (2 * k - 1) + [1], list(modulus))[0]
+    mu, mneg = pack(mu), pack([-c % p for c in modulus[:-1]])
+    kw, k1w, low = k * w, (k - 1) * w, (1 << k * w) - 1
 
     def mul(a, b):
         c = a * b
-        folded = unpack((c >> kw) * rows_packed, nslots)[k - 2::stride]
-        return pack([(x + y) % p for x, y in zip(unpack(c & low, k), folded)])
+        q = (c >> kw) * mu >> k1w
+        t = (c + q * mneg) & low
+        return t - (t * bm >> bshift & qmask) * p       # reduce(t), inline
 
-    fp, mod = _prime_field(p), list(modulus)
+    def frob(images, a):
+        # the F_p-linear map sending x^i to images[i], applied to a
+        return reduce(sum(map(operator.mul, unpack(a), images)))
+
+    def frob_images(y):
+        out = [1]
+        for _ in range(k - 1):
+            out.append(mul(out[-1], y))
+        return out
 
     def inv(a):
-        from .polyring import _u_invmod, _u_trim
+        # Itoh and Tsujii (Information and Computation 78, 1988): b_j =
+        # a^(1 + p + ... + p^(j-1)) climbs the binary prefixes j of k - 1
+        # by b_2j = b_j sigma^j(b_j) and b_(j+1) = a sigma(b_j), for sigma
+        # the Frobenius a -> a^p.  Then r = sigma(b_(k-1)) = a^(p + ... +
+        # p^(k-1)), and the norm a r lies in F_p, so a^-1 = r / (a r).
         if not a:
             raise ZeroDivisionError("inverse of zero")
-        r = _u_invmod(fp, _u_trim(list(unpack(a, k))), mod)
-        return pack(r + [0] * (k - len(r)))
+        b = a
+        for images, one in chain:
+            b = mul(b, frob(images, b))
+            if one:
+                b = mul(a, frob(sigma, b))
+        r = frob(sigma, b)
+        return smul(pow(mul(a, r), -1, p), r)
+
+    power = _square_and_multiply(mul, inv)
+    # sigma^j as the images (x^(p^j))^i of x^i, for j = 1 and for each
+    # prefix j that inv doubles
+    sigma = images = frob_images(power(1 << w, p))
+    chain = []
+    bits = bin(k - 1)[3:]
+    for i, bit in enumerate(bits):
+        chain.append((images, bit == "1"))
+        if i + 1 < len(bits):
+            y = frob(images, images[1])
+            if bit == "1":
+                y = frob(sigma, y)
+            images = frob_images(y)
 
     def digits(rep):
-        return list(unpack(rep, k))
+        return list(unpack(rep))
 
-    return ((add, sub, neg, smul, mul, inv, _square_and_multiply(mul, inv)),
-            (digits, pack))
+    return (add, sub, neg, smul, mul, inv, power), (digits, pack)
 
 
 def _table_ops(p: int, n: int, exp: array, log: array,
@@ -400,7 +450,8 @@ class FieldCtx:
     with log tables up to ``_TABLE_BOUND`` = 4096 elements (built on the
     first arithmetic call, at most 45 KB, held until the context is
     dropped), bit polynomials above it for p = 2, packed digit slots above
-    it for odd p.
+    it for odd p (Barrett multiplication and norm inversion, with a few
+    packed constants and the Frobenius maps built at construction).
     The ``*_t`` attributes (``add_t``, ``sub_t``, ``neg_t``, ``smul_t``,
     ``mul_t``, ``inv_t``, ``pow_t``) are the shape's closures on reps and
     the fast path of the polynomial layer; zero and one are the reps 0

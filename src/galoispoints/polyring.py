@@ -492,18 +492,6 @@ def _u_monic(ctx, a):
     return [ctx.mul_t(inv, x) for x in a]
 
 
-def _u_invmod(ctx, a, m):
-    """The inverse of a modulo m, for a coprime to m (extended Euclid)."""
-    r0, r1 = m[:], _u_trim(a[:])
-    s0, s1 = [], [1]
-    while r1:
-        q, rem = _u_divmod(ctx, r0, r1)
-        r0, r1 = r1, rem
-        s0, s1 = s1, _u_sub(ctx, s0, _u_mul(ctx, q, s1))
-    lead_inv = ctx.inv_t(r0[-1])
-    return _u_divmod(ctx, [ctx.mul_t(lead_inv, c) for c in s0], m)[1]
-
-
 def _u_gcd(ctx, a, b):
     a, b = a[:], b[:]
     while b:

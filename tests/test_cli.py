@@ -174,6 +174,37 @@ class TestCheck:
         assert err["error"] == "InputError"
         assert "encoding" in err["message"]
 
+    @pytest.mark.parametrize("g1, message", [
+        ([[14, 13, 13, 14]], "encodings 0..12"),   # 1, 0, 0, 1 raised by 13
+        ([[1.5, 0, 0, 1]], "integers"),
+        ([[True, False, False, True]], "integers")],
+        ids=["above_q", "float", "bool"])
+    def test_bad_groups_file_entry_exit_1(self, tmp_path, capsys, g1, message):
+        data = json.loads((FIXTURES / "groups_toy_conic_f13.json").read_text())
+        data["g1"] = g1
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps(data))
+        code = dispatch(["embed", str(path)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert message in err["message"]
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--point", "1:12:0", "--strategy", "auto"],
+        ["check", "--point", "1:12:0", "--strategy", "collineation"],
+        ["check", "--point", "1:12:0", "--strategy", "monte_carlo"],
+        ["pair", "--inner", "1:12:0", "--outer", "0:0:1"]],
+        ids=["auto", "collineation", "monte_carlo", "pair"])
+    def test_degree_1_curve_exit_1(self, tmp_path, capsys, argv):
+        path = tmp_path / "line.json"
+        path.write_text(json.dumps({"field": "13^1", "affine_poly": "x+y"}))
+        code = dispatch(argv[:1] + [str(path)] + argv[1:])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert "degree 1" in err["message"]
+
     @pytest.mark.parametrize("argv", [["--help"], ["--version"],
                                       ["check", "--help"]])
     def test_help_and_version_exit_0(self, capsys, argv):

@@ -147,10 +147,13 @@ def test_parse_field_spec():
 
 # Every representation, on both sides of the log-table bound of 4096
 # elements: prime residues, tabled encodings (p = 2 and odd), bit
-# polynomials and packed digit slots, the last with slots wider than the
-# 64 bits an array item holds.
+# polynomials and packed digit slots.  The packed fields cover each slot
+# width: 32 bits (3^8), 64 bits with a one-slot Barrett quotient (67^2),
+# with a small p and a large k (3^20) and at 19^12, and the widths past
+# the 64 bits an array item holds, 128 (1009^2) and 256 (2097169^2).
 ORACLE_FIELDS = [(13, 1), (31, 1), (2, 2), (2, 6), (2, 12), (2, 13), (2, 48),
-                 (3, 2), (13, 3), (3, 8), (5, 10), (31, 6), (2097169, 2)]
+                 (3, 2), (13, 3), (3, 8), (5, 10), (31, 6), (67, 2), (3, 20),
+                 (19, 12), (1009, 2), (2097169, 2)]
 
 
 class TestRepresentations:
@@ -180,6 +183,30 @@ class TestRepresentations:
         ids=lambda f: f"{f[0]}^{f[1]}")
     def test_embed_descend_round_trip(self, src, dst):
         props.gf_embed_descend_round_trip(make_field(*src), make_field(*dst))
+
+    @pytest.mark.parametrize("p, k, width", [
+        (3, 8, 32), (3, 20, 64), (19, 12, 64), (1009, 2, 128),
+        (2097169, 2, 256)], ids=["3^8", "3^20", "19^12", "1009^2", "2097169^2"])
+    def test_packed_slot_width(self, p, k, width):
+        # the rep of x (encoding p) is 1 in slot 1; the width is the first
+        # power of two that holds every intermediate slot of the kernel
+        assert make_field(p, k).decode(p) == 1 << width
+
+    @pytest.mark.parametrize("p, k", [(3, 2), (3, 4), (5, 3), (7, 2)],
+                             ids=["3^2", "3^4", "5^3", "7^2"])
+    def test_packed_inverse_of_every_unit(self, monkeypatch, p, k):
+        # small fields forced onto the packed shape: the norm inverse of
+        # every unit, against the field's own multiplication and tables
+        from galoispoints import gf
+        tabled = make_field(p, k)       # cached, so built before the patch
+        monkeypatch.setattr(gf, "_TABLE_BOUND", 0)
+        ctx = FieldCtx(p, k, tabled.modulus)
+        assert ctx._packed and not tabled._packed
+        for code in range(1, ctx.order):
+            a = ctx.decode(code)
+            inv = ctx.inv_t(a)
+            assert ctx.mul_t(a, inv) == 1
+            assert ctx.encode(inv) == tabled.inv_t(code)
 
     def test_tables_built_once(self, monkeypatch):
         # _u_mul keeps ctx.add_t/mul_t in locals before the first product,
