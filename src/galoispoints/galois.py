@@ -31,6 +31,12 @@ closure can show two factor degrees.
 Every method reads one ``ProjectionFiber``, built once per center by
 ``fiber_polynomial``: the curve and center lifted to one field, the center
 moved to (0:1:0) and the moved form restricted to the chart z = 1.
+
+The Monte Carlo screen and the fiber search share one dense specialization:
+F(t, s) is split once into its s-rows, dense polynomials in t lifted once
+per trial field, and F(t0, s) is their Horner values at t0.  Its
+squarefree test and its factor degrees run on the dense kernel of
+``polyring``, with no sparse polynomial built per trial.
 """
 
 from __future__ import annotations
@@ -55,12 +61,16 @@ from .errors import (
     SoundnessError,
     ZeroInput,
 )
-from .gf import FieldCtx, FqElement, common_field, lift, make_field
+from .gf import FieldCtx, FqElement, common_field, embed, lift, make_field
 from .polyring import (
     Polynomial,
     _split_by_var,
-    factor_degrees,
-    poly_gcd,
+    _u_deg,
+    _u_diff,
+    _u_eval,
+    _u_factor_degrees,
+    _u_prs,
+    _u_trim,
     splitting_roots,
 )
 from .projective import (
@@ -211,14 +221,37 @@ class GaloisReport:
 # Monte Carlo screen
 # ---------------------------------------------------------------------------
 
-def _usable_fiber(fpoly: Polynomial, n: int, t0: FqElement
-                  ) -> Optional[Polynomial]:
-    """F(t0, s) when it has full degree n and is squarefree, else None."""
-    spec = fpoly.partial_evaluate(0, t0)
-    if spec.degree() != n:
+def _fiber_rows(fpoly: Polynomial):
+    """The s-rows of F(t, s), as a function of a field containing F's:
+    row j is the dense t-polynomial multiplying s^j, lifted into that
+    field.  Each field's rows are lifted once, on first request."""
+    base = fpoly.ctx
+    rows = [[0] * (fpoly.degree_in(0) + 1)
+            for _ in range(fpoly.degree_in(1) + 1)]
+    for (a, b), rep in fpoly.terms.items():
+        rows[b][a] = rep
+    lifted = {base: [_u_trim(row) for row in rows]}
+
+    def rows_in(ectx: FieldCtx) -> list:
+        got = lifted.get(ectx)
+        if got is None:
+            got = lifted[ectx] = [[embed(base, ectx, FqElement(base, c)).rep
+                                   for c in row] for row in lifted[base]]
+        return got
+    return rows_in
+
+
+def _usable_fiber(rows: list, n: int, t0: FqElement) -> Optional[list]:
+    """F(t0, s) as a dense list over t0's field when it has full degree n
+    and is squarefree, else None; ``rows`` are F's s-rows in that field.
+    The squarefree test needs only the degree of gcd(F(t0, s), F_s(t0, s)),
+    so it runs without inversions."""
+    ctx, t = t0.ctx, t0.rep
+    spec = _u_trim([_u_eval(ctx, row, t) for row in rows])
+    if _u_deg(spec) != n:
         return None
-    der = spec.derivative(0)
-    if der.is_zero or poly_gcd(spec, der).degree() > 0:
+    der = _u_diff(ctx, spec)
+    if not der or _u_deg(_u_prs(ctx, spec, der)) > 0:
         return None
     return spec
 
@@ -229,9 +262,9 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
 
     Any squarefree full-degree specialization whose irreducible factors
     have two distinct degrees certifies NOT Galois, with the witness
-    recorded.  The degrees come from distinct-degree factorization alone
-    (``factor_degrees``); the factors themselves are never split out, so
-    the only randomness is the ``mc:{seed}:{trial}`` choice of t0.
+    recorded.  The degrees come from distinct-degree factorization of the
+    dense specialization alone; the factors themselves are never split
+    out, so the only randomness is the ``mc:{seed}:{trial}`` choice of t0.
     Uniform degrees across all trials give ``probably_galois`` only:
     cycle-type uniformity does not prove a cover Galois.
     """
@@ -245,17 +278,18 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
         return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])
+    rows_in = _fiber_rows(fib.poly)
     usable = 0
     for trial in range(trials):
         j = (trial % 3) + 1
         ectx = base if j == 1 else make_field(base.p, base.k * j)
         rng = random.Random(f"mc:{seed}:{trial}")
         t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
-        spec = _usable_fiber(fib.poly, n, t0)
+        spec = _usable_fiber(rows_in(ectx), n, t0)
         if spec is None:
             continue
         usable += 1
-        degrees = factor_degrees(spec)
+        degrees = _u_factor_degrees(ectx, spec)
         if len(set(degrees)) >= 2:
             witness = {
                 "t0": t0.encoding(),
@@ -286,6 +320,7 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
     field is at most ``ext_cap``.
     """
     base = fpoly.ctx
+    rows_in = _fiber_rows(fpoly)
     rng = random.Random(seed_tag)
     found = []
     seen_t = []
@@ -297,11 +332,12 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
         if any(lift(t0, common_field(ectx, t.ctx))
                == lift(t, common_field(ectx, t.ctx)) for t in seen_t):
             continue
-        spec = _usable_fiber(fpoly, n, t0)
+        spec = _usable_fiber(rows_in(ectx), n, t0)
         if spec is None:
             continue
         try:
-            rm = splitting_roots(spec, ext_cap=max(1, ext_cap // j))
+            rm = splitting_roots(Polynomial.from_dense(ectx, spec),
+                                 ext_cap=max(1, ext_cap // j))
         except ExtensionCapExceeded:
             continue
         if found and math.lcm(found[0][2].k, rm.ext.k) > ext_cap * base.k:

@@ -137,9 +137,13 @@ def _digits_code(digits, p: int) -> int:
 
 
 def _is_irreducible(m: list[int], p: int) -> bool:
-    """Rabin irreducibility test for a monic m over F_p, on the dense
-    kernel over the prime field."""
-    from .polyring import _u_gcd, _u_powmod, _u_sub
+    """Rabin irreducibility test for a monic m of degree k over F_p:
+    x^(p^k) = x mod m and gcd(x^(p^(k/r)) - x, m) = 1 for each prime r | k.
+    x^p comes from left-to-right squaring and each later x^(p^j) from the
+    p-power matrix, whose columns are x^(pi) mod m (Frobenius fixes F_p);
+    the gcds are tested by degree alone, without inversions."""
+    from .polyring import (_u_apply_columns, _u_power_columns, _u_powx,
+                           _u_prs, _u_sub)
     k = len(m) - 1
     if k < 1:
         return False
@@ -147,16 +151,15 @@ def _is_irreducible(m: list[int], p: int) -> bool:
         return True
     fp = _prime_field(p)
     x = [0, 1]
+    cols = _u_power_columns(fp, _u_powx(fp, p, m), m)
     # x^(p^j) mod m for j = 0..k
     frob = [x]
-    h = x
     for _ in range(k):
-        h = _u_powmod(fp, h, p, m)
-        frob.append(h)
+        frob.append(_u_apply_columns(fp, cols, frob[-1]))
     if _u_sub(fp, frob[k], x):
         return False
     for r in factorize(k):
-        if len(_u_gcd(fp, _u_sub(fp, frob[k // r], x), m)) > 1:
+        if len(_u_prs(fp, m, _u_sub(fp, frob[k // r], x))) > 1:
             return False
     return True
 

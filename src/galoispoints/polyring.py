@@ -9,6 +9,13 @@ The module provides the computational substrate used everywhere else:
   then randomized equal-degree splitting with deterministic seed threading),
 * factor degrees of a squarefree univariate by distinct-degree
   factorization alone (the Monte Carlo screen needs nothing more),
+* Frobenius maps on residues mod a monic f: x^p by left-to-right squaring,
+  x^q through the p-power map, and the q-power matrix whose columns are
+  x^(qi) mod f, so distinct-degree factorization raises to the q-th power
+  by one matrix product per step (the Rabin test in ``gf`` reuses them),
+* inversion-free degree tests: where only the degree of a gcd matters (a
+  distinct-degree step, a squarefree test), a pseudo-remainder sequence
+  scales by leading coefficients instead of inverting them,
 * roots over the smallest splitting extension: one root per irreducible
   factor by equal-degree splitting, the others as its Frobenius conjugates,
 * resultants by the subresultant polynomial remainder sequence alone, one
@@ -500,6 +507,30 @@ def _u_gcd(ctx, a, b):
     return _u_monic(ctx, a)
 
 
+def _u_prs(ctx, a, b):
+    """gcd(a, b) up to a nonzero scalar, by a pseudo-remainder sequence
+    that never inverts: each elimination step scales the remainder by
+    lc(b) instead of dividing by lc(b), and a monic b skips the scaling.
+    For callers that need only the gcd's degree, or make it monic once."""
+    if len(a) < len(b):
+        a, b = b, a
+    sub, mul = ctx.sub_t, ctx.mul_t
+    while b:
+        lc, db = b[-1], len(b) - 1
+        r = a[:]
+        while len(r) > db:
+            c = r.pop()
+            off = len(r) - db
+            if lc != 1:
+                r = [mul(lc, x) for x in r]
+            for i in range(db):
+                if b[i]:
+                    r[off + i] = sub(r[off + i], mul(c, b[i]))
+            _u_trim(r)
+        a, b = b, r
+    return a
+
+
 def _u_powmod(ctx, a, e, m):
     result = [1]
     _, base = _u_divmod(ctx, a, m)
@@ -510,6 +541,68 @@ def _u_powmod(ctx, a, e, m):
         _, base = _u_divmod(ctx, base_sq, m)
         e >>= 1
     return result
+
+
+def _u_mulx(ctx, a, f):
+    """x a mod a monic f, for deg a < deg f: one shift, one reduction step."""
+    if not a:
+        return a
+    a = [0] + a
+    if len(a) == len(f):
+        c = a.pop()
+        sub, mul = ctx.sub_t, ctx.mul_t
+        for i, fi in enumerate(f[:-1]):
+            if fi:
+                a[i] = sub(a[i], mul(c, fi))
+        _u_trim(a)
+    return a
+
+
+def _u_powx(ctx, e, f):
+    """x^e mod a monic f of positive degree, by left-to-right squaring."""
+    r = [1]
+    for bit in bin(e)[2:]:
+        r = _u_divmod(ctx, _u_mul(ctx, r, r), f)[1]
+        if bit == "1":
+            r = _u_mulx(ctx, r, f)
+    return r
+
+
+def _u_power_columns(ctx, y, f):
+    """The columns y^i mod f, i < deg f, of the F_q-linear map h -> h(y)
+    mod f on residues mod a monic f, for y reduced mod f."""
+    cols = [[1], y][:_u_deg(f)]
+    while len(cols) < _u_deg(f):
+        cols.append(_u_divmod(ctx, _u_mul(ctx, cols[-1], y), f)[1])
+    return cols
+
+
+def _u_apply_columns(ctx, cols, h):
+    """sum h_i cols[i], which is h(y) mod f for the columns of
+    ``_u_power_columns`` and deg h < deg f."""
+    add, mul = ctx.add_t, ctx.mul_t
+    out = [0] * len(cols)
+    for hi, col in zip(h, cols):
+        if hi:
+            for j, c in enumerate(col):
+                if c:
+                    out[j] = add(out[j], mul(hi, c))
+    return _u_trim(out)
+
+
+def _u_frobenius_x(ctx, f):
+    """x^q mod a monic f of positive degree, for q = p^k: x^p by
+    left-to-right squaring, then k - 1 times the p-power map h -> h^p =
+    sum h_i^p (x^p)^i mod f, read off the columns (x^p)^i mod f."""
+    y = _u_powx(ctx, ctx.p, f)
+    if ctx.k == 1:
+        return y
+    cols = _u_power_columns(ctx, y, f)
+    p, power = ctx.p, ctx.pow_t
+    h = y
+    for _ in range(ctx.k - 1):
+        h = _u_apply_columns(ctx, cols, [power(c, p) for c in h])
+    return h
 
 
 def _u_eval(ctx, a, x):
@@ -573,19 +666,34 @@ def _squarefree_decomposition(ctx, f) -> list[tuple[list, int]]:
 
 
 def _distinct_degree(ctx, f) -> list[tuple[list, int]]:
-    """Split a monic squarefree f into products of same-degree irreducibles."""
+    """Split a monic squarefree f into products of same-degree irreducibles.
+
+    Step dd takes gcd(h - x, f) for h = x^(q^dd) mod f.  Step 1 gets x^q
+    from ``_u_frobenius_x``; every later step reads h^q off the q-power
+    (Berlekamp) matrix, whose columns x^(qi) mod f are built once at step
+    2 and reduced mod f whenever f sheds a part (von zur Gathen and Shoup,
+    "Computing Frobenius maps and factoring polynomials", 1992).  Until a
+    part is found only the gcd's degree matters, so the gcd runs without
+    inversions (``_u_prs``) and a found part is made monic once.
+    """
     out = []
-    q = ctx.order
-    h = [0, 1]  # x
-    x = h[:]
+    h = cols = None
     dd = 1
     while _u_deg(f) >= 2 * dd:
-        h = _u_powmod(ctx, h, q, f)
-        g = _u_gcd(ctx, _u_sub(ctx, h, x), f)
+        if h is None:
+            h = _u_frobenius_x(ctx, f)
+        else:
+            if cols is None:
+                cols = _u_power_columns(ctx, h, f)   # h = x^q mod f here
+            h = _u_apply_columns(ctx, cols, h)
+        g = _u_prs(ctx, f, _u_sub(ctx, h, [0, 1]))
         if _u_deg(g) > 0:
+            g = _u_monic(ctx, g)
             out.append((g, dd))
-            f, _ = _u_divmod(ctx, f, g)
-            _, h = _u_divmod(ctx, h, f) if f else (None, h)
+            f = _u_divmod(ctx, f, g)[0]
+            h = _u_divmod(ctx, h, f)[1]
+            if cols is not None:
+                cols = [_u_divmod(ctx, c, f)[1] for c in cols[:_u_deg(f)]]
         dd += 1
     if _u_deg(f) > 0:
         out.append((f, _u_deg(f)))
@@ -671,6 +779,12 @@ def factor_univariate(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, in
     return out
 
 
+def _u_factor_degrees(ctx, a) -> list[int]:
+    """``factor_degrees`` of a dense squarefree a."""
+    parts = _distinct_degree(ctx, _u_monic(ctx, a))
+    return sorted(d for g, d in parts for _ in range(_u_deg(g) // d))
+
+
 def factor_degrees(f: Polynomial) -> list[int]:
     """Sorted degrees of the irreducible factors of a squarefree univariate f.
 
@@ -679,9 +793,7 @@ def factor_degrees(f: Polynomial) -> list[int]:
     of distinct-degree factorization collecting degree-d irreducibles holds
     deg(g)/d of them, so no equal-degree splitting is needed.
     """
-    ctx = f.ctx
-    parts = _distinct_degree(ctx, _u_monic(ctx, f.to_dense()))
-    return sorted(d for g, d in parts for _ in range(_u_deg(g) // d))
+    return _u_factor_degrees(f.ctx, f.to_dense())
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,15 @@ from galoispoints.gf import (
 )
 from galoispoints.polyring import (
     Polynomial,
+    _distinct_degree,
+    _u_deg,
+    _u_diff,
+    _u_divmod,
+    _u_gcd,
+    _u_mul,
+    _u_powmod,
+    _u_prs,
+    _u_sub,
     exact_div,
     factor_degrees,
     factor_univariate,
@@ -308,9 +317,10 @@ def polyring_factor_remultiplies(cases=500):
 def polyring_factor_degrees(cases=500):
     """factor_degrees of a squarefree product of distinct irreducibles, with
     several sharing one degree, matches the full factorization over F_13,
-    F_4 and F_9."""
+    F_4, F_9, F_(2^13) and F_(5^6)."""
     rng = random.Random(204)
-    fields = [make_field(13), make_field(2, 2), make_field(3, 2)]
+    fields = [make_field(13), make_field(2, 2), make_field(3, 2),
+              make_field(2, 13), make_field(5, 6)]
     irreducibles = {}
     for ctx in fields:
         found = irreducibles[ctx] = {}
@@ -334,6 +344,99 @@ def polyring_factor_degrees(cases=500):
         expect = sorted(g.degree() for g in set(chosen))
         assert factor_degrees(f) == expect
         assert expect == sorted(g.degree() for g, _ in factor_univariate(f))
+
+
+def _powmod_distinct_degree(ctx, f):
+    """Reference distinct-degree factorization of a monic squarefree f:
+    h = x^(q^dd) mod f by one full powmod per step, parts by the monic
+    Euclid gcd.  It shares no Frobenius map or pseudo-remainder code with
+    polyring._distinct_degree, whose parts it checks."""
+    out = []
+    h = x = [0, 1]
+    dd = 1
+    while _u_deg(f) >= 2 * dd:
+        h = _u_powmod(ctx, h, ctx.order, f)
+        g = _u_gcd(ctx, _u_sub(ctx, h, x), f)
+        if _u_deg(g) > 0:
+            out.append((g, dd))
+            f = _u_divmod(ctx, f, g)[0]
+            h = _u_divmod(ctx, h, f)[1]
+        dd += 1
+    if _u_deg(f) > 0:
+        out.append((f, _u_deg(f)))
+    return out
+
+
+# One field of every shape: prime, tabled odd, tabled 2^k, bit-polynomial
+# 2^k above 4096 elements, packed odd (two slot layouts).
+_DENSE_FIELDS = [(13, 1), (3, 2), (2, 2), (2, 6), (2, 13), (5, 6), (3, 8)]
+
+
+def _rand_dense(rng, ctx, degree, monic=False):
+    """A random dense univariate of exact degree ``degree`` (raw reps)."""
+    out = [ctx.decode(rng.randrange(ctx.order)) for _ in range(degree)]
+    return out + [1 if monic else ctx.decode(rng.randrange(1, ctx.order))]
+
+
+def _dense_irreducible(rng, ctx, d):
+    while True:
+        g = _rand_dense(rng, ctx, d, monic=True)
+        if _powmod_distinct_degree(ctx, g) == [(g, d)]:
+            return g
+
+
+# Factor-degree patterns whose product f sheds a part at step 1, at step 2
+# with later steps to run, or at several steps.
+_DDF_SHRINK = [(1, 3), (1, 2, 3), (2, 3, 3), (1, 1, 2, 4), (2, 2, 4), (1, 7),
+               (2, 6), (1, 2, 5)]
+
+
+def polyring_ddf_matches_oracle(cases=500):
+    """_distinct_degree (Frobenius maps, pseudo-remainder gcds) returns the
+    parts of the repeated-powmod oracle, on every field shape, for monic
+    squarefree inputs of degree 1 to 8: random ones, and products of
+    distinct irreducibles whose degrees make f shrink after a found part."""
+    rng = random.Random(206)
+    for i in range(cases):
+        ctx = make_field(*_DENSE_FIELDS[i % len(_DENSE_FIELDS)])
+        if i % 2:
+            pattern = _DDF_SHRINK[(i // 2) % len(_DDF_SHRINK)]
+            pieces = []
+            while len(pieces) < len(pattern):
+                g = _dense_irreducible(rng, ctx, pattern[len(pieces)])
+                if g not in pieces:
+                    pieces.append(g)
+            f = [1]
+            for g in pieces:
+                f = _u_mul(ctx, f, g)
+        else:
+            while True:
+                f = _rand_dense(rng, ctx, rng.randrange(1, 9), monic=True)
+                der = _u_diff(ctx, f)
+                if der and _u_deg(_u_gcd(ctx, f, der)) == 0:
+                    break
+        assert _distinct_degree(ctx, f) == _powmod_distinct_degree(ctx, f)
+
+
+def polyring_prs_gcd_degree(cases=500):
+    """The inversion-free remainder sequence _u_prs gives a scalar multiple
+    of the monic Euclid gcd _u_gcd, so the same degree, on every field
+    shape: random pairs of degree 0 to 8, half of them with a planted
+    common factor, and zero operands."""
+    rng = random.Random(207)
+    for i in range(cases):
+        ctx = make_field(*_DENSE_FIELDS[i % len(_DENSE_FIELDS)])
+        a = _rand_dense(rng, ctx, rng.randrange(0, 6))
+        b = _rand_dense(rng, ctx, rng.randrange(0, 6))
+        if i % 2:
+            c = _rand_dense(rng, ctx, rng.randrange(1, 4))
+            a, b = _u_mul(ctx, a, c), _u_mul(ctx, b, c)
+        if i % 11 == 0:
+            a = []
+        g, r = _u_gcd(ctx, a, b), _u_prs(ctx, a, b)
+        assert _u_deg(r) == _u_deg(g)
+        if r:
+            assert [ctx.mul_t(ctx.inv_t(r[-1]), c) for c in r] == g
 
 
 def polyring_splitting_roots(cases=500):

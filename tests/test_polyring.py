@@ -15,6 +15,7 @@ from galoispoints.polyring import (
     _u_mul,
     _u_trim,
     exact_div,
+    factor_degrees,
     factor_univariate,
     parse_poly,
     poly_gcd,
@@ -329,6 +330,12 @@ class TestProperties:
     def test_factor_degrees(self):
         props.polyring_factor_degrees(150)
 
+    def test_ddf_matches_oracle(self):
+        props.polyring_ddf_matches_oracle(140)
+
+    def test_prs_gcd_degree(self):
+        props.polyring_prs_gcd_degree(280)
+
     def test_splitting_roots(self):
         props.polyring_splitting_roots(150)
 
@@ -337,3 +344,84 @@ class TestProperties:
 
     def test_resultant_multiplicative(self):
         props.polyring_resultant_multiplicative(200)
+
+
+class TestSympyOracle:
+    """Differential checks against sympy over F_p, random univariates of
+    degree at most 8: factor_degrees, factor_univariate, poly_gcd and the
+    univariate resultant."""
+
+    PRIMES = (2, 3, 5, 7, 13, 31)
+
+    @pytest.fixture(scope="class")
+    def sp(self):
+        return pytest.importorskip("sympy")
+
+    @staticmethod
+    def draws(tag, count):
+        rng = random.Random(f"sympy:{tag}")
+        for i in range(count):
+            p = TestSympyOracle.PRIMES[i % len(TestSympyOracle.PRIMES)]
+            yield rng, make_field(p), p
+
+    @staticmethod
+    def coeffs(rng, p, degree):
+        return [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
+
+    @staticmethod
+    def to_sympy(sp, coeffs, p):
+        return sp.Poly(list(reversed(coeffs)), sp.Symbol("x"), modulus=p)
+
+    @staticmethod
+    def monic_coeffs(sp_poly, p):
+        """Ascending coefficients in [0, p) of a sympy Poly made monic."""
+        c = [int(v) % p for v in reversed(sp_poly.all_coeffs())]
+        inv = pow(c[-1], -1, p)
+        return [v * inv % p for v in c]
+
+    def test_factor_univariate(self, sp):
+        for rng, F, p in self.draws("factor", 150):
+            c = self.coeffs(rng, p, rng.randrange(1, 9))
+            ours = sorted((f.to_dense(), m)
+                          for f, m in factor_univariate(upoly(F, c), seed=1))
+            _, theirs = self.to_sympy(sp, c, p).factor_list()
+            assert ours == sorted((self.monic_coeffs(g, p), m)
+                                  for g, m in theirs)
+
+    def test_factor_degrees(self, sp):
+        done = 0
+        for rng, F, p in self.draws("degrees", 400):
+            c = self.coeffs(rng, p, rng.randrange(1, 9))
+            _, theirs = self.to_sympy(sp, c, p).factor_list()
+            if any(m > 1 for _, m in theirs):
+                continue
+            assert factor_degrees(upoly(F, c)) == sorted(
+                h.degree() for h, _ in theirs)
+            done += 1
+        assert done >= 150
+
+    def test_poly_gcd(self, sp):
+        for rng, F, p in self.draws("gcd", 150):
+            common = self.coeffs(rng, p, rng.randrange(0, 4))
+            a = _u_mul(F, self.coeffs(rng, p, rng.randrange(0, 6)), common)
+            b = _u_mul(F, self.coeffs(rng, p, rng.randrange(0, 6)), common)
+            theirs = self.to_sympy(sp, a, p).gcd(self.to_sympy(sp, b, p))
+            assert poly_gcd(upoly(F, a), upoly(F, b)).to_dense() == \
+                self.monic_coeffs(theirs, p)
+
+    def test_resultant(self, sp):
+        for rng, F, p in self.draws("resultant", 150):
+            a = self.coeffs(rng, p, rng.randrange(1, 9))
+            b = self.coeffs(rng, p, rng.randrange(1, 9))
+            ours = resultant(upoly(F, a), upoly(F, b), 0)
+            # resultant(f, g) puts g's rows first, so it is Res(g, f) =
+            # (-1)^(deg f deg g) Res(f, g).  sympy 1.14 returns the same
+            # value for both orders of operands of unequal degree, which is
+            # right only with the higher degree first; so sympy computes
+            # that order, over the integers, reduced mod p.
+            x = sp.Symbol("x")
+            hi, lo = sorted((a, b), key=len, reverse=True)
+            theirs = int(sp.Poly(hi[::-1], x).resultant(sp.Poly(lo[::-1], x)))
+            if hi is a and (len(a) - 1) * (len(b) - 1) % 2:
+                theirs = -theirs
+            assert ours == Polynomial.const(F, 1, theirs % p)
