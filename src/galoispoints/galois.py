@@ -32,11 +32,10 @@ Every method reads one ``ProjectionFiber``, built once per center by
 ``fiber_polynomial``: the curve and center lifted to one field, the center
 moved to (0:1:0) and the moved form restricted to the chart z = 1.
 
-The Monte Carlo screen and the fiber search share one dense specialization:
-F(t, s) is split once into its s-rows, dense polynomials in t lifted once
-per trial field, and F(t0, s) is their Horner values at t0.  Its
-squarefree test and its factor degrees run on the dense kernel of
-``polyring``, with no sparse polynomial built per trial.
+The Monte Carlo screen and the fiber search share one specialization,
+``polyring._squarefree_specializer``: F(t0, s) is built, tested for full
+degree and squarefreeness, and (in the screen) given its factor degrees on
+the dense kernel of ``polyring``, with no sparse polynomial per trial.
 """
 
 from __future__ import annotations
@@ -61,16 +60,12 @@ from .errors import (
     SoundnessError,
     ZeroInput,
 )
-from .gf import FieldCtx, FqElement, common_field, embed, lift, make_field
+from .gf import FieldCtx, FqElement, common_field, lift, make_field
 from .polyring import (
     Polynomial,
     _split_by_var,
-    _u_deg,
-    _u_diff,
-    _u_eval,
+    _squarefree_specializer,
     _u_factor_degrees,
-    _u_prs,
-    _u_trim,
     splitting_roots,
 )
 from .projective import (
@@ -221,41 +216,6 @@ class GaloisReport:
 # Monte Carlo screen
 # ---------------------------------------------------------------------------
 
-def _fiber_rows(fpoly: Polynomial):
-    """The s-rows of F(t, s), as a function of a field containing F's:
-    row j is the dense t-polynomial multiplying s^j, lifted into that
-    field.  Each field's rows are lifted once, on first request."""
-    base = fpoly.ctx
-    rows = [[0] * (fpoly.degree_in(0) + 1)
-            for _ in range(fpoly.degree_in(1) + 1)]
-    for (a, b), rep in fpoly.terms.items():
-        rows[b][a] = rep
-    lifted = {base: [_u_trim(row) for row in rows]}
-
-    def rows_in(ectx: FieldCtx) -> list:
-        got = lifted.get(ectx)
-        if got is None:
-            got = lifted[ectx] = [[embed(base, ectx, FqElement(base, c)).rep
-                                   for c in row] for row in lifted[base]]
-        return got
-    return rows_in
-
-
-def _usable_fiber(rows: list, n: int, t0: FqElement) -> Optional[list]:
-    """F(t0, s) as a dense list over t0's field when it has full degree n
-    and is squarefree, else None; ``rows`` are F's s-rows in that field.
-    The squarefree test needs only the degree of gcd(F(t0, s), F_s(t0, s)),
-    so it runs without inversions."""
-    ctx, t = t0.ctx, t0.rep
-    spec = _u_trim([_u_eval(ctx, row, t) for row in rows])
-    if _u_deg(spec) != n:
-        return None
-    der = _u_diff(ctx, spec)
-    if not der or _u_deg(_u_prs(ctx, spec, der)) > 0:
-        return None
-    return spec
-
-
 def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
                        seed: int = 0) -> GaloisReport:
     """Factor-degree census over random unramified specializations.
@@ -278,14 +238,14 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
         return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])
-    rows_in = _fiber_rows(fib.poly)
+    specialize = _squarefree_specializer(fib.poly, n)
     usable = 0
     for trial in range(trials):
         j = (trial % 3) + 1
         ectx = base if j == 1 else make_field(base.p, base.k * j)
         rng = random.Random(f"mc:{seed}:{trial}")
         t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
-        spec = _usable_fiber(rows_in(ectx), n, t0)
+        spec = specialize(t0)
         if spec is None:
             continue
         usable += 1
@@ -320,7 +280,7 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
     field is at most ``ext_cap``.
     """
     base = fpoly.ctx
-    rows_in = _fiber_rows(fpoly)
+    specialize = _squarefree_specializer(fpoly, n)
     rng = random.Random(seed_tag)
     found = []
     seen_t = []
@@ -332,7 +292,7 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
         if any(lift(t0, common_field(ectx, t.ctx))
                == lift(t, common_field(ectx, t.ctx)) for t in seen_t):
             continue
-        spec = _usable_fiber(rows_in(ectx), n, t0)
+        spec = specialize(t0)
         if spec is None:
             continue
         try:

@@ -13,9 +13,14 @@ The module provides the computational substrate used everywhere else:
   x^q through the p-power map, and the q-power matrix whose columns are
   x^(qi) mod f, so distinct-degree factorization raises to the q-th power
   by one matrix product per step (the Rabin test in ``gf`` reuses them),
-* inversion-free degree tests: where only the degree of a gcd matters (a
-  distinct-degree step, a squarefree test), a pseudo-remainder sequence
-  scales by leading coefficients instead of inverting them,
+* one univariate remainder loop, an inversion-free pseudo-remainder
+  sequence that scales by leading coefficients instead of inverting them:
+  the monic gcd makes its result monic once, and where only the degree of
+  a gcd matters (a distinct-degree step, a squarefree test) it is used
+  as it stands,
+* the dense specialization f(t0, s) of a bivariate f at field values t0,
+  screened for full degree and squarefreeness (the Monte Carlo screen and
+  the fiber search of ``galois``),
 * roots over the smallest splitting extension: one root per irreducible
   factor by equal-degree splitting, the others as its Frobenius conjugates,
 * resultants by the subresultant polynomial remainder sequence alone, one
@@ -499,19 +504,11 @@ def _u_monic(ctx, a):
     return [ctx.mul_t(inv, x) for x in a]
 
 
-def _u_gcd(ctx, a, b):
-    a, b = a[:], b[:]
-    while b:
-        _, r = _u_divmod(ctx, a, b)
-        a, b = b, r
-    return _u_monic(ctx, a)
-
-
 def _u_prs(ctx, a, b):
     """gcd(a, b) up to a nonzero scalar, by a pseudo-remainder sequence
     that never inverts: each elimination step scales the remainder by
     lc(b) instead of dividing by lc(b), and a monic b skips the scaling.
-    For callers that need only the gcd's degree, or make it monic once."""
+    Callers that need only the gcd's degree stop here."""
     if len(a) < len(b):
         a, b = b, a
     sub, mul = ctx.sub_t, ctx.mul_t
@@ -529,6 +526,11 @@ def _u_prs(ctx, a, b):
             _u_trim(r)
         a, b = b, r
     return a
+
+
+def _u_gcd(ctx, a, b):
+    """The monic gcd(a, b): ``_u_prs`` made monic by one inversion."""
+    return _u_monic(ctx, _u_prs(ctx, a, b))
 
 
 def _u_powmod(ctx, a, e, m):
@@ -794,6 +796,35 @@ def factor_degrees(f: Polynomial) -> list[int]:
     deg(g)/d of them, so no equal-degree splitting is needed.
     """
     return _u_factor_degrees(f.ctx, f.to_dense())
+
+
+def _squarefree_specializer(f: Polynomial, n: int):
+    """For a bivariate f(t, s), the map t0 -> f(t0, s), a dense list over
+    t0's field, or None unless it has degree n and is squarefree.  f is
+    split once into its s-rows, dense polynomials in t lifted into each
+    field on first request, and f(t0, s) is their Horner values at t0.
+    The squarefree test needs only the degree of gcd(f(t0, s), its
+    s-derivative), so it runs without inversions."""
+    base = f.ctx
+    rows = [[0] * (f.degree_in(0) + 1) for _ in range(f.degree_in(1) + 1)]
+    for (a, b), rep in f.terms.items():
+        rows[b][a] = rep
+    lifted = {base: [_u_trim(row) for row in rows]}
+
+    def at(t0: FqElement) -> Optional[list]:
+        ctx, t = t0.ctx, t0.rep
+        got = lifted.get(ctx)
+        if got is None:
+            got = lifted[ctx] = [[embed(base, ctx, FqElement(base, c)).rep
+                                  for c in row] for row in lifted[base]]
+        spec = _u_trim([_u_eval(ctx, row, t) for row in got])
+        if _u_deg(spec) != n:
+            return None
+        der = _u_diff(ctx, spec)
+        if not der or _u_deg(_u_prs(ctx, spec, der)) > 0:
+            return None
+        return spec
+    return at
 
 
 @dataclass(frozen=True)

@@ -346,6 +346,18 @@ def polyring_factor_degrees(cases=500):
         assert expect == sorted(g.degree() for g, _ in factor_univariate(f))
 
 
+def _euclid_gcd(ctx, a, b):
+    """Reference monic gcd: Euclid's algorithm by division with remainder,
+    one inversion per round.  It shares no code with polyring._u_prs,
+    whose remainder sequence polyring._u_gcd makes monic."""
+    while b:
+        a, b = b, _u_divmod(ctx, a, b)[1]
+    if not a:
+        return a
+    inv = ctx.inv_t(a[-1])
+    return [ctx.mul_t(inv, c) for c in a]
+
+
 def _powmod_distinct_degree(ctx, f):
     """Reference distinct-degree factorization of a monic squarefree f:
     h = x^(q^dd) mod f by one full powmod per step, parts by the monic
@@ -356,7 +368,7 @@ def _powmod_distinct_degree(ctx, f):
     dd = 1
     while _u_deg(f) >= 2 * dd:
         h = _u_powmod(ctx, h, ctx.order, f)
-        g = _u_gcd(ctx, _u_sub(ctx, h, x), f)
+        g = _euclid_gcd(ctx, _u_sub(ctx, h, x), f)
         if _u_deg(g) > 0:
             out.append((g, dd))
             f = _u_divmod(ctx, f, g)[0]
@@ -413,16 +425,17 @@ def polyring_ddf_matches_oracle(cases=500):
             while True:
                 f = _rand_dense(rng, ctx, rng.randrange(1, 9), monic=True)
                 der = _u_diff(ctx, f)
-                if der and _u_deg(_u_gcd(ctx, f, der)) == 0:
+                if der and _u_deg(_euclid_gcd(ctx, f, der)) == 0:
                     break
         assert _distinct_degree(ctx, f) == _powmod_distinct_degree(ctx, f)
 
 
-def polyring_prs_gcd_degree(cases=500):
+def polyring_gcd_matches_euclid(cases=500):
     """The inversion-free remainder sequence _u_prs gives a scalar multiple
-    of the monic Euclid gcd _u_gcd, so the same degree, on every field
-    shape: random pairs of degree 0 to 8, half of them with a planted
-    common factor, and zero operands."""
+    of the Euclid oracle's monic gcd, so the same degree, and _u_gcd (that
+    sequence made monic) equals the oracle, on every field shape: random
+    pairs of degree 0 to 8, half of them with a planted common factor, and
+    zero operands."""
     rng = random.Random(207)
     for i in range(cases):
         ctx = make_field(*_DENSE_FIELDS[i % len(_DENSE_FIELDS)])
@@ -433,10 +446,9 @@ def polyring_prs_gcd_degree(cases=500):
             a, b = _u_mul(ctx, a, c), _u_mul(ctx, b, c)
         if i % 11 == 0:
             a = []
-        g, r = _u_gcd(ctx, a, b), _u_prs(ctx, a, b)
+        g, r = _euclid_gcd(ctx, a, b), _u_prs(ctx, a, b)
         assert _u_deg(r) == _u_deg(g)
-        if r:
-            assert [ctx.mul_t(ctx.inv_t(r[-1]), c) for c in r] == g
+        assert _u_gcd(ctx, a, b) == g
 
 
 def polyring_splitting_roots(cases=500):

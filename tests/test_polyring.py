@@ -333,8 +333,8 @@ class TestProperties:
     def test_ddf_matches_oracle(self):
         props.polyring_ddf_matches_oracle(140)
 
-    def test_prs_gcd_degree(self):
-        props.polyring_prs_gcd_degree(280)
+    def test_gcd_matches_euclid(self):
+        props.polyring_gcd_matches_euclid(280)
 
     def test_splitting_roots(self):
         props.polyring_splitting_roots(150)
