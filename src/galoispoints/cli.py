@@ -195,6 +195,9 @@ def cmd_pair(args, cfg: RunConfig) -> int:
     curve = load_curve(args.curve)
     inner_pt = parse_point(args.inner, curve.ctx)
     outer_pt = parse_point(args.outer, curve.ctx)
+    if inner_pt == outer_pt:
+        raise InputError(f"--inner and --outer are the same point "
+                         f"{inner_pt.spec_str()}; a pair needs two")
     inner_payload, inner = _pair_side(curve, inner_pt, cfg)
     outer_payload, outer = _pair_side(curve, outer_pt, cfg)
     joint = None

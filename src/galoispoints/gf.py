@@ -49,16 +49,26 @@ Design notes
   request the smallest extension in which the relevant polynomial splits;
   one embedding F_{p^a} -> F_{p^b} (a | b) per pair is computed once and
   cached.  Each embedding maps the source generator to the canonical root
-  of the source modulus inside the multiplicative copy of the subfield,
-  so the same homomorphism is used every time.  The embeddings are fixed
-  per pair but not compatible: through an intermediate field the composite
-  can differ from the direct map by a power of Frobenius (F_9 -> F_81 ->
-  F_6561 sends the generator of F_9 to the conjugate of its direct image).
+  of the source modulus: the one of least index i on the subfield cycle
+  delta^i, delta = g^((p^b - 1)/(p^a - 1)) for the canonical generator g
+  of F_{p^b}, so the same homomorphism is used every time.  The roots
+  come from the root finder of ``polyring`` and the index from a discrete
+  log by Pohlig-Hellman with baby-step giant-step per digit
+  (:func:`_subgroup_log`).  A first embedding costs about sqrt(l)
+  multiplications per digit, for the largest prime l of p^a - 1, plus
+  the factorization of p^b - 1 that :func:`multiplicative_generator`
+  does anyway.  Descent (:func:`try_descend`) solves an F_p-linear system
+  on the digits of the powers of that root, eliminated once per pair.
+  The embeddings are fixed per pair but not compatible: through an
+  intermediate field the composite can differ from the direct map by a
+  power of Frobenius (F_9 -> F_81 -> F_6561 sends the generator of F_9 to
+  the conjugate of its direct image).
 * ``FqElement`` is immutable.  ``FieldCtx`` is not: its tables, its
   multiplicative generator (``_gen``) and unit-group factorization
   (``_unit_factors``) are filled in lazily on first use.  The embedding
-  and descent tables (``_EMBED_CACHE``, ``_DESCEND_CACHE``) are
-  module-level dicts that grow without bound, one entry per field pair.
+  and descent caches (``_EMBED_CACHE``, ``_DESCEND_CACHE``) are
+  module-level dicts that grow without bound, one entry of k reps or a
+  k x k matrix over F_p per field pair.
   Nothing here takes a lock.
 
 Characteristic-0 statements are emulated by choosing a prime p that does
@@ -69,7 +79,9 @@ an equivalence, and is documented where it is used.
 from __future__ import annotations
 
 import functools
+import math
 import operator
+import random
 from array import array
 from typing import Iterator, Optional
 
@@ -796,6 +808,50 @@ def nth_root_of_unity(ctx: FieldCtx, n: int) -> Optional[FqElement]:
     return FqElement(ctx, ctx.pow_t(g.rep, (ctx.order - 1) // n))
 
 
+def _subgroup_log(ctx: FieldCtx, delta: int, n: int, r: int,
+                  primes) -> int:
+    """The least i >= 0 with delta^i = r, for delta of order n and r in
+    <delta> (reps of ``ctx``), by Pohlig-Hellman (IEEE Trans. Inf. Theory
+    24, 1978): for each prime power l^e exactly dividing n, the residue i
+    mod l^e one base-l digit at a time, each digit by baby-step giant-step
+    in the subgroup of order l, then the Chinese remainder theorem.  It
+    costs about sqrt(l) multiplications per digit for the largest prime l
+    of n.  ``primes`` is a superset of the primes of n."""
+    mul, power = ctx.mul_t, ctx.pow_t
+    i, mod = 0, 1
+    for l in primes:
+        e, m = 0, n
+        while m % l == 0:
+            e, m = e + 1, m // l
+        if not e:
+            continue
+        le = l ** e
+        g_inv = ctx.inv_t(power(delta, n // le))    # of order l^e
+        h = power(r, n // le)
+        gl = power(delta, n // l)                   # of order l
+        s = math.isqrt(l - 1) + 1
+        baby, cur = {}, 1
+        for j in range(s):
+            baby[cur] = j
+            cur = mul(cur, gl)
+        giant = ctx.inv_t(cur)
+        x = 0
+        for j in range(e):
+            # gl^d = (h g^-x)^(l^(e-1-j)) for the digit d of l^j
+            t = power(mul(h, power(g_inv, x)), le // l ** (j + 1))
+            for step in range(s):
+                d = baby.get(t)
+                if d is not None:
+                    break
+                t = mul(t, giant)
+            else:
+                raise ValueError("element is not in the subgroup")
+            x += (d + step * s) % l * l ** j
+        i += mod * ((x - i) * pow(mod, -1, le) % le)
+        mod *= le
+    return i
+
+
 _EMBED_CACHE: dict[tuple[tuple, tuple], tuple[int, ...]] = {}
 
 
@@ -803,8 +859,16 @@ def embed(src: FieldCtx, dst: FieldCtx, a: FqElement) -> FqElement:
     """Image of ``a`` under the fixed field homomorphism F_{p^a} -> F_{p^b}.
 
     Requires src.p == dst.p and src.k | dst.k.  The map sends the source
-    generator to the first root of the source modulus on the canonical
-    subfield cycle of ``dst``, so repeated calls agree.
+    generator to the root of the source modulus of least index i on the
+    subfield cycle delta^i of ``dst``, delta = g^((p^b - 1)/(p^a - 1)) for
+    the canonical generator g, so repeated calls agree.  The a roots come
+    from one chain of degree-1 Cantor-Zassenhaus splits in ``dst`` and
+    their Frobenius conjugates r^(p^j), whose indices are i_0 p^j mod
+    p^a - 1; i_0 is one discrete log by :func:`_subgroup_log`, over the
+    primes of p^b - 1 that :func:`multiplicative_generator` factors
+    anyway.  A first embedding of a pair costs that factorization plus
+    about sqrt(l) multiplications in ``dst`` per base-l digit of i_0, for
+    the largest prime l of p^a - 1.
     """
     if a.ctx != src:
         raise IncompatibleFields("element does not belong to src")
@@ -818,19 +882,14 @@ def embed(src: FieldCtx, dst: FieldCtx, a: FqElement) -> FqElement:
     key = ((src.p, src.k, src.modulus), (dst.p, dst.k, dst.modulus))
     powers = _EMBED_CACHE.get(key)
     if powers is None:
-        from .polyring import _u_eval
-        # subfield units of dst = <gen^((q_dst-1)/(q_src-1))>
-        step = (dst.order - 1) // (src.order - 1)
-        delta = dst.pow_t(multiplicative_generator(dst).rep, step)
-        root = None
-        cur = 1
-        for _ in range(src.order - 1):
-            if not _u_eval(dst, src.modulus, cur):
-                root = cur
-                break
-            cur = dst.mul_t(cur, delta)
-        if root is None:
-            raise IncompatibleFields("source modulus has no root in dst")
+        from .polyring import _conjugate_roots
+        n = src.order - 1
+        delta = dst.pow_t(multiplicative_generator(dst).rep,
+                          (dst.order - 1) // n)
+        roots = _conjugate_roots(dst, list(src.modulus), src.p,
+                                 random.Random(0))
+        i0 = _subgroup_log(dst, delta, n, roots[0], _unit_group_factors(dst))
+        root = roots[min(range(src.k), key=lambda j: i0 * src.p ** j % n)]
         pw = [1]
         for _ in range(src.k - 1):
             pw.append(dst.mul_t(pw[-1], root))
@@ -853,7 +912,6 @@ def common_field(c1: FieldCtx, c2: FieldCtx) -> FieldCtx:
         return c2
     if c1.k % c2.k == 0:
         return c1
-    import math
     return make_field(c1.p, math.lcm(c1.k, c2.k))
 
 
@@ -864,12 +922,49 @@ def lift(a: FqElement, dst: FieldCtx) -> FqElement:
     return embed(a.ctx, dst, a)
 
 
-_DESCEND_CACHE: dict[tuple[tuple, tuple], dict] = {}
+_DESCEND_CACHE: dict[tuple[tuple, tuple], tuple] = {}
+
+
+def _descent_solver(sub: FieldCtx, dst: FieldCtx) -> tuple:
+    """(pivots, rows) for reading a preimage in ``sub`` off the digits of
+    an element of the subfield copy in ``dst``.  The digit vectors of the
+    images root^i of the basis x^i, each with the unit vector e_i
+    appended, are brought to reduced row echelon form over F_p; pivot k
+    sits in digit pivots[k], and rows[k] is its row of the transform.  An
+    image v = sum_i x_i root^i then has x_i = sum_k v[pivots[k]]
+    rows[k][i] mod p."""
+    p, a, b = sub.p, sub.k, dst.k
+    aug = []
+    for i in range(a):
+        unit = [int(i == j) for j in range(a)]
+        image = embed(sub, dst, FqElement(sub, sub._from_digits(unit))).rep
+        aug.append(list(dst._digits(image)) + unit)
+    pivots = []
+    for col in range(b):
+        r = len(pivots)
+        piv = next((i for i in range(r, a) if aug[i][col]), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = pow(aug[r][col], -1, p)
+        aug[r] = [x * inv % p for x in aug[r]]
+        for i in range(a):
+            c = aug[i][col]
+            if i != r and c:
+                aug[i] = [(x - c * y) % p for x, y in zip(aug[i], aug[r])]
+        pivots.append(col)
+        if len(pivots) == a:
+            break
+    return tuple(pivots), [row[b:] for row in aug]
 
 
 def try_descend(a: FqElement, sub: FieldCtx) -> Optional[FqElement]:
     """The preimage of ``a`` under sub -> a.ctx, or None when a is outside
-    the canonical subfield copy (the Frobenius-fixed set of size |sub|)."""
+    the canonical subfield copy (the Frobenius-fixed set of size |sub|).
+    The preimage's digits solve the F_p-linear system sum_i x_i root^i =
+    a over the digits of ``a.ctx``, with the elimination done once per
+    pair (:func:`_descent_solver`): k^2 operations in F_p per call, for
+    k the degree of ``sub``."""
     if a.ctx == sub:
         return a
     if a.ctx.p != sub.p or a.ctx.k % sub.k != 0:
@@ -877,11 +972,16 @@ def try_descend(a: FqElement, sub: FieldCtx) -> Optional[FqElement]:
     if a.ctx.pow_t(a.rep, sub.order) != a.rep:
         return None
     key = ((sub.p, sub.k, sub.modulus), (a.ctx.p, a.ctx.k, a.ctx.modulus))
-    reverse = _DESCEND_CACHE.get(key)
-    if reverse is None:
-        reverse = {embed(sub, a.ctx, x).rep: x for x in sub.elements()}
-        _DESCEND_CACHE[key] = reverse
-    return reverse.get(a.rep)
+    solver = _DESCEND_CACHE.get(key)
+    if solver is None:
+        solver = _DESCEND_CACHE[key] = _descent_solver(sub, a.ctx)
+    pivots, rows = solver
+    v = a.ctx._digits(a.rep)
+    x = [0] * sub.k
+    for c, row in zip(pivots, rows):
+        if v[c]:
+            x = [(xi + v[c] * ri) % sub.p for xi, ri in zip(x, row)]
+    return FqElement(sub, sub._from_digits(x))
 
 
 def parse_field_spec(spec: str) -> FieldCtx:

@@ -12,7 +12,9 @@ The module provides the computational substrate used everywhere else:
 * Frobenius maps on residues mod a monic f: x^p by left-to-right squaring,
   x^q through the p-power map, and the q-power matrix whose columns are
   x^(qi) mod f, so distinct-degree factorization raises to the q-th power
-  by one matrix product per step (the Rabin test in ``gf`` reuses them),
+  by one matrix product per step, and a Cantor-Zassenhaus draw u goes to
+  u^((q^m - 1)/2) as (u u^q ... u^(q^(m-1)))^((q-1)/2) (the Rabin test in
+  ``gf`` reuses them),
 * one univariate remainder loop, an inversion-free pseudo-remainder
   sequence that scales by leading coefficients instead of inverting them:
   the monic gcd makes its result monic once, and where only the degree of
@@ -702,11 +704,43 @@ def _distinct_degree(ctx, f) -> list[tuple[list, int]]:
     return out
 
 
-def _split_once(ctx, f, dd, rng) -> list:
+def _u_frobenius_map(ctx, f, q):
+    """The map h -> h^q on residues mod a monic f over F_Q = ctx, for q a
+    power of p with Q a power of q.  For q = Q it is F_Q-linear, through
+    the columns (x^Q)^i mod f with x^Q from ``_u_frobenius_x``; otherwise
+    it is semilinear: each coefficient goes to its q-th power, then
+    through the columns (x^q)^i mod f with x^q from ``_u_powx``."""
+    if q == ctx.order:
+        cols = _u_power_columns(ctx, _u_frobenius_x(ctx, f), f)
+        return lambda h: _u_apply_columns(ctx, cols, h)
+    cols = _u_power_columns(ctx, _u_powx(ctx, q, f), f)
+    power = ctx.pow_t
+    return lambda h: _u_apply_columns(ctx, cols, [power(c, q) for c in h])
+
+
+def _u_half_power(ctx, u, f, q, m, frob):
+    """u^((q^m - 1)/2) mod a monic f, for odd q and u reduced mod f, as
+    (u u^q ... u^(q^(m-1)))^((q-1)/2) with the q-th powers from ``frob``
+    (a ``_u_frobenius_map``; unused when m = 1)."""
+    t = acc = u
+    for _ in range(m - 1):
+        t = frob(t)
+        acc = _u_divmod(ctx, _u_mul(ctx, acc, t), f)[1]
+    return _u_powmod(ctx, acc, (q - 1) // 2, f)
+
+
+def _split_once(ctx, f, dd, rng, q) -> list:
     """A proper monic factor of a monic product f of degree-dd irreducibles
-    (deg f > dd) by Cantor-Zassenhaus draws from ``rng``.  A draw splits f
-    about half the time, so 128 failed draws raise SoundnessError."""
+    (deg f > dd) by Cantor-Zassenhaus draws from ``rng``.  ctx is F_Q for
+    Q = q^j; for odd q a draw u is raised to (Q^dd - 1)/2 = (q^m - 1)/2,
+    m = j dd, by ``_u_half_power``, whose q-power map is built once per
+    f.  A draw splits f about half the time, so 128 failed draws raise
+    SoundnessError."""
     n = _u_deg(f)
+    j = 1
+    while q ** j < ctx.order:
+        j += 1
+    m, frob = j * dd, None
     for _ in range(128):
         u = _u_trim([ctx.decode(rng.randrange(ctx.order)) for _ in range(n)])
         if _u_deg(u) < 1:
@@ -720,7 +754,9 @@ def _split_once(ctx, f, dd, rng) -> list:
                 acc = _u_add(ctx, acc, t)
             g = _u_gcd(ctx, acc, f)
         elif _u_deg(g) == 0:
-            s = _u_powmod(ctx, u, (ctx.order ** dd - 1) // 2, f)
+            if frob is None and m > 1:
+                frob = _u_frobenius_map(ctx, f, q)
+            s = _u_half_power(ctx, u, f, q, m, frob)
             g = _u_gcd(ctx, _u_sub(ctx, s, [1]), f)
         if 0 < _u_deg(g) < n:
             return g
@@ -731,7 +767,7 @@ def _equal_degree(ctx, f, dd, rng) -> list[list]:
     """Cantor-Zassenhaus split of a monic product of degree-dd irreducibles."""
     if _u_deg(f) == dd:
         return [f]
-    g = _split_once(ctx, f, dd, rng)
+    g = _split_once(ctx, f, dd, rng, ctx.order)
     rest, _ = _u_divmod(ctx, f, g)
     return _equal_degree(ctx, g, dd, rng) + _equal_degree(ctx, rest, dd, rng)
 
@@ -744,7 +780,7 @@ def _conjugate_roots(ectx, f, q, rng) -> list[int]:
     d = _u_deg(f)
     g = f
     while _u_deg(g) > 1:
-        h = _split_once(ectx, g, 1, rng)
+        h = _split_once(ectx, g, 1, rng, q)
         g = min(h, _u_divmod(ectx, g, h)[0], key=len)
     roots = [ectx.neg_t(g[0])]
     for _ in range(d):

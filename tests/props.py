@@ -10,10 +10,13 @@ import math
 import random
 
 from galoispoints.gf import (
+    _subgroup_log,
+    _unit_group_factors,
     common_field,
     embed,
     lift,
     make_field,
+    multiplicative_generator,
     nth_root_of_unity,
     try_descend,
 )
@@ -23,7 +26,10 @@ from galoispoints.polyring import (
     _u_deg,
     _u_diff,
     _u_divmod,
+    _u_eval,
+    _u_frobenius_map,
     _u_gcd,
+    _u_half_power,
     _u_mul,
     _u_powmod,
     _u_prs,
@@ -233,6 +239,65 @@ def gf_embed_descend_round_trip(src, dst, cases=50):
             assert embed(src, dst, down) == x
 
 
+def embed_scan_oracle(src, dst):
+    """The image of x in ``dst`` by the subfield-cycle scan that fixed the
+    embeddings before they came from root finding: the first delta^i, for
+    delta = g^((p^b - 1)/(p^a - 1)) and g the canonical generator of dst,
+    at which the source modulus vanishes.  It walks up to p^a - 1
+    elements, so it serves small pairs only."""
+    step = (dst.order - 1) // (src.order - 1)
+    delta = dst.pow_t(multiplicative_generator(dst).rep, step)
+    cur = 1
+    for _ in range(src.order - 1):
+        if not _u_eval(dst, list(src.modulus), cur):
+            return cur
+        cur = dst.mul_t(cur, delta)
+    raise AssertionError(f"{src!r} has no root in {dst!r}")
+
+
+def gf_embed_matches_scan(src, dst, cases=20):
+    """embed sends x to the scan oracle's root, so its image of a = sum
+    a_i x^i is sum a_i root^i; a prime field maps onto the constants."""
+    rng = random.Random(f"scan:{src.spec}:{dst.spec}")
+    if src.k == 1:
+        for a in src.elements():
+            assert embed(src, dst, a).rep == a.rep
+        return
+    root = embed_scan_oracle(src, dst)
+    assert embed(src, dst, src.element(src.p)).rep == root
+    for _ in range(cases):
+        a = src.element(rng.randrange(src.order))
+        want = 0
+        for digit in reversed(src._digits(a.rep)):
+            want = dst.add_t(dst.mul_t(want, root), digit)
+        assert embed(src, dst, a).rep == want
+
+
+def gf_subgroup_log(ctx, cases=50):
+    """_subgroup_log(delta, n, r) is the least i with delta^i = r, for delta
+    of order n: exhaustively against a walk on every divisor n <= 64 of
+    q - 1, and for r = delta^i with random i in [0, n) on random larger
+    divisors n <= 4096 and on n = q - 1."""
+    rng = random.Random(f"log:{ctx.spec}")
+    q1 = ctx.order - 1
+    primes = _unit_group_factors(ctx)
+    g = multiplicative_generator(ctx).rep
+    divisors = [n for n in range(1, min(q1, 4096) + 1) if q1 % n == 0]
+    large = [n for n in divisors if n > 64] + [q1] * (q1 > 4096)
+    for n in divisors:
+        if n > 64:
+            continue
+        delta, cur = ctx.pow_t(g, q1 // n), 1
+        for i in range(n):
+            assert _subgroup_log(ctx, delta, n, cur, primes) == i
+            cur = ctx.mul_t(cur, delta)
+    for c in range(cases if large else 0):
+        n = q1 if c % 2 else rng.choice(large)
+        delta, i = ctx.pow_t(g, q1 // n), rng.randrange(n)
+        r = ctx.pow_t(delta, i)
+        assert _subgroup_log(ctx, delta, n, r, primes) == i
+
+
 def gf_frobenius_closure(cases=500):
     """a^(p^k) = a for every element, exhaustively on fields up to 4096."""
     fields = [make_field(7), make_field(2, 2), make_field(13, 2),
@@ -428,6 +493,31 @@ def polyring_ddf_matches_oracle(cases=500):
                 if der and _u_deg(_euclid_gcd(ctx, f, der)) == 0:
                     break
         assert _distinct_degree(ctx, f) == _powmod_distinct_degree(ctx, f)
+
+
+# Odd fields of every shape with the orders q of their subfields: q = Q
+# runs the F_Q-linear q-power map, a proper subfield the semilinear one.
+_HALF_POWER_FIELDS = [((13, 1), [13]), ((3, 2), [3, 9]), ((5, 3), [5, 125]),
+                      ((5, 6), [5, 25, 125, 5 ** 6]), ((3, 8), [3, 9, 81]),
+                      ((19, 3), [19, 19 ** 3])]
+
+
+def polyring_half_power_matches_powmod(cases=500):
+    """_u_half_power, the product of Frobenius images raised to (q-1)/2,
+    equals u^((q^m - 1)/2) mod f by one full powmod, for random monic f of
+    degree 1 to 6, random u reduced mod f and m from 1 to 4, on odd fields
+    of every shape with both the linear and the semilinear q-power map."""
+    rng = random.Random(208)
+    for i in range(cases):
+        spec, qs = _HALF_POWER_FIELDS[i % len(_HALF_POWER_FIELDS)]
+        ctx = make_field(*spec)
+        q = qs[(i // len(_HALF_POWER_FIELDS)) % len(qs)]
+        f = _rand_dense(rng, ctx, rng.randrange(1, 7), monic=True)
+        u = _u_divmod(ctx, _rand_dense(rng, ctx, rng.randrange(0, 7)), f)[1]
+        m = rng.randrange(1, 5)
+        frob = _u_frobenius_map(ctx, f, q)
+        assert (_u_half_power(ctx, u, f, q, m, frob)
+                == _u_powmod(ctx, u, (q ** m - 1) // 2, f))
 
 
 def polyring_gcd_matches_euclid(cases=500):

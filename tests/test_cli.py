@@ -1,10 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from galoispoints.cli import dispatch
 from galoispoints.schema import SCHEMAS, SchemaError, validate, validate_report
@@ -350,6 +354,9 @@ class TestGoldenReports:
         (["pair", str(FIXTURES / "tame_d5_f19_curve.json"),
           "--inner", "1:0:0", "--outer", "0:1:0"],
          "golden_pair_tame_d5_f19.json"),
+        (["check", str(FIXTURES / "refute_tail_f17_curve.json"),
+          "--point", "12:13:1"],
+         "golden_check_refute_tail_f17.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)
@@ -429,3 +436,91 @@ class TestSchemas:
     def test_bool_is_not_integer(self):
         with pytest.raises(SchemaError):
             validate({"error": "X", "message": True}, SCHEMAS["error"])
+
+
+# Fuzzed CLI runs over fields small enough that each one stays well under a
+# second: well-formed curve files, points and flags, which reach the
+# verdict code, and malformed ones, which must be rejected cleanly.
+_FIELDS = {"2^1": 2, "3^1": 3, "5^1": 5, "7^1": 7, "2^2": 4, "3^2": 9}
+_TERM = st.tuples(st.integers(0, 9), st.integers(0, 4), st.integers(0, 4))
+_CURVES = [[(1, 0, 3), (1, 2, 0), (1, 0, 0)],
+           [(1, 0, 2), (1, 3, 0), (1, 1, 0), (1, 0, 0)],
+           [(1, 0, 4), (1, 3, 0), (1, 0, 0)],
+           [(1, 0, 3), (1, 3, 0), (1, 0, 0)],
+           [(1, 0, 4), (1, 4, 0), (1, 1, 1), (1, 0, 0)]]
+_POLY = st.tuples(st.sampled_from(_CURVES), st.lists(_TERM, max_size=3)).map(
+    lambda bt: "+".join(f"{c}*x^{i}*y^{j}" for c, i, j in bt[0] + bt[1]))
+
+
+@st.composite
+def _wellformed_run(draw):
+    field = draw(st.sampled_from(sorted(_FIELDS)))
+    coord = st.integers(0, min(_FIELDS[field] - 1, 4))
+    point = st.lists(coord, min_size=3, max_size=3).filter(any).map(
+        lambda cs: ":".join(map(str, cs)))
+    curve = {"field": field, "affine_poly": draw(_POLY)}
+    if draw(st.booleans()):
+        curve["assume_irreducible"] = draw(st.booleans())
+    command = draw(st.sampled_from(["check", "pair"]))
+    if command == "check":
+        argv = ["--point", draw(point), "--strategy", draw(st.sampled_from(
+            ["auto", "collineation", "monte_carlo"]))]
+    else:
+        argv = ["--inner", draw(point), "--outer", draw(point)]
+    argv += ["--trials", str(draw(st.integers(1, 8))),
+             "--seed", str(draw(st.integers(0, 5))),
+             "--ext-cap", str(draw(st.integers(1, 4)))]
+    return json.dumps(curve), command, argv
+
+
+_MALFORMED_CURVE = st.one_of(
+    st.fixed_dictionaries(
+        {"field": st.sampled_from(["4^1", "9", "13^0", "x^2", "", 7, None]),
+         "affine_poly": _POLY}),
+    st.fixed_dictionaries(
+        {"field": st.sampled_from(sorted(_FIELDS)),
+         "affine_poly": st.one_of(_POLY, st.text("xy^*+-0123456789() ",
+                                                 max_size=12))},
+        optional={"modulus": st.lists(st.integers(-1, 3), max_size=4),
+                  "bogus": st.integers()}),
+    st.sampled_from([[], "x+y", 3, None])).map(json.dumps)
+_MALFORMED_FLAGS = st.lists(st.sampled_from([
+    ["--point", "0:1:0"], ["--inner", "1:0:0"], ["--outer", "0:1:1"],
+    ["--strategy", "deck"], ["--strategy", "auto"], ["--trials", "0"],
+    ["--seed", "x"], ["--ext-cap", "-1"], ["--closure-cap", "1"],
+    ["--brute-q-cap", "0"], ["--bogus"],
+    ["--point", "1:1"], ["--point", "0:0:0"], ["--point", "9:9:9"],
+    ["--inner", "a:b:c"]]), max_size=4)
+
+
+def _run_fuzzed(curve_text: str, command: str, argv: list) -> None:
+    """Run one fuzzed invocation: exit 0, 1 or 2, no traceback, one JSON
+    error object on stderr exactly when the exit code is not 0."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "curve.json"
+        path.write_text(curve_text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = dispatch([command, str(path)] + argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    if code:
+        assert json.loads(err.getvalue())["kind"] == "error"
+    else:
+        assert not err.getvalue()
+        kind = {"check": "galois_report", "pair": "pair_report"}[command]
+        assert json.loads(out.getvalue())["kind"] == kind
+
+
+class TestFuzzedCli:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(run=_wellformed_run())
+    def test_wellformed_runs_exit_cleanly(self, run):
+        _run_fuzzed(*run)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(curve=_MALFORMED_CURVE, raw=st.booleans(),
+           command=st.sampled_from(["check", "pair"]), flags=_MALFORMED_FLAGS)
+    def test_malformed_runs_exit_cleanly(self, curve, raw, command, flags):
+        _run_fuzzed("{ not json" if raw else curve, command,
+                    ["--ext-cap", "3"] + [a for f in flags for a in f])

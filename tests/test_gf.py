@@ -179,7 +179,9 @@ class TestRepresentations:
     @pytest.mark.parametrize("src, dst", [
         ((2, 1), (2, 13)), ((2, 2), (2, 6)), ((2, 6), (2, 12)),
         ((2, 12), (2, 48)), ((13, 1), (13, 3)), ((3, 2), (3, 8)),
-        ((5, 2), (5, 10)), ((31, 2), (31, 6))],
+        ((5, 2), (5, 10)), ((31, 2), (31, 6)), ((19, 1), (19, 4)),
+        ((7, 2), (7, 6)), ((3, 5), (3, 10)), ((19, 3), (19, 6)),
+        ((17, 6), (17, 12)), ((19, 6), (19, 12))],
         ids=lambda f: f"{f[0]}^{f[1]}")
     def test_embed_descend_round_trip(self, src, dst):
         props.gf_embed_descend_round_trip(make_field(*src), make_field(*dst))
@@ -223,6 +225,40 @@ class TestRepresentations:
         got = _u_mul(ctx, a, a)
         assert builds == [ctx]
         assert got == _u_mul(make_field(3, 4), a, a)
+
+
+# Pairs of every field shape: prime -> extension (into a tabled, a packed
+# and a bit-polynomial field), odd tabled, odd packed, 2^k tabled and bit
+# polynomial, each small enough for the subfield-cycle scan.
+SCAN_PAIRS = [((13, 1), (13, 3)), ((19, 1), (19, 4)), ((2, 1), (2, 13)),
+              ((3, 2), (3, 4)), ((3, 3), (3, 6)), ((5, 2), (5, 4)),
+              ((7, 2), (7, 6)), ((5, 3), (5, 6)), ((3, 5), (3, 10)),
+              ((19, 3), (19, 6)), ((13, 2), (13, 4)), ((2, 3), (2, 6)),
+              ((2, 4), (2, 8)), ((2, 6), (2, 12)), ((2, 4), (2, 16)),
+              ((2, 12), (2, 24))]
+
+
+class TestEmbedByRoots:
+    @pytest.mark.parametrize("src, dst", SCAN_PAIRS,
+                             ids=[f"{a}^{b}-{c}^{d}" for (a, b), (c, d)
+                                  in SCAN_PAIRS])
+    def test_matches_subfield_scan(self, src, dst):
+        props.gf_embed_matches_scan(make_field(*src), make_field(*dst))
+
+    @pytest.mark.parametrize("p, k", [(13, 1), (3, 4), (2, 6), (2, 13),
+                                      (5, 6), (17, 12), (2, 24)],
+                             ids=["13", "3^4", "2^6", "2^13", "5^6", "17^12",
+                                  "2^24"])
+    def test_subgroup_log_is_least_index(self, p, k):
+        props.gf_subgroup_log(make_field(p, k))
+
+    @pytest.mark.parametrize("p, code", [(17, 419527191652445),
+                                         (19, 1523351480339486)])
+    def test_slow_scan_images_pinned(self, p, code):
+        # the images of x in 17^6 -> 17^12 and 19^6 -> 19^12, as the
+        # subfield-cycle scan found them in 33 s and 77 s
+        src, dst = make_field(p, 6), make_field(p, 12)
+        assert embed(src, dst, src.element(p)).encoding() == code
 
 
 class TestProperties:

@@ -194,7 +194,7 @@ class TestSplittingRoots:
         # x^2 + 1 is irreducible over F_3: degree-1 draws never split it
         F3 = make_field(3)
         with pytest.raises(SoundnessError):
-            _split_once(F3, [1, 0, 1], 1, random.Random(0))
+            _split_once(F3, [1, 0, 1], 1, random.Random(0), 3)
 
 
 class TestSquarefreePart:
@@ -335,6 +335,9 @@ class TestProperties:
 
     def test_gcd_matches_euclid(self):
         props.polyring_gcd_matches_euclid(280)
+
+    def test_half_power_matches_powmod(self):
+        props.polyring_half_power_matches_powmod(240)
 
     def test_splitting_roots(self):
         props.polyring_splitting_roots(150)
