@@ -167,7 +167,7 @@ def invariant_generator(G: FiniteProjectivityGroup, Q0: ProjPoint) -> RationalMa
         f = (F - val).reciprocal()
     # exact verification of all three contract clauses
     for sigma in H.elements:
-        if f.compose_mobius(sigma) != f:
+        if not f.invariant_under(sigma):
             raise LadderExhausted("invariant candidate failed invariance")
     if f.degree() != n:
         raise LadderExhausted("invariant candidate degree drop")  # pragma: no cover

@@ -424,6 +424,8 @@ def build_family(spec: FamilySpec,
     if spec.tag == "thm2_wild":
         if spec.p is None or spec.e is None or spec.m is None:
             raise InputError("thm2_wild needs p, e, m")
+        if spec.e < 1 or spec.m < 1:
+            raise InputError("thm2_wild needs e >= 1 and m >= 1")
         if spec.p != p:
             raise InputError(f"field characteristic {p} != spec p = {spec.p}")
         if spec.m % p == 0 or (p ** spec.e - 1) % spec.m != 0:

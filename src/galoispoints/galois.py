@@ -9,13 +9,22 @@ methods are implemented, in decreasing order of authority:
   degree, the projection is Galois with that group: certified.  The group
   is found by a complete enumeration: every such collineation fixes each
   line of the pencil, hence acts on two precomputed squarefree fibers by
-  an affine map of the fiber coordinate, and all candidate affine maps
-  through fiber roots are enumerated and verified exactly.
+  an affine map s -> lam s + mu of the fiber coordinate.  All candidate
+  maps through fiber roots are enumerated on reps of the working field
+  and filtered by fiber membership; each survivor
+  (x : beta x + lam y + delta z : z) is verified exactly by a dense test
+  on the y-rows a_i(x) of F(x, y) = moved(x, y, 1): with
+  l = beta x + delta, lam^j sum_{i >= j} C(i, j) a_i l^(i - j) must equal
+  lam^n a_j for every row j, checked from the top with the binomials
+  taken mod p.  A projectivity is built only for a verified map.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
-  {sigma in PGL(2) : h o sigma = h} of a rational function h; the deck
-  group is enumerated completely through Moebius maps matching three
-  anchor roots of two generic fibers.  Order = degree certifies.
+  {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D; the
+  deck group is enumerated completely through the raw matrices of the
+  Moebius maps matching three anchor roots of two generic fibers,
+  filtered by fiber membership on reps and verified by the dense
+  identity N^h(at + b, ct + d) D = D^h(at + b, ct + d) N.  Order =
+  degree certifies.
 * ``monte_carlo`` -- a statistical screen: over an unramified squarefree
   specialization of the fiber polynomial, a Galois cover has all residue
   degrees equal, so two distinct irreducible factor degrees refute
@@ -63,9 +72,14 @@ from .errors import (
 from .gf import FieldCtx, FqElement, common_field, lift, make_field
 from .polyring import (
     Polynomial,
-    _split_by_var,
+    _dense_rows,
     _squarefree_specializer,
+    _u_add,
+    _u_deg,
+    _u_eval,
     _u_factor_degrees,
+    _u_mul,
+    _u_trim,
     splitting_roots,
 )
 from .projective import (
@@ -73,13 +87,12 @@ from .projective import (
     GroupDescriptor,
     Projectivity,
     ProjPoint,
+    _normalize,
     generate_group,
     identify_group,
-    _to_standard,
-    point_p1,
     trivial_group,
 )
-from .ratfunc import RationalMap1D, linear_fraction
+from .ratfunc import RationalMap1D, _mobius_fixes, linear_fraction
 
 
 # ---------------------------------------------------------------------------
@@ -91,18 +104,18 @@ class ProjectionFiber:
     """The fiber polynomial F(t, s) of a projection.
 
     ``curve`` and ``center`` are lifted to one field.  The projectivity
-    ``normalizer`` moves the center to (0:1:0) and ``moved`` is the curve's
-    form composed with its inverse, so lines through the center are
-    x = const; in the chart z = 1, F(t, s) = moved(t, s, 1) has exact
-    s-degree n, with n = d - 1 for an inner center and n = d for an outer
-    one.
+    ``normalizer`` moves the center to (0:1:0); in the curve's form
+    composed with its inverse, moved(x, y, z), lines through the center
+    are x = const, and in the chart z = 1, F(t, s) = moved(t, s, 1) has
+    exact s-degree n, with n = d - 1 for an inner center and n = d for an
+    outer one.  The chart keeps every term of the form, so F determines
+    moved.
     """
 
     center: ProjPoint
     inner: bool
     degree: int
     poly: Polynomial        # bivariate, var 0 = pencil t, var 1 = fiber s
-    moved: Polynomial       # the form in coordinates with the center at (0:1:0)
     normalizer: Projectivity  # maps center to (0:1:0)
     curve: PlaneCurve
 
@@ -139,18 +152,15 @@ def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
     if inner and not any(curve.gradient_at(pt)):
         raise CenterSingular(f"{center!r} lies in Sing(C)")
     g = _move_center(ctx, pt)
-    x, y, z = (Polynomial.variable(ctx, 3, i) for i in range(3))
-    moved = curve.form.compose([
-        x * FqElement(ctx, a) + y * FqElement(ctx, b) + z * FqElement(ctx, c)
+    t, s = Polynomial.variable(ctx, 2, 0), Polynomial.variable(ctx, 2, 1)
+    fib = curve.form.compose([
+        t * FqElement(ctx, a) + s * FqElement(ctx, b) + FqElement(ctx, c)
         for a, b, c in g.inverse().mat])
-    fib = moved.compose([Polynomial.variable(ctx, 2, 0),
-                         Polynomial.variable(ctx, 2, 1),
-                         Polynomial.const(ctx, 2, 1)])
     n = curve.degree - (1 if inner else 0)
     if fib.degree_in(1) != n:
         raise ZeroInput(  # pragma: no cover - smoothness guarantees the degree
             f"fiber degree {fib.degree_in(1)} != expected {n}")
-    return ProjectionFiber(pt, inner, n, fib, moved, g, curve)
+    return ProjectionFiber(pt, inner, n, fib, g, curve)
 
 
 # ---------------------------------------------------------------------------
@@ -310,27 +320,37 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
         f"no 2 usable fibers within {attempts} attempts")
 
 
-def _semi_invariance_check(a_parts: list[Polynomial], formP: Polynomial,
-                           beta, lam, delta, ctx) -> bool:
-    """Exact test of form' o sigma = c * form' for the central shape
-    (x : beta x + lam y + delta z : z), using the y-coefficient split."""
-    L = Polynomial(ctx, 3, {k: v for k, v in
-                            (((1, 0, 0), beta.rep), ((0, 1, 0), lam.rep),
-                             ((0, 0, 1), delta.rep)) if v})
-    if L.is_zero:
+def _collineation_fixes(ctx: FieldCtx, rows: list, lam: int, beta: int,
+                        delta: int) -> bool:
+    """Exact test that (x : beta x + lam y + delta z : z) sends the moved
+    form to a scalar multiple of itself, on reps of ``ctx``.
+
+    ``rows`` are the y-rows a_i(x) of the form in the chart z = 1, dense
+    lists with a_n != 0 on top.  With l = beta x + delta, the y^j-row of
+    F(x, lam y + l) is lam^j sum_{i >= j} C(i, j) a_i l^(i - j).  Its
+    y^n-row forces the scalar to be lam^n, so row j must equal
+    lam^n a_j: the sum, found by Horner's rule in l, must equal
+    lam^(n - j) a_j.  Both sides are forms of one degree, so the chart
+    loses nothing.  The binomials are taken mod p, and the rows are
+    compared from the top down to the first that differs.
+    """
+    if not lam:
         return False
-    acc = Polynomial.zero(ctx, 3)
-    power = Polynomial.const(ctx, 3, 1)
-    for i, a in enumerate(a_parts):
-        if i > 0:
-            power = power * L
-        if not a.is_zero:
-            acc = acc + power * a
-    lead_exp, lead_c = formP.leading_term()
-    c = acc.coefficient(lead_exp) / lead_c
-    if not c:
-        return False
-    return acc == formP * c
+    n = len(rows) - 1
+    p, mul, smul = ctx.p, ctx.mul_t, ctx.smul_t
+    ell = [delta, beta]
+    scale = 1
+    for j in range(n - 1, -1, -1):
+        scale = mul(scale, lam)
+        acc = []
+        for i in range(n, j - 1, -1):
+            acc = _u_mul(ctx, acc, ell)
+            c = math.comb(i, j) % p
+            if c and rows[i]:
+                acc = _u_add(ctx, acc, [smul(c, x) for x in rows[i]])
+        if acc != [mul(scale, x) for x in rows[j]]:
+            return False
+    return True
 
 
 def central_collineation_group(fib: ProjectionFiber,
@@ -360,14 +380,14 @@ def central_collineation_group(fib: ProjectionFiber,
         q = ctx.order
         if q > cfg.brute_q_cap:
             raise BruteCapExceeded(f"|F| = {q} > brute cap {cfg.brute_q_cap}")
-        found = _brute_scan(fib.moved, ctx, n)
+        found = _brute_scan(fib.poly, ctx, n)
     elif mode == "exact":
         try:
             fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
                                    f"coll:{cfg.seed}:{ctx.spec}")
         except DegenerateFibers as exc:
             raise ExactModeDegenerate(str(exc)) from exc
-        found = _fiber_permutation_scan(fib.moved, fibers)
+        found = _fiber_permutation_scan(fib.poly, fibers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -395,94 +415,93 @@ def _closed_group(elements: list[Projectivity], n: int,
     return group
 
 
-def _brute_scan(moved: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
+def _brute_scan(fpoly: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
     """Exhaustive scan of central collineations over the base field."""
-    a_parts = _split_by_var(moved, 1)
+    rows = _dense_rows(fpoly, ctx)
     # cheap point filter: images of a few curve points must stay on the curve
-    probe = _probe_points(moved, ctx)
+    probe = _probe_points(rows, ctx)
+    add, mul = ctx.add_t, ctx.mul_t
     out = []
     for lam_code in range(1, ctx.order):
-        lam = FqElement(ctx, ctx.decode(lam_code))
+        lam = ctx.decode(lam_code)
         for b_code in range(ctx.order):
-            beta = FqElement(ctx, ctx.decode(b_code))
+            beta = ctx.decode(b_code)
             for d_code in range(ctx.order):
-                delta = FqElement(ctx, ctx.decode(d_code))
-                ok = True
-                for (px, py, pz) in probe:
-                    iy = beta * px + lam * py + delta * pz
-                    if moved.evaluate([px, iy, pz]):
-                        ok = False
-                        break
-                if not ok:
+                delta = ctx.decode(d_code)
+                if any(_u_eval(ctx, spec, add(add(mul(beta, px), mul(lam, py)),
+                                              delta))
+                       for px, py, spec in probe):
                     continue
-                if _semi_invariance_check(a_parts, moved, beta, lam, delta, ctx):
-                    out.append(Projectivity(ctx, [[1, 0, 0],
-                                                  [beta, lam, delta],
-                                                  [0, 0, 1]]))
+                if _collineation_fixes(ctx, rows, lam, beta, delta):
+                    out.append(Projectivity(ctx, [
+                        [1, 0, 0],
+                        [FqElement(ctx, beta), FqElement(ctx, lam),
+                         FqElement(ctx, delta)],
+                        [0, 0, 1]]))
     return out
 
 
-def _probe_points(moved: Polynomial, ctx: FieldCtx, want: int = 3):
-    """A few affine points on the moved curve, for cheap filtering."""
+def _probe_points(rows: list, ctx: FieldCtx, want: int = 3) -> list:
+    """A few affine points (x0, y0) on the moved curve, each with the
+    dense fiber F(x0, y) it lies on, for cheap filtering."""
     out = []
     for code in range(ctx.order):
-        t0 = FqElement(ctx, ctx.decode(code))
-        spec = moved.compose([
-            Polynomial.const(ctx, 1, t0),
-            Polynomial.variable(ctx, 1, 0),
-            Polynomial.const(ctx, 1, 1)])
-        if spec.degree() < 1:
+        x0 = ctx.decode(code)
+        spec = _u_trim([_u_eval(ctx, row, x0) for row in rows])
+        if _u_deg(spec) < 1:
             continue
         for root_code in range(ctx.order):
-            y0 = FqElement(ctx, ctx.decode(root_code))
-            if not spec.evaluate([y0]):
-                out.append((t0, y0, ctx.one))
+            y0 = ctx.decode(root_code)
+            if not _u_eval(ctx, spec, y0):
+                out.append((x0, y0, spec))
                 break
         if len(out) >= want:
             break
     return out
 
 
-def _fiber_permutation_scan(moved: Polynomial, fibers) -> list[Projectivity]:
-    """Enumerate central collineations via their affine action on two fibers."""
+def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
+    """Enumerate central collineations via their affine action on two
+    fibers, on reps of the working field: s -> lam s + mu must permute
+    each fiber's roots, and mu = beta t + delta is read off the two."""
     (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
     wctx = common_field(common_field(ctx1, ctx2),
                         common_field(t1.ctx, t2.ctx))
-    r1 = [lift(r, wctx) for r in roots1]
-    r2 = [lift(r, wctx) for r in roots2]
-    tv1, tv2 = lift(t1, wctx), lift(t2, wctx)
+    r1 = [lift(r, wctx).rep for r in roots1]
+    r2 = [lift(r, wctx).rep for r in roots2]
+    tv1, tv2 = lift(t1, wctx).rep, lift(t2, wctx).rep
     set1, set2 = set(r1), set(r2)
-    a_parts = [p.lift_to(wctx) for p in _split_by_var(moved, 1)]
-    formP = moved.lift_to(wctx)
-    s1, s2 = r1[0], r1[1]
-    s3 = r2[0]
-    dt = tv1 - tv2
+    rows = _dense_rows(fpoly, wctx)
+    add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
+    s1, s2, s3 = r1[0], r1[1], r2[0]
+    ds_inv = wctx.inv_t(sub(s1, s2))
+    dt_inv = wctx.inv_t(sub(tv1, tv2))
     out = {}
-    ds = s1 - s2
-    ds_inv = ds.inverse()
-    dt_inv = dt.inverse()
     for b1 in r1:
         for b2 in r1:
             if b1 == b2:
                 continue
-            lam = (b1 - b2) * ds_inv
-            mu1 = b1 - lam * s1
+            lam = mul(sub(b1, b2), ds_inv)
+            mu1 = sub(b1, mul(lam, s1))
             # quick filter on fiber 1
-            if any((lam * r + mu1) not in set1 for r in r1):
+            if any(add(mul(lam, r), mu1) not in set1 for r in r1):
                 continue
+            lam_r2 = [mul(lam, r) for r in r2]
             for b3 in r2:
-                mu2 = b3 - lam * s3
-                if any((lam * r + mu2) not in set2 for r in r2):
+                mu2 = sub(b3, mul(lam, s3))
+                if any(add(lr, mu2) not in set2 for lr in lam_r2):
                     continue
-                beta = (mu1 - mu2) * dt_inv
-                delta = mu1 - beta * tv1
-                key = (lam.rep, beta.rep, delta.rep)
+                beta = mul(sub(mu1, mu2), dt_inv)
+                delta = sub(mu1, mul(beta, tv1))
+                key = (lam, beta, delta)
                 if key in out:
                     continue
-                if _semi_invariance_check(a_parts, formP, beta, lam, delta, wctx):
-                    out[key] = Projectivity(wctx, [[1, 0, 0],
-                                                   [beta, lam, delta],
-                                                   [0, 0, 1]])
+                if _collineation_fixes(wctx, rows, lam, beta, delta):
+                    out[key] = Projectivity(wctx, [
+                        [1, 0, 0],
+                        [FqElement(wctx, beta), FqElement(wctx, lam),
+                         FqElement(wctx, delta)],
+                        [0, 0, 1]])
     return list(out.values())
 
 
@@ -490,14 +509,33 @@ def _fiber_permutation_scan(moved: Polynomial, fibers) -> list[Projectivity]:
 # Deck transformations of rational maps
 # ---------------------------------------------------------------------------
 
+def _mobius_through(ctx: FieldCtx, src: tuple, dst: tuple) -> tuple:
+    """The Moebius map sending three distinct finite points src[i] to
+    dst[i] (reps of ``ctx``), as the normalized matrix (a, b, c, d) of
+    S(dst) adj(S(src)), where S(x) = [[u x1, v x2], [u, v]] with
+    u = x3 - x2, v = x1 - x3 sends (1:0), (0:1), (1:1) to (x1:1), (x2:1),
+    (x3:1)."""
+    sub, mul = ctx.sub_t, ctx.mul_t
+    (x1, x2, x3), (y1, y2, y3) = src, dst
+    u, v = sub(x3, x2), sub(x1, x3)
+    p0, p1, p2, p3 = mul(u, x1), mul(v, x2), u, v
+    u, v = sub(y3, y2), sub(y1, y3)
+    m0, m1, m2, m3 = mul(u, y1), mul(v, y2), u, v
+    return _normalize(ctx, (sub(mul(m0, p3), mul(m1, p2)),
+                            sub(mul(m1, p0), mul(m0, p1)),
+                            sub(mul(m2, p3), mul(m3, p2)),
+                            sub(mul(m3, p0), mul(m2, p1))))
+
+
 def deck_group(h: RationalMap1D, ext_cap: int = 12,
                seed: int = 0) -> FiniteProjectivityGroup:
     """{sigma in PGL(2) : h o sigma = h}, certified complete.
 
     Two generic fibers are computed; every deck map permutes each fiber, so
     the Moebius maps through images of three anchor roots exhaust all
-    candidates, and each survivor is verified as an exact rational-function
-    identity.
+    candidates.  Each candidate is a raw matrix over the working field,
+    every fiber root is finite (the fibers have full degree), and each
+    survivor is verified by the dense identity of ``ratfunc._mobius_fixes``.
     """
     n = h.degree()
     if n == 0:
@@ -511,30 +549,37 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
     (_, roots1, ctx1), (_, roots2, ctx2) = _fiber_search(
         fpoly, n, ext_cap, f"deck:{seed}:{base.spec}", attempts=32)
     wctx = common_field(ctx1, ctx2)
-    r1 = [point_p1(wctx, lift(r, wctx)) for r in roots1]
-    r2 = [point_p1(wctx, lift(r, wctx)) for r in roots2]
+    r1 = [lift(r, wctx).rep for r in roots1]
+    r2 = [lift(r, wctx).rep for r in roots2]
     set1, set2 = set(r1), set(r2)
     hw = h.lift_to(wctx)
-    # sigma sends the anchors r1[0], r1[1], r2[0] to (b1, b2, b3)
-    from_anchors = _to_standard([r1[0], r1[1], r2[0]]).inverse()
+    num, den = hw.num.to_dense(), hw.den.to_dense()
+    add, mul, inv = wctx.add_t, wctx.mul_t, wctx.inv_t
+
+    def permutes(a, b, c, d, roots, rset):
+        for x in roots:
+            q = add(mul(c, x), d)
+            if not q or mul(add(mul(a, x), b), inv(q)) not in rset:
+                return False
+        return True
+
+    anchors = (r1[0], r1[1], r2[0])
     found = {}
     for b1 in r1:
         for b2 in r1:
             if b1 == b2:
                 continue
             for b3 in r2:
-                sigma = _to_standard([b1, b2, b3]) * from_anchors
-                key = tuple(sigma.row_major())
+                key = _mobius_through(wctx, anchors, (b1, b2, b3))
                 if key in found:
                     continue
-                if any(sigma.apply(r) not in set1 for r in r1):
+                if not permutes(*key, r1, set1) or not permutes(*key, r2, set2):
                     continue
-                if any(sigma.apply(r) not in set2 for r in r2):
-                    continue
-                if hw.compose_mobius(sigma) == hw:
-                    found[key] = sigma
+                if _mobius_fixes(wctx, num, den, *key):
+                    a, b, c, d = (FqElement(wctx, x) for x in key)
+                    found[key] = Projectivity(wctx, [[a, b], [c, d]])
     group = _closed_group(list(found.values()), n, "deck")
-    if any(hw.compose_mobius(sigma) != hw for sigma in group.elements):
+    if not all(hw.invariant_under(sigma) for sigma in group.elements):
         raise SoundnessError("a deck map does not preserve the map")
     return group.descend_to(base)
 

@@ -834,25 +834,32 @@ def factor_degrees(f: Polynomial) -> list[int]:
     return _u_factor_degrees(f.ctx, f.to_dense())
 
 
-def _squarefree_specializer(f: Polynomial, n: int):
-    """For a bivariate f(t, s), the map t0 -> f(t0, s), a dense list over
-    t0's field, or None unless it has degree n and is squarefree.  f is
-    split once into its s-rows, dense polynomials in t lifted into each
-    field on first request, and f(t0, s) is their Horner values at t0.
-    The squarefree test needs only the degree of gcd(f(t0, s), its
-    s-derivative), so it runs without inversions."""
+def _dense_rows(f: Polynomial, ctx: FieldCtx) -> list[list]:
+    """The s-rows of a bivariate f(t, s): row b is the coefficient of s^b
+    as a trimmed dense list in t, lifted into ctx (an extension of f's
+    field)."""
     base = f.ctx
     rows = [[0] * (f.degree_in(0) + 1) for _ in range(f.degree_in(1) + 1)]
     for (a, b), rep in f.terms.items():
-        rows[b][a] = rep
-    lifted = {base: [_u_trim(row) for row in rows]}
+        rows[b][a] = rep if ctx == base else \
+            embed(base, ctx, FqElement(base, rep)).rep
+    return [_u_trim(row) for row in rows]
+
+
+def _squarefree_specializer(f: Polynomial, n: int):
+    """For a bivariate f(t, s), the map t0 -> f(t0, s), a dense list over
+    t0's field, or None unless it has degree n and is squarefree.  f is
+    split once into its s-rows (``_dense_rows``), lifted into each field
+    on first request, and f(t0, s) is their Horner values at t0.
+    The squarefree test needs only the degree of gcd(f(t0, s), its
+    s-derivative), so it runs without inversions."""
+    lifted: dict = {}
 
     def at(t0: FqElement) -> Optional[list]:
         ctx, t = t0.ctx, t0.rep
         got = lifted.get(ctx)
         if got is None:
-            got = lifted[ctx] = [[embed(base, ctx, FqElement(base, c)).rep
-                                  for c in row] for row in lifted[base]]
+            got = lifted[ctx] = _dense_rows(f, ctx)
         spec = _u_trim([_u_eval(ctx, row, t) for row in got])
         if _u_deg(spec) != n:
             return None

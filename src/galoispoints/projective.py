@@ -289,39 +289,6 @@ class Projectivity:
         return f"PGL{self.n}{tuple(self.row_major())} over {self.ctx!r}"
 
 
-def _to_standard(pts: Sequence[ProjPoint]) -> Projectivity:
-    """The projectivity of P^1 sending (1:0), (0:1) and (1:1) to three
-    distinct points of one field, in that order."""
-    ctx = pts[0].ctx
-    (p0, p1, p2) = pts
-    # solve lam*p0 + mu*p1 = p2
-    a, b = p0.coords, p1.coords
-    c = p2.coords
-    mul, sub = ctx.mul_t, ctx.sub_t
-    det = sub(mul(a[0], b[1]), mul(a[1], b[0]))
-    if not det:
-        raise ValueError("anchor points are not distinct")
-    inv = ctx.inv_t(det)
-    lam = ctx.mul_t(inv, sub(mul(c[0], b[1]), mul(c[1], b[0])))
-    mu = ctx.mul_t(inv, sub(mul(a[0], c[1]), mul(a[1], c[0])))
-    cols = [[FqElement(ctx, ctx.mul_t(lam, a[0])), FqElement(ctx, ctx.mul_t(mu, b[0]))],
-            [FqElement(ctx, ctx.mul_t(lam, a[1])), FqElement(ctx, ctx.mul_t(mu, b[1]))]]
-    return Projectivity(ctx, cols)
-
-
-def mobius_three_points(src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> Projectivity:
-    """The unique projectivity of P^1 sending three distinct points to
-    three distinct points, src[i] -> dst[i]."""
-    ctx = src[0].ctx
-    for p in list(src) + list(dst):
-        ctx = common_field(ctx, p.ctx)
-    src = [p.lift_to(ctx) for p in src]
-    dst = [p.lift_to(ctx) for p in dst]
-    m_src = _to_standard(src)
-    m_dst = _to_standard(dst)
-    return m_dst * m_src.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Finite groups of projectivities
 # ---------------------------------------------------------------------------

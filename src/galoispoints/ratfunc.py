@@ -4,8 +4,8 @@ A :class:`RationalMap1D` is a pair num/den with gcd(num, den) = 1 and a
 monic denominator.  These are at once field elements of k(t) and morphisms
 P^1 -> P^1 of degree max(deg num, deg den); both views are used: the
 embedding pipeline builds invariant functions, the certification engine
-composes them with Moebius transformations and reads off fibers and pole
-divisors.
+tests their invariance under Moebius transformations (one dense identity,
+:func:`_mobius_fixes`, for both) and reads off fibers and pole divisors.
 
 Evaluation is projective: ``evaluate`` returns None for a pole, and the
 point at infinity is handled through the homogeneous pair.
@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from .errors import ZeroInput
 from .gf import FieldCtx, FqElement, common_field, lift
-from .polyring import Polynomial, poly_gcd, exact_div, splitting_roots
+from .polyring import (Polynomial, _u_add, _u_mul, exact_div, poly_gcd,
+                       splitting_roots)
 from .projective import PointDivisor, ProjPoint, Projectivity, point_p1
 
 
@@ -176,6 +177,17 @@ class RationalMap1D:
         return RationalMap1D(self.num.homogenize(deg).compose([lin1, lin2]),
                              self.den.homogenize(deg).compose([lin1, lin2]))
 
+    def invariant_under(self, sigma: Projectivity) -> bool:
+        """Whether h o sigma = h, by the dense identity of
+        :func:`_mobius_fixes`."""
+        if sigma.n != 2:
+            raise ValueError("need a PGL(2) element")
+        ectx = common_field(self.ctx, sigma.ctx)
+        h = self.lift_to(ectx)
+        (a, b), (c, d) = sigma.lift_to(ectx).mat
+        return _mobius_fixes(ectx, h.num.to_dense(), h.den.to_dense(),
+                             a, b, c, d)
+
     def compose(self, inner: "RationalMap1D") -> "RationalMap1D":
         """self o inner as rational functions."""
         ectx = common_field(self.ctx, inner.ctx)
@@ -213,6 +225,34 @@ class RationalMap1D:
 
     def __repr__(self) -> str:
         return f"({self.num.to_text()})/({self.den.to_text()})"
+
+
+def _mobius_fixes(ctx: FieldCtx, num: list, den: list,
+                  a: int, b: int, c: int, d: int) -> bool:
+    """Whether the reduced map num/den (dense lists of reps) equals its
+    composite with t -> (a t + b)/(c t + d) for an invertible matrix.
+
+    With N^h, D^h the binary forms of degree n = max(deg num, deg den),
+    h o sigma = N^h(at + b, ct + d) / D^h(at + b, ct + d), whose
+    denominator is not zero, so equality is the cross-multiplied identity
+    N^h(at + b, ct + d) den = D^h(at + b, ct + d) num.  Each form is
+    evaluated by Horner's rule in at + b over the powers of ct + d."""
+    n = max(len(num), len(den)) - 1
+    A, B = [b, a], [d, c]
+    powers = [[1]]
+    for _ in range(n):
+        powers.append(_u_mul(ctx, powers[-1], B))
+    mul = ctx.mul_t
+
+    def at(f):
+        acc = []
+        for k in range(n, -1, -1):
+            acc = _u_mul(ctx, acc, A)
+            if k < len(f) and f[k]:
+                acc = _u_add(ctx, acc, [mul(f[k], x) for x in powers[n - k]])
+        return acc
+
+    return _u_mul(ctx, at(num), den) == _u_mul(ctx, at(den), num)
 
 
 def linear_fraction(xmap: RationalMap1D, ymap: RationalMap1D,

@@ -9,7 +9,9 @@ them at lower counts for quick iteration.
 import math
 import random
 
+from galoispoints.galois import _collineation_fixes, _mobius_through
 from galoispoints.gf import (
+    FqElement,
     _subgroup_log,
     _unit_group_factors,
     common_field,
@@ -22,7 +24,9 @@ from galoispoints.gf import (
 )
 from galoispoints.polyring import (
     Polynomial,
+    _dense_rows,
     _distinct_degree,
+    _split_by_var,
     _u_deg,
     _u_diff,
     _u_divmod,
@@ -42,6 +46,7 @@ from galoispoints.polyring import (
     splitting_roots,
 )
 from galoispoints.errors import ClosureCapExceeded
+from galoispoints.ratfunc import RationalMap1D
 from galoispoints.projective import (
     FiniteProjectivityGroup,
     Projectivity,
@@ -795,6 +800,209 @@ def projective_identify_conjugation_stable(cases=500):
             except ValueError:
                 continue
         assert identify_group(G.conjugate(h)).tag == identify_group(G).tag
+
+
+def _to_standard(pts):
+    """The projectivity of P^1 sending (1:0), (0:1) and (1:1) to three
+    distinct points of one field, in that order."""
+    ctx = pts[0].ctx
+    (p0, p1, p2) = pts
+    # solve lam*p0 + mu*p1 = p2
+    a, b = p0.coords, p1.coords
+    c = p2.coords
+    mul, sub = ctx.mul_t, ctx.sub_t
+    det = sub(mul(a[0], b[1]), mul(a[1], b[0]))
+    if not det:
+        raise ValueError("anchor points are not distinct")
+    inv = ctx.inv_t(det)
+    lam = ctx.mul_t(inv, sub(mul(c[0], b[1]), mul(c[1], b[0])))
+    mu = ctx.mul_t(inv, sub(mul(a[0], c[1]), mul(a[1], c[0])))
+    cols = [[FqElement(ctx, ctx.mul_t(lam, a[0])), FqElement(ctx, ctx.mul_t(mu, b[0]))],
+            [FqElement(ctx, ctx.mul_t(lam, a[1])), FqElement(ctx, ctx.mul_t(mu, b[1]))]]
+    return Projectivity(ctx, cols)
+
+
+def mobius_three_points(src, dst):
+    """The unique projectivity of P^1 sending three distinct points to
+    three distinct points, src[i] -> dst[i]."""
+    ctx = src[0].ctx
+    for p in list(src) + list(dst):
+        ctx = common_field(ctx, p.ctx)
+    src = [p.lift_to(ctx) for p in src]
+    dst = [p.lift_to(ctx) for p in dst]
+    m_src = _to_standard(src)
+    m_dst = _to_standard(dst)
+    return m_dst * m_src.inverse()
+
+
+# ---------------------------------------------------------------------------
+# galois: the dense exact tests of the scans against sparse oracles
+# ---------------------------------------------------------------------------
+
+# One field of every shape: prime, log-tabled, 2^k above 4096 elements
+# (bit polynomials) and odd p^k above 4096 elements (packed digit slots).
+_SHAPE_FIELDS = ((13, 1), (3, 1), (2, 1), (5, 2), (2, 4), (2, 13), (3, 8),
+                 (7, 5))
+
+
+def _semi_invariance_check(a_parts, formP, beta, lam, delta, ctx) -> bool:
+    """Sparse oracle of ``galois._collineation_fixes``: the exact test
+    form' o sigma = c * form' for the central shape
+    (x : beta x + lam y + delta z : z), composing the whole form through
+    its y-coefficient split."""
+    L = Polynomial(ctx, 3, {k: v for k, v in
+                            (((1, 0, 0), beta.rep), ((0, 1, 0), lam.rep),
+                             ((0, 0, 1), delta.rep)) if v})
+    if L.is_zero:
+        return False
+    acc = Polynomial.zero(ctx, 3)
+    power = Polynomial.const(ctx, 3, 1)
+    for i, a in enumerate(a_parts):
+        if i > 0:
+            power = power * L
+        if not a.is_zero:
+            acc = acc + power * a
+    lead_exp, lead_c = formP.leading_term()
+    c = acc.coefficient(lead_exp) / lead_c
+    if not c:
+        return False
+    return acc == formP * c
+
+
+def _symmetric_form(rng, ctx, wild):
+    """A form F0 in x, y, z with its y-part invariant under known maps
+    y -> zeta y + c0 z, and the list of (zeta, c0).  Kummer forms
+    y^n z^(d-n) + g(x, z) take the n-th roots of unity; wild forms, with
+    p | n, take A(y)^e z^(d-n) + g(x, z) for A = y^p - y z^(p-1), and the
+    translations c0 in F_p.  The inner shape d = n + 1 and the outer one
+    d = n are both drawn."""
+    p = ctx.p
+    X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+    if wild:
+        e = rng.choice((1, 2) if p < 5 else (1,))
+        n = p * e
+        top = (Y ** p - Y * Z ** (p - 1)) ** e
+        maps = [(ctx.one, ctx.element(c0)) for c0 in range(p)]
+    else:
+        n = rng.choice([m for m in (2, 3, 4, 5) if m % p])
+        top = Y ** n
+        zeta = nth_root_of_unity(ctx, n) or ctx.one
+        maps = [(zeta ** i, ctx.zero) for i in range(n)]
+    d = n + rng.randrange(2)
+    g = Polynomial.zero(ctx, 3)
+    for i in range(d + 1):
+        g = g + X ** i * Z ** (d - i) * ctx.element(rng.randrange(ctx.order))
+    return top * Z ** (d - n) + g, maps
+
+
+def galois_collineation_test_matches_sparse(cases=300):
+    """``galois._collineation_fixes`` on the dense y-rows of the chart
+    z = 1 agrees with the sparse oracle on every field shape, for Kummer
+    and wild (p | n) forms moved by a random central collineation tau:
+    verified maps tau^-1 sigma0 tau, their perturbations, random triples
+    and triples with lam = 0."""
+    rng = random.Random(911)
+    done = accepted = 0
+    while done < cases:
+        ctx = make_field(*_SHAPE_FIELDS[done // 8 % len(_SHAPE_FIELDS)])
+        F0, maps = _symmetric_form(rng, ctx, wild=rng.random() < 0.5)
+        X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+
+        def draw(nonzero=False):
+            return ctx.element(rng.randrange(1 if nonzero else 0, ctx.order))
+
+        lam_t, beta_t, delta_t = draw(True), draw(), draw()
+        F = F0.compose([X, Y * lam_t + X * beta_t + Z * delta_t, Z])
+        chart = F.compose([Polynomial.variable(ctx, 2, 0),
+                           Polynomial.variable(ctx, 2, 1),
+                           Polynomial.const(ctx, 2, 1)])
+        rows = _dense_rows(chart, ctx)
+        a_parts = _split_by_var(F, 1)
+        cands = []
+        for zeta, c0 in maps[:4]:
+            beta = (zeta - 1) * beta_t / lam_t
+            delta = ((zeta - 1) * delta_t + c0) / lam_t
+            cands.append((zeta, beta, delta, True))
+            cands.append((zeta, beta, delta + draw(True), False))
+        cands += [(draw(), draw(), draw(), False) for _ in range(3)]
+        cands.append((ctx.zero, draw(), draw(), False))
+        for lam, beta, delta, verified in cands:
+            dense = _collineation_fixes(ctx, rows, lam.rep, beta.rep,
+                                        delta.rep)
+            sparse = _semi_invariance_check(a_parts, F, beta, lam, delta, ctx)
+            assert dense == sparse, (ctx, F, lam, beta, delta)
+            assert sparse or not verified
+            accepted += dense
+            done += 1
+    assert accepted >= cases // 8
+
+
+def _random_mobius(rng, ctx):
+    while True:
+        try:
+            return Projectivity(ctx, [[ctx.element(rng.randrange(ctx.order))
+                                       for _ in range(2)] for _ in range(2)])
+        except ValueError:
+            continue
+
+
+def ratfunc_invariant_matches_compose(cases=300):
+    """``RationalMap1D.invariant_under`` (the dense identity of
+    ``ratfunc._mobius_fixes``) agrees with ``compose_mobius`` equality on
+    every field shape, for h = mu o h0 o tau with h0 = t^n (deck maps
+    t -> zeta t) or a wild h0 = (t^p - t)^e (translations by F_p), and
+    candidates tau^-1 sigma0 tau, their perturbations and random maps."""
+    rng = random.Random(912)
+    done = accepted = 0
+    while done < cases:
+        ctx = make_field(*_SHAPE_FIELDS[done // 8 % len(_SHAPE_FIELDS)])
+        p, t = ctx.p, RationalMap1D.variable(ctx)
+        if rng.random() < 0.5:
+            h0 = (t ** p - t) ** rng.choice((1, 2) if p < 5 else (1,))
+            deck = [Projectivity(ctx, [[1, c0], [0, 1]]) for c0 in range(p)]
+        else:
+            n = rng.choice([m for m in (2, 3, 4, 5) if m % p])
+            h0 = t ** n
+            zeta = nth_root_of_unity(ctx, n) or ctx.one
+            deck = [Projectivity(ctx, [[zeta ** i, 0], [0, 1]])
+                    for i in range(n)]
+        tau, mu = _random_mobius(rng, ctx), _random_mobius(rng, ctx)
+        (a, b), (c, d) = (tuple(FqElement(ctx, x) for x in row)
+                          for row in mu.mat)
+        h1 = h0.compose_mobius(tau)
+        h = (h1 * a + b) / (h1 * c + d)
+        cands = [(tau.inverse() * s * tau, True) for s in deck[:4]]
+        cands += [(s * _random_mobius(rng, ctx), False) for s, _ in cands]
+        cands += [(_random_mobius(rng, ctx), False) for _ in range(2)]
+        for sigma, verified in cands:
+            dense = h.invariant_under(sigma)
+            oracle = h.compose_mobius(sigma) == h
+            assert dense == oracle, (ctx, h, sigma)
+            assert oracle or not verified
+            accepted += dense
+            done += 1
+    assert accepted >= cases // 8
+
+
+def galois_mobius_through_matches_oracle(cases=300):
+    """The deck scan's raw candidate ``galois._mobius_through`` is, after
+    normalization, the matrix of the three-point map of
+    ``mobius_three_points`` (through ``_to_standard``), on every field
+    shape."""
+    rng = random.Random(913)
+    for case in range(cases):
+        ctx = make_field(*_SHAPE_FIELDS[case % len(_SHAPE_FIELDS)])
+        if ctx.order < 3:
+            ctx = make_field(ctx.p, 2)
+        src = rng.sample(range(ctx.order), 3)
+        dst = rng.sample(range(ctx.order), 3)
+        src_el = [ctx.element(x) for x in src]
+        dst_el = [ctx.element(x) for x in dst]
+        m = mobius_three_points([point_p1(ctx, x) for x in src_el],
+                                [point_p1(ctx, x) for x in dst_el])
+        raw = _mobius_through(ctx, tuple(x.rep for x in src_el),
+                              tuple(x.rep for x in dst_el))
+        assert raw == tuple(c for row in m.mat for c in row)
 
 
 # ---------------------------------------------------------------------------

@@ -493,23 +493,88 @@ _MALFORMED_FLAGS = st.lists(st.sampled_from([
     ["--inner", "a:b:c"]]), max_size=4)
 
 
-def _run_fuzzed(curve_text: str, command: str, argv: list) -> None:
-    """Run one fuzzed invocation: exit 0, 1 or 2, no traceback, one JSON
-    error object on stderr exactly when the exit code is not 0."""
+# Family specs that each run well under a second; a parameter that the
+# field rules out (p | d(d - 1), characteristic 2 or 3 for thm3) still
+# exits cleanly, with 1.
+_FAMILY_FIELDS = ["2^1", "3^1", "5^1", "7^1", "11^1", "13^1", "2^2", "3^2",
+                  "5^2"]
+_FAMILY_SPECS = st.one_of(
+    st.fixed_dictionaries({"tag": st.just("thm2_tame"),
+                           "field": st.sampled_from(_FAMILY_FIELDS),
+                           "d": st.integers(3, 6), "c": st.integers(0, 1)}),
+    st.fixed_dictionaries({"tag": st.sampled_from(["thm3_cubic",
+                                                   "thm3_quartic"]),
+                           "field": st.sampled_from(_FAMILY_FIELDS)}),
+    st.tuples(st.sampled_from([("3^1", 3, 1), ("3^2", 3, 1), ("5^1", 5, 1),
+                               ("2^2", 2, 2), ("2^4", 2, 2)]),
+              st.sampled_from(["pencil", "power"])).map(
+        lambda fv: {"tag": "prop4", "field": fv[0][0], "p": fv[0][1],
+                    "e": fv[0][2], "variant": fv[1]}),
+    st.sampled_from([("3^1", 3, 1, 2), ("3^2", 3, 1, 2), ("3^2", 3, 1, 1),
+                     ("2^2", 2, 1, 1), ("2^2", 2, 2, 1), ("2^2", 2, 2, 3),
+                     ("5^1", 5, 1, 2)]).map(
+        lambda f: {"tag": "thm2_wild", "field": f[0], "p": f[1], "e": f[2],
+                   "m": f[3]}),
+    st.just({"tag": "gk", "field": "2^1", "q": 2}))
+# Replacement values: small integers and values of the wrong type, none of
+# which raises a degree above the ones drawn above.
+_BAD_VALUES = st.one_of(st.integers(-2, 1), st.sampled_from(
+    [1.5, "3", "x", None, [], {}, True, "4^1", "13^0", {"7": 1}, {"0": -1}]))
+
+
+@st.composite
+def _malformed_family(draw):
+    spec = dict(draw(_FAMILY_SPECS))
+    how = draw(st.sampled_from(["replace", "drop", "extra", "raw"]))
+    key = draw(st.sampled_from(sorted(spec)))
+    if how == "replace":
+        spec[key] = draw(_BAD_VALUES)
+    elif how == "drop":
+        del spec[key]
+    elif how == "extra":
+        spec[draw(st.sampled_from(["alphas", "modulus", "q", "bogus"]))] = \
+            draw(_BAD_VALUES)
+    else:
+        return draw(st.sampled_from(["{ not json", "[]", "3", "null",
+                                     '{"tag": 5, "field": "3^1"}']))
+    return json.dumps(spec)
+
+
+_RUN_FLAGS = st.tuples(st.integers(1, 8), st.integers(0, 5),
+                       st.integers(1, 4)).map(
+    lambda t: ["--trials", str(t[0]), "--seed", str(t[1]),
+               "--ext-cap", str(t[2])])
+_BAD_FIELDS = ["4^1", "9", "13^0", "x^2", "", "2^0", "1^1", "3^-1", "^"]
+
+
+def _run_fuzzed(text, command: str, argv: list) -> None:
+    """Run one fuzzed invocation: exit 0, 1 or 2 and no traceback.  A
+    failed run writes one JSON error object on stderr and nothing on
+    stdout; a run that reaches its report writes it on stdout with
+    nothing on stderr, exit 0, or exit 2 for a failed family verification
+    (a family_verdict) or a degenerate branch system (an error report).
+    ``text`` is the input file's content, None for ``branch``."""
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "curve.json"
-        path.write_text(curve_text)
+        files = []
+        if text is not None:
+            path = Path(tmp) / "input.json"
+            path.write_text(text)
+            files = [str(path)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = dispatch([command, str(path)] + argv)
+            code = dispatch([command] + files + argv)
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
-    if code:
+    if err.getvalue():
+        assert code and not out.getvalue()
         assert json.loads(err.getvalue())["kind"] == "error"
-    else:
-        assert not err.getvalue()
-        kind = {"check": "galois_report", "pair": "pair_report"}[command]
-        assert json.loads(out.getvalue())["kind"] == kind
+        return
+    kind = {"check": "galois_report", "pair": "pair_report",
+            "family": "family_verdict", "branch": "branch_certificate"}[command]
+    if code:
+        assert code == 2 and command in ("family", "branch")
+        kind = "family_verdict" if command == "family" else "error"
+    assert json.loads(out.getvalue())["kind"] == kind
 
 
 class TestFuzzedCli:
@@ -524,3 +589,29 @@ class TestFuzzedCli:
     def test_malformed_runs_exit_cleanly(self, curve, raw, command, flags):
         _run_fuzzed("{ not json" if raw else curve, command,
                     ["--ext-cap", "3"] + [a for f in flags for a in f])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(spec=_FAMILY_SPECS, flags=_RUN_FLAGS)
+    def test_wellformed_family_runs_exit_cleanly(self, spec, flags):
+        _run_fuzzed(json.dumps(spec), "family", flags)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(text=_malformed_family(), flags=_RUN_FLAGS)
+    def test_malformed_family_runs_exit_cleanly(self, text, flags):
+        _run_fuzzed(text, "family", flags)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(d=st.sampled_from(["3", "4"]),
+           field=st.sampled_from(sorted(_FIELDS) + _FAMILY_FIELDS),
+           flags=_RUN_FLAGS)
+    def test_wellformed_branch_runs_exit_cleanly(self, d, field, flags):
+        _run_fuzzed(None, "branch", ["--d", d, "--field", field] + flags)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(d=st.sampled_from([None, "3", "2", "5", "x", "", "3.0"]),
+           field=st.sampled_from([None, "7^1"] + _BAD_FIELDS),
+           flags=_MALFORMED_FLAGS)
+    def test_malformed_branch_runs_exit_cleanly(self, d, field, flags):
+        argv = ([] if d is None else ["--d", d]) + \
+            ([] if field is None else ["--field", field])
+        _run_fuzzed(None, "branch", argv + [a for f in flags for a in f])

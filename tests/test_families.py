@@ -224,6 +224,12 @@ class TestVerifyFamily:
             alphas={"0": 1, "2": 1}))
         assert derived.form == explicit.form
 
+    @pytest.mark.parametrize("e, m", [(0, 2), (-1, 2), (1, -1)])
+    def test_thm2_wild_nonpositive_e_or_m(self, e, m):
+        with pytest.raises(InputError):
+            build_family(FamilySpec(tag="thm2_wild", field="3^2", p=3, e=e,
+                                    m=m))
+
     def test_thm2_wild_alpha_condition_enforced(self):
         # alpha_1 must vanish for m = 3 (3 does not divide 2^1 - 1)
         with pytest.raises(InputError):

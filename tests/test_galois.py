@@ -241,6 +241,14 @@ class TestDeckGroup:
         assert props.is_closed(G)
 
 
+class TestDenseExactTests:
+    def test_collineation_test_matches_sparse_oracle(self):
+        props.galois_collineation_test_matches_sparse(300)
+
+    def test_deck_candidate_matches_three_point_oracle(self):
+        props.galois_mobius_through_matches_oracle(300)
+
+
 class TestIsGaloisPoint:
     def test_cubic_inner_certified(self, cubic3a, F13):
         rep = is_galois_point(cubic3a, ProjPoint(F13, [0, 1, 0]))

@@ -12,7 +12,6 @@ from galoispoints.projective import (
     generate_group,
     identify_group,
     line_through,
-    mobius_three_points,
     orbit,
     p1_value,
     point_p1,
@@ -21,6 +20,7 @@ from galoispoints.projective import (
 )
 
 import props
+from props import mobius_three_points
 
 
 class TestApply:

@@ -4,6 +4,8 @@ from galoispoints.gf import make_field, nth_root_of_unity
 from galoispoints.projective import Projectivity, p1_value, point_p1
 from galoispoints.ratfunc import RationalMap1D, linear_fraction
 
+import props
+
 
 @pytest.fixture(scope="module")
 def t(F13):
@@ -24,6 +26,10 @@ def test_invariance_under_mobius(F13, t):
     z3 = nth_root_of_unity(F13, 3)
     cube = t * t * t
     assert cube.compose_mobius(Projectivity(F13, [[z3, 0], [0, 1]])) == cube
+
+
+def test_invariant_under_matches_compose_mobius():
+    props.ratfunc_invariant_matches_compose(300)
 
 
 def test_pole_and_fiber_divisors(F13, t):
