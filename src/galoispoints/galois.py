@@ -353,6 +353,14 @@ def _collineation_fixes(ctx: FieldCtx, rows: list, lam: int, beta: int,
     return True
 
 
+def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
+    """The collineation (x : beta x + lam y + delta z : z) from reps."""
+    return Projectivity(ctx, [[1, 0, 0],
+                              [FqElement(ctx, beta), FqElement(ctx, lam),
+                               FqElement(ctx, delta)],
+                              [0, 0, 1]])
+
+
 def central_collineation_group(fib: ProjectionFiber,
                                mode: str = "exact",
                                cfg: Optional[RunConfig] = None
@@ -433,11 +441,7 @@ def _brute_scan(fpoly: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
                        for px, py, spec in probe):
                     continue
                 if _collineation_fixes(ctx, rows, lam, beta, delta):
-                    out.append(Projectivity(ctx, [
-                        [1, 0, 0],
-                        [FqElement(ctx, beta), FqElement(ctx, lam),
-                         FqElement(ctx, delta)],
-                        [0, 0, 1]]))
+                    out.append(_central(ctx, lam, beta, delta))
     return out
 
 
@@ -497,11 +501,7 @@ def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
                 if key in out:
                     continue
                 if _collineation_fixes(wctx, rows, lam, beta, delta):
-                    out[key] = Projectivity(wctx, [
-                        [1, 0, 0],
-                        [FqElement(wctx, beta), FqElement(wctx, lam),
-                         FqElement(wctx, delta)],
-                        [0, 0, 1]])
+                    out[key] = _central(wctx, lam, beta, delta)
     return list(out.values())
 
 

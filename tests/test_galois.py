@@ -363,6 +363,27 @@ class TestSoundnessGuards:
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.strip() == "raised"
 
+    def test_deck_guard_runs_the_dense_test_under_optimize(self):
+        # the post-closure deck guard re-verifies every group element with
+        # RationalMap1D.invariant_under; a failing test must raise, with -O
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from galoispoints.errors import SoundnessError\n"
+            "from galoispoints.galois import deck_group\n"
+            "from galoispoints.gf import make_field\n"
+            "from galoispoints.ratfunc import RationalMap1D\n"
+            "assert False, 'asserts are live'\n"
+            "t = RationalMap1D.variable(make_field(13))\n"
+            "RationalMap1D.invariant_under = lambda self, sigma: False\n"
+            "try:\n"
+            "    deck_group(t * t * t)\n"
+            "except SoundnessError:\n"
+            "    print('raised')\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.strip() == "raised"
+
     def test_src_has_no_assert_statement(self):
         # python -O strips asserts, so no guard may be written as one
         src = Path(__file__).resolve().parent.parent / "src" / "galoispoints"
