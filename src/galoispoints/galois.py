@@ -17,6 +17,14 @@ methods are implemented, in decreasing order of authority:
   l = beta x + delta, lam^j sum_{i >= j} C(i, j) a_i l^(i - j) must equal
   lam^n a_j for every row j, checked from the top with the binomials
   taken mod p.  A projectivity is built only for a verified map.
+  At a tame center (p does not divide n) the scan is skipped when a
+  closed form proves the group trivial (``_tame_order``): with
+  F(t, s) = sum a_i(t) s^i, the s^(n-1)-row of the test says
+  n a_n l = (lam - 1) a_(n-1), so a map other than the identity needs
+  c = a_(n-1) / (n a_n) to be a polynomial of degree <= 1; after the
+  shift s' = s + c the map is s' -> lam s', and every nonzero shifted
+  row b_j forces lam^(n - j) = 1.  This holds over the algebraic
+  closure, and a trivial group never certifies.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
   {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D; the
@@ -76,6 +84,7 @@ from .polyring import (
     _squarefree_specializer,
     _u_add,
     _u_deg,
+    _u_divmod,
     _u_eval,
     _u_factor_degrees,
     _u_mul,
@@ -320,6 +329,26 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
         f"no 2 usable fibers within {attempts} attempts")
 
 
+def _shifted_rows(ctx: FieldCtx, rows: list, ell: list):
+    """The y^j-rows sum_{i >= j} C(i, j) a_i ell^(i - j) of F(x, y + ell),
+    for j = n - 1 down to 0, on reps of ``ctx``.
+
+    ``rows`` are the y-rows a_i(x) of F, dense lists with a_n on top, and
+    ``ell`` is a dense polynomial in x.  Each row is found by Horner's rule
+    in ell, with the binomials taken mod p.
+    """
+    n = len(rows) - 1
+    p, smul = ctx.p, ctx.smul_t
+    for j in range(n - 1, -1, -1):
+        acc = []
+        for i in range(n, j - 1, -1):
+            acc = _u_mul(ctx, acc, ell)
+            c = math.comb(i, j) % p
+            if c and rows[i]:
+                acc = _u_add(ctx, acc, [smul(c, x) for x in rows[i]])
+        yield j, acc
+
+
 def _collineation_fixes(ctx: FieldCtx, rows: list, lam: int, beta: int,
                         delta: int) -> bool:
     """Exact test that (x : beta x + lam y + delta z : z) sends the moved
@@ -329,28 +358,53 @@ def _collineation_fixes(ctx: FieldCtx, rows: list, lam: int, beta: int,
     lists with a_n != 0 on top.  With l = beta x + delta, the y^j-row of
     F(x, lam y + l) is lam^j sum_{i >= j} C(i, j) a_i l^(i - j).  Its
     y^n-row forces the scalar to be lam^n, so row j must equal
-    lam^n a_j: the sum, found by Horner's rule in l, must equal
-    lam^(n - j) a_j.  Both sides are forms of one degree, so the chart
-    loses nothing.  The binomials are taken mod p, and the rows are
-    compared from the top down to the first that differs.
+    lam^n a_j: the sum (``_shifted_rows``) must equal lam^(n - j) a_j.
+    Both sides are forms of one degree, so the chart loses nothing.  The
+    rows are compared from the top down to the first that differs.
     """
     if not lam:
         return False
-    n = len(rows) - 1
-    p, mul, smul = ctx.p, ctx.mul_t, ctx.smul_t
-    ell = [delta, beta]
+    mul = ctx.mul_t
     scale = 1
-    for j in range(n - 1, -1, -1):
+    for j, row in _shifted_rows(ctx, rows, [delta, beta]):
         scale = mul(scale, lam)
-        acc = []
-        for i in range(n, j - 1, -1):
-            acc = _u_mul(ctx, acc, ell)
-            c = math.comb(i, j) % p
-            if c and rows[i]:
-                acc = _u_add(ctx, acc, [smul(c, x) for x in rows[i]])
-        if acc != [mul(scale, x) for x in rows[j]]:
+        if row != [mul(scale, x) for x in rows[j]]:
             return False
     return True
+
+
+def _tame_order(fib: ProjectionFiber) -> Optional[int]:
+    """The order of the central collineation group over the algebraic
+    closure at a tame center (p does not divide n), read off the fiber's
+    rows a_i without finding roots; None at a wild center.
+
+    It is 1 when a_n does not divide a_(n-1) or c = a_(n-1) / (n a_n) has
+    degree > 1.  Otherwise it is the p-free part of gcd{n - j : b_j != 0}
+    over the rows b_j of F(t, s - c) below the top (``_shifted_rows``),
+    since lam^(p^e m) = 1 forces lam^m = 1; and None when every such b_j
+    vanishes, as F = a_n (s + c)^n has no finite group.  The proof is in
+    ``central_collineation_group``.
+    """
+    ctx, n = fib.poly.ctx, fib.degree
+    p = ctx.p
+    if n % p == 0:
+        return None
+    rows = _dense_rows(fib.poly, ctx)
+    c, rem = _u_divmod(ctx, rows[n - 1],
+                       [ctx.smul_t(n % p, x) for x in rows[n]])
+    if rem or _u_deg(c) > 1:
+        return 1
+    m = 0
+    for j, row in _shifted_rows(ctx, rows, [ctx.neg_t(x) for x in c]):
+        if row:
+            m = math.gcd(m, n - j)
+            if m == 1:
+                return 1
+    if m == 0:
+        return None
+    while m % p == 0:
+        m //= p
+    return m
 
 
 def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
@@ -375,6 +429,16 @@ def central_collineation_group(fib: ProjectionFiber,
     is limited by ``cfg.brute_q_cap``.  The result lives in the original
     coordinates (possibly over an extension) and its order never exceeds
     the projection degree.
+
+    At a tame center (p does not divide n), ``exact`` mode first reads
+    the order off the fiber's rows (``_tame_order``).  Any map
+    s -> lam s + l satisfies n a_n l = (lam - 1) a_(n-1), so a
+    nontrivial one needs c = a_(n-1) / (n a_n) of degree <= 1; after the
+    shift s' = s + c it is s' -> lam s' with lam^(n - j) = 1 for every
+    nonzero shifted row b_j.  When that leaves lam = 1 only, the group is
+    trivial over the algebraic closure and is returned without a fiber
+    search.  Wild centers, and tame ones with a nontrivial group, run the
+    scan, which reports the elements.
     """
     cfg = cfg or RunConfig()
     ctx = fib.curve.ctx
@@ -390,6 +454,8 @@ def central_collineation_group(fib: ProjectionFiber,
             raise BruteCapExceeded(f"|F| = {q} > brute cap {cfg.brute_q_cap}")
         found = _brute_scan(fib.poly, ctx, n)
     elif mode == "exact":
+        if _tame_order(fib) == 1:
+            return trivial_group(ctx, 3)
         try:
             fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
                                    f"coll:{cfg.seed}:{ctx.spec}")

@@ -39,6 +39,7 @@ f, g it equals
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -791,6 +792,27 @@ def _conjugate_roots(ectx, f, q, rng) -> list[int]:
     return roots
 
 
+def _dd_parts(ctx, dense) -> list[tuple[list, int, int]]:
+    """(product, dd, multiplicity) for every distinct-degree part of every
+    squarefree part of a dense nonconstant f: each product is monic and
+    holds irreducibles of degree dd only."""
+    return [(prod, dd, mult)
+            for part, mult in _squarefree_decomposition(ctx, dense)
+            for prod, dd in _distinct_degree(ctx, part)]
+
+
+def _irreducibles(ctx, parts, seed: int) -> list[tuple[Polynomial, int]]:
+    """The monic irreducible factors with multiplicities of ``_dd_parts``,
+    by equal-degree splits drawn from ``random.Random(seed)``, sorted by
+    (degree, canonical text)."""
+    rng = random.Random(seed)
+    out = [(Polynomial.from_dense(ctx, _u_monic(ctx, irr)), mult)
+           for prod, dd, mult in parts
+           for irr in _equal_degree(ctx, prod, dd, rng)]
+    out.sort(key=lambda fm: (fm[0].degree(), fm[0].to_text()))
+    return out
+
+
 def factor_univariate(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, int]]:
     """Factor a nonzero univariate polynomial into monic irreducibles.
 
@@ -807,14 +829,7 @@ def factor_univariate(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, in
     dense = f.to_dense()
     if _u_deg(dense) == 0:
         return []
-    rng = random.Random(seed)
-    out = []
-    for part, mult in _squarefree_decomposition(ctx, dense):
-        for prod, dd in _distinct_degree(ctx, part):
-            for irr in _equal_degree(ctx, prod, dd, rng):
-                out.append((Polynomial.from_dense(ctx, _u_monic(ctx, irr)), mult))
-    out.sort(key=lambda fm: (fm[0].degree(), fm[0].to_text()))
-    return out
+    return _irreducibles(ctx, _dd_parts(ctx, dense), seed)
 
 
 def _u_factor_degrees(ctx, a) -> list[int]:
@@ -887,8 +902,9 @@ class RootMultiset:
 def splitting_roots(f: Polynomial, ext_cap: int = 12, seed: int = 0) -> RootMultiset:
     """All roots of a univariate f over the smallest extension where it splits.
 
-    The extension degree j is the lcm of the irreducible factor degrees; if
-    it exceeds ``ext_cap`` (relative to f's own field F_q) the search aborts.
+    The extension degree j is the lcm of the irreducible factor degrees,
+    read off the distinct-degree parts; if it exceeds ``ext_cap`` (relative
+    to f's own field F_q) the search aborts before any equal-degree split.
     Each irreducible factor is split over F_{q^j} only down to one root r,
     and its other roots are the Frobenius conjugates of r.  Roots are sorted
     by encoding, so the seeded splitting draws never reach the result.
@@ -898,14 +914,12 @@ def splitting_roots(f: Polynomial, ext_cap: int = 12, seed: int = 0) -> RootMult
     if f.is_zero or f.degree() < 1:
         raise ZeroInput("need a nonconstant polynomial")
     ctx = f.ctx
-    factors = factor_univariate(f, seed=seed)
-    import math
-    j = 1
-    for irr, _ in factors:
-        j = math.lcm(j, irr.degree())
+    parts = _dd_parts(ctx, f.to_dense())
+    j = math.lcm(*(dd for _, dd, _ in parts))
     if j > ext_cap:
         raise ExtensionCapExceeded(
             f"splitting needs extension degree {j} > cap {ext_cap}")
+    factors = _irreducibles(ctx, parts, seed)
     ectx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
     rng = random.Random(seed)
     roots: list[tuple[FqElement, int]] = []

@@ -9,7 +9,18 @@ them at lower counts for quick iteration.
 import math
 import random
 
-from galoispoints.galois import _collineation_fixes, _mobius_through
+from galoispoints.config import RunConfig
+from galoispoints.curve import PlaneCurve
+from galoispoints.errors import CenterSingular, DegenerateFibers
+from galoispoints.galois import (
+    _collineation_fixes,
+    _fiber_permutation_scan,
+    _fiber_search,
+    _mobius_through,
+    _tame_order,
+    central_collineation_group,
+    fiber_polynomial,
+)
 from galoispoints.gf import (
     FqElement,
     _subgroup_log,
@@ -937,13 +948,106 @@ def galois_collineation_test_matches_sparse(cases=300):
     assert accepted >= cases // 8
 
 
-def _random_mobius(rng, ctx):
+# The field shapes of the tame-order oracle: prime, log-tabled, 2^k and
+# odd p^k, with bit polynomials and packed digit slots above 4096 elements.
+_TAME_FIELDS = ((13, 1), (3, 1), (5, 2), (2, 4), (2, 13), (3, 8), (7, 5))
+
+
+def _random_projectivity(rng, ctx, n=2):
     while True:
         try:
             return Projectivity(ctx, [[ctx.element(rng.randrange(ctx.order))
-                                       for _ in range(2)] for _ in range(2)])
+                                       for _ in range(n)] for _ in range(n)])
         except ValueError:
             continue
+
+
+def _tame_center(rng, ctx, wild=False):
+    """A fiber at a center P with a known symmetric shape, moved by a random
+    projectivity A: the form F0(A v) of ``_symmetric_form`` at
+    P = A^-1 (0:1:0), inner or outer, with F0 perturbed half the time by
+    one or two monomials x^a y^b z^c, b < n, that keep the fiber degree n
+    and the center smooth.  None when P is singular."""
+    F0, _ = _symmetric_form(rng, ctx, wild)
+    d, n = F0.degree(), F0.degree_in(1)
+    X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+    if rng.random() < 0.5:
+        for _ in range(rng.randrange(1, 3)):
+            b = rng.randrange(n)
+            a = rng.randrange(d - b + 1)
+            F0 = F0 + X ** a * Y ** b * Z ** (d - a - b) * \
+                ctx.element(rng.randrange(1, ctx.order))
+    A = _random_projectivity(rng, ctx, 3)
+    F = F0.compose([X * FqElement(ctx, a) + Y * FqElement(ctx, b)
+                    + Z * FqElement(ctx, c) for a, b, c in A.mat])
+    center = A.inverse().apply(ProjPoint(ctx, [0, 1, 0]))
+    try:
+        return fiber_polynomial(PlaneCurve(F), center)
+    except CenterSingular:
+        return None
+
+
+def _fibers_lift_to_zeros(fpoly, fibers) -> bool:
+    """Whether the roots of both fibers, lifted into the working field of
+    ``_fiber_permutation_scan``, are zeros of F(t0, s) lifted there.  The
+    ``gf`` embeddings do not commute through an intermediate field, so
+    fibers over two different fields can fail this, and the scan then
+    misses maps."""
+    (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
+    wctx = common_field(common_field(ctx1, ctx2),
+                        common_field(t1.ctx, t2.ctx))
+    rows = _dense_rows(fpoly, wctx)
+    for t0, roots in ((t1, roots1), (t2, roots2)):
+        t = lift(t0, wctx).rep
+        spec = [_u_eval(wctx, row, t) for row in rows]
+        if any(_u_eval(wctx, spec, lift(r, wctx).rep) for r in roots):
+            return False
+    return True
+
+
+def galois_tame_order_matches_scan(cases=40):
+    """``galois._tame_order`` equals the order of the exact collineation
+    scan (``_fiber_search`` and ``_fiber_permutation_scan``, run without
+    the closed-form shortcut) on every tame center whose scan finds two
+    fibers whose roots are zeros in its working field: Kummer forms and
+    perturbed ones, inner and outer, moved by random projectivities, on
+    every field shape.  Every scan finds a subgroup, so its order divides
+    the closed form's.  Over fields of at most 16 elements the brute scan
+    finds the base-field part, gcd(m, q - 1) maps.  At wild centers
+    (p | n) the closed form is None."""
+    rng = random.Random(914)
+    done = trivial = wild = 0
+    orders = set()
+    while done < cases:
+        ctx = make_field(*_TAME_FIELDS[done % len(_TAME_FIELDS)])
+        if rng.random() < 0.25:
+            fib = _tame_center(rng, ctx, wild=True)
+            if fib is not None:
+                assert fib.degree % ctx.p == 0
+                assert _tame_order(fib) is None
+                wild += 1
+            continue
+        fib = _tame_center(rng, ctx)
+        if fib is None:
+            continue
+        m = _tame_order(fib)
+        try:
+            fibers = _fiber_search(fib.poly, fib.degree, 4, f"tame:{done}")
+        except DegenerateFibers:
+            continue
+        scan = len(_fiber_permutation_scan(fib.poly, fibers))
+        assert m % scan == 0, (ctx, fib.poly, m, scan)
+        if not _fibers_lift_to_zeros(fib.poly, fibers):
+            continue
+        assert m == scan, (ctx, fib.poly, m, scan)
+        if ctx.order <= 16:
+            brute = central_collineation_group(fib, "brute",
+                                               RunConfig(brute_q_cap=16))
+            assert len(brute) == math.gcd(m, ctx.order - 1)
+        trivial += m == 1
+        orders.add(m)
+        done += 1
+    assert wild and trivial and len(orders) >= 3
 
 
 def ratfunc_invariant_matches_compose(cases=300):
@@ -966,14 +1070,15 @@ def ratfunc_invariant_matches_compose(cases=300):
             zeta = nth_root_of_unity(ctx, n) or ctx.one
             deck = [Projectivity(ctx, [[zeta ** i, 0], [0, 1]])
                     for i in range(n)]
-        tau, mu = _random_mobius(rng, ctx), _random_mobius(rng, ctx)
+        tau, mu = (_random_projectivity(rng, ctx) for _ in range(2))
         (a, b), (c, d) = (tuple(FqElement(ctx, x) for x in row)
                           for row in mu.mat)
         h1 = h0.compose_mobius(tau)
         h = (h1 * a + b) / (h1 * c + d)
         cands = [(tau.inverse() * s * tau, True) for s in deck[:4]]
-        cands += [(s * _random_mobius(rng, ctx), False) for s, _ in cands]
-        cands += [(_random_mobius(rng, ctx), False) for _ in range(2)]
+        cands += [(s * _random_projectivity(rng, ctx), False)
+                  for s, _ in cands]
+        cands += [(_random_projectivity(rng, ctx), False) for _ in range(2)]
         for sigma, verified in cands:
             dense = h.invariant_under(sigma)
             oracle = h.compose_mobius(sigma) == h

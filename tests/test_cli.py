@@ -244,6 +244,22 @@ class TestCheck:
                          "--point", "0:1:0"])
         assert code == 1
 
+    def test_tame_trivial_center_needs_no_fiber_search(self, tmp_path):
+        # y^5 + x^5 + x^3 over F_2 from (1:0:0) is tame (p = 2, n = 5) and
+        # no usable fiber pair exists within the cap; the closed form
+        # proves the group trivial over the algebraic closure, where the
+        # brute fallback used to scan the base field only
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"field": "2^1",
+                                    "affine_poly": "y^5 + x^5 + x^3"}))
+        code, raw = run_cli(["check", str(path), "--point", "1:0:0",
+                             "--strategy", "collineation"], tmp_path)
+        assert code == 0
+        report = json.loads(raw)
+        assert report["verdict"] == "inconclusive"
+        assert report["group"]["order"] == 1
+        assert report["notes"] == ["collineation group order 1 < 5"]
+
     def test_singular_center_exit_1(self, tmp_path):
         code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json"),
                          "--point", "12:0:1"])
@@ -547,13 +563,76 @@ _RUN_FLAGS = st.tuples(st.integers(1, 8), st.integers(0, 5),
 _BAD_FIELDS = ["4^1", "9", "13^0", "x^2", "", "2^0", "1^1", "3^-1", "^"]
 
 
+# Groups files over fields small enough that every embedding stays well
+# under a second: matrices drawn from scalings, translations, the
+# inversion and random entries (a singular one exits 1), closure capped so
+# a large group exits 2 with ClosureCapExceeded, the base point in the
+# file or on the command line; and the committed groups fixtures.
+_EMBED_FIELDS = {"2^1": 2, "3^1": 3, "5^1": 5, "7^1": 7, "2^2": 4, "3^2": 9,
+                 "13^1": 13}
+_EMBED_FIXTURES = [json.loads((FIXTURES / name).read_text()) for name in
+                   ("groups_a4_f13.json", "groups_toy_conic_f13.json",
+                    "groups_incompatible_f13.json")]
+
+
+@st.composite
+def _embed_run(draw):
+    if draw(st.integers(0, 4)) == 0:
+        return dict(draw(st.sampled_from(_EMBED_FIXTURES))), []
+    field = draw(st.sampled_from(sorted(_EMBED_FIELDS)))
+    entry = st.integers(0, _EMBED_FIELDS[field] - 1)
+    matrix = st.one_of(entry.filter(bool).map(lambda a: [a, 0, 0, 1]),
+                       entry.map(lambda b: [1, b, 0, 1]),
+                       st.just([0, 1, 1, 0]),
+                       st.lists(entry, min_size=4, max_size=4))
+    spec = {"field": field,
+            "g1": draw(st.lists(matrix, min_size=1, max_size=2)),
+            "g2": draw(st.lists(matrix, min_size=1, max_size=2))}
+    point = draw(st.one_of(entry.map(str), st.just("inf")))
+    argv = ["--closure-cap", str(draw(st.sampled_from([4, 8, 12, 24])))]
+    if draw(st.booleans()):
+        spec["point"] = point
+    else:
+        argv += ["--point", point]
+    return spec, argv
+
+
+_BAD_EMBED_VALUES = st.one_of(_BAD_VALUES, st.sampled_from(
+    [[[1, 2, 3]], [[1, 0, 0, 0]], [["a", 0, 0, 1]], [[1.5, 0, 0, 1]],
+     [[True, 0, 0, 1]], [[99, 0, 0, 1]], [[-1, 0, 0, 1]], [1, 0, 0, 1],
+     "[[1, 0, 0, 1]]", [[]], "inf2", "1:2", "", "-1", "99"]))
+_BAD_EMBED_POINTS = ["x", "-1", "99", "", "1:2", "inf2", "1.5", "0x1"]
+
+
+@st.composite
+def _malformed_embed(draw):
+    spec, argv = draw(_embed_run())
+    how = draw(st.sampled_from(["replace", "drop", "extra", "raw", "point"]))
+    key = draw(st.sampled_from(sorted(spec)))
+    if how == "replace":
+        spec[key] = draw(_BAD_EMBED_VALUES)
+    elif how == "drop":
+        del spec[key]
+    elif how == "extra":
+        spec[draw(st.sampled_from(["modulus", "g3", "bogus"]))] = \
+            draw(_BAD_EMBED_VALUES)
+    elif how == "point":
+        argv = argv + ["--point", draw(st.sampled_from(_BAD_EMBED_POINTS))]
+    else:
+        return draw(st.sampled_from(["{ not json", "[]", "3", "null",
+                                     '{"field": "13^1", "g1": 5}'])), argv
+    return json.dumps(spec), argv
+
+
 def _run_fuzzed(text, command: str, argv: list) -> None:
     """Run one fuzzed invocation: exit 0, 1 or 2 and no traceback.  A
     failed run writes one JSON error object on stderr and nothing on
-    stdout; a run that reaches its report writes it on stdout with
-    nothing on stderr, exit 0, or exit 2 for a failed family verification
-    (a family_verdict) or a degenerate branch system (an error report).
-    ``text`` is the input file's content, None for ``branch``."""
+    stdout, and exit 1 (malformed input) always does; a run that reaches
+    its report writes it on stdout with nothing on stderr, exit 0, or
+    exit 2 for a failed family verification (a family_verdict), a
+    degenerate branch system or an embedding whose condition (b) or
+    verification fails (an error report).  ``text`` is the input file's
+    content, None for ``branch``."""
     with tempfile.TemporaryDirectory() as tmp:
         files = []
         if text is not None:
@@ -569,12 +648,17 @@ def _run_fuzzed(text, command: str, argv: list) -> None:
         assert code and not out.getvalue()
         assert json.loads(err.getvalue())["kind"] == "error"
         return
+    assert code != 1
     kind = {"check": "galois_report", "pair": "pair_report",
-            "family": "family_verdict", "branch": "branch_certificate"}[command]
+            "family": "family_verdict", "branch": "branch_certificate",
+            "embed": "embedding_result"}[command]
     if code:
-        assert code == 2 and command in ("family", "branch")
+        assert command in ("family", "branch", "embed")
         kind = "family_verdict" if command == "family" else "error"
-    assert json.loads(out.getvalue())["kind"] == kind
+    report = json.loads(out.getvalue())
+    assert report["kind"] == kind
+    if code and command == "embed":
+        assert report["error"] in ("ConditionBFails", "VerificationFailed")
 
 
 class TestFuzzedCli:
@@ -615,3 +699,15 @@ class TestFuzzedCli:
         argv = ([] if d is None else ["--d", d]) + \
             ([] if field is None else ["--field", field])
         _run_fuzzed(None, "branch", argv + [a for f in flags for a in f])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(run=_embed_run(), flags=_RUN_FLAGS)
+    def test_wellformed_embed_runs_exit_cleanly(self, run, flags):
+        spec, argv = run
+        _run_fuzzed(json.dumps(spec), "embed", argv + flags)
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(run=_malformed_embed(), flags=_RUN_FLAGS)
+    def test_malformed_embed_runs_exit_cleanly(self, run, flags):
+        text, argv = run
+        _run_fuzzed(text, "embed", argv + flags)

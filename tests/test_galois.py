@@ -249,6 +249,44 @@ class TestDenseExactTests:
         props.galois_mobius_through_matches_oracle(300)
 
 
+class TestTameOrder:
+    def test_matches_exact_scan(self):
+        props.galois_tame_order_matches_scan(60)
+
+    def test_trivial_tame_center_skips_fiber_search(self, F13, monkeypatch):
+        # y^4 + x^2 y + x^3 + 1 from (0:1:0): a_3 = 0, so c = 0 and the
+        # shifted rows are the rows; a_1 and a_0 give gcd(4 - 1, 4 - 0) = 1
+        x = Polynomial.variable(F13, 2, 0)
+        y = Polynomial.variable(F13, 2, 1)
+        C = curve_from_affine(y ** 4 + x ** 3 + x * x * y + 1)
+        fib = fiber_polynomial(C, ProjPoint(F13, [0, 1, 0]))
+        assert galois._tame_order(fib) == 1
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("fiber search at a trivial tame center")
+
+        monkeypatch.setattr(galois, "_fiber_search", no_search)
+        G = central_collineation_group(fib)
+        assert len(G) == 1 and G.ctx == F13
+        rep = is_galois_point(C, ProjPoint(F13, [0, 1, 0]),
+                              strategy="collineation")
+        assert rep.verdict == "inconclusive" and len(rep.group) == 1
+
+    def test_wild_and_nontrivial_centers_keep_the_scan(self, F13, F4):
+        # p | n: no closed form; m > 1: the scan reports the elements
+        x = Polynomial.variable(F4, 2, 0)
+        y = Polynomial.variable(F4, 2, 1)
+        wild = fiber_polynomial(curve_from_affine(y ** 4 + y + x ** 3 + 1),
+                                ProjPoint(F4, [0, 1, 0]))
+        assert galois._tame_order(wild) is None
+        x = Polynomial.variable(F13, 2, 0)
+        y = Polynomial.variable(F13, 2, 1)
+        kummer = fiber_polynomial(curve_from_affine(y ** 4 + x ** 3 + 1),
+                                  ProjPoint(F13, [0, 1, 0]))
+        assert galois._tame_order(kummer) == 4
+        assert len(central_collineation_group(kummer)) == 4
+
+
 class TestIsGaloisPoint:
     def test_cubic_inner_certified(self, cubic3a, F13):
         rep = is_galois_point(cubic3a, ProjPoint(F13, [0, 1, 0]))

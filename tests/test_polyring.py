@@ -176,6 +176,29 @@ class TestSplittingRoots:
         with pytest.raises(ExtensionCapExceeded):
             splitting_roots(f, ext_cap=4)
 
+    def test_cap_checked_before_any_split(self, F13, monkeypatch):
+        # two distinct degree-5 irreducibles: full factoring would split
+        # their product by equal-degree draws, but the extension degree 5
+        # is read off the distinct-degree part and fails the cap first
+        import galoispoints.polyring as polyring
+        rng = random.Random(12)
+        quintics = []
+        while len(quintics) < 2:
+            f = rand_poly(rng, F13, 1, 5, 6)
+            fs = f.is_zero or factor_univariate(f)
+            if not f.is_zero and len(fs) == 1 and fs[0][0].degree() == 5 \
+                    and fs[0][0] not in quintics:
+                quintics.append(fs[0][0])
+
+        def no_split(*args, **kwargs):
+            raise AssertionError("equal-degree split before the cap check")
+
+        monkeypatch.setattr(polyring, "_split_once", no_split)
+        with pytest.raises(ExtensionCapExceeded):
+            splitting_roots(quintics[0] * quintics[1], ext_cap=4)
+        with pytest.raises(AssertionError):
+            splitting_roots(quintics[0] * quintics[1], ext_cap=5)
+
     def test_orbit_guard_rejects_wrong_frobenius(self):
         # x^2 + x + 3 is irreducible over F_9 (3 is the encoding of the
         # generator a, a^2 = -1): its roots are conjugate under x -> x^9,
