@@ -243,6 +243,9 @@ def cmd_embed(args, cfg: RunConfig) -> int:
     ctx = _field_from_file(data, args.groups)
     G1 = _load_group(data, ctx, "g1", cfg.closure_cap)
     G2 = _load_group(data, ctx, "g2", cfg.closure_cap)
+    if len(G2) < 2:
+        raise InputError("groups file: 'g2' generates the trivial group; "
+                         "the outer group needs order at least 2")
     point_text = args.point if args.point is not None else data.get("point")
     if point_text is None:
         raise InputError("no point given (groups file 'point' or --point)")

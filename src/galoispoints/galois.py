@@ -6,25 +6,26 @@ methods are implemented, in decreasing order of authority:
 
 * ``collineation`` -- compute the group of central collineations with
   center P preserving the curve.  If its order equals the projection
-  degree, the projection is Galois with that group: certified.  The group
-  is found by a complete enumeration: every such collineation fixes each
-  line of the pencil, hence acts on two precomputed squarefree fibers by
-  an affine map s -> lam s + mu of the fiber coordinate.  All candidate
-  maps through fiber roots are enumerated on reps of the working field
-  and filtered by fiber membership; each survivor
-  (x : beta x + lam y + delta z : z) is verified exactly by a dense test
-  on the y-rows a_i(x) of F(x, y) = moved(x, y, 1): with
+  degree, the projection is Galois with that group: certified.  Every
+  map (x : beta x + lam y + delta z : z) in the group is verified exactly
+  by a dense test on the y-rows a_i(x) of F(x, y) = moved(x, y, 1): with
   l = beta x + delta, lam^j sum_{i >= j} C(i, j) a_i l^(i - j) must equal
   lam^n a_j for every row j, checked from the top with the binomials
   taken mod p.  A projectivity is built only for a verified map.
-  At a tame center (p does not divide n) the scan is skipped when a
-  closed form proves the group trivial (``_tame_order``): with
-  F(t, s) = sum a_i(t) s^i, the s^(n-1)-row of the test says
-  n a_n l = (lam - 1) a_(n-1), so a map other than the identity needs
-  c = a_(n-1) / (n a_n) to be a polynomial of degree <= 1; after the
-  shift s' = s + c the map is s' -> lam s', and every nonzero shifted
-  row b_j forces lam^(n - j) = 1.  This holds over the algebraic
-  closure, and a trivial group never certifies.
+  At a tame center (p does not divide n) the group is built in closed
+  form (``_tame_order``, ``_tame_group``): with F(t, s) = sum a_i(t) s^i,
+  the s^(n-1)-row of the test says n a_n l = (lam - 1) a_(n-1), so a map
+  other than the identity needs c = a_(n-1) / (n a_n) to be a polynomial
+  of degree <= 1; after the shift s' = s + c the map is s' -> lam s', and
+  every nonzero shifted row b_j forces lam^(n - j) = 1.  Over the
+  algebraic closure the group is {s -> lam s + (lam - 1) c : lam^m = 1},
+  m the p-free part of gcd{n - j : b_j != 0}; it is built over F_(q^j),
+  j = ord_m(q) <= phi(m) < n.  Only wild centers (p | n) search fibers:
+  the group is enumerated completely, since every such collineation
+  fixes each line of the pencil, hence acts on two precomputed squarefree
+  fibers by an affine map s -> lam s + mu of the fiber coordinate.  All
+  candidate maps through fiber roots are enumerated on reps of the
+  working field and filtered by fiber membership before the exact test.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
   {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D; the
@@ -60,6 +61,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
@@ -77,7 +79,8 @@ from .errors import (
     SoundnessError,
     ZeroInput,
 )
-from .gf import FieldCtx, FqElement, common_field, lift, make_field
+from .gf import (FieldCtx, FqElement, common_field, lift, make_field,
+                 nth_root_of_unity)
 from .polyring import (
     Polynomial,
     _dense_rows,
@@ -113,12 +116,12 @@ class ProjectionFiber:
     """The fiber polynomial F(t, s) of a projection.
 
     ``curve`` and ``center`` are lifted to one field.  The projectivity
-    ``normalizer`` moves the center to (0:1:0); in the curve's form
-    composed with its inverse, moved(x, y, z), lines through the center
-    are x = const, and in the chart z = 1, F(t, s) = moved(t, s, 1) has
-    exact s-degree n, with n = d - 1 for an inner center and n = d for an
-    outer one.  The chart keeps every term of the form, so F determines
-    moved.
+    ``normalizer`` moves the center to (0:1:0), and ``denormalizer`` is
+    its inverse; in the curve's form composed with the inverse,
+    moved(x, y, z), lines through the center are x = const, and in the
+    chart z = 1, F(t, s) = moved(t, s, 1) has exact s-degree n, with
+    n = d - 1 for an inner center and n = d for an outer one.  The chart
+    keeps every term of the form, so F determines moved.
     """
 
     center: ProjPoint
@@ -127,14 +130,21 @@ class ProjectionFiber:
     poly: Polynomial        # bivariate, var 0 = pencil t, var 1 = fiber s
     normalizer: Projectivity  # maps center to (0:1:0)
     curve: PlaneCurve
+    denormalizer: Projectivity  # maps (0:1:0) to center
 
     @property
     def point_class(self) -> str:
         return "inner" if self.inner else "outer"
 
+    @cached_property
+    def rows(self) -> list:
+        """The s-rows of F as dense lists in t on reps of its field."""
+        return _dense_rows(self.poly, self.poly.ctx)
 
-def _move_center(ctx: FieldCtx, center: ProjPoint) -> Projectivity:
-    """A deterministic projectivity g with g(center) = (0:1:0)."""
+
+def _move_center(ctx: FieldCtx, center: ProjPoint) -> tuple:
+    """A deterministic projectivity g with g(center) = (0:1:0), and its
+    inverse."""
     basis = [[ctx.element(int(i == r)) for r in range(3)] for i in range(3)]
     for i, j in permutations(range(3), 2):
         cols = (basis[i], center.elements(), basis[j])
@@ -143,7 +153,7 @@ def _move_center(ctx: FieldCtx, center: ProjPoint) -> Projectivity:
                                        for r in range(3)])
         except ValueError:
             continue
-        return g_inv.inverse()
+        return g_inv.inverse(), g_inv
     raise ZeroInput("could not complete center to a basis")  # pragma: no cover
 
 
@@ -160,16 +170,16 @@ def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
     inner = curve.contains(pt)
     if inner and not any(curve.gradient_at(pt)):
         raise CenterSingular(f"{center!r} lies in Sing(C)")
-    g = _move_center(ctx, pt)
+    g, g_inv = _move_center(ctx, pt)
     t, s = Polynomial.variable(ctx, 2, 0), Polynomial.variable(ctx, 2, 1)
     fib = curve.form.compose([
         t * FqElement(ctx, a) + s * FqElement(ctx, b) + FqElement(ctx, c)
-        for a, b, c in g.inverse().mat])
+        for a, b, c in g_inv.mat])
     n = curve.degree - (1 if inner else 0)
     if fib.degree_in(1) != n:
         raise ZeroInput(  # pragma: no cover - smoothness guarantees the degree
             f"fiber degree {fib.degree_in(1)} != expected {n}")
-    return ProjectionFiber(pt, inner, n, fib, g, curve)
+    return ProjectionFiber(pt, inner, n, fib, g, curve, g_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -334,14 +344,15 @@ def _shifted_rows(ctx: FieldCtx, rows: list, ell: list):
     for j = n - 1 down to 0, on reps of ``ctx``.
 
     ``rows`` are the y-rows a_i(x) of F, dense lists with a_n on top, and
-    ``ell`` is a dense polynomial in x.  Each row is found by Horner's rule
-    in ell, with the binomials taken mod p.
+    ``ell`` is a trimmed dense polynomial in x.  Each row is found by
+    Horner's rule in ell, with the binomials taken mod p; for ell = 0 it
+    is a_j.
     """
     n = len(rows) - 1
     p, smul = ctx.p, ctx.smul_t
     for j in range(n - 1, -1, -1):
         acc = []
-        for i in range(n, j - 1, -1):
+        for i in range(n if ell else j, j - 1, -1):
             acc = _u_mul(ctx, acc, ell)
             c = math.comb(i, j) % p
             if c and rows[i]:
@@ -366,45 +377,79 @@ def _collineation_fixes(ctx: FieldCtx, rows: list, lam: int, beta: int,
         return False
     mul = ctx.mul_t
     scale = 1
-    for j, row in _shifted_rows(ctx, rows, [delta, beta]):
+    for j, row in _shifted_rows(ctx, rows, _u_trim([delta, beta])):
         scale = mul(scale, lam)
         if row != [mul(scale, x) for x in rows[j]]:
             return False
     return True
 
 
-def _tame_order(fib: ProjectionFiber) -> Optional[int]:
-    """The order of the central collineation group over the algebraic
-    closure at a tame center (p does not divide n), read off the fiber's
-    rows a_i without finding roots; None at a wild center.
+def _tame_order(fib: ProjectionFiber) -> Optional[tuple[int, list]]:
+    """The order m of the central collineation group over the algebraic
+    closure at a tame center (p does not divide n), with the shift c,
+    read off the fiber's rows a_i without finding roots; None at a wild
+    center.
 
-    It is 1 when a_n does not divide a_(n-1) or c = a_(n-1) / (n a_n) has
+    m is 1 when a_n does not divide a_(n-1) or c = a_(n-1) / (n a_n) has
     degree > 1.  Otherwise it is the p-free part of gcd{n - j : b_j != 0}
     over the rows b_j of F(t, s - c) below the top (``_shifted_rows``),
     since lam^(p^e m) = 1 forces lam^m = 1; and None when every such b_j
-    vanishes, as F = a_n (s + c)^n has no finite group.  The proof is in
+    vanishes, as F = a_n (s + c)^n has no finite group.  c is a dense
+    list in t on reps of the fiber's field.  The proof is in
     ``central_collineation_group``.
     """
-    ctx, n = fib.poly.ctx, fib.degree
+    ctx, n, rows = fib.poly.ctx, fib.degree, fib.rows
     p = ctx.p
     if n % p == 0:
         return None
-    rows = _dense_rows(fib.poly, ctx)
     c, rem = _u_divmod(ctx, rows[n - 1],
                        [ctx.smul_t(n % p, x) for x in rows[n]])
     if rem or _u_deg(c) > 1:
-        return 1
+        return 1, []
     m = 0
     for j, row in _shifted_rows(ctx, rows, [ctx.neg_t(x) for x in c]):
         if row:
             m = math.gcd(m, n - j)
             if m == 1:
-                return 1
+                return 1, c
     if m == 0:
         return None
     while m % p == 0:
         m //= p
-    return m
+    return m, c
+
+
+def _tame_group(fib: ProjectionFiber, m: int, c: list,
+                ext_cap: int) -> list[Projectivity]:
+    """The m collineations (x : (lam - 1) c1 x + lam y + (lam - 1) c0 z : z)
+    with lam^m = 1, where c = c0 + c1 t is the shift of ``_tame_order``,
+    over F_(q^j) for the least j with m | q^j - 1, identity first.  Each
+    other map is verified by the exact test; one that fails contradicts
+    the closed form and raises SoundnessError.  Raises ExactModeDegenerate
+    when j exceeds ``ext_cap``."""
+    ctx = fib.poly.ctx
+    j = 1
+    while (ctx.order ** j - 1) % m:
+        j += 1
+    if j > ext_cap:
+        raise ExactModeDegenerate(
+            f"tame collineation group needs extension degree {j} > "
+            f"cap {ext_cap}")
+    wctx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
+    c0, c1 = (lift(FqElement(ctx, x), wctx).rep for x in (c + [0, 0])[:2])
+    rows = fib.rows if j == 1 else _dense_rows(fib.poly, wctx)
+    sub, mul = wctx.sub_t, wctx.mul_t
+    one = wctx.one.rep
+    zeta = nth_root_of_unity(wctx, m).rep
+    out, lam = [Projectivity.identity(wctx, 3)], zeta
+    for _ in range(m - 1):
+        beta, delta = mul(sub(lam, one), c1), mul(sub(lam, one), c0)
+        if not _collineation_fixes(wctx, rows, lam, beta, delta):
+            raise SoundnessError(
+                "a closed-form tame collineation fails the exact test")
+        out.append(_central(wctx, lam, beta, delta))
+        lam = mul(lam, zeta)
+    return out
 
 
 def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
@@ -423,22 +468,25 @@ def central_collineation_group(fib: ProjectionFiber,
     it that send the curve to a scalar multiple of itself.
 
     In the fiber's moved coordinates such a collineation has the shape
-    (x : beta x + lam y + delta z : z).  In ``exact`` mode the group is
-    enumerated completely through its action on two squarefree fibers;
-    ``brute`` mode scans all (beta, lambda, delta) over the base field and
-    is limited by ``cfg.brute_q_cap``.  The result lives in the original
-    coordinates (possibly over an extension) and its order never exceeds
-    the projection degree.
+    (x : beta x + lam y + delta z : z).  In ``exact`` mode a tame center
+    (p does not divide n) gets its group in closed form (``_tame_order``,
+    ``_tame_group``), and a wild one enumerates it completely through its
+    action on two squarefree fibers; ``brute`` mode scans all
+    (beta, lambda, delta) over the base field and is limited by
+    ``cfg.brute_q_cap``.  The result lives in the original coordinates
+    (possibly over an extension) and its order never exceeds the
+    projection degree.
 
-    At a tame center (p does not divide n), ``exact`` mode first reads
-    the order off the fiber's rows (``_tame_order``).  Any map
-    s -> lam s + l satisfies n a_n l = (lam - 1) a_(n-1), so a
-    nontrivial one needs c = a_(n-1) / (n a_n) of degree <= 1; after the
-    shift s' = s + c it is s' -> lam s' with lam^(n - j) = 1 for every
-    nonzero shifted row b_j.  When that leaves lam = 1 only, the group is
-    trivial over the algebraic closure and is returned without a fiber
-    search.  Wild centers, and tame ones with a nontrivial group, run the
-    scan, which reports the elements.
+    The closed form: any map s -> lam s + l satisfies
+    n a_n l = (lam - 1) a_(n-1), so a nontrivial one needs
+    c = a_(n-1) / (n a_n) of degree <= 1; after the shift s' = s + c it
+    is s' -> lam s' with lam^(n - j) = 1 for every nonzero shifted row
+    b_j, and each such lam gives a map, as the shifted form is then a sum
+    of terms b_j s'^j with lam^j = lam^n.  So the group is
+    {s -> lam s + (lam - 1) c : lam^m = 1} over the algebraic closure,
+    built over F_(q^j) for the least j with m | q^j - 1, which is at most
+    phi(m) < n; ExactModeDegenerate when j exceeds ``cfg.ext_cap``.
+    Every element still passes the exact test.
     """
     cfg = cfg or RunConfig()
     ctx = fib.curve.ctx
@@ -454,21 +502,23 @@ def central_collineation_group(fib: ProjectionFiber,
             raise BruteCapExceeded(f"|F| = {q} > brute cap {cfg.brute_q_cap}")
         found = _brute_scan(fib.poly, ctx, n)
     elif mode == "exact":
-        if _tame_order(fib) == 1:
-            return trivial_group(ctx, 3)
-        try:
-            fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
-                                   f"coll:{cfg.seed}:{ctx.spec}")
-        except DegenerateFibers as exc:
-            raise ExactModeDegenerate(str(exc)) from exc
-        found = _fiber_permutation_scan(fib.poly, fibers)
+        tame = _tame_order(fib)
+        if tame is not None:
+            found = _tame_group(fib, *tame, cfg.ext_cap)
+        else:
+            try:
+                fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
+                                       f"coll:{cfg.seed}:{ctx.spec}")
+            except DegenerateFibers as exc:
+                raise ExactModeDegenerate(str(exc)) from exc
+            found = _fiber_permutation_scan(fib.poly, fibers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
     # the identity is always found, so found[0] names the working field
     wctx = found[0].ctx
     g_fwd = fib.normalizer.lift_to(wctx)
-    g_back = fib.normalizer.inverse().lift_to(wctx)
+    g_back = fib.denormalizer.lift_to(wctx)
     group = _closed_group([g_back * sigma * g_fwd for sigma in found], n,
                           "collineation").descend_to(ctx)
     c = fib.center.lift_to(group.ctx)

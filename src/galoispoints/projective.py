@@ -198,8 +198,12 @@ class Projectivity:
 
     @classmethod
     def identity(cls, ctx: FieldCtx, n: int) -> "Projectivity":
-        return cls(ctx, [[1 if i == j else 0 for j in range(n)]
-                         for i in range(n)])
+        # already normalized: 1 is the rep of one in every field shape
+        ident = object.__new__(cls)
+        ident.ctx, ident.n = ctx, n
+        ident.mat = tuple(tuple(int(i == j) for j in range(n))
+                          for i in range(n))
+        return ident
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Projectivity):

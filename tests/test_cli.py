@@ -260,6 +260,27 @@ class TestCheck:
         assert report["group"]["order"] == 1
         assert report["notes"] == ["collineation group order 1 < 5"]
 
+    def test_tame_group_beyond_ext_cap_skips_fiber_search(self, tmp_path):
+        # y^5 + x^3 + 1 over F_13 from (0:1:0) is tame with the group of
+        # 5th roots of unity, which lie in F_(13^4): past --ext-cap 2 the
+        # exact mode stops before any fiber search, and the brute fallback
+        # finds the identity over F_13
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"field": "13^1",
+                                    "affine_poly": "y^5 + x^3 + 1"}))
+        code, raw = run_cli(["check", str(path), "--point", "0:1:0",
+                             "--ext-cap", "2", "--strategy", "collineation"],
+                            tmp_path)
+        assert code == 0
+        report = json.loads(raw)
+        assert report["verdict"] == "inconclusive"
+        assert report["group"]["order"] == 1
+        assert report["notes"] == [
+            "collineation group order 1 < 5",
+            "exact collineation search degenerate: tame collineation group "
+            "needs extension degree 4 > cap 2",
+            "fell back to brute collineation scan"]
+
     def test_singular_center_exit_1(self, tmp_path):
         code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json"),
                          "--point", "12:0:1"])
@@ -424,6 +445,17 @@ class TestEmbed:
         code, raw = run_cli(["embed", str(FIXTURES / "groups_toy_conic_f13.json"),
                              "--point", "3"], tmp_path)
         assert code == 0
+
+    def test_trivial_outer_group_exit_1(self, tmp_path, capsys):
+        # g2 = {identity, a scalar matrix}: no outer group to embed
+        path = tmp_path / "groups.json"
+        path.write_text(json.dumps({"field": "13^1", "g1": [[0, 1, 1, 5]],
+                                    "g2": [[1, 0, 0, 1], [5, 0, 0, 5]],
+                                    "point": "2"}))
+        code = dispatch(["embed", str(path)])
+        assert code == 1
+        error = json.loads(capsys.readouterr().err)
+        assert error["error"] == "InputError" and "'g2'" in error["message"]
 
 
 class TestSchemas:
@@ -632,7 +664,8 @@ def _run_fuzzed(text, command: str, argv: list) -> None:
     exit 2 for a failed family verification (a family_verdict), a
     degenerate branch system or an embedding whose condition (b) or
     verification fails (an error report).  ``text`` is the input file's
-    content, None for ``branch``."""
+    content, None for ``branch``.  Returns the exit code and the name of
+    the error on stderr, or None."""
     with tempfile.TemporaryDirectory() as tmp:
         files = []
         if text is not None:
@@ -646,8 +679,9 @@ def _run_fuzzed(text, command: str, argv: list) -> None:
     assert "Traceback" not in out.getvalue() + err.getvalue()
     if err.getvalue():
         assert code and not out.getvalue()
-        assert json.loads(err.getvalue())["kind"] == "error"
-        return
+        error = json.loads(err.getvalue())
+        assert error["kind"] == "error"
+        return code, error["error"]
     assert code != 1
     kind = {"check": "galois_report", "pair": "pair_report",
             "family": "family_verdict", "branch": "branch_certificate",
@@ -659,6 +693,7 @@ def _run_fuzzed(text, command: str, argv: list) -> None:
     assert report["kind"] == kind
     if code and command == "embed":
         assert report["error"] in ("ConditionBFails", "VerificationFailed")
+    return code, None
 
 
 class TestFuzzedCli:
@@ -704,7 +739,11 @@ class TestFuzzedCli:
     @given(run=_embed_run(), flags=_RUN_FLAGS)
     def test_wellformed_embed_runs_exit_cleanly(self, run, flags):
         spec, argv = run
-        _run_fuzzed(json.dumps(spec), "embed", argv + flags)
+        code, error = _run_fuzzed(json.dumps(spec), "embed", argv + flags)
+        if all(m[1] == m[2] == 0 and m[0] == m[3] for m in spec["g2"]):
+            # g2 generates the trivial group: malformed input, unless g1,
+            # read first, is singular or passes the closure cap
+            assert code == 1 or error == "ClosureCapExceeded"
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(run=_malformed_embed(), flags=_RUN_FLAGS)

@@ -260,7 +260,7 @@ class TestTameOrder:
         y = Polynomial.variable(F13, 2, 1)
         C = curve_from_affine(y ** 4 + x ** 3 + x * x * y + 1)
         fib = fiber_polynomial(C, ProjPoint(F13, [0, 1, 0]))
-        assert galois._tame_order(fib) == 1
+        assert galois._tame_order(fib)[0] == 1
 
         def no_search(*args, **kwargs):
             raise AssertionError("fiber search at a trivial tame center")
@@ -272,19 +272,30 @@ class TestTameOrder:
                               strategy="collineation")
         assert rep.verdict == "inconclusive" and len(rep.group) == 1
 
-    def test_wild_and_nontrivial_centers_keep_the_scan(self, F13, F4):
-        # p | n: no closed form; m > 1: the scan reports the elements
+    def test_only_wild_centers_search_fibers(self, F13, F4, monkeypatch):
+        # m > 1: the group is built in closed form over F_13, which holds
+        # the 4th roots of unity; p | n: no closed form, so the fiber search
+        class Searched(Exception):
+            pass
+
+        def no_search(*args, **kwargs):
+            raise Searched
+
+        monkeypatch.setattr(galois, "_fiber_search", no_search)
+        x = Polynomial.variable(F13, 2, 0)
+        y = Polynomial.variable(F13, 2, 1)
+        kummer = fiber_polynomial(curve_from_affine(y ** 4 + x ** 3 + 1),
+                                  ProjPoint(F13, [0, 1, 0]))
+        assert galois._tame_order(kummer)[0] == 4
+        G = central_collineation_group(kummer)
+        assert len(G) == 4 and G.ctx == F13
         x = Polynomial.variable(F4, 2, 0)
         y = Polynomial.variable(F4, 2, 1)
         wild = fiber_polynomial(curve_from_affine(y ** 4 + y + x ** 3 + 1),
                                 ProjPoint(F4, [0, 1, 0]))
         assert galois._tame_order(wild) is None
-        x = Polynomial.variable(F13, 2, 0)
-        y = Polynomial.variable(F13, 2, 1)
-        kummer = fiber_polynomial(curve_from_affine(y ** 4 + x ** 3 + 1),
-                                  ProjPoint(F13, [0, 1, 0]))
-        assert galois._tame_order(kummer) == 4
-        assert len(central_collineation_group(kummer)) == 4
+        with pytest.raises(Searched):
+            central_collineation_group(wild)
 
 
 class TestIsGaloisPoint:
