@@ -7,16 +7,21 @@ constructors guarantee it structurally and user-supplied curves carry an
 ``assume_irreducible`` flag that is surfaced in reports.
 
 The singular locus is computed by resultant elimination over the affine
-chart plus a direct sweep of the line at infinity; intersection of a line
-with the curve restricts the form to a binary form on the line and reads
-multiplicities off the root multiplicities of that restriction.  Local
-branch separation at singular points is out of scope: divisors whose
-support meets Sing(C) are flagged, not refined.
+chart plus a direct sweep of the line at infinity, taking roots only of
+factors that can hold a singular point (see ``singular_points``); a curve
+keeps its locus per ``ext_cap`` (``PlaneCurve.singular_locus``), so the
+callers that need it on one curve compute it once.
+
+Intersection of a line with the curve restricts the form to a binary form
+on the line and reads multiplicities off the root multiplicities of that
+restriction.  Local branch separation at singular points is out of scope:
+divisors whose support meets Sing(C) are flagged, not refined.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from .errors import (
     ExtensionCapExceeded,
@@ -36,7 +41,7 @@ from .ratfunc import RationalMap1D
 class PlaneCurve:
     """A reduced plane curve: homogeneous trivariate form of degree d."""
 
-    __slots__ = ("form", "degree", "ctx", "assume_irreducible")
+    __slots__ = ("form", "degree", "ctx", "assume_irreducible", "_loci")
 
     def __init__(self, form: Polynomial, assume_irreducible: bool = True):
         if form.nvars != 3 or form.is_zero:
@@ -47,6 +52,7 @@ class PlaneCurve:
         self.degree = form.degree()
         self.ctx = form.ctx
         self.assume_irreducible = assume_irreducible
+        self._loci: dict = {}
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PlaneCurve):
@@ -81,6 +87,14 @@ class PlaneCurve:
         if not self.contains(pt):
             raise PointNotOnCurve(f"{pt!r} is not on the curve")
         return any(self.gradient_at(pt))
+
+    def singular_locus(self, ext_cap: int = 12) -> "SingularLocus":
+        """``singular_points(self, ext_cap)``, computed once per cap and
+        kept on this curve."""
+        locus = self._loci.get(ext_cap)
+        if locus is None:
+            locus = self._loci[ext_cap] = singular_points(self, ext_cap)
+        return locus
 
     def affine(self) -> Polynomial:
         """The affine chart z = 1."""
@@ -141,10 +155,19 @@ def _roots_bounded(poly: Polynomial, ext_cap: int, relevance_bound: int):
     A common zero of two curves of total degrees m, n has residue degree at
     most m*n (the Bezout bound on the number of zeros), so irreducible
     factors beyond that bound cannot carry common zeros and are skipped;
-    factors inside the bound but beyond ext_cap raise honestly.
+    factors inside the bound but beyond ext_cap raise honestly.  A factor
+    x^v gives the root 0 without factoring, first, where the factor x
+    would sort.
     """
     from .polyring import factor_univariate
     out = []
+    v = min(e for (e,) in poly.terms)
+    if v:
+        out.append(poly.ctx.zero)
+        poly = Polynomial(poly.ctx, 1, {(e - v,): rep
+                                        for (e,), rep in poly.terms.items()})
+        if poly.degree() < 1:
+            return out
     for irr, _mult in factor_univariate(poly):
         deg = irr.degree()
         if deg > relevance_bound:
@@ -156,14 +179,32 @@ def _roots_bounded(poly: Polynomial, ext_cap: int, relevance_bound: int):
     return out
 
 
-def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
-    """Common zeros of two coprime bivariate polynomials (a finite set).
+def _common_zeros_pair(A: Polynomial, B: Polynomial, rest: Optional[Polynomial],
+                       ext_cap: int):
+    """Common zeros of two coprime bivariate polynomials (a finite set)
+    that are also zeros of ``rest`` (None: no third condition).
 
-    Yields (x0, y0) pairs of FqElements over per-point extensions.
+    Over each root x0 of the elimination in x, the y-polynomial is cut
+    down by its gcd with rest(x0, y) before any root is taken.  Yields
+    (x0, y0) pairs of FqElements over per-point extensions.
     """
     from .polyring import resultant
 
     bez = max(A.degree(), 1) * max(B.degree(), 1)
+
+    def y_roots(x0, h):
+        if rest is not None:
+            r0 = rest.partial_evaluate(0, x0)
+            if not r0.is_zero:
+                h = poly_gcd(h, r0)
+        if h.degree() < 1:
+            return []
+        out = []
+        for y0 in _roots_bounded(h, ext_cap, bez):
+            ectx = common_field(x0.ctx, y0.ctx)
+            out.append((lift(x0, ectx), lift(y0, ectx)))
+        return out
+
     da, db = A.degree_in(1), B.degree_in(1)
     if da == 0 and db == 0:
         # both free of y: coprime univariates in x share no root
@@ -177,11 +218,8 @@ def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
         out = []
         for x0 in _roots_bounded(ux, ext_cap, bez):
             spec = other.partial_evaluate(0, x0)
-            if spec.is_zero or spec.degree() < 1:
-                continue
-            for y0 in _roots_bounded(spec, ext_cap, bez):
-                ectx = common_field(x0.ctx, y0.ctx)
-                out.append((lift(x0, ectx), lift(y0, ectx)))
+            if not spec.is_zero:
+                out += y_roots(x0, spec)
         return out
     r = resultant(A, B, 1)   # eliminate y -> polynomial in x
     rx = r.dehomogenize(1)
@@ -201,11 +239,7 @@ def _common_zeros_pair(A: Polynomial, B: Polynomial, ext_cap: int):
             g = a0
         else:
             g = poly_gcd(a0, b0)
-        if g.degree() < 1:
-            continue
-        for y0 in _roots_bounded(g, ext_cap, bez):
-            ectx = common_field(x0.ctx, y0.ctx)
-            out.append((lift(x0, ectx), lift(y0, ectx)))
+        out += y_roots(x0, g)
     return out
 
 
@@ -213,25 +247,20 @@ def _affine_singular_candidates(f: Polynomial, ext_cap: int):
     """Zeros of (f, f_x, f_y) in the affine chart, by gcd decomposition."""
     fx = f.derivative(0)
     fy = f.derivative(1)
-    candidates = []
     if fx.is_zero and fy.is_zero:
         raise NotSquarefree("curve form is a p-th power")
     if fx.is_zero or fy.is_zero:
         # f squarefree forces gcd(f, the other partial) to be constant
-        d = fy if fx.is_zero else fx
-        candidates += _common_zeros_pair(f, d, ext_cap)
-        return candidates
+        return _common_zeros_pair(f, fy if fx.is_zero else fx, None, ext_cap)
     g = poly_gcd(f, fx)
     f1, fx1 = exact_div(f, g), exact_div(fx, g)
+    candidates = []
     if g.degree() > 0:
-        # gcd(g, fy) = 1 because f is squarefree
-        candidates += _common_zeros_pair(g, fy, ext_cap)
+        # gcd(g, fy) = 1 because f is squarefree; g divides f and f_x
+        candidates += _common_zeros_pair(g, fy, None, ext_cap)
     if f1.degree() > 0 and fx1.degree() > 0:
-        candidates += _common_zeros_pair(f1, fx1, ext_cap)
-    elif fx1.degree() == 0 and not fx1.is_zero:
-        pass  # no further zeros
-    elif f1.degree() > 0 and fx1.is_zero:
-        candidates += _common_zeros_pair(f1, fy, ext_cap)
+        # the other zeros of f and f_x; fx1 is nonzero as f_x is
+        candidates += _common_zeros_pair(f1, fx1, fy, ext_cap)
     return candidates
 
 
@@ -269,7 +298,13 @@ def singular_points(C: PlaneCurve, ext_cap: int = 12) -> SingularLocus:
 
     Solves form = dF/dX = dF/dY = dF/dZ = 0 on the affine chart z = 1 by
     gcd/resultant elimination and sweeps the line z = 0 separately; results
-    are lifted to the smallest common extension.
+    are lifted to the smallest common extension.  Over each root x0 of an
+    elimination of two of f, f_x, f_y, the y-polynomial is replaced by its
+    gcd with the third specialized at x0, so no root is taken of a factor
+    that cannot hold a singular point (for x^(d-1) + y^d + 1, none of
+    y^d + 1); a power of x gives its root 0 without factoring.  Every
+    candidate is still re-checked exactly.  Each call computes the locus
+    afresh; ``PlaneCurve.singular_locus`` keeps one per curve and cap.
     """
     ctx = C.ctx
     f = C.form.dehomogenize(2)

@@ -41,7 +41,6 @@ from .curve import (
     curve_from_affine,
     line_intersection_divisor,
     pencil_parametrization,
-    singular_points,
 )
 from .errors import (
     DegenerateOnly,
@@ -379,7 +378,7 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
 
 def _pencil_point(curve: PlaneCurve, ext_cap: int) -> ProjPoint:
     """The curve's one singular point, which must have multiplicity d - 1."""
-    (S, mult), = singular_points(curve, ext_cap=ext_cap).points
+    (S, mult), = curve.singular_locus(ext_cap).points
     if mult != curve.degree - 1:
         raise SoundnessError(
             f"pencil point has multiplicity {mult} != {curve.degree - 1}")
@@ -691,14 +690,6 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
                                             cfg.ext_cap)
     _check(checks, "lemma_line_support_1_or_d", True, lemma_line["is_1_or_d"])
 
-    sing_cache: Optional[object] = None
-
-    def get_sing():
-        nonlocal sing_cache
-        if sing_cache is None:
-            sing_cache = singular_points(curve, ext_cap=cfg.ext_cap)
-        return sing_cache
-
     for token in expected.extra_checks:
         if token == "pq_line_is_dP":
             _check(checks, token, True, lemma_line["is_dP"])
@@ -714,7 +705,7 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
         elif token == "mult3_singular_on_ellP":
             ell = expected.ell_P
             hit = any(m == 3 and ell.contains(pt)
-                      for pt, m in get_sing().points)
+                      for pt, m in curve.singular_locus(cfg.ext_cap).points)
             _check(checks, token, True, hit)
         elif token == "noncommuting_pair":
             # joint exists exactly when both groups do, in one dimension
@@ -729,10 +720,11 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
             _check(checks, token, False,
                    joint.g2_normal if joint is not None else None)
         elif token == "singular_locus_empty":
-            _check(checks, token, True, get_sing().is_empty())
+            _check(checks, token, True,
+                   curve.singular_locus(cfg.ext_cap).is_empty())
         elif token == "cusp_at_001":
             hit = any(pt.lift_to(pt.ctx).encoding() == (0, 0, 1) and m >= 2
-                      for pt, m in get_sing().points)
+                      for pt, m in curve.singular_locus(cfg.ext_cap).points)
             _check(checks, token, True, hit)
         else:
             _check(checks, token, "known check token", "unknown")

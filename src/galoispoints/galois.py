@@ -13,14 +13,17 @@ methods are implemented, in decreasing order of authority:
   lam^n a_j for every row j, checked from the top with the binomials
   taken mod p.  A projectivity is built only for a verified map.
   At a tame center (p does not divide n) the group is built in closed
-  form (``_tame_order``, ``_tame_group``): with F(t, s) = sum a_i(t) s^i,
-  the s^(n-1)-row of the test says n a_n l = (lam - 1) a_(n-1), so a map
-  other than the identity needs c = a_(n-1) / (n a_n) to be a polynomial
-  of degree <= 1; after the shift s' = s + c the map is s' -> lam s', and
-  every nonzero shifted row b_j forces lam^(n - j) = 1.  Over the
-  algebraic closure the group is {s -> lam s + (lam - 1) c : lam^m = 1},
-  m the p-free part of gcd{n - j : b_j != 0}; it is built over F_(q^j),
-  j = ord_m(q) <= phi(m) < n.  Only wild centers (p | n) search fibers:
+  form (``_tame_order``, ``_homology_group``): with F(t, s) =
+  sum a_i(t) s^i, the s^(n-1)-row of the test says
+  n a_n l = (lam - 1) a_(n-1), so a map other than the identity needs
+  c = a_(n-1) / (n a_n) to be a polynomial of degree <= 1; after the
+  shift s' = s + c the map is s' -> lam s', and every nonzero shifted row
+  b_j forces lam^(n - j) = 1.  Over the algebraic closure the group is
+  {s -> lam s + (lam - 1) c : lam^m = 1}, m the p-free part of
+  gcd{n - j : b_j != 0}: a cyclic group of homologies with the center as
+  their center (Yoshihara, J. Algebra 239, 2001), written down over
+  F_(q^j), j = ord_m(q) <= phi(m) < n, with its cyclic table and no
+  matrix product or descent.  Only wild centers (p | n) search fibers:
   the group is enumerated completely, since every such collineation
   fixes each line of the pencil, hence acts on two precomputed squarefree
   fibers by an affine map s -> lam s + mu of the fiber coordinate.  All
@@ -419,15 +422,32 @@ def _tame_order(fib: ProjectionFiber) -> Optional[tuple[int, list]]:
     return m, c
 
 
-def _tame_group(fib: ProjectionFiber, m: int, c: list,
-                ext_cap: int) -> list[Projectivity]:
-    """The m collineations (x : (lam - 1) c1 x + lam y + (lam - 1) c0 z : z)
-    with lam^m = 1, where c = c0 + c1 t is the shift of ``_tame_order``,
-    over F_(q^j) for the least j with m | q^j - 1, identity first.  Each
-    other map is verified by the exact test; one that fails contradicts
-    the closed form and raises SoundnessError.  Raises ExactModeDegenerate
-    when j exceeds ``ext_cap``."""
+def _homology_group(fib: ProjectionFiber, m: int, c: list,
+                    ext_cap: int) -> FiniteProjectivityGroup:
+    """The tame collineation group of order m (see ``_tame_order``) in the
+    original coordinates, over F_(q^j) for the least j with m | q^j - 1,
+    with its table written down.
+
+    In the moved coordinates the group is {sigma'_lam : lam^m = 1},
+    sigma'_lam = (x : (lam - 1) c1 x + lam y + (lam - 1) c0 z : z) =
+    I + (lam - 1) e_1 (c1, 1, c0), with c = c0 + c1 t.  Conjugated back,
+    sigma_lam = D sigma'_lam N = s I + (lam - 1) u w^T, where D and N are
+    the denormalizer and normalizer, D N = s I, u = D e_1 is the center
+    and w = (c1, 1, c0) N.  Since w u = s, sigma_lam sigma_mu =
+    s sigma_(lam mu), so the group is cyclic on sigma_zeta for a primitive
+    m-th root of unity zeta, and sigma_(zeta^i) sigma_zeta =
+    sigma_(zeta^(i+1)) is its table: no closure and no matrix product.
+    It does not descend below F_(q^j): the ratio lam of the eigenvalues
+    of a homology lies in every field it is defined over, and zeta
+    generates F_(q^j) because j is least.  Each sigma'_lam passes the
+    exact test; D N = s I, w u = s, m <= n and the center's fixity are
+    checked, and a failure raises SoundnessError.  Raises
+    ExactModeDegenerate when j exceeds ``ext_cap``."""
     ctx = fib.poly.ctx
+    if m == 1:
+        return trivial_group(ctx, 3)
+    if m > fib.degree:
+        raise SoundnessError("collineation group order exceeds the degree")
     j = 1
     while (ctx.order ** j - 1) % m:
         j += 1
@@ -435,21 +455,45 @@ def _tame_group(fib: ProjectionFiber, m: int, c: list,
         raise ExactModeDegenerate(
             f"tame collineation group needs extension degree {j} > "
             f"cap {ext_cap}")
+
+    def dot(a, b, add=ctx.add_t, mul=ctx.mul_t):
+        acc = 0
+        for x, y in zip(a, b):
+            acc = add(acc, mul(x, y))
+        return acc
+
+    D, N = fib.denormalizer.mat, fib.normalizer.mat
+    N_cols = list(zip(*N))
+    s = dot(D[0], N_cols[0])
+    c0, c1 = (c + [0, 0])[:2]
+    u = [row[1] for row in D]
+    w = [dot((c1, 1, c0), col) for col in N_cols]
+    if any(dot(D[i], N_cols[k]) != (s if i == k else 0)
+           for i in range(3) for k in range(3)) or dot(w, u) != s:
+        raise SoundnessError("the homology scalar s is not D N = w u")
     wctx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
-    c0, c1 = (lift(FqElement(ctx, x), wctx).rep for x in (c + [0, 0])[:2])
+    s, c0, c1, *uw = (lift(FqElement(ctx, x), wctx).rep
+                      for x in [s, c0, c1] + u + w)
+    add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
+    uw = [mul(ui, wk) for ui in uw[:3] for wk in uw[3:]]
     rows = fib.rows if j == 1 else _dense_rows(fib.poly, wctx)
-    sub, mul = wctx.sub_t, wctx.mul_t
-    one = wctx.one.rep
     zeta = nth_root_of_unity(wctx, m).rep
-    out, lam = [Projectivity.identity(wctx, 3)], zeta
+    elements, lam = [Projectivity.identity(wctx, 3)], zeta
     for _ in range(m - 1):
-        beta, delta = mul(sub(lam, one), c1), mul(sub(lam, one), c0)
-        if not _collineation_fixes(wctx, rows, lam, beta, delta):
+        l1 = sub(lam, 1)
+        if not _collineation_fixes(wctx, rows, lam, mul(l1, c1), mul(l1, c0)):
             raise SoundnessError(
                 "a closed-form tame collineation fails the exact test")
-        out.append(_central(wctx, lam, beta, delta))
+        flat = [mul(l1, x) for x in uw]
+        for i in (0, 4, 8):
+            flat[i] = add(flat[i], s)
+        elements.append(Projectivity._invertible(wctx, 3, flat))
         lam = mul(lam, zeta)
-    return out
+    center = fib.center.lift_to(wctx)
+    if elements[1].apply(center) != center:
+        raise SoundnessError("a collineation moves its center")
+    table = (0, [1], [list(range(1, m)) + [0]], [(0,) * i for i in range(m)])
+    return FiniteProjectivityGroup(wctx, 3, elements, elements[1:2], table)
 
 
 def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
@@ -470,8 +514,8 @@ def central_collineation_group(fib: ProjectionFiber,
     In the fiber's moved coordinates such a collineation has the shape
     (x : beta x + lam y + delta z : z).  In ``exact`` mode a tame center
     (p does not divide n) gets its group in closed form (``_tame_order``,
-    ``_tame_group``), and a wild one enumerates it completely through its
-    action on two squarefree fibers; ``brute`` mode scans all
+    ``_homology_group``), and a wild one enumerates it completely through
+    its action on two squarefree fibers; ``brute`` mode scans all
     (beta, lambda, delta) over the base field and is limited by
     ``cfg.brute_q_cap``.  The result lives in the original coordinates
     (possibly over an extension) and its order never exceeds the
@@ -486,7 +530,9 @@ def central_collineation_group(fib: ProjectionFiber,
     {s -> lam s + (lam - 1) c : lam^m = 1} over the algebraic closure,
     built over F_(q^j) for the least j with m | q^j - 1, which is at most
     phi(m) < n; ExactModeDegenerate when j exceeds ``cfg.ext_cap``.
-    Every element still passes the exact test.
+    Every element still passes the exact test.  Scanned maps are
+    conjugated back, closed into a group and descended to the smallest
+    field that holds them.
     """
     cfg = cfg or RunConfig()
     ctx = fib.curve.ctx
@@ -504,14 +550,13 @@ def central_collineation_group(fib: ProjectionFiber,
     elif mode == "exact":
         tame = _tame_order(fib)
         if tame is not None:
-            found = _tame_group(fib, *tame, cfg.ext_cap)
-        else:
-            try:
-                fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
-                                       f"coll:{cfg.seed}:{ctx.spec}")
-            except DegenerateFibers as exc:
-                raise ExactModeDegenerate(str(exc)) from exc
-            found = _fiber_permutation_scan(fib.poly, fibers)
+            return _homology_group(fib, *tame, cfg.ext_cap)
+        try:
+            fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
+                                   f"coll:{cfg.seed}:{ctx.spec}")
+        except DegenerateFibers as exc:
+            raise ExactModeDegenerate(str(exc)) from exc
+        found = _fiber_permutation_scan(fib.poly, fibers)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

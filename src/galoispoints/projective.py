@@ -4,8 +4,9 @@ Scalar normalization (first nonzero coordinate equal to 1) gives every
 point, line and projectivity a unique representative, so equality in
 PGL(2) / PGL(3) is syntactic and hash-set group closure works.  Groups are
 explicit element lists with a multiplication table on element positions,
-built by the closure itself, so orders, normality and product sets cost no
-matrix products; structure identification matches the order histogram
+built by the closure itself or written down where the structure is known
+(a cyclic group, an exact factorization), so orders, normality and
+product sets cost no matrix products; structure identification matches the order histogram
 against the small catalogue that the classification needs (trivial,
 cyclic, Klein, elementary abelian, S3, A4, p-group-by-cyclic semidirect)
 and reports "other" instead of guessing anything finer.
@@ -231,11 +232,17 @@ class Projectivity:
                     acc = add(acc, mul(a.mat[i][l], b.mat[l][j]))
                 flat.append(acc)
         # a product of invertible matrices needs no determinant check
-        prod = object.__new__(Projectivity)
+        return Projectivity._invertible(ctx, n, flat)
+
+    @classmethod
+    def _invertible(cls, ctx: FieldCtx, n: int, flat: list) -> "Projectivity":
+        """The projectivity of a row-major list of reps of a matrix known
+        to be invertible, normalized without a determinant check."""
+        g = object.__new__(cls)
         norm = _normalize(ctx, tuple(flat))
-        prod.ctx, prod.n = ctx, n
-        prod.mat = tuple(norm[i * n:i * n + n] for i in range(n))
-        return prod
+        g.ctx, g.n = ctx, n
+        g.mat = tuple(norm[i * n:i * n + n] for i in range(n))
+        return g
 
     def inverse(self) -> "Projectivity":
         ctx, m, n = self.ctx, self.mat, self.n
@@ -304,7 +311,8 @@ class FiniteProjectivityGroup:
     The table on positions is ``(e, gens, cols, words)``: the identity, a
     reduced generating set, ``cols[j][x] = x * gens[j]`` and ``words[x]``,
     the columns whose product is x.  ``generate_group`` builds it while
-    closing, ``lift_to``/``conjugate``/``descend_to`` carry it over, and any
+    closing, ``_factorized_joint`` and ``galois._homology_group`` write it
+    down, ``lift_to``/``conjugate``/``descend_to`` carry it over, and any
     other group builds it from ``generators`` on first use.
     """
 
@@ -635,16 +643,23 @@ def product_structure(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
       * ``neither``         -- product set = J but no semidirect structure
       * ``not_a_product``   -- the product set is smaller than J
 
-    Only the closure of J multiplies matrices; G1 and G2 become sets of
-    positions in J, and the product set, the intersection and normality
-    (g S = S g for each generator g of J) are computed on J's table.
+    Only the construction of J multiplies matrices: when G1 G2 is an exact
+    factorization (``_factorized_joint``) J is the product set, with its
+    table read off G1's and G2's, and otherwise J is closed over both
+    groups' generators.  G1 and G2 become sets of positions in J, and the
+    product set, the intersection and normality (g S = S g for each
+    generator g of J) are computed on J's table.
     """
     if G1.n != G2.n:
         raise DimensionMismatch("groups act on different spaces")
-    J = generate_group(G1.generators + G2.generators, cap=cap)
+    J = _factorized_joint(G1, G2, cap)
+    factorized = J is not None
+    if not factorized:
+        J = generate_group(G1.generators + G2.generators, cap=cap)
     s1, s2 = J.positions(G1), J.positions(G2)
     inter = s1 & s2
-    product_equals = len({J.mul(a, b) for a in s1 for b in s2}) == len(J)
+    product_equals = factorized or len(
+        {J.mul(a, b) for a in s1 for b in s2}) == len(J)
     g1_normal = J.normalizes(s1)
     g2_normal = J.normalizes(s2)
     if not product_equals:
@@ -661,6 +676,55 @@ def product_structure(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
         cls = "neither"
     return ProductReport(J, identify_group(J), len(inter), product_equals,
                          g1_normal, g2_normal, cls)
+
+
+def _factorized_joint(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
+                      cap: int) -> Optional[FiniteProjectivityGroup]:
+    """J = <G1 u G2> as the product set G1 G2 = {a b}, or None when that
+    set is not shown to be a group.
+
+    It is one when its |G1| |G2| products are distinct and b g lies in it
+    for every b in G2 and kept generator g of G1: then (a b) g =
+    a (a' b') and (a b) h = a (b h) for h in G2 stay in the set, so it is
+    closed, and it holds the identity.  The table needs no further
+    product: with x = a_i b_k at position i |G2| + k, J's generators are
+    G1's then G2's, x g = (a_i a_i') b_k' where b_k g = a_i' b_k', x h =
+    a_i (b_k h), and x's word is a_i's followed by b_k's.  None also when
+    |G1| |G2| exceeds ``cap``, so the closure keeps its cap error.
+    """
+    n2 = len(G2)
+    if len(G1) * n2 > cap:
+        return None
+    ctx = common_field(G1.ctx, G2.ctx)
+    G1, G2 = G1.lift_to(ctx), G2.lift_to(ctx)
+    e1, gens1, _, words1 = G1.table()
+    e2, gens2, cols2, words2 = G2.table()
+    elements = [b if i == e1 else a if k == e2 else a * b
+                for i, a in enumerate(G1.elements)
+                for k, b in enumerate(G2.elements)]
+    index = {x: i for i, x in enumerate(elements)}
+    if len(index) != len(elements):
+        return None
+    cols = []
+    for g in gens1:
+        right = []
+        for b in G2.elements:
+            pos = index.get(b * G1.elements[g])
+            if pos is None:
+                return None
+            right.append(divmod(pos, n2))
+        cols.append([G1.mul(i, right[k][0]) * n2 + right[k][1]
+                     for i in range(len(G1)) for k in range(n2)])
+    cols += [[base + col[k] for base in range(0, len(elements), n2)
+              for k in range(n2)] for col in cols2]
+    shift = len(gens1)
+    words = [w1 + tuple(shift + j for j in w2)
+             for w1 in words1 for w2 in words2]
+    gens = [g * n2 + e2 for g in gens1] + [e1 * n2 + h for h in gens2]
+    table = (e1 * n2 + e2, gens, cols, words)
+    return FiniteProjectivityGroup(
+        ctx, G1.n, elements,
+        [elements[g] for g in gens] or [elements[table[0]]], table)
 
 
 # ---------------------------------------------------------------------------

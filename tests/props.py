@@ -10,7 +10,7 @@ import math
 import random
 
 from galoispoints.config import RunConfig
-from galoispoints.curve import PlaneCurve
+from galoispoints.curve import PlaneCurve, singular_points
 from galoispoints.errors import CenterSingular, DegenerateFibers
 from galoispoints.galois import (
     _collineation_fixes,
@@ -727,40 +727,52 @@ def _table_groups(rng):
         ([Projectivity(F13, [[z4, 0, 0], [0, 1, 0], [0, 0, 1]])],
          [Projectivity(F13, [[1, 0, 0], [0, z3, 0], [0, 0, 1]]),
           Projectivity(F13, [[1, 0, 0], [0, 1, 0], [3, 0, 1]])]),
+        # G1 and G2 meet in t -> -t, so their products are not distinct
+        ([Projectivity(F13, [[z4, 0], [0, 1]])],
+         [Projectivity(F13, [[z3, 0], [0, 1]]),
+          Projectivity(F13, [[-1, 0], [0, 1]])]),
     ]
     for g1, g2 in pairs:
         out.append(product_structure(generate_group(g1), generate_group(g2)).joint)
     return out
 
 
-def projective_table(cases=500):
-    """The multiplication table agrees with matrix arithmetic: mul, inv and
-    order against ``*``, ``inverse()`` and ``Projectivity.order``.  The
-    closure of all elements in shuffled order gives the same elements and
-    descriptor from at most log2|G| generators, and its cap trips exactly
-    above |G|."""
-    rng = random.Random(306)
+def _check_table(G, rng) -> int:
+    """Assert that G's table agrees with matrix arithmetic (mul, inv and
+    order against ``*``, ``inverse()`` and ``Projectivity.order``), and
+    that closing its elements in shuffled order gives the same elements
+    and descriptor from at most log2|G| generators, with the cap tripping
+    exactly above |G|.  Returns the number of products compared."""
+    els, N = G.elements, len(G)
     checked = 0
-    for G in _table_groups(rng):
-        els, N = G.elements, len(G)
-        for a in range(N):
-            assert els[G.inv(a)] == els[a].inverse()
-            assert G.order(a) == els[a].order()
-            for b in rng.sample(range(N), min(N, 12)):
-                assert els[G.mul(a, b)] == els[a] * els[b]
-                checked += 1
-        shuffled = list(els)
-        rng.shuffle(shuffled)
-        H = generate_group(shuffled, cap=N)
-        assert H.elements == els
-        assert identify_group(H) == identify_group(G)
-        assert 2 ** len(H.table()[1]) <= N
-        if N > 1:
-            try:
-                generate_group(shuffled, cap=N - 1)
-                raise AssertionError("closure cap not enforced")
-            except ClosureCapExceeded:
-                pass
+    for a in range(N):
+        inv, order = G.inv(a), G.order(a)
+        assert els[inv] == els[a].inverse()
+        assert order == els[a].order()
+        for b in rng.sample(range(N), min(N, 12)):
+            ab = G.mul(a, b)
+            assert els[ab] == els[a] * els[b]
+            checked += 1
+    shuffled = list(els)
+    rng.shuffle(shuffled)
+    H = generate_group(shuffled, cap=N)
+    desc_h, desc_g = identify_group(H), identify_group(G)
+    assert H.elements == els
+    assert desc_h == desc_g
+    assert 2 ** len(H.table()[1]) <= N
+    if N > 1:
+        try:
+            generate_group(shuffled, cap=N - 1)
+            raise AssertionError("closure cap not enforced")
+        except ClosureCapExceeded:
+            pass
+    return checked
+
+
+def projective_table(cases=500):
+    """``_check_table`` on every group of ``_table_groups``."""
+    rng = random.Random(306)
+    checked = sum(_check_table(G, rng) for G in _table_groups(rng))
     assert checked >= cases
 
 
@@ -772,7 +784,8 @@ def projective_orbit_degree(cases=500):
         ctx = G.ctx
         pt = point_p1(ctx, ctx.element(rng.randrange(ctx.order))) \
             if i % 5 else point_p1(ctx, infinity=True)
-        assert orbit(G, pt).degree() == len(G)
+        div = orbit(G, pt)
+        assert div.degree() == len(G)
 
 
 def projective_direct_iff_commuting(cases=500):
@@ -810,7 +823,8 @@ def projective_identify_conjugation_stable(cases=500):
                 break
             except ValueError:
                 continue
-        assert identify_group(G.conjugate(h)).tag == identify_group(G).tag
+        tag_h, tag = identify_group(G.conjugate(h)).tag, identify_group(G).tag
+        assert tag_h == tag
 
 
 def _to_standard(pts):
@@ -1019,6 +1033,7 @@ def galois_tame_order_matches_scan(cases=40):
     elements the brute scan finds the base-field part, gcd(m, q - 1) maps.
     At wild centers (p | n) the closed form is None."""
     rng = random.Random(914)
+    table_rng = random.Random(915)
     done = trivial = wild = 0
     orders = set()
     while done < cases:
@@ -1026,8 +1041,9 @@ def galois_tame_order_matches_scan(cases=40):
         if rng.random() < 0.25:
             fib = _tame_center(rng, ctx, wild=True)
             if fib is not None:
+                tame = _tame_order(fib)
                 assert fib.degree % ctx.p == 0
-                assert _tame_order(fib) is None
+                assert tame is None
                 wild += 1
             continue
         fib = _tame_center(rng, ctx)
@@ -1037,7 +1053,12 @@ def galois_tame_order_matches_scan(cases=40):
         if tame is None:        # F = a_n (s + c)^n: every fiber is a power
             continue
         m = tame[0]
-        assert len(central_collineation_group(fib)) == m, (ctx, fib.poly, m)
+        group = central_collineation_group(fib)
+        assert len(group) == m, (ctx, fib.poly, m)
+        # the written-down table is exact, and nothing descends
+        _check_table(group, table_rng)
+        down = group.descend_to(ctx)
+        assert down is group
         try:
             fibers = _fiber_search(fib.poly, fib.degree, 4, f"tame:{done}")
         except DegenerateFibers:
@@ -1177,6 +1198,83 @@ def curve_singular_points_annihilate(cases=500):
         done += 1  # curves with empty loci still count as a case
 
 
+def _brute_singular_points(C, j):
+    """Every point of P^2(F_(q^j)) where the form and its three partials
+    vanish, by exhaustive evaluation on reps: the oracle for the
+    completeness of ``singular_points``."""
+    base = C.ctx
+    ctx = base if j == 1 else make_field(base.p, base.k * j)
+    form = C.form.lift_to(ctx)
+    polys = [form] + [form.derivative(i) for i in range(3)]
+    add, mul, pw = ctx.add_t, ctx.mul_t, ctx.pow_t
+
+    def vanishes(poly, pt):
+        acc = 0
+        for exp, rep in poly.terms.items():
+            for x, e in zip(pt, exp):
+                if e:
+                    rep = mul(rep, pw(x, e))
+            acc = add(acc, rep)
+        return not acc
+
+    reps = [ctx.decode(code) for code in range(ctx.order)]
+    pts = ([(1, y, z) for y in reps for z in reps]
+           + [(0, 1, z) for z in reps] + [(0, 0, 1)])
+    return ctx, {ProjPoint(ctx, [FqElement(ctx, x) for x in pt])
+                 for pt in pts if all(vanishes(f, pt) for f in polys)}
+
+
+def _locus_matches_brute(C, j) -> tuple:
+    """``singular_points(C)``, and whether its points defined over
+    F_(q^j) are exactly the brute-force singular points there, compared
+    in one field that holds both (subfields of a finite field are
+    unique)."""
+    ctx, brute = _brute_singular_points(C, j)
+    locus = singular_points(C)
+    common = common_field(ctx, locus.ext)
+    q = ctx.order
+    small = {pt for pt in (p.lift_to(common) for p in locus.support())
+             if all(common.pow_t(x, q) == x for x in pt.coords)}
+    return locus, small == {pt.lift_to(common) for pt in brute}
+
+
+def curve_singular_points_complete(cases=60):
+    """``singular_points`` finds every singular point: on random reduced
+    curves over F_2, F_3, F_4, F_5 and F_7 its points over F_(q^j),
+    j = 2 for q <= 5 and 1 for q = 7, equal the brute-force locus of
+    P^2(F_(q^j)).  Curves whose locus needs an extension past the cap
+    are skipped; most curves have no singular point, so singular ones
+    are counted too."""
+    from galoispoints.errors import ExtensionCapExceeded
+    rng = random.Random(404)
+    fields = [make_field(*pk) for pk in ((2, 1), (3, 1), (2, 2), (5, 1),
+                                          (7, 1))]
+    done = singular = 0
+    while done < cases:
+        ctx = fields[done % len(fields)]
+        C = _random_reduced_curve(rng, ctx, rng.randrange(2, 5))
+        j = 2 if ctx.order <= 5 else 1
+        try:
+            locus, ok = _locus_matches_brute(C, j)
+        except ExtensionCapExceeded:
+            continue
+        assert ok, (ctx, C.form.to_text())
+        singular += not locus.is_empty()
+        done += 1
+    assert singular >= cases // 10
+
+
+def curve_family_loci_complete(specs):
+    """``singular_points`` on the curve of every family spec in ``specs``
+    equals the brute-force locus over its field (squared for fields of at
+    most 5 elements); each family's singular points lie over its field."""
+    from galoispoints.families import FamilySpec, build_family
+    for spec in specs:
+        C, _ = build_family(FamilySpec.from_dict(spec))
+        _, ok = _locus_matches_brute(C, 2 if C.ctx.order <= 5 else 1)
+        assert ok, spec
+
+
 def curve_tangent_multiplicity(cases=500):
     """The tangent line divisor has multiplicity >= 2 at the point."""
     from galoispoints.curve import line_intersection_divisor, tangent_line
@@ -1222,4 +1320,5 @@ def curve_family_smoothness(cases=1):
         x = Polynomial.variable(ctx, 2, 0)
         y = Polynomial.variable(ctx, 2, 1)
         C = curve_from_affine(x ** (d - 1) + y ** d + 1)
-        assert singular_points(C).is_empty()
+        locus = singular_points(C)
+        assert locus.is_empty()

@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from galoispoints import curve as curve_mod
 from galoispoints.cli import dispatch
+from galoispoints.projective import Projectivity
 from galoispoints.schema import SCHEMAS, SchemaError, validate, validate_report
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -296,6 +298,52 @@ class TestFamily:
         assert report["success"] is True
         assert report["joint"]["joint_descriptor"]["tag"] == "s3"
         validate_report("family_verdict", report)
+
+    def test_wild_f16_family_matrix_products(self, tmp_path, monkeypatch):
+        # the inner group (order 11) is written down as homologies, with no
+        # product, and J (order 132) is the product set of the two groups:
+        # 110 products (none by an identity) and 12 for its closure test,
+        # besides 60 for the wild outer group's conjugation and closure;
+        # 621 when the tame group was conjugated and closed and J closed
+        # over every kept generator
+        count = [0]
+        product = Projectivity.__mul__
+
+        def counted(a, b):
+            count[0] += 1
+            return product(a, b)
+
+        monkeypatch.setattr(Projectivity, "__mul__", counted)
+        code, _ = run_cli(["family", str(FIXTURES / "thm2_wild_p2e2m3_f16.json")],
+                          tmp_path)
+        assert code == 0
+        assert count[0] == 182
+
+    def test_thm3_quartic_locus_computed_once(self, tmp_path, monkeypatch):
+        # the pencil point of build_family and the mult3_singular_on_ellP
+        # check read one locus kept on the curve
+        calls = []
+        candidates = curve_mod._affine_singular_candidates
+        monkeypatch.setattr(curve_mod, "_affine_singular_candidates",
+                            lambda *args: calls.append(1) or candidates(*args))
+        code, raw = run_cli(["family", str(FIXTURES / "thm3_quartic_f13.json")],
+                            tmp_path)
+        assert code == 0 and json.loads(raw)["success"] is True
+        assert len(calls) == 1
+
+    def test_tame_locus_takes_no_root_of_y_d_plus_1(self, tmp_path):
+        # x^3 + y^4 + 1 over F_13: over x0 = 0, the root of f_x = 3 x^2,
+        # f(0, y) = y^4 + 1 has gcd 1 with f_y = 4 y^3, so no root of it
+        # (they lie in F_(13^2)) is needed and --ext-cap 1 suffices
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"tag": "thm2_tame", "field": "13^1",
+                                    "d": 4, "c": 1}))
+        code, raw = run_cli(["family", str(path), "--ext-cap", "1"], tmp_path)
+        assert code == 0
+        report = json.loads(raw)
+        assert report["success"] is True
+        assert {"name": "singular_locus_empty", "expected": True, "got": True,
+                "passed": True} in report["checks"]
 
     def test_determinism_byte_identical(self, tmp_path):
         _, raw1 = run_cli(["family", str(FIXTURES / "thm3_cubic_f13.json"),

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
 from galoispoints.curve import (
@@ -95,6 +98,28 @@ class TestSingularPoints:
     def test_point_multiplicity(self, cubic3a, F13):
         assert point_multiplicity(cubic3a, ProjPoint(F13, [-1, 0, 1])) == 2
         assert point_multiplicity(cubic3a, ProjPoint(F13, [0, 1, 0])) == 1
+
+    def test_locus_complete_on_random_curves(self):
+        props.curve_singular_points_complete(100)
+
+    def test_locus_complete_on_certify_family_curves(self):
+        # every family spec the certify benchmark runs
+        path = Path(__file__).resolve().parent.parent / "verdictbench" / "gen.py"
+        spec = importlib.util.spec_from_file_location("bench_gen", path)
+        gen = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gen)
+        specs = [job["files"]["spec.json"]
+                 for jobs in gen.certify_cells().values() for job in jobs
+                 if job["argv"][0] == "family"]
+        assert len(specs) > 100
+        props.curve_family_loci_complete(specs)
+
+    def test_locus_kept_per_curve_and_cap(self, quartic3b):
+        C = PlaneCurve(quartic3b.form)
+        locus = C.singular_locus(12)
+        assert C.singular_locus(12) is locus
+        assert C.singular_locus(3) is not locus
+        assert C.singular_locus(3).points == locus.points
 
 
 class TestTangentLine:

@@ -433,6 +433,45 @@ class TestSoundnessGuards:
                              env=dict(os.environ, PYTHONPATH=str(src)))
         assert out.stdout.strip() == "raised"
 
+    def test_homology_guards_under_optimize(self):
+        # the closed-form tame group raises when a map fails the exact
+        # test, when D N = s I or w u = s breaks, and when a map moves the
+        # center; every case runs with -O
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import dataclasses\n"
+            "from galoispoints import galois\n"
+            "from galoispoints.curve import curve_from_affine\n"
+            "from galoispoints.errors import SoundnessError\n"
+            "from galoispoints.gf import make_field\n"
+            "from galoispoints.polyring import Polynomial\n"
+            "from galoispoints.projective import Projectivity, ProjPoint\n"
+            "assert False, 'asserts are live'\n"
+            "F = make_field(13)\n"
+            "x, y = (Polynomial.variable(F, 2, i) for i in range(2))\n"
+            "C = curve_from_affine(x ** 3 + y ** 4 + 1)\n"
+            "fib = galois.fiber_polynomial(C, ProjPoint(F, [0, 1, 0]))\n"
+            "print(len(galois.central_collineation_group(fib)))\n"
+            "D = fib.denormalizer * Projectivity(F, [[2, 0, 0], [0, 1, 0],"
+            " [0, 0, 1]])\n"
+            "moved = ProjPoint(F, [1, 1, 0])\n"
+            "for bad in (dataclasses.replace(fib, denormalizer=D),\n"
+            "            dataclasses.replace(fib, center=moved), None):\n"
+            "    if bad is None:\n"
+            "        galois._collineation_fixes = lambda *args: False\n"
+            "    try:\n"
+            "        galois.central_collineation_group(bad or fib)\n"
+            "    except SoundnessError as exc:\n"
+            "        print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.splitlines() == [
+            "4",
+            "the homology scalar s is not D N = w u",
+            "a collineation moves its center",
+            "a closed-form tame collineation fails the exact test"]
+
     def test_src_has_no_assert_statement(self):
         # python -O strips asserts, so no guard may be written as one
         src = Path(__file__).resolve().parent.parent / "src" / "galoispoints"

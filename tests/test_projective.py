@@ -7,6 +7,7 @@ from galoispoints.gf import make_field, nth_root_of_unity
 from galoispoints.projective import (
     PointDivisor,
     ProjLine,
+    _factorized_joint,
     ProjPoint,
     Projectivity,
     generate_group,
@@ -161,6 +162,33 @@ class TestProductStructure:
     def test_trivial_times_trivial(self, F13):
         pr = product_structure(trivial_group(F13, 2), trivial_group(F13, 2))
         assert pr.classification == "direct" and len(pr.joint) == 1
+
+    @pytest.mark.parametrize("p, g1, g2, factorized, cls, order", [
+        # t -> z3 t and t -> 1/t: S3 = G1 G2 exactly
+        (13, [[[9, 0], [0, 1]]], [[[0, 1], [1, 0]]], True,
+         "left_semidirect", 6),
+        # t -> z4 t and <t -> z3 t, t -> -t> meet in t -> -t
+        (13, [[[5, 0], [0, 1]]], [[[9, 0], [0, 1]], [[12, 0], [0, 1]]],
+         False, "neither", 12),
+        # t -> t + 1 and t -> -1/t generate PSL(2, 5), of order 60
+        (5, [[[1, 1], [0, 1]]], [[[0, 4], [1, 0]]], False,
+         "not_a_product", 60),
+    ])
+    def test_joint_by_exact_factorization(self, p, g1, g2, factorized, cls,
+                                          order):
+        # J is read off the product set only when it is a group; either
+        # way it is the closure of both groups
+        ctx = make_field(p)
+        G1, G2 = (generate_group([Projectivity(ctx, m) for m in gens])
+                  for gens in (g1, g2))
+        joint = _factorized_joint(G1, G2, 4096)
+        assert (joint is not None) == factorized
+        pr = product_structure(G1, G2)
+        closure = generate_group(G1.generators + G2.generators)
+        assert pr.joint.elements == closure.elements
+        assert pr.classification == cls and len(pr.joint) == order
+        with pytest.raises(ClosureCapExceeded):
+            product_structure(G1, G2, cap=order - 1)
 
 
 class TestOrbit:
