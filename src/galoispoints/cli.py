@@ -17,6 +17,7 @@ with identical inputs and configuration produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -48,17 +49,15 @@ from .projective import Projectivity, ProjPoint, generate_group, product_structu
 from .schema import validate_report
 
 
+# RunConfig's integer knobs: each is a --flag, echoed in a report's "config"
+_KNOBS = tuple(f for f in dataclasses.fields(RunConfig) if f.name != "output")
+
+
 def _emit(payload: dict, kind: str, cfg: RunConfig) -> str:
     report = dict(payload)
     report["kind"] = kind
     report["tool"] = {"name": "galoispoints", "version": __version__}
-    report["config"] = {
-        "trials": cfg.trials,
-        "seed": cfg.seed,
-        "ext_cap": cfg.ext_cap,
-        "closure_cap": cfg.closure_cap,
-        "brute_q_cap": cfg.brute_q_cap,
-    }
+    report["config"] = {k.name: getattr(cfg, k.name) for k in _KNOBS}
     validate_report(kind, payload)
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
@@ -305,11 +304,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version=f"galoispoints {__version__}")
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--trials", type=int, default=64)
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--ext-cap", type=int, default=12)
-    common.add_argument("--closure-cap", type=int, default=4096)
-    common.add_argument("--brute-q-cap", type=int, default=64)
+    for knob in _KNOBS:
+        common.add_argument("--" + knob.name.replace("_", "-"), type=int,
+                            default=knob.default)
     common.add_argument("--output", default=None,
                         help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -354,9 +351,8 @@ def dispatch(argv: Optional[list] = None) -> int:
     try:
         args = parser.parse_args(argv)
         try:
-            cfg = RunConfig(trials=args.trials, seed=args.seed,
-                            ext_cap=args.ext_cap, closure_cap=args.closure_cap,
-                            brute_q_cap=args.brute_q_cap, output=args.output)
+            cfg = RunConfig(output=args.output,
+                            **{k.name: getattr(args, k.name) for k in _KNOBS})
         except ValueError as exc:
             raise InputError(str(exc)) from None
         return args.func(args, cfg)

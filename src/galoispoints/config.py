@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 
@@ -13,17 +13,18 @@ class RunConfig:
     ext_cap is a relative extension degree: operations that need roots may
     move from F_{p^k} to F_{p^(k*j)} for j up to ext_cap.  All randomized
     searches derive their streams from (seed, call site, trial index), so
-    identical configurations give byte-identical reports.
+    identical configurations give byte-identical reports.  Every int field
+    but the seed must be positive.
     """
 
     trials: int = 64
-    seed: int = 0
+    seed: int = field(default=0, metadata={"any_int": True})
     ext_cap: int = 12
     closure_cap: int = 4096
-    brute_q_cap: int = 64
     output: Optional[str] = None
 
     def __post_init__(self):
-        for name in ("trials", "ext_cap", "closure_cap", "brute_q_cap"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            if (f.type == "int" and not f.metadata.get("any_int")
+                    and getattr(self, f.name) < 1):
+                raise ValueError(f"{f.name} must be positive")

@@ -302,9 +302,10 @@ def singular_points(C: PlaneCurve, ext_cap: int = 12) -> SingularLocus:
     elimination of two of f, f_x, f_y, the y-polynomial is replaced by its
     gcd with the third specialized at x0, so no root is taken of a factor
     that cannot hold a singular point (for x^(d-1) + y^d + 1, none of
-    y^d + 1); a power of x gives its root 0 without factoring.  Every
-    candidate is still re-checked exactly.  Each call computes the locus
-    afresh; ``PlaneCurve.singular_locus`` keeps one per curve and cap.
+    y^d + 1), and F(1, y, 0) on z = 0 is cut by the partials alike; a
+    power of x gives its root 0 without factoring.  Every candidate is
+    still re-checked exactly.  Each call computes the locus afresh;
+    ``PlaneCurve.singular_locus`` keeps one per curve and cap.
     """
     ctx = C.ctx
     f = C.form.dehomogenize(2)
@@ -321,11 +322,15 @@ def singular_points(C: PlaneCurve, ext_cap: int = 12) -> SingularLocus:
     on_line = C.form.partial_evaluate(2, ctx.zero)  # binary form in (x, y)
     if on_line.is_zero:
         raise NotSquarefree("z divides the curve form; form is not reduced")
-    # roots of F(1, y, 0); the x-exponent is determined by homogeneity
-    fy_line = on_line.dehomogenize(0)
+    # roots of F(1, y, 0), cut by the partials on the line as in the chart
+    h = on_line.dehomogenize(0)
+    for i in range(3):
+        partial = C.form.derivative(i).partial_evaluate(2, ctx.zero)
+        if not partial.is_zero:
+            h = poly_gcd(h, partial.dehomogenize(0))
     candidates = []
-    if fy_line.degree() >= 1:
-        for y0 in _roots_bounded(fy_line, ext_cap, fy_line.degree()):
+    if h.degree() >= 1:
+        for y0 in _roots_bounded(h, ext_cap, h.degree()):
             candidates.append(ProjPoint(y0.ctx, [y0.ctx.one, y0, y0.ctx.zero]))
     candidates.append(ProjPoint(ctx, [ctx.zero, ctx.one, ctx.zero]))
     for pt in candidates:

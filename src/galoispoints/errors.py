@@ -76,12 +76,8 @@ class AllSpecializationsRamified(GaloisPointError):
     """Every sampled specialization of a fiber polynomial was degenerate."""
 
 
-class BruteCapExceeded(GaloisPointError):
-    """The base field is too large for an exhaustive collineation scan."""
-
-
 class ExactModeDegenerate(GaloisPointError):
-    """The deterministic collineation search could not find usable fibers."""
+    """The collineation search needs fibers or roots of unity past the cap."""
 
 
 class DegenerateFibers(GaloisPointError):
@@ -139,4 +135,4 @@ class DegenerateOnly(GaloisPointError):
 # -- CLI ------------------------------------------------------------------------
 
 class InputError(GaloisPointError):
-    """Malformed input file or command line (maps to exit code 1)."""
+    """Malformed input, such as a reducible curve (maps to exit code 1)."""

@@ -394,6 +394,17 @@ def _subfield_elements(ctx: FieldCtx, e: int) -> list[FqElement]:
     return [x for x in ctx.elements() if x ** q == x]
 
 
+def _wild_tag(p: int, e: int, m: int) -> str:
+    """The catalogue tag of (Z/p)^e x| Z/m, in identify_group's priority."""
+    pe = p ** e
+    if m == 1:
+        return "cyclic" if e == 1 else (
+            "klein" if pe == 4 else "elementary_abelian")
+    if pe == 4 and m == 3:
+        return "a4"
+    return "s3" if pe * m == 6 else "semidirect_p_cyclic"
+
+
 def build_family(spec: FamilySpec,
                  ext_cap: int = 12) -> tuple[PlaneCurve, FamilyExpectation]:
     """Construct the family curve and its expectation skeleton."""
@@ -459,21 +470,10 @@ def build_family(spec: FamilySpec,
         curve = curve_from_affine(x ** (d - 1) + gy ** spec.m + spec.c)
         P = ProjPoint(ctx, [1, 0, 0])
         Q = ProjPoint(ctx, [0, 1, 0])
-        # the catalogue tag of (Z/p)^e x| Z/m, in identify_group's priority
-        pe = p ** spec.e
-        if spec.m == 1:
-            outer_tag = "cyclic" if spec.e == 1 else (
-                "klein" if pe == 4 else "elementary_abelian")
-        elif pe == 4 and spec.m == 3:
-            outer_tag = "a4"
-        elif pe * spec.m == 6:
-            outer_tag = "s3"
-        else:
-            outer_tag = "semidirect_p_cyclic"
         return curve, FamilyExpectation(
             P=P, Q=Q, inner_order=d - 1, outer_order=d,
             classification="direct", joint_order=d * (d - 1),
-            inner_tag="cyclic", outer_tag=outer_tag,
+            inner_tag="cyclic", outer_tag=_wild_tag(p, spec.e, spec.m),
             extra_checks=("pq_line_is_dP",))
     if spec.tag in ("thm3_cubic", "thm3_quartic"):
         if p in (2, 3):
@@ -516,13 +516,6 @@ def build_family(spec: FamilySpec,
                 f"{ctx.spec} lacks the order-(d-1) scalars; use k divisible by e")
         x = Polynomial.variable(ctx, 2, 0)
         y = Polynomial.variable(ctx, 2, 1)
-        # catalogue priority: (Z/p)^1 is cyclic, (Z/2)^2 is klein
-        if spec.e == 1:
-            outer_tag = "cyclic"
-        elif d == 4:
-            outer_tag = "klein"
-        else:
-            outer_tag = "elementary_abelian"
         if spec.variant == "power":
             curve = curve_from_affine(x - y ** d)
             P = ProjPoint(ctx, [0, 0, 1])
@@ -545,7 +538,7 @@ def build_family(spec: FamilySpec,
             parametrization=param,
             classification="right_semidirect",
             joint_order=d * (d - 1),
-            inner_tag="cyclic", outer_tag=outer_tag,
+            inner_tag="cyclic", outer_tag=_wild_tag(p, spec.e, 1),
             ell_P=ell_P,
             extra_checks=("pq_support_d_distinct", "noncommuting_pair"))
     if spec.tag == "gk":

@@ -29,6 +29,7 @@ methods are implemented, in decreasing order of authority:
   fibers by an affine map s -> lam s + mu of the fiber coordinate.  All
   candidate maps through fiber roots are enumerated on reps of the
   working field and filtered by fiber membership before the exact test.
+  More than n collineations prove the curve reducible: an input error.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
   {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D; the
@@ -72,11 +73,12 @@ from .config import RunConfig
 from .curve import PlaneCurve
 from .errors import (
     AllSpecializationsRamified,
-    BruteCapExceeded,
     CenterSingular,
+    ClosureCapExceeded,
     DegenerateFibers,
     ExactModeDegenerate,
     ExtensionCapExceeded,
+    InputError,
     MissingParametrization,
     ParametrizationInvalid,
     SoundnessError,
@@ -91,7 +93,6 @@ from .polyring import (
     _u_add,
     _u_deg,
     _u_divmod,
-    _u_eval,
     _u_factor_degrees,
     _u_mul,
     _u_trim,
@@ -505,21 +506,18 @@ def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
 
 
 def central_collineation_group(fib: ProjectionFiber,
-                               mode: str = "exact",
                                cfg: Optional[RunConfig] = None
                                ) -> FiniteProjectivityGroup:
     """All projectivities fixing the fiber's center and every line through
     it that send the curve to a scalar multiple of itself.
 
     In the fiber's moved coordinates such a collineation has the shape
-    (x : beta x + lam y + delta z : z).  In ``exact`` mode a tame center
-    (p does not divide n) gets its group in closed form (``_tame_order``,
-    ``_homology_group``), and a wild one enumerates it completely through
-    its action on two squarefree fibers; ``brute`` mode scans all
-    (beta, lambda, delta) over the base field and is limited by
-    ``cfg.brute_q_cap``.  The result lives in the original coordinates
-    (possibly over an extension) and its order never exceeds the
-    projection degree.
+    (x : beta x + lam y + delta z : z).  A tame center (p does not divide
+    n) gets its group in closed form (``_homology_group``), and a wild one
+    enumerates it through its action on two squarefree fibers
+    (``_scanned_group``); ExactModeDegenerate when the fibers or roots of
+    unity it needs lie past ``cfg.ext_cap``.  The group lives in the
+    original coordinates, possibly over an extension.
 
     The closed form: any map s -> lam s + l satisfies
     n a_n l = (lam - 1) a_(n-1), so a nontrivial one needs
@@ -529,100 +527,61 @@ def central_collineation_group(fib: ProjectionFiber,
     of terms b_j s'^j with lam^j = lam^n.  So the group is
     {s -> lam s + (lam - 1) c : lam^m = 1} over the algebraic closure,
     built over F_(q^j) for the least j with m | q^j - 1, which is at most
-    phi(m) < n; ExactModeDegenerate when j exceeds ``cfg.ext_cap``.
-    Every element still passes the exact test.  Scanned maps are
-    conjugated back, closed into a group and descended to the smallest
-    field that holds them.
+    phi(m) < n.  Every element still passes the exact test.
     """
     cfg = cfg or RunConfig()
-    ctx = fib.curve.ctx
     n = fib.degree
     if n < 1:
         raise ZeroInput("degenerate curve for collineation search")
     if n == 1:
-        return trivial_group(ctx, 3)
+        return trivial_group(fib.curve.ctx, 3)
+    tame = _tame_order(fib)
+    if tame is not None:
+        return _homology_group(fib, *tame, cfg.ext_cap)
+    try:
+        fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
+                               f"coll:{cfg.seed}:{fib.curve.ctx.spec}")
+    except DegenerateFibers as exc:
+        raise ExactModeDegenerate(str(exc)) from exc
+    return _scanned_group(fib, _fiber_permutation_scan(fib.poly, fibers))
 
-    if mode == "brute":
-        q = ctx.order
-        if q > cfg.brute_q_cap:
-            raise BruteCapExceeded(f"|F| = {q} > brute cap {cfg.brute_q_cap}")
-        found = _brute_scan(fib.poly, ctx, n)
-    elif mode == "exact":
-        tame = _tame_order(fib)
-        if tame is not None:
-            return _homology_group(fib, *tame, cfg.ext_cap)
-        try:
-            fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
-                                   f"coll:{cfg.seed}:{ctx.spec}")
-        except DegenerateFibers as exc:
-            raise ExactModeDegenerate(str(exc)) from exc
-        found = _fiber_permutation_scan(fib.poly, fibers)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
+def _scanned_group(fib: ProjectionFiber,
+                   found: list[Projectivity]) -> FiniteProjectivityGroup:
+    """The group of a scan's verified maps in the moved coordinates:
+    conjugated back, closed, descended to the smallest field that holds
+    it, with the center's fixity checked.  On an irreducible curve the
+    maps act faithfully on k(C) over k(t), so a closure of more than n
+    proves the curve reducible: InputError."""
     # the identity is always found, so found[0] names the working field
     wctx = found[0].ctx
     g_fwd = fib.normalizer.lift_to(wctx)
     g_back = fib.denormalizer.lift_to(wctx)
-    group = _closed_group([g_back * sigma * g_fwd for sigma in found], n,
-                          "collineation").descend_to(ctx)
+    group = _closed_group([g_back * sigma * g_fwd for sigma in found],
+                          fib.degree)
+    if group is None:
+        raise InputError(
+            f"the curve is reducible: {len(found)} collineations with center "
+            f"{fib.center.spec_str()} fix every line through it and generate "
+            f"more than the projection degree {fib.degree}")
+    group = group.descend_to(fib.curve.ctx)
     c = fib.center.lift_to(group.ctx)
     if any(e.apply(c) != c for e in group.elements):
         raise SoundnessError("a collineation moves its center")
     return group
 
 
-def _closed_group(elements: list[Projectivity], n: int,
-                  what: str) -> FiniteProjectivityGroup:
-    """The group of a scan's verified maps, which must be closed and of
-    order at most the degree ``n``."""
-    group = generate_group(elements, cap=n + 1)
+def _closed_group(elements: list[Projectivity],
+                  n: int) -> Optional[FiniteProjectivityGroup]:
+    """The group of a scan's verified maps, which must be closed; None
+    when they generate more than the degree ``n``."""
+    try:
+        group = generate_group(elements, cap=n)
+    except ClosureCapExceeded:
+        return None
     if len(group) != len(elements):
-        raise ZeroInput(f"{what} scan returned a non-closed set")  # pragma: no cover
-    if len(group) > n:
-        raise SoundnessError(f"{what} group order exceeds the degree")
+        raise ZeroInput("scan returned a non-closed set")  # pragma: no cover
     return group
-
-
-def _brute_scan(fpoly: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
-    """Exhaustive scan of central collineations over the base field."""
-    rows = _dense_rows(fpoly, ctx)
-    # cheap point filter: images of a few curve points must stay on the curve
-    probe = _probe_points(rows, ctx)
-    add, mul = ctx.add_t, ctx.mul_t
-    out = []
-    for lam_code in range(1, ctx.order):
-        lam = ctx.decode(lam_code)
-        for b_code in range(ctx.order):
-            beta = ctx.decode(b_code)
-            for d_code in range(ctx.order):
-                delta = ctx.decode(d_code)
-                if any(_u_eval(ctx, spec, add(add(mul(beta, px), mul(lam, py)),
-                                              delta))
-                       for px, py, spec in probe):
-                    continue
-                if _collineation_fixes(ctx, rows, lam, beta, delta):
-                    out.append(_central(ctx, lam, beta, delta))
-    return out
-
-
-def _probe_points(rows: list, ctx: FieldCtx, want: int = 3) -> list:
-    """A few affine points (x0, y0) on the moved curve, each with the
-    dense fiber F(x0, y) it lies on, for cheap filtering."""
-    out = []
-    for code in range(ctx.order):
-        x0 = ctx.decode(code)
-        spec = _u_trim([_u_eval(ctx, row, x0) for row in rows])
-        if _u_deg(spec) < 1:
-            continue
-        for root_code in range(ctx.order):
-            y0 = ctx.decode(root_code)
-            if not _u_eval(ctx, spec, y0):
-                out.append((x0, y0, spec))
-                break
-        if len(out) >= want:
-            break
-    return out
 
 
 def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
@@ -739,7 +698,9 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
                 if _mobius_fixes(wctx, num, den, *key):
                     a, b, c, d = (FqElement(wctx, x) for x in key)
                     found[key] = Projectivity(wctx, [[a, b], [c, d]])
-    group = _closed_group(list(found.values()), n, "deck")
+    group = _closed_group(list(found.values()), n)
+    if group is None:
+        raise SoundnessError("deck group order exceeds the degree")
     if not all(hw.invariant_under(sigma) for sigma in group.elements):
         raise SoundnessError("a deck map does not preserve the map")
     return group.descend_to(base)
@@ -800,13 +761,9 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
     coll_group = None
     if strategy in ("auto", "collineation"):
         try:
-            coll_group = central_collineation_group(fib, mode="exact", cfg=cfg)
+            coll_group = central_collineation_group(fib, cfg)
         except ExactModeDegenerate as exc:
             notes.append(f"exact collineation search degenerate: {exc}")
-            if fib.poly.ctx.order <= cfg.brute_q_cap:
-                coll_group = central_collineation_group(fib, mode="brute",
-                                                        cfg=cfg)
-                notes.append("fell back to brute collineation scan")
         if coll_group is not None and len(coll_group) == n:
             return GaloisReport(fib.center, fib.point_class, n,
                                 "certified_galois", group=coll_group,

@@ -9,19 +9,21 @@ them at lower counts for quick iteration.
 import math
 import random
 
-from galoispoints.config import RunConfig
 from galoispoints.curve import PlaneCurve, singular_points
-from galoispoints.errors import CenterSingular, DegenerateFibers
+from galoispoints.errors import CenterSingular, DegenerateFibers, InputError
 from galoispoints.galois import (
+    _central,
     _collineation_fixes,
     _fiber_permutation_scan,
     _fiber_search,
     _mobius_through,
+    _scanned_group,
     _tame_order,
     central_collineation_group,
     fiber_polynomial,
 )
 from galoispoints.gf import (
+    FieldCtx,
     FqElement,
     _subgroup_log,
     _unit_group_factors,
@@ -49,6 +51,7 @@ from galoispoints.polyring import (
     _u_powmod,
     _u_prs,
     _u_sub,
+    _u_trim,
     exact_div,
     factor_degrees,
     factor_univariate,
@@ -1019,6 +1022,60 @@ def _fibers_lift_to_zeros(fpoly, fibers) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# Collineation oracle: the exhaustive scan over the base field
+# ---------------------------------------------------------------------------
+
+def _brute_scan(fpoly: Polynomial, ctx: FieldCtx, n: int) -> list[Projectivity]:
+    """Exhaustive scan of central collineations over the base field."""
+    rows = _dense_rows(fpoly, ctx)
+    # cheap point filter: images of a few curve points must stay on the curve
+    probe = _probe_points(rows, ctx)
+    add, mul = ctx.add_t, ctx.mul_t
+    out = []
+    for lam_code in range(1, ctx.order):
+        lam = ctx.decode(lam_code)
+        for b_code in range(ctx.order):
+            beta = ctx.decode(b_code)
+            for d_code in range(ctx.order):
+                delta = ctx.decode(d_code)
+                if any(_u_eval(ctx, spec, add(add(mul(beta, px), mul(lam, py)),
+                                              delta))
+                       for px, py, spec in probe):
+                    continue
+                if _collineation_fixes(ctx, rows, lam, beta, delta):
+                    out.append(_central(ctx, lam, beta, delta))
+    return out
+
+
+def _probe_points(rows: list, ctx: FieldCtx, want: int = 3) -> list:
+    """A few affine points (x0, y0) on the moved curve, each with the
+    dense fiber F(x0, y) it lies on, for cheap filtering."""
+    out = []
+    for code in range(ctx.order):
+        x0 = ctx.decode(code)
+        spec = _u_trim([_u_eval(ctx, row, x0) for row in rows])
+        if _u_deg(spec) < 1:
+            continue
+        for root_code in range(ctx.order):
+            y0 = ctx.decode(root_code)
+            if not _u_eval(ctx, spec, y0):
+                out.append((x0, y0, spec))
+                break
+        if len(out) >= want:
+            break
+    return out
+
+
+def brute_collineation_group(fib):
+    """The central collineation group of ``fib`` over its base field, by
+    the exhaustive scan of every (beta, lam, delta), fed to the tail the
+    wild scan uses (``galois._scanned_group``).  Costs q^3 exact tests:
+    meant for fields of at most 64 elements."""
+    return _scanned_group(fib, _brute_scan(fib.poly, fib.curve.ctx,
+                                           fib.degree))
+
+
 def galois_tame_order_matches_scan(cases=40):
     """``galois._tame_order`` is the order of the group that
     ``central_collineation_group`` builds in closed form on every tame
@@ -1069,13 +1126,60 @@ def galois_tame_order_matches_scan(cases=40):
             continue
         assert m == scan, (ctx, fib.poly, m, scan)
         if ctx.order <= 16:
-            brute = central_collineation_group(fib, "brute",
-                                               RunConfig(brute_q_cap=16))
+            brute = brute_collineation_group(fib)
             assert len(brute) == math.gcd(m, ctx.order - 1)
         trivial += m == 1
         orders.add(m)
         done += 1
     assert wild and trivial and len(orders) >= 3
+
+
+# Fields and subspace dimensions e of the split-additive suite: curves of
+# degree p^e or p^e + 1 over F_2 to F_9
+_ADDITIVE_CASES = ((2, 1, 1), (2, 2, 1), (2, 2, 2), (2, 3, 1), (2, 3, 2),
+                   (3, 1, 1), (3, 2, 1), (5, 1, 1), (7, 1, 1))
+
+
+def galois_split_additive_never_degenerate(cases=60):
+    """At (0:1:0) of A(y) + B(x), A = prod_{w in W} (y - w) for a random
+    e-dimensional F_p-subspace W of the field and B random of degree 1 to
+    p^e + 1, the translations y -> y + w give p^e = n collineations, so
+    ``central_collineation_group`` either certifies order n (the wild
+    scan finds all of them) or proves the curve reducible (InputError,
+    exit 1); it never degenerates.  Both outcomes are drawn."""
+    rng = random.Random(919)
+    outcomes = {"galois": 0, "reducible": 0}
+    for done in range(cases):
+        p, k, e = _ADDITIVE_CASES[done % len(_ADDITIVE_CASES)]
+        ctx = make_field(p, k)
+        x, y = (Polynomial.variable(ctx, 2, i) for i in range(2))
+        while True:
+            basis = [ctx.element(rng.randrange(1, ctx.order))
+                     for _ in range(e)]
+            W = {ctx.zero}
+            for b in basis:
+                W |= {w + ctx.element(c) * b for w in W for c in range(1, p)}
+            if len(W) == p ** e:
+                break
+        A = Polynomial.const(ctx, 2, 1)
+        for w in sorted(W, key=lambda w: w.rep):
+            A = A * (y - w)
+        deg_b = rng.randrange(1, p ** e + 2)
+        B = x ** deg_b * ctx.element(rng.randrange(1, ctx.order))
+        for i in range(deg_b):
+            B = B + x ** i * ctx.element(rng.randrange(ctx.order))
+        fib = fiber_polynomial(PlaneCurve((A + B).homogenize()),
+                               ProjPoint(ctx, [0, 1, 0]))
+        assert fib.degree == p ** e
+        try:
+            group = central_collineation_group(fib)
+        except InputError as exc:
+            assert "reducible" in str(exc)
+            outcomes["reducible"] += 1
+            continue
+        assert len(group) == fib.degree, (ctx, A + B)
+        outcomes["galois"] += 1
+    assert all(outcomes.values()), outcomes
 
 
 def ratfunc_invariant_matches_compose(cases=300):

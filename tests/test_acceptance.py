@@ -32,11 +32,7 @@ from galoispoints.families import (
     build_family,
     verify_family,
 )
-from galoispoints.galois import (
-    central_collineation_group,
-    fiber_polynomial,
-    monte_carlo_galois,
-)
+from galoispoints.galois import fiber_polynomial, monte_carlo_galois
 from galoispoints.gf import FqElement, make_field, nth_root_of_unity
 from galoispoints.polyring import Polynomial, factor_univariate
 from galoispoints.projective import ProjPoint, identify_group
@@ -231,7 +227,7 @@ def test_acceptance_8_non_galois_refutation():
     with Timer() as t:
         F7 = make_field(7)
         rng = random.Random(2024)
-        cfg = RunConfig(seed=3, trials=64, brute_q_cap=64)
+        cfg = RunConfig(seed=3, trials=64)
         contradictions = 0
         refuted = 0
         probable = 0
@@ -258,7 +254,7 @@ def test_acceptance_8_non_galois_refutation():
                 mc = monte_carlo_galois(fib, trials=cfg.trials, seed=done)
             except AllSpecializationsRamified:
                 continue
-            coll = central_collineation_group(fib, mode="brute", cfg=cfg)
+            coll = props.brute_collineation_group(fib)
             if mc.verdict == "certified_not_galois":
                 refuted += 1
                 # independent witness re-verification

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -12,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from galoispoints import curve as curve_mod
 from galoispoints.cli import dispatch
+from galoispoints.config import RunConfig
 from galoispoints.projective import Projectivity
 from galoispoints.schema import SCHEMAS, SchemaError, validate, validate_report
 
@@ -59,6 +61,7 @@ class TestCheck:
         ["--point", "0:1:0", "--trials", "abc"],
         ["--point", "0:1:0", "--strategy", "deck"],
         ["--point", "0:1:0", "--output", "."],       # a directory
+        ["--point", "0:1:0", "--brute-q-cap", "64"],  # not an option
     ])
     def test_bad_config_exit_1(self, capsys, flags):
         code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json")]
@@ -249,8 +252,7 @@ class TestCheck:
     def test_tame_trivial_center_needs_no_fiber_search(self, tmp_path):
         # y^5 + x^5 + x^3 over F_2 from (1:0:0) is tame (p = 2, n = 5) and
         # no usable fiber pair exists within the cap; the closed form
-        # proves the group trivial over the algebraic closure, where the
-        # brute fallback used to scan the base field only
+        # proves the group trivial over the algebraic closure
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"field": "2^1",
                                     "affine_poly": "y^5 + x^5 + x^3"}))
@@ -265,8 +267,7 @@ class TestCheck:
     def test_tame_group_beyond_ext_cap_skips_fiber_search(self, tmp_path):
         # y^5 + x^3 + 1 over F_13 from (0:1:0) is tame with the group of
         # 5th roots of unity, which lie in F_(13^4): past --ext-cap 2 the
-        # exact mode stops before any fiber search, and the brute fallback
-        # finds the identity over F_13
+        # exact mode stops before any fiber search and reports no group
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"field": "13^1",
                                     "affine_poly": "y^5 + x^3 + 1"}))
@@ -276,12 +277,33 @@ class TestCheck:
         assert code == 0
         report = json.loads(raw)
         assert report["verdict"] == "inconclusive"
-        assert report["group"]["order"] == 1
+        assert report["group"] is None
         assert report["notes"] == [
-            "collineation group order 1 < 5",
             "exact collineation search degenerate: tame collineation group "
-            "needs extension degree 4 > cap 2",
-            "fell back to brute collineation scan"]
+            "needs extension degree 4 > cap 2"]
+
+    @pytest.mark.parametrize("field, poly, point, found, degree", [
+        # the three lines u^3 - u + 2 = 0, u = x - y
+        ("3^1", "x^3 + 2*y^3 + 2*x + y + 2", "0:1:0", 6, 3),
+        ("2^1", "x^5 + y^5", "1:1:0", 12, 4),
+    ])
+    @pytest.mark.parametrize("strategy", ["auto", "collineation"])
+    def test_reducible_curve_exit_1(self, tmp_path, capsys, field, poly,
+                                    point, found, degree, strategy):
+        # on an irreducible curve the collineations fixing a center and
+        # every line through it act faithfully on the fibers, so more than
+        # the projection degree of them prove the curve reducible
+        path = tmp_path / "curve.json"
+        path.write_text(json.dumps({"field": field, "affine_poly": poly}))
+        code = dispatch(["check", str(path), "--point", point,
+                         "--strategy", strategy])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert err["message"] == (
+            f"the curve is reducible: {found} collineations with center "
+            f"{point} fix every line through it and generate more than the "
+            f"projection degree {degree}")
 
     def test_singular_center_exit_1(self, tmp_path):
         code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json"),
@@ -448,6 +470,14 @@ class TestGoldenReports:
         assert code == 0
         assert raw == (FIXTURES / golden).read_bytes()
 
+    def test_config_echoes_every_knob(self):
+        # every report echoes the whole RunConfig but its output path
+        knobs = {f.name for f in dataclasses.fields(RunConfig)} - {"output"}
+        goldens = sorted(FIXTURES.glob("golden_*.json"))
+        assert len(goldens) == 20
+        for path in goldens:
+            assert set(json.loads(path.read_text())["config"]) == knobs, path
+
 
 class TestPairInvalid:
     def test_singular_center_marked_invalid(self, tmp_path):
@@ -584,7 +614,7 @@ _MALFORMED_FLAGS = st.lists(st.sampled_from([
     ["--point", "0:1:0"], ["--inner", "1:0:0"], ["--outer", "0:1:1"],
     ["--strategy", "deck"], ["--strategy", "auto"], ["--trials", "0"],
     ["--seed", "x"], ["--ext-cap", "-1"], ["--closure-cap", "1"],
-    ["--brute-q-cap", "0"], ["--bogus"],
+    ["--brute-q-cap", "0"], ["--brute-q-cap", "64"], ["--bogus"],
     ["--point", "1:1"], ["--point", "0:0:0"], ["--point", "9:9:9"],
     ["--inner", "a:b:c"]]), max_size=4)
 

@@ -14,7 +14,6 @@ from galoispoints.cli import load_curve
 from galoispoints.config import RunConfig
 from galoispoints.curve import curve_from_affine, pencil_parametrization, singular_points
 from galoispoints.errors import (
-    BruteCapExceeded,
     CenterSingular,
     MissingParametrization,
     SoundnessError,
@@ -146,24 +145,16 @@ class TestCentralCollineations:
         x = Polynomial.variable(F7, 2, 0)
         y = Polynomial.variable(F7, 2, 1)
         C = curve_from_affine(y * y * x + x ** 3 + x + 1)
-        G = central_collineation_group(
-            fiber_polynomial(C, ProjPoint(F7, [1, 0, 0])),
-            mode="brute", cfg=RunConfig(brute_q_cap=7))
+        G = props.brute_collineation_group(
+            fiber_polynomial(C, ProjPoint(F7, [1, 0, 0])))
         assert len(G) == 1
 
     def test_exact_and_brute_agree(self, cubic3a, F13):
-        cfg = RunConfig(brute_q_cap=13)
         fib = fiber_polynomial(cubic3a, ProjPoint(F13, [0, 1, 0]))
-        exact = central_collineation_group(fib, mode="exact", cfg=cfg)
-        brute = central_collineation_group(fib, mode="brute", cfg=cfg)
+        exact = central_collineation_group(fib)
+        brute = props.brute_collineation_group(fib)
         assert {tuple(g.row_major()) for g in exact.elements} == \
                {tuple(g.row_major()) for g in brute.elements}
-
-    def test_brute_cap(self, cubic3a, F13):
-        with pytest.raises(BruteCapExceeded):
-            central_collineation_group(
-                fiber_polynomial(cubic3a, ProjPoint(F13, [0, 1, 0])),
-                mode="brute", cfg=RunConfig(brute_q_cap=5))
 
     def test_soundness_order_bounded_by_degree(self, F7):
         rng = random.Random(17)
@@ -252,6 +243,9 @@ class TestDenseExactTests:
 class TestTameOrder:
     def test_matches_exact_scan(self):
         props.galois_tame_order_matches_scan(60)
+
+    def test_split_additive_wild_centers_never_degenerate(self):
+        props.galois_split_additive_never_degenerate(250)
 
     def test_trivial_tame_center_skips_fiber_search(self, F13, monkeypatch):
         # y^4 + x^2 y + x^3 + 1 from (0:1:0): a_3 = 0, so c = 0 and the
@@ -348,11 +342,13 @@ class TestIsGaloisPoint:
         assert rep.verdict == "certified_galois" and rep.method == "deck"
         assert len(calls) == 1
 
-    def test_exact_to_brute_fallback(self, tmp_path, capsys, F4, monkeypatch):
+    def test_inseparable_center_exact_mode_degenerate(self, tmp_path, capsys,
+                                                      F4):
         # every fiber of y^4 + y^2 + y + x from (1:1:0) is inseparable in
-        # characteristic 2: the exact scan finds no usable fiber, the brute
-        # scan finds the translation (x : y : z) -> (x + z : y + z : z),
-        # which is s -> s + 1 on the fiber, and the screen has nothing left
+        # characteristic 2: the exact mode finds no usable fiber, and the
+        # screen has nothing left.  The base-field oracle finds the
+        # translation (x : y : z) -> (x + z : y + z : z), s -> s + 1 on the
+        # fiber: order 2 < 4, which could not have certified either
         from galoispoints.cli import dispatch
         from galoispoints.errors import ExactModeDegenerate
         x = Polynomial.variable(F4, 2, 0)
@@ -360,23 +356,14 @@ class TestIsGaloisPoint:
         C = curve_from_affine(y ** 4 + y ** 2 + x + y)
         fib = fiber_polynomial(C, ProjPoint(F4, [1, 1, 0]))
         with pytest.raises(ExactModeDegenerate):
-            central_collineation_group(fib, "exact")
-        G = central_collineation_group(fib, "brute")
+            central_collineation_group(fib)
+        G = props.brute_collineation_group(fib)
         assert sorted(g.row_major() for g in G.elements) == [
             [1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 1, 0, 1, 1, 0, 0, 1]]
-        modes = []
-        scan = galois.central_collineation_group
-
-        def spy(fib, mode="exact", cfg=None):
-            modes.append(mode)
-            return scan(fib, mode, cfg)
-
-        monkeypatch.setattr(galois, "central_collineation_group", spy)
         path = tmp_path / "curve.json"
         path.write_text(json.dumps({"field": "2^2",
                                     "affine_poly": C.affine().to_text()}))
         assert dispatch(["check", str(path), "--point", "1:1:0"]) == 2
-        assert modes == ["exact", "brute"]
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "AllSpecializationsRamified"
 
