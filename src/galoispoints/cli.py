@@ -103,11 +103,11 @@ def _field_from_file(data: dict, path: str) -> FieldCtx:
         raise InputError(f"{path}: missing 'field'")
     ctx = parse_field_spec(str(data["field"]))
     if "modulus" in data:
-        try:
-            modulus = tuple(int(c) for c in data["modulus"])
-        except (TypeError, ValueError):
-            raise InputError(
-                f"{path}: 'modulus' must be a list of integers") from None
+        modulus = data["modulus"]
+        if not isinstance(modulus, list) or any(
+                type(c) is not int for c in modulus):   # no floats or bools
+            raise InputError(f"{path}: 'modulus' must be a list of integers")
+        modulus = tuple(modulus)
         if modulus != ctx.modulus:
             try:
                 ctx = FieldCtx(ctx.p, ctx.k, modulus)
@@ -127,7 +127,8 @@ def load_curve(path: str) -> PlaneCurve:
     if "affine_poly" not in data:
         raise InputError(f"{path}: missing 'affine_poly'")
     poly = parse_poly(str(data["affine_poly"]), ctx, 2)
-    assume = bool(data.get("assume_irreducible", True))
+    if not isinstance(assume := data.get("assume_irreducible", True), bool):
+        raise InputError(f"{path}: 'assume_irreducible' must be true or false")
     try:
         curve = curve_from_affine(poly, assume_irreducible=assume)
     except GaloisPointError as exc:

@@ -77,7 +77,7 @@ class AllSpecializationsRamified(GaloisPointError):
 
 
 class ExactModeDegenerate(GaloisPointError):
-    """The collineation search needs fibers or roots of unity past the cap."""
+    """A collineation group needs roots past the extension-degree cap."""
 
 
 class DegenerateFibers(GaloisPointError):

@@ -4,32 +4,11 @@ A point P (smooth on the curve, or off it) is a Galois point when the
 function-field extension induced by projecting from P is Galois.  Three
 methods are implemented, in decreasing order of authority:
 
-* ``collineation`` -- compute the group of central collineations with
-  center P preserving the curve.  If its order equals the projection
-  degree, the projection is Galois with that group: certified.  Every
-  map (x : beta x + lam y + delta z : z) in the group is verified exactly
-  by a dense test on the y-rows a_i(x) of F(x, y) = moved(x, y, 1): with
-  l = beta x + delta, lam^j sum_{i >= j} C(i, j) a_i l^(i - j) must equal
-  lam^n a_j for every row j, checked from the top with the binomials
-  taken mod p.  A projectivity is built only for a verified map.
-  At a tame center (p does not divide n) the group is built in closed
-  form (``_tame_order``, ``_homology_group``): with F(t, s) =
-  sum a_i(t) s^i, the s^(n-1)-row of the test says
-  n a_n l = (lam - 1) a_(n-1), so a map other than the identity needs
-  c = a_(n-1) / (n a_n) to be a polynomial of degree <= 1; after the
-  shift s' = s + c the map is s' -> lam s', and every nonzero shifted row
-  b_j forces lam^(n - j) = 1.  Over the algebraic closure the group is
-  {s -> lam s + (lam - 1) c : lam^m = 1}, m the p-free part of
-  gcd{n - j : b_j != 0}: a cyclic group of homologies with the center as
-  their center (Yoshihara, J. Algebra 239, 2001), written down over
-  F_(q^j), j = ord_m(q) <= phi(m) < n, with its cyclic table and no
-  matrix product or descent.  Only wild centers (p | n) search fibers:
-  the group is enumerated completely, since every such collineation
-  fixes each line of the pencil, hence acts on two precomputed squarefree
-  fibers by an affine map s -> lam s + mu of the fiber coordinate.  All
-  candidate maps through fiber roots are enumerated on reps of the
-  working field and filtered by fiber membership before the exact test.
-  More than n collineations prove the curve reducible: an input error.
+* ``collineation`` -- the group of central collineations with center P
+  preserving the curve, read off the rows of the fiber polynomial in
+  closed form with no fiber search and no seed, each map verified by a
+  dense exact test (``central_collineation_group``).  Order = degree
+  certifies; more than n maps prove the curve reducible: an input error.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
   {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D; the
@@ -65,8 +44,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, reduce
+from itertools import count, permutations
 from typing import Optional
 
 from .config import RunConfig
@@ -88,12 +67,14 @@ from .gf import (FieldCtx, FqElement, common_field, lift, make_field,
                  nth_root_of_unity)
 from .polyring import (
     Polynomial,
+    _dd_parts,
     _dense_rows,
     _squarefree_specializer,
     _u_add,
     _u_deg,
     _u_divmod,
     _u_factor_degrees,
+    _u_gcd,
     _u_mul,
     _u_trim,
     splitting_roots,
@@ -304,45 +285,6 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
 # Central collineations
 # ---------------------------------------------------------------------------
 
-def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
-                  attempts: int = 64):
-    """Find two squarefree full-degree fibers of F(t, s) with split roots.
-
-    Returns a list of (t0, roots, root_ctx); t0 values are pairwise
-    distinct after lifting to their common field, whose degree over F's
-    field is at most ``ext_cap``.
-    """
-    base = fpoly.ctx
-    specialize = _squarefree_specializer(fpoly, n)
-    rng = random.Random(seed_tag)
-    found = []
-    seen_t = []
-    cycle = (1,) * 10 + (2,) * 6 + (3,) * 4 + (1, 2, 3)
-    for attempt in range(attempts):
-        j = cycle[attempt % len(cycle)]
-        ectx = base if j == 1 else make_field(base.p, base.k * j)
-        t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
-        if any(lift(t0, common_field(ectx, t.ctx))
-               == lift(t, common_field(ectx, t.ctx)) for t in seen_t):
-            continue
-        spec = specialize(t0)
-        if spec is None:
-            continue
-        try:
-            rm = splitting_roots(Polynomial.from_dense(ectx, spec),
-                                 ext_cap=max(1, ext_cap // j))
-        except ExtensionCapExceeded:
-            continue
-        if found and math.lcm(found[0][2].k, rm.ext.k) > ext_cap * base.k:
-            continue
-        found.append((t0, [r for r, _ in rm.roots], rm.ext))
-        seen_t.append(t0)
-        if len(found) == 2:
-            return found
-    raise DegenerateFibers(
-        f"no 2 usable fibers within {attempts} attempts")
-
-
 def _shifted_rows(ctx: FieldCtx, rows: list, ell: list):
     """The y^j-rows sum_{i >= j} C(i, j) a_i ell^(i - j) of F(x, y + ell),
     for j = n - 1 down to 0, on reps of ``ctx``.
@@ -388,80 +330,67 @@ def _collineation_fixes(ctx: FieldCtx, rows: list, lam: int, beta: int,
     return True
 
 
-def _tame_order(fib: ProjectionFiber) -> Optional[tuple[int, list]]:
-    """The order m of the central collineation group over the algebraic
-    closure at a tame center (p does not divide n), with the shift c,
-    read off the fiber's rows a_i without finding roots; None at a wild
-    center.
-
-    m is 1 when a_n does not divide a_(n-1) or c = a_(n-1) / (n a_n) has
-    degree > 1.  Otherwise it is the p-free part of gcd{n - j : b_j != 0}
-    over the rows b_j of F(t, s - c) below the top (``_shifted_rows``),
-    since lam^(p^e m) = 1 forces lam^m = 1; and None when every such b_j
-    vanishes, as F = a_n (s + c)^n has no finite group.  c is a dense
-    list in t on reps of the fiber's field.  The proof is in
-    ``central_collineation_group``.
-    """
-    ctx, n, rows = fib.poly.ctx, fib.degree, fib.rows
-    p = ctx.p
-    if n % p == 0:
-        return None
-    c, rem = _u_divmod(ctx, rows[n - 1],
-                       [ctx.smul_t(n % p, x) for x in rows[n]])
-    if rem or _u_deg(c) > 1:
-        return 1, []
-    m = 0
-    for j, row in _shifted_rows(ctx, rows, [ctx.neg_t(x) for x in c]):
+def _shift_order(ctx: FieldCtx, rows: list, ell: list) -> int:
+    """The p-free part m of gcd{n - j : b_j != 0} over the rows b_j, j < n,
+    of F(t, s + ell), as lam^(p^e m) = 1 forces lam^m = 1; InputError when
+    all vanish: F = a_n (s - ell)^n is not reduced."""
+    n, p, m = len(rows) - 1, ctx.p, 0
+    for j, row in _shifted_rows(ctx, rows, ell):
         if row:
             m = math.gcd(m, n - j)
+            while m % p == 0:
+                m //= p
             if m == 1:
-                return 1, c
+                return 1
     if m == 0:
+        raise InputError("the curve is not reduced: its fiber polynomial "
+                         "is a power a_n (s - l)^n")
+    return m
+
+
+def _tame_order(fib: ProjectionFiber) -> Optional[tuple[int, list]]:
+    """(m, c) at a tame center (p does not divide n), None at a wild one:
+    m is 1 unless c = a_(n-1) / (n a_n) is a polynomial of degree <= 1
+    (dense, on reps of the fiber's field), and then ``_shift_order``."""
+    ctx, n, rows = fib.poly.ctx, fib.degree, fib.rows
+    if n % ctx.p == 0:
         return None
-    while m % p == 0:
-        m //= p
-    return m, c
+    c, rem = _u_divmod(ctx, rows[n - 1],
+                       [ctx.smul_t(n % ctx.p, x) for x in rows[n]])
+    if rem or _u_deg(c) > 1:
+        return 1, []
+    return _shift_order(ctx, rows, [ctx.neg_t(x) for x in c]), c
 
 
 def _homology_group(fib: ProjectionFiber, m: int, c: list,
                     ext_cap: int) -> FiniteProjectivityGroup:
-    """The tame collineation group of order m (see ``_tame_order``) in the
-    original coordinates, over F_(q^j) for the least j with m | q^j - 1,
-    with its table written down.
+    """The tame collineation group of order m (``_tame_order``) in the
+    original coordinates over F_(q^j), the least j with m | q^j - 1, with
+    its table written down; ExactModeDegenerate when j exceeds ``ext_cap``.
 
-    In the moved coordinates the group is {sigma'_lam : lam^m = 1},
-    sigma'_lam = (x : (lam - 1) c1 x + lam y + (lam - 1) c0 z : z) =
-    I + (lam - 1) e_1 (c1, 1, c0), with c = c0 + c1 t.  Conjugated back,
-    sigma_lam = D sigma'_lam N = s I + (lam - 1) u w^T, where D and N are
-    the denormalizer and normalizer, D N = s I, u = D e_1 is the center
-    and w = (c1, 1, c0) N.  Since w u = s, sigma_lam sigma_mu =
-    s sigma_(lam mu), so the group is cyclic on sigma_zeta for a primitive
-    m-th root of unity zeta, and sigma_(zeta^i) sigma_zeta =
-    sigma_(zeta^(i+1)) is its table: no closure and no matrix product.
-    It does not descend below F_(q^j): the ratio lam of the eigenvalues
-    of a homology lies in every field it is defined over, and zeta
-    generates F_(q^j) because j is least.  Each sigma'_lam passes the
-    exact test; D N = s I, w u = s, m <= n and the center's fixity are
-    checked, and a failure raises SoundnessError.  Raises
-    ExactModeDegenerate when j exceeds ``ext_cap``."""
+    In the moved coordinates sigma'_lam = I + (lam - 1) e_1 (c1, 1, c0),
+    lam^m = 1, c = c0 + c1 t.  Conjugated back, sigma_lam = D sigma'_lam N
+    = s I + (lam - 1) u w^T for the denormalizer D and normalizer N,
+    D N = s I, the center u = D e_1 and w = (c1, 1, c0) N.  As w u = s,
+    sigma_lam sigma_mu = s sigma_(lam mu): the group is cyclic on
+    sigma_zeta, zeta a primitive m-th root of unity, with that table and no
+    matrix product.  It does not descend: a homology's eigenvalue ratio lam
+    lies in every field it is defined over, and zeta generates F_(q^j).
+    Each map passes the exact test; D N = s I, w u = s, m <= n and the
+    center's fixity are checked, and a failure raises SoundnessError."""
     ctx = fib.poly.ctx
     if m == 1:
         return trivial_group(ctx, 3)
     if m > fib.degree:
         raise SoundnessError("collineation group order exceeds the degree")
-    j = 1
-    while (ctx.order ** j - 1) % m:
-        j += 1
+    j = next(i for i in count(1) if (ctx.order ** i - 1) % m == 0)
     if j > ext_cap:
         raise ExactModeDegenerate(
             f"tame collineation group needs extension degree {j} > "
             f"cap {ext_cap}")
 
-    def dot(a, b, add=ctx.add_t, mul=ctx.mul_t):
-        acc = 0
-        for x, y in zip(a, b):
-            acc = add(acc, mul(x, y))
-        return acc
+    def dot(a, b):
+        return reduce(ctx.add_t, map(ctx.mul_t, a, b), 0)
 
     D, N = fib.denormalizer.mat, fib.normalizer.mat
     N_cols = list(zip(*N))
@@ -498,65 +427,137 @@ def _homology_group(fib: ProjectionFiber, m: int, c: list,
 
 
 def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
-    """The collineation (x : beta x + lam y + delta z : z) from reps."""
-    return Projectivity(ctx, [[1, 0, 0],
-                              [FqElement(ctx, beta), FqElement(ctx, lam),
-                               FqElement(ctx, delta)],
-                              [0, 0, 1]])
+    """The collineation (x : beta x + lam y + delta z : z), lam != 0."""
+    return Projectivity._invertible(ctx, 3, [1, 0, 0, beta, lam, delta, 0, 0, 1])
+
+
+def _line_gcds(ctx: FieldCtx, rows: list, js, k0: int,
+               bound: int) -> list[tuple[list, int]]:
+    """[(g0, j0), (ginf, jinf)]: g0(eps) = ginf(gamma) = 0 for each line
+    X = gamma t + eps of degree <= ``bound`` over ``ctx`` dividing every
+    P_j = sum_(k >= k0) C(j + k, k) a_(j + k) X^k, j in ``js``: the factors
+    of degree <= ``bound`` of gcd_j P_j(0, X), t-content divided out, and of
+    gcd_j (top form of P_j)(1, X), with the lcm of their degrees."""
+    n, p, smul = len(rows) - 1, ctx.p, ctx.smul_t
+    g0 = ginf = []
+    for j in js:
+        P = [_u_trim([smul(math.comb(j + k, k) % p, a) for a in rows[j + k]])
+             if k >= k0 else [] for k in range(n - j + 1)]
+        if any(P):
+            low = min(next(i for i, a in enumerate(c) if a) for c in P if c)
+            top = max(k + len(c) for k, c in enumerate(P) if c)
+            g0 = _u_gcd(ctx, g0, _u_trim(
+                [c[low] if low < len(c) else 0 for c in P]))
+            ginf = _u_gcd(ctx, ginf, _u_trim(
+                [c[-1] if c and k + len(c) == top else 0
+                 for k, c in enumerate(P)]))
+    out = []
+    for g in (g0, ginf):
+        prod, jj = [1], 1
+        for f, dd, _ in _dd_parts(ctx, g) if len(g) > 2 else [(g, 1, 1)]:
+            if dd <= bound:
+                prod, jj = _u_mul(ctx, prod, f), math.lcm(jj, dd)
+        out.append((prod, jj))
+    return out
+
+
+def _wild_order(fib: ProjectionFiber, ext_cap: int) -> tuple:
+    """(wctx, rows, T, m, x) at a wild center (p | n): the translations T
+    as (beta, delta), the order m of C, the section x = (gamma, eps) it
+    fixes and the rows, on reps of wctx, the least F_(q^j) holding them and
+    the m-th roots of unity, into which every polynomial is lifted straight
+    (ExactModeDegenerate past ``ext_cap``).  T holds the lines of the rows
+    of F(t, s + X) - F(t, s) that pass the exact test with lam = 1, x the
+    line of the rows b_(n - p^i), p^i | n, with the largest _shift_order,
+    as lam^(p^i) != 1.  Frobenius permutes T - {0} and the |T| sections
+    complements fix: lines of degree below |n|_p, resp. <= |T|, suffice."""
+    ctx, n, rows = fib.poly.ctx, fib.degree, fib.rows
+    shifts = [n - ctx.p ** i for i in range(n.bit_length()) if n % ctx.p ** i == 0]
+    tparts = _line_gcds(ctx, rows, range(n), 1, n - min(shifts) - 1)
+    has_t = max(_u_deg(g) for g, _ in tparts) > 1    # X divides each R_j
+    j = math.lcm(*(jj for _, jj in tparts)) if has_t else 1
+    while True:
+        if j > ext_cap:
+            raise ExactModeDegenerate(f"wild collineation group needs "
+                                      f"extension degree {j} > cap {ext_cap}")
+        wctx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
+        wrows = rows if j == 1 else _dense_rows(fib.poly, wctx)
+
+        def roots(g):
+            lifted = Polynomial.from_dense(ctx, g).lift_to(wctx)
+            return [r.rep for r, _ in splitting_roots(lifted, 1).roots]
+
+        T = [(b, d) for b in roots(tparts[1][0]) for d in roots(tparts[0][0])
+             if _collineation_fixes(wctx, wrows, 1, b, d)] if has_t else [(0, 0)]
+        cparts = _line_gcds(ctx, rows, shifts, 0, len(T))
+        i, m, x = math.lcm(j, *(jj for _, jj in cparts)), 1, (0, 0)
+        if i == j and min(_u_deg(g) for g, _ in cparts) > 0:
+            m, x = max(((_shift_order(wctx, wrows, _u_trim([e, g])), (g, e))
+                        for g in roots(cparts[1][0])
+                        for e in roots(cparts[0][0])), key=lambda mx: mx[0])
+        i = next(k for k in count(i, i) if (ctx.order ** k - 1) % m == 0)
+        if i == j:
+            return wctx, wrows, T, m, x
+        j = i
+
+
+def _wild_group(fib: ProjectionFiber, wctx: FieldCtx, rows: list, T: list,
+                m: int, x: tuple) -> FiniteProjectivityGroup:
+    """{s -> lam s + (1 - lam) x + tau : lam^m = 1, tau in T} through
+    ``_scanned_group``, each map verified (SoundnessError on a failure)."""
+    if len(T) * m == 1:
+        return trivial_group(fib.poly.ctx, 3)
+    add, mul, zeta = wctx.add_t, wctx.mul_t, nth_root_of_unity(wctx, m).rep
+    maps = [(lam, add(b, mul(l1, x[0])), add(d, mul(l1, x[1])))
+            for lam in (wctx.pow_t(zeta, i) for i in range(m))
+            for l1 in [wctx.sub_t(1, lam)] for b, d in T]
+    if not all(_collineation_fixes(wctx, rows, *mp) for mp in maps):
+        raise SoundnessError(
+            "a closed-form wild collineation fails the exact test")
+    return _scanned_group(fib, [_central(wctx, *mp) for mp in maps])
 
 
 def central_collineation_group(fib: ProjectionFiber,
                                cfg: Optional[RunConfig] = None
                                ) -> FiniteProjectivityGroup:
     """All projectivities fixing the fiber's center and every line through
-    it that send the curve to a scalar multiple of itself.
+    it that send the curve to a scalar multiple of itself, in the original
+    coordinates, possibly over an extension, read off the fiber's rows with
+    no fiber search and no seed: ``_tame_order`` and ``_homology_group`` at
+    a tame center (p does not divide n), ``_wild_order`` and
+    ``_wild_group`` at a wild one; ExactModeDegenerate past ``cfg.ext_cap``.
 
-    In the fiber's moved coordinates such a collineation has the shape
-    (x : beta x + lam y + delta z : z).  A tame center (p does not divide
-    n) gets its group in closed form (``_homology_group``), and a wild one
-    enumerates it through its action on two squarefree fibers
-    (``_scanned_group``); ExactModeDegenerate when the fibers or roots of
-    unity it needs lie past ``cfg.ext_cap``.  The group lives in the
-    original coordinates, possibly over an extension.
-
-    The closed form: any map s -> lam s + l satisfies
-    n a_n l = (lam - 1) a_(n-1), so a nontrivial one needs
-    c = a_(n-1) / (n a_n) of degree <= 1; after the shift s' = s + c it
-    is s' -> lam s' with lam^(n - j) = 1 for every nonzero shifted row
-    b_j, and each such lam gives a map, as the shifted form is then a sum
-    of terms b_j s'^j with lam^j = lam^n.  So the group is
-    {s -> lam s + (lam - 1) c : lam^m = 1} over the algebraic closure,
-    built over F_(q^j) for the least j with m | q^j - 1, which is at most
-    phi(m) < n.  Every element still passes the exact test.
-    """
+    In the moved coordinates a collineation is s -> lam s + l,
+    l = beta t + delta.  The translations T (lam = 1) form a normal
+    p-subgroup and lam runs over roots of unity of order prime to p, so
+    G = T x| C, C cyclic of order m, fixing the section x = l0 / (1 - zeta)
+    of its generator s -> zeta s + l0.  So lam^(n - j) = 1 for each nonzero
+    row b_j of F(t, s + x), and each such lam gives a map, the form being a
+    sum of terms b_j (s - x)^j with lam^j = lam^n: m is ``_shift_order``
+    at x, and smaller at a section no complement fixes.  At a tame center
+    T = {0} and the s^(n-1)-row n a_n l = (lam - 1) a_(n-1) of the exact
+    test gives x = -a_(n-1) / (n a_n)."""
     cfg = cfg or RunConfig()
     n = fib.degree
     if n < 1:
         raise ZeroInput("degenerate curve for collineation search")
     if n == 1:
         return trivial_group(fib.curve.ctx, 3)
-    tame = _tame_order(fib)
-    if tame is not None:
+    if (tame := _tame_order(fib)) is not None:
         return _homology_group(fib, *tame, cfg.ext_cap)
-    try:
-        fibers = _fiber_search(fib.poly, n, cfg.ext_cap,
-                               f"coll:{cfg.seed}:{fib.curve.ctx.spec}")
-    except DegenerateFibers as exc:
-        raise ExactModeDegenerate(str(exc)) from exc
-    return _scanned_group(fib, _fiber_permutation_scan(fib.poly, fibers))
+    return _wild_group(fib, *_wild_order(fib, cfg.ext_cap))
 
 
 def _scanned_group(fib: ProjectionFiber,
                    found: list[Projectivity]) -> FiniteProjectivityGroup:
-    """The group of a scan's verified maps in the moved coordinates:
+    """The group of verified maps in the moved coordinates:
     conjugated back, closed, descended to the smallest field that holds
     it, with the center's fixity checked.  On an irreducible curve the
     maps act faithfully on k(C) over k(t), so a closure of more than n
     proves the curve reducible: InputError."""
-    # the identity is always found, so found[0] names the working field
-    wctx = found[0].ctx
-    g_fwd = fib.normalizer.lift_to(wctx)
-    g_back = fib.denormalizer.lift_to(wctx)
+    wctx = found[0].ctx     # the identity is always found
+    g_fwd, g_back = (g.lift_to(wctx) for g in (fib.normalizer,
+                                               fib.denormalizer))
     group = _closed_group([g_back * sigma * g_fwd for sigma in found],
                           fib.degree)
     if group is None:
@@ -573,7 +574,7 @@ def _scanned_group(fib: ProjectionFiber,
 
 def _closed_group(elements: list[Projectivity],
                   n: int) -> Optional[FiniteProjectivityGroup]:
-    """The group of a scan's verified maps, which must be closed; None
+    """The group of verified maps, which must be closed; None
     when they generate more than the degree ``n``."""
     try:
         group = generate_group(elements, cap=n)
@@ -584,50 +585,48 @@ def _closed_group(elements: list[Projectivity],
     return group
 
 
-def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
-    """Enumerate central collineations via their affine action on two
-    fibers, on reps of the working field: s -> lam s + mu must permute
-    each fiber's roots, and mu = beta t + delta is read off the two."""
-    (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
-    wctx = common_field(common_field(ctx1, ctx2),
-                        common_field(t1.ctx, t2.ctx))
-    r1 = [lift(r, wctx).rep for r in roots1]
-    r2 = [lift(r, wctx).rep for r in roots2]
-    tv1, tv2 = lift(t1, wctx).rep, lift(t2, wctx).rep
-    set1, set2 = set(r1), set(r2)
-    rows = _dense_rows(fpoly, wctx)
-    add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
-    s1, s2, s3 = r1[0], r1[1], r2[0]
-    ds_inv = wctx.inv_t(sub(s1, s2))
-    dt_inv = wctx.inv_t(sub(tv1, tv2))
-    out = {}
-    for b1 in r1:
-        for b2 in r1:
-            if b1 == b2:
-                continue
-            lam = mul(sub(b1, b2), ds_inv)
-            mu1 = sub(b1, mul(lam, s1))
-            # quick filter on fiber 1
-            if any(add(mul(lam, r), mu1) not in set1 for r in r1):
-                continue
-            lam_r2 = [mul(lam, r) for r in r2]
-            for b3 in r2:
-                mu2 = sub(b3, mul(lam, s3))
-                if any(add(lr, mu2) not in set2 for lr in lam_r2):
-                    continue
-                beta = mul(sub(mu1, mu2), dt_inv)
-                delta = sub(mu1, mul(beta, tv1))
-                key = (lam, beta, delta)
-                if key in out:
-                    continue
-                if _collineation_fixes(wctx, rows, lam, beta, delta):
-                    out[key] = _central(wctx, lam, beta, delta)
-    return list(out.values())
-
-
 # ---------------------------------------------------------------------------
 # Deck transformations of rational maps
 # ---------------------------------------------------------------------------
+
+def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
+                  attempts: int = 64):
+    """Find two squarefree full-degree fibers of F(t, s) with split roots.
+
+    Returns a list of (t0, roots, root_ctx); t0 values are pairwise
+    distinct after lifting to their common field, whose degree over F's
+    field is at most ``ext_cap``.  ``deck_group`` reads its fibers here.
+    """
+    base = fpoly.ctx
+    specialize = _squarefree_specializer(fpoly, n)
+    rng = random.Random(seed_tag)
+    found = []
+    seen_t = []
+    cycle = (1,) * 10 + (2,) * 6 + (3,) * 4 + (1, 2, 3)
+    for attempt in range(attempts):
+        j = cycle[attempt % len(cycle)]
+        ectx = base if j == 1 else make_field(base.p, base.k * j)
+        t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
+        if any(lift(t0, common_field(ectx, t.ctx))
+               == lift(t, common_field(ectx, t.ctx)) for t in seen_t):
+            continue
+        spec = specialize(t0)
+        if spec is None:
+            continue
+        try:
+            rm = splitting_roots(Polynomial.from_dense(ectx, spec),
+                                 ext_cap=max(1, ext_cap // j))
+        except ExtensionCapExceeded:
+            continue
+        if found and math.lcm(found[0][2].k, rm.ext.k) > ext_cap * base.k:
+            continue
+        found.append((t0, [r for r, _ in rm.roots], rm.ext))
+        seen_t.append(t0)
+        if len(found) == 2:
+            return found
+    raise DegenerateFibers(
+        f"no 2 usable fibers within {attempts} attempts")
+
 
 def _mobius_through(ctx: FieldCtx, src: tuple, dst: tuple) -> tuple:
     """The Moebius map sending three distinct finite points src[i] to

@@ -14,7 +14,6 @@ from galoispoints.errors import CenterSingular, DegenerateFibers, InputError
 from galoispoints.galois import (
     _central,
     _collineation_fixes,
-    _fiber_permutation_scan,
     _fiber_search,
     _mobius_through,
     _scanned_group,
@@ -1004,6 +1003,47 @@ def _tame_center(rng, ctx, wild=False):
         return None
 
 
+def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
+    """Enumerate central collineations via their affine action on two
+    fibers, on reps of the working field: s -> lam s + mu must permute
+    each fiber's roots, and mu = beta t + delta is read off the two."""
+    (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
+    wctx = common_field(common_field(ctx1, ctx2),
+                        common_field(t1.ctx, t2.ctx))
+    r1 = [lift(r, wctx).rep for r in roots1]
+    r2 = [lift(r, wctx).rep for r in roots2]
+    tv1, tv2 = lift(t1, wctx).rep, lift(t2, wctx).rep
+    set1, set2 = set(r1), set(r2)
+    rows = _dense_rows(fpoly, wctx)
+    add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
+    s1, s2, s3 = r1[0], r1[1], r2[0]
+    ds_inv = wctx.inv_t(sub(s1, s2))
+    dt_inv = wctx.inv_t(sub(tv1, tv2))
+    out = {}
+    for b1 in r1:
+        for b2 in r1:
+            if b1 == b2:
+                continue
+            lam = mul(sub(b1, b2), ds_inv)
+            mu1 = sub(b1, mul(lam, s1))
+            # quick filter on fiber 1
+            if any(add(mul(lam, r), mu1) not in set1 for r in r1):
+                continue
+            lam_r2 = [mul(lam, r) for r in r2]
+            for b3 in r2:
+                mu2 = sub(b3, mul(lam, s3))
+                if any(add(lr, mu2) not in set2 for lr in lam_r2):
+                    continue
+                beta = mul(sub(mu1, mu2), dt_inv)
+                delta = sub(mu1, mul(beta, tv1))
+                key = (lam, beta, delta)
+                if key in out:
+                    continue
+                if _collineation_fixes(wctx, rows, lam, beta, delta):
+                    out[key] = _central(wctx, lam, beta, delta)
+    return list(out.values())
+
+
 def _fibers_lift_to_zeros(fpoly, fibers) -> bool:
     """Whether the roots of both fibers, lifted into the working field of
     ``_fiber_permutation_scan``, are zeros of F(t0, s) lifted there.  The
@@ -1106,10 +1146,10 @@ def galois_tame_order_matches_scan(cases=40):
         fib = _tame_center(rng, ctx)
         if fib is None:
             continue
-        tame = _tame_order(fib)
-        if tame is None:        # F = a_n (s + c)^n: every fiber is a power
+        try:
+            m = _tame_order(fib)[0]
+        except InputError:      # F = a_n (s + c)^n: every fiber is a power
             continue
-        m = tame[0]
         group = central_collineation_group(fib)
         assert len(group) == m, (ctx, fib.poly, m)
         # the written-down table is exact, and nothing descends
@@ -1132,6 +1172,110 @@ def galois_tame_order_matches_scan(cases=40):
         orders.add(m)
         done += 1
     assert wild and trivial and len(orders) >= 3
+
+
+# Shapes (p, k, e, m, K) of the wild oracle over F_(p^k): V = F_(p^e), so
+# that lam V = V for lam in mu_m, and n = p^e K with m | K and p | n
+_WILD_SHAPES = ((2, 1, 1, 1, 1), (2, 1, 1, 1, 3), (2, 1, 0, 1, 2),
+                (2, 2, 0, 3, 6), (2, 2, 1, 1, 2), (2, 2, 2, 1, 1),
+                (2, 2, 2, 3, 3), (3, 1, 1, 2, 2), (3, 1, 0, 2, 6),
+                (3, 2, 1, 2, 2), (3, 2, 0, 2, 6))
+
+
+def _wild_center(rng, shape):
+    """A fiber at a wild center P = A^-1 (0:1:0) of F0(A v), A a random
+    projectivity.  F0 = sum_k c_k(x, z) U^k over k = K, K - m, ..., 0, with
+    U = y^(p^e) - y z^(p^e - 1) (U = y for e = 0), c_K = z^(d - n), d = n
+    or n + 1, and c_0 != 0: the translations y -> y + v z, v in F_(p^e),
+    and the scalings y -> lam y, lam^m = 1, preserve it.  Half the time one
+    or two monomials x^a y^b z^c, b < n, perturb it.  A fifth of the time,
+    when p^e > 2, F0 = U(y + b x, z) instead: p^e lines through one point,
+    with the p^e (p^e - 1) maps y + b x -> lam (y + b x) + v z, lam in
+    F_(p^e)*, more than n = p^e.  The x^(d-1) z term of c_0 is not zero,
+    so that F0 is no p-th power.  None when P is singular."""
+    p, k, e, m, K = shape
+    ctx = make_field(p, k)
+    X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+    pe = p ** e
+
+    def U(y):
+        return y if e == 0 else y ** pe - y * Z ** (pe - 1)
+
+    n = pe * K
+    if pe > 2 and rng.random() < 0.2:
+        F0 = U(Y + X * ctx.element(rng.randrange(1, ctx.order)))
+        n = d = pe
+    else:
+        d = n + rng.randrange(2)
+        F0 = U(Y) ** K * Z ** (d - n)
+        for j in range(K - m, -1, -m):
+            deg = d - pe * j
+            c = X ** deg * ctx.element(rng.randrange(1, ctx.order))
+            for i in range(deg):
+                c = c + X ** i * Z ** (deg - i) * ctx.element(
+                    rng.randrange(j == 0 and i == deg - 1, ctx.order))
+            F0 = F0 + c * U(Y) ** j
+        if rng.random() < 0.5:
+            for _ in range(rng.randrange(1, 3)):
+                b = rng.randrange(n)
+                a = rng.randrange(d - b + 1)
+                F0 = F0 + X ** a * Y ** b * Z ** (d - a - b) * \
+                    ctx.element(rng.randrange(1, ctx.order))
+    A = _random_projectivity(rng, ctx, 3)
+    F = F0.compose([X * FqElement(ctx, a) + Y * FqElement(ctx, b)
+                    + Z * FqElement(ctx, c) for a, b, c in A.mat])
+    center = A.inverse().apply(ProjPoint(ctx, [0, 1, 0]))
+    try:
+        return fiber_polynomial(PlaneCurve(F), center)
+    except CenterSingular:
+        return None
+
+
+def galois_wild_group_matches_brute(cases=60):
+    """At wild centers (p | n) over F_2, F_4, F_3 and F_9, the closed-form
+    collineation group of ``central_collineation_group`` equals, as a set,
+    the exhaustive base-field scan (``brute_collineation_group``) whenever
+    it lives over the base field, and contains it otherwise; or both raise
+    the reducibility InputError.  The drawn groups T x| C cover p = 2 and
+    3, |T| = p^e for e = 0, 1 and 2, |C| = 1 and > 1, and reducible
+    curves."""
+    rng = random.Random(920)
+    seen, reducible, done = set(), 0, 0
+    while done < cases:
+        fib = _wild_center(rng, _WILD_SHAPES[done % len(_WILD_SHAPES)])
+        if fib is None:
+            continue
+        base = fib.poly.ctx
+        assert fib.degree % base.p == 0
+        try:
+            group = central_collineation_group(fib)
+        except InputError as exc:
+            assert "reducible" in str(exc)
+            try:
+                brute_collineation_group(fib)
+            except InputError as brute_exc:
+                assert "reducible" in str(brute_exc)
+            else:
+                raise AssertionError(("brute scan finds no more than n", fib.poly))
+            reducible += 1
+            done += 1
+            continue
+        brute = brute_collineation_group(fib)
+        got = {tuple(g.row_major()) for g in group.elements}
+        want = {tuple(g.row_major()) for g in brute.elements}
+        if group.ctx == base:
+            assert got == want, (base, fib.poly, len(got), len(want))
+            order, e = len(group), 0
+            while order % base.p == 0:
+                order //= base.p
+                e += 1
+            seen.add((base.p, e, order > 1))
+        else:
+            assert len(group) % len(brute) == 0, (base, fib.poly)
+        done += 1
+    assert reducible and {p for p, _, _ in seen} == {2, 3}, seen
+    assert {e for _, e, _ in seen} >= {0, 1, 2}, seen
+    assert {big for _, _, big in seen} == {False, True}, seen
 
 
 # Fields and subspace dimensions e of the split-additive suite: curves of

@@ -82,6 +82,19 @@ class TestCheck:
          {"field": "3^2", "modulus": [1, 1], "affine_poly": "x+y"}),
         (["check", "FILE", "--point", "0:1:0"],
          {"field": "3^2", "modulus": ["a", 0, 1], "affine_poly": "x+y"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "2^2", "modulus": [1.7, True, 1], "affine_poly": "y^2 + x^3 + 1"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "2^2", "modulus": "111", "affine_poly": "y^2 + x^3 + 1"}),
+        (["embed", "FILE"],
+         {"field": "13^1", "modulus": [0.0, 1], "g1": [[12, 0, 0, 1]],
+          "g2": [[0, 1, 1, 0]], "point": "2"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "7^1", "affine_poly": "y^3 + 6*x^3",
+          "assume_irreducible": "false"}),
+        (["check", "FILE", "--point", "0:1:0"],
+         {"field": "7^1", "affine_poly": "y^3 + 6*x^3",
+          "assume_irreducible": 0}),
         (["family", "FILE"], {"tag": "thm2_tame", "field": "9^1", "d": 4}),
         (["branch", "--d", "3", "--field", "9^1"], None),
         (["branch", "--d", "3", "--field", "13^0"], None),
@@ -93,7 +106,9 @@ class TestCheck:
          {"field": "13^1", "g1": [[12, 0, 0, 1]], "g2": [[0, 1, 1, 0]],
           "point": "2", "unknown": 1}),
     ], ids=["field_abc", "field_4^1", "modulus_reducible", "modulus_short",
-            "modulus_not_int", "family_field_9^1", "branch_9^1", "branch_13^0",
+            "modulus_not_int", "modulus_float_bool", "modulus_str",
+            "groups_modulus_float", "assume_str", "assume_int",
+            "family_field_9^1", "branch_9^1", "branch_13^0",
             "curve_unknown_key", "family_unknown_key", "groups_unknown_key"])
     def test_bad_field_spec_exit_1(self, tmp_path, capsys, argv, data):
         path = tmp_path / "input.json"

@@ -173,24 +173,16 @@ class TestCentralCollineations:
             assert len(G) <= fib.degree
             done += 1
 
-    def test_fiber_common_field_within_ext_cap(self, monkeypatch):
+    def test_fiber_common_field_within_ext_cap(self):
         # over F_4 the first usable fiber of this perturbed wild quartic at
         # (0:1:1) splits over 2^6; the next one splits over 2^16, within the
-        # cap alone, but the scan would compare the two over 2^48
+        # cap alone, but a scan would compare the two over 2^48.  deck_group
+        # reads its two fibers from the same search
         curve = load_curve(str(FIXTURES / "wild_p2e2_f4_perturbed_curve.json"))
-        seen = []
-        search = galois._fiber_search
-
-        def spy(fpoly, n, ext_cap, *args, **kwargs):
-            fibers = search(fpoly, n, ext_cap, *args, **kwargs)
-            seen.append((fpoly.ctx.k * ext_cap, [ctx.k for _, _, ctx in fibers]))
-            return fibers
-
-        monkeypatch.setattr(galois, "_fiber_search", spy)
-        central_collineation_group(
-            fiber_polynomial(curve, ProjPoint(curve.ctx, [0, 1, 1])))
-        (cap, ks), = seen
-        assert math.lcm(*ks) <= cap
+        fib = fiber_polynomial(curve, ProjPoint(curve.ctx, [0, 1, 1]))
+        fibers = galois._fiber_search(fib.poly, fib.degree, 12, "coll:0:2^2")
+        ks = [ctx.k for _, _, ctx in fibers]
+        assert ks[0] == 6 and math.lcm(*ks) <= fib.poly.ctx.k * 12
 
 
 class TestDeckGroup:
@@ -244,7 +236,8 @@ class TestTameOrder:
     def test_matches_exact_scan(self):
         props.galois_tame_order_matches_scan(60)
 
-    def test_split_additive_wild_centers_never_degenerate(self):
+    def test_split_additive_wild_centers_never_degenerate(self, monkeypatch):
+        monkeypatch.setattr(galois, "_fiber_search", _no_fiber_search)
         props.galois_split_additive_never_degenerate(250)
 
     def test_trivial_tame_center_skips_fiber_search(self, F13, monkeypatch):
@@ -266,16 +259,13 @@ class TestTameOrder:
                               strategy="collineation")
         assert rep.verdict == "inconclusive" and len(rep.group) == 1
 
-    def test_only_wild_centers_search_fibers(self, F13, F4, monkeypatch):
-        # m > 1: the group is built in closed form over F_13, which holds
-        # the 4th roots of unity; p | n: no closed form, so the fiber search
-        class Searched(Exception):
-            pass
-
-        def no_search(*args, **kwargs):
-            raise Searched
-
-        monkeypatch.setattr(galois, "_fiber_search", no_search)
+    def test_no_center_searches_fibers(self, F13, F4, monkeypatch):
+        # m > 1: the tame group is built in closed form over F_13, which
+        # holds the 4th roots of unity; p | n: the wild group of
+        # y^4 + y = x^3 + 1 is its 4 translations y -> y + v, v^4 = v.
+        # Neither, nor any center of the fixtures or of the refute
+        # benchmark (seed 7), searches fibers
+        monkeypatch.setattr(galois, "_fiber_search", _no_fiber_search)
         x = Polynomial.variable(F13, 2, 0)
         y = Polynomial.variable(F13, 2, 1)
         kummer = fiber_polynomial(curve_from_affine(y ** 4 + x ** 3 + 1),
@@ -288,8 +278,64 @@ class TestTameOrder:
         wild = fiber_polynomial(curve_from_affine(y ** 4 + y + x ** 3 + 1),
                                 ProjPoint(F4, [0, 1, 0]))
         assert galois._tame_order(wild) is None
-        with pytest.raises(Searched):
-            central_collineation_group(wild)
+        G = central_collineation_group(wild)
+        assert len(G) == 4 and G.ctx == F4
+        kinds = {"tame": 0, "wild": 0}
+        for fib in _fixture_centers() + _refute_centers(7):
+            G = central_collineation_group(fib)
+            assert 1 <= len(G) <= fib.degree, fib.poly
+            kinds["wild" if fib.degree % fib.poly.ctx.p == 0 else "tame"] += 1
+        assert min(kinds.values()) > 100, kinds
+
+
+def _no_fiber_search(*args, **kwargs):
+    raise AssertionError("fiber search for a collineation group")
+
+
+def _fixture_centers() -> list:
+    """The fibers at both centers of every family fixture and at the check
+    and pair centers of the curve fixtures."""
+    from galoispoints.families import FamilySpec, build_family
+    fibs = []
+    for path in sorted(FIXTURES.glob("*.json")):
+        data = json.loads(path.read_text())
+        if "tag" in data:
+            curve, exp = build_family(FamilySpec.from_dict(data))
+            fibs += [fiber_polynomial(curve, pt) for pt in (exp.P, exp.Q)]
+    for name, point in (("thm3_quartic_curve", (1, 0, 0)),
+                        ("thm3_cubic_curve", (1, 0, 0)),
+                        ("tame_d5_f19_curve", (1, 0, 0)),
+                        ("tame_d5_f19_curve", (0, 1, 0)),
+                        ("wild_p2e2_f4_perturbed_curve", (0, 1, 1)),
+                        ("refute_tail_f17_curve", (12, 13, 1))):
+        curve = load_curve(str(FIXTURES / f"{name}.json"))
+        fibs.append(fiber_polynomial(curve, ProjPoint(curve.ctx, point)))
+    return fibs
+
+
+def _refute_centers(seed: int) -> list:
+    """The fibers at the centers of the refute benchmark's check jobs."""
+    import importlib.util
+    from galoispoints.gf import parse_field_spec
+    from galoispoints.polyring import parse_poly
+    path = FIXTURES.parent / "verdictbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    fibs = []
+    for job in gen.generate("refute", seed):
+        data = job["files"]["curve.json"]
+        ctx = parse_field_spec(data["field"])
+        curve = curve_from_affine(parse_poly(data["affine_poly"], ctx, 2))
+        point = job["argv"][job["argv"].index("--point") + 1]
+        fibs.append(fiber_polynomial(curve, ProjPoint(
+            ctx, [int(c) for c in point.split(":")])))
+    return fibs
+
+
+class TestWildGroup:
+    def test_matches_brute_oracle(self):
+        props.galois_wild_group_matches_brute(200)
 
 
 class TestIsGaloisPoint:
@@ -327,8 +373,8 @@ class TestIsGaloisPoint:
 
     def test_center_moved_once_per_check(self, cubic3a, cubic3a_param, F13,
                                          monkeypatch):
-        # the outer center goes through the collineation scan, then the
-        # deck scan: both read the one fiber built for it
+        # the outer center goes through the collineation closed form, then
+        # the deck scan: both read the one fiber built for it
         calls = []
         move = galois._move_center
 
@@ -342,22 +388,21 @@ class TestIsGaloisPoint:
         assert rep.verdict == "certified_galois" and rep.method == "deck"
         assert len(calls) == 1
 
-    def test_inseparable_center_exact_mode_degenerate(self, tmp_path, capsys,
-                                                      F4):
+    def test_inseparable_center_gets_translation_group(self, tmp_path,
+                                                        capsys, F4):
         # every fiber of y^4 + y^2 + y + x from (1:1:0) is inseparable in
-        # characteristic 2: the exact mode finds no usable fiber, and the
-        # screen has nothing left.  The base-field oracle finds the
-        # translation (x : y : z) -> (x + z : y + z : z), s -> s + 1 on the
-        # fiber: order 2 < 4, which could not have certified either
+        # characteristic 2, which the closed form does not need: its group
+        # is the translation (x : y : z) -> (x + z : y + z : z), s -> s + 1
+        # on the fiber, as the base-field oracle finds.  Order 2 < 4 cannot
+        # certify, and the screen has nothing left
         from galoispoints.cli import dispatch
-        from galoispoints.errors import ExactModeDegenerate
         x = Polynomial.variable(F4, 2, 0)
         y = Polynomial.variable(F4, 2, 1)
         C = curve_from_affine(y ** 4 + y ** 2 + x + y)
         fib = fiber_polynomial(C, ProjPoint(F4, [1, 1, 0]))
-        with pytest.raises(ExactModeDegenerate):
-            central_collineation_group(fib)
-        G = props.brute_collineation_group(fib)
+        G = central_collineation_group(fib)
+        brute = props.brute_collineation_group(fib)
+        assert G == brute
         assert sorted(g.row_major() for g in G.elements) == [
             [1, 0, 0, 0, 1, 0, 0, 0, 1], [1, 0, 1, 0, 1, 1, 0, 0, 1]]
         path = tmp_path / "curve.json"
@@ -366,6 +411,12 @@ class TestIsGaloisPoint:
         assert dispatch(["check", str(path), "--point", "1:1:0"]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "AllSpecializationsRamified"
+        assert dispatch(["check", str(path), "--point", "1:1:0",
+                         "--strategy", "collineation"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "inconclusive"
+        assert report["group"]["order"] == 2
+        assert report["notes"] == ["collineation group order 2 < 4"]
 
 
 class TestSoundnessGuards:
@@ -458,6 +509,40 @@ class TestSoundnessGuards:
             "the homology scalar s is not D N = w u",
             "a collineation moves its center",
             "a closed-form tame collineation fails the exact test"]
+
+    def test_wild_guard_under_optimize(self):
+        # a closed-form wild map that fails the exact test raises, with -O:
+        # the translation y -> y + w of y^2 + w y = x^3 over F_4 (w^2 =
+        # w + 1) is mutated into y -> y + w + 1
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from galoispoints import galois\n"
+            "from galoispoints.curve import curve_from_affine\n"
+            "from galoispoints.errors import SoundnessError\n"
+            "from galoispoints.gf import make_field\n"
+            "from galoispoints.polyring import Polynomial\n"
+            "from galoispoints.projective import ProjPoint\n"
+            "assert False, 'asserts are live'\n"
+            "F = make_field(2, 2)\n"
+            "x, y = (Polynomial.variable(F, 2, i) for i in range(2))\n"
+            "C = curve_from_affine(y ** 2 + y * F.element(2) + x ** 3)\n"
+            "fib = galois.fiber_polynomial(C, ProjPoint(F, [0, 1, 0]))\n"
+            "print(len(galois.central_collineation_group(fib)))\n"
+            "derive = galois._wild_order\n"
+            "def mutated(*args):\n"
+            "    wctx, rows, T, m, x = derive(*args)\n"
+            "    T = [(b, wctx.add_t(d, 1)) if d else (b, d) for b, d in T]\n"
+            "    return wctx, rows, T, m, x\n"
+            "galois._wild_order = mutated\n"
+            "try:\n"
+            "    galois.central_collineation_group(fib)\n"
+            "except SoundnessError as exc:\n"
+            "    print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.splitlines() == [
+            "2", "a closed-form wild collineation fails the exact test"]
 
     def test_src_has_no_assert_statement(self):
         # python -O strips asserts, so no guard may be written as one
