@@ -28,7 +28,6 @@ from .errors import (
     LineIsComponent,
     NotSquarefree,
     PointNotOnCurve,
-    PointSingular,
     SoundnessError,
     ZeroInput,
 )
@@ -348,16 +347,6 @@ def singular_points(C: PlaneCurve, ext_cap: int = 12) -> SingularLocus:
     if any(m < 2 for _, m in pts):
         raise SoundnessError("a singular point has multiplicity below 2")
     return SingularLocus(pts, target)
-
-
-def tangent_line(C: PlaneCurve, P: ProjPoint) -> ProjLine:
-    """Tangent line at a smooth point: gradient coefficients at P."""
-    if not C.contains(P):
-        raise PointNotOnCurve(f"{P!r} is not on the curve")
-    grad = C.gradient_at(P)
-    if not any(grad):
-        raise PointSingular(f"{P!r} is a singular point")
-    return ProjLine(grad[0].ctx, grad)
 
 
 def line_intersection_divisor(C: PlaneCurve, L: ProjLine,

@@ -14,8 +14,9 @@ phi = (f : g : 1) built from invariant generators
 is birational onto a plane curve of degree |G2| whose point phi(P) = (0:1:0)
 is an inner Galois point with group G1 and Q = (1:0:0) an outer Galois point
 with group G2.  This module builds the witnesses, the invariants, the
-implicit curve (by resultant elimination), and re-certifies both Galois
-points through the deck machinery; nothing is returned unverified.
+implicit curve (by resultant elimination), and certifies both Galois
+points by verifying G1 and G2 as deck groups; nothing is returned
+unverified.
 
 Invariant generators come from a symmetrization ladder: power sums
 sum_sigma sigma(t)^j for j = 1, 2, ... are tried first, then group norms
@@ -42,7 +43,7 @@ from .errors import (
     ZeroInput,
 )
 from .galois import GaloisReport, is_galois_point
-from .gf import FieldCtx, FqElement, common_field, make_field
+from .gf import FqElement, common_field, make_field
 from .polyring import Polynomial, content_in, exact_div, poly_gcd, squarefree_part
 from .projective import (
     FiniteProjectivityGroup,
@@ -50,8 +51,6 @@ from .projective import (
     ProductReport,
     Projectivity,
     ProjPoint,
-    generate_group,
-    identify_group,
     orbit,
     point_p1,
     product_structure,
@@ -308,6 +307,9 @@ def construct_embedding(G1: FiniteProjectivityGroup,
     phi(P) = (0:1:0) is inner Galois with deck group exactly G1, (1:0:0) is
     outer Galois with deck group exactly G2, and the joint group is the
     closure of both.  Raises VerificationFailed naming the failing stage.
+    No deck group is searched: each element of G_i is verified as a deck
+    map of the projection, and G_i has deg h_i elements, so it is all of
+    Deck(h_i).
     """
     cfg = cfg or RunConfig()
     if len(G2) < 2:
@@ -331,30 +333,25 @@ def construct_embedding(G1: FiniteProjectivityGroup,
                    image_P.lift_to(phiP.ctx) if phiP.ctx != curve.ctx
                    else phiP == image_P))
     checks.append(("Q_off_curve", not curve.contains(Qpt)))
-    inner = is_galois_point(curve, image_P, strategy="deck",
-                            parametrization=(f, g), cfg=cfg)
-    if inner.verdict != "certified_galois" or len(inner.group) != len(G1):
-        raise VerificationFailed(
-            f"inner certificate failed: verdict {inner.verdict}, "
-            f"group order {len(inner.group) if inner.group else None}, "
-            f"expected {len(G1)}")
-    outer = is_galois_point(curve, Qpt, strategy="deck",
-                            parametrization=(f, g), cfg=cfg)
-    if outer.verdict != "certified_galois" or len(outer.group) != len(G2):
-        raise VerificationFailed(
-            f"outer certificate failed: verdict {outer.verdict}, "
-            f"group order {len(outer.group) if outer.group else None}, "
-            f"expected {len(G2)}")
-    # the deck groups must coincide with the input groups, not merely match
-    # in order: G_i is contained in the deck group and the orders agree
-    wctx = common_field(inner.group.ctx, ctx)
-    same_inner = {e.lift_to(wctx) for e in inner.group.elements} == \
-                 {e.lift_to(wctx) for e in H1.elements}
-    checks.append(("deck_group_equals_G1", same_inner))
-    wctx2 = common_field(outer.group.ctx, ctx)
-    same_outer = {e.lift_to(wctx2) for e in outer.group.elements} == \
-                 {e.lift_to(wctx2) for e in H2.elements}
-    checks.append(("deck_group_equals_G2", same_outer))
+    reports = []
+    for name, G, pt, H in (("inner", "G1", image_P, H1),
+                           ("outer", "G2", Qpt, H2)):
+        rep = is_galois_point(curve, pt, strategy="deck",
+                              parametrization=(f, g), cfg=cfg,
+                              deck_maps=H.elements)
+        if rep.verdict != "certified_galois" or len(rep.group) != len(H):
+            raise VerificationFailed(
+                f"{name} certificate failed: verdict {rep.verdict}, "
+                f"group order {len(rep.group) if rep.group else None}, "
+                f"expected {len(H)}")
+        # the deck group must coincide with the input group, not merely
+        # match in order
+        wctx = common_field(rep.group.ctx, ctx)
+        checks.append((f"deck_group_equals_{G}",
+                       {e.lift_to(wctx) for e in rep.group.elements} ==
+                       {e.lift_to(wctx) for e in H.elements}))
+        reports.append(rep)
+    inner, outer = reports
     joint = product_structure(inner.group, outer.group, cap=cfg.closure_cap)
     # converse check: the pullback of the line Z = 0 under phi equals the
     # G2-orbit divisor of P (poles of the pair (f, g) pointwise-max)
@@ -366,98 +363,3 @@ def construct_embedding(G1: FiniteProjectivityGroup,
         raise VerificationFailed(f"embedding checks failed: {failing}")
     return EmbeddingResult(f, g, curve, image_P, Qpt, inner, outer, joint,
                            wit, checks)
-
-
-# ---------------------------------------------------------------------------
-# Subgroup searches used by the constructions
-# ---------------------------------------------------------------------------
-
-def pgl2_elements(ctx: FieldCtx) -> list[Projectivity]:
-    """All of PGL(2, F_q), deduplicated and canonically ordered."""
-    seen = {}
-    q = ctx.order
-    for a in range(q):
-        for b in range(q):
-            for c in range(q):
-                for d in range(q):
-                    ra = ctx.decode(a)
-                    rb = ctx.decode(b)
-                    rc = ctx.decode(c)
-                    rd = ctx.decode(d)
-                    det = ctx.sub_t(ctx.mul_t(ra, rd), ctx.mul_t(rb, rc))
-                    if not det:
-                        continue
-                    g = Projectivity(ctx, [[FqElement(ctx, ra), FqElement(ctx, rb)],
-                                           [FqElement(ctx, rc), FqElement(ctx, rd)]])
-                    seen[g.mat] = g
-    return sorted(seen.values(), key=lambda g: g.row_major())
-
-
-def fixed_points_p1(g: Projectivity, ctx: Optional[FieldCtx] = None) -> list[ProjPoint]:
-    """Fixed points of a PGL(2) element among the rational points of P^1."""
-    ctx = ctx or g.ctx
-    out = []
-    h = g.lift_to(ctx)
-    for code in range(ctx.order):
-        pt = point_p1(ctx, FqElement(ctx, ctx.decode(code)))
-        if h.apply(pt) == pt:
-            out.append(pt)
-    inf = point_p1(ctx, infinity=True)
-    if h.apply(inf) == inf:
-        out.append(inf)
-    return out
-
-
-def search_tetrahedral_triple(ctx: FieldCtx
-                              ) -> tuple[FiniteProjectivityGroup,
-                                         FiniteProjectivityGroup, ProjPoint]:
-    """Exhaustive PGL(2, q) search for (G1 cyclic order 3, G2 Klein, P) with
-    <G1 u G2> = A4 and P the G1-fixed point; first hit in canonical order."""
-    elements = pgl2_elements(ctx)
-    ident = Projectivity.identity(ctx, 2)
-    cap = ctx.order + 2
-    order2 = [g for g in elements if g.order(cap=cap) == 2]
-    order3 = [g for g in elements if g.order(cap=cap) == 3]
-    for s in order3:
-        sinv = s.inverse()
-        for u in order2:
-            u1 = s * u * sinv
-            if u1 == u:
-                continue
-            u2 = s * u1 * sinv
-            V = {ident, u, u1, u2}
-            if len(V) != 4 or u * u1 not in V:
-                continue
-            G2 = generate_group([u, u1], cap=16)
-            if len(G2) != 4:
-                continue
-            G12 = generate_group([s, u], cap=16)
-            if len(G12) != 12 or identify_group(G12).tag != "a4":
-                continue
-            G1 = generate_group([s], cap=8)
-            for P in fixed_points_p1(s):
-                if check_condition_b(G1, G2, P):
-                    return G1, G2, P
-    raise ZeroInput(f"no tetrahedral triple found in PGL(2, {ctx.spec})")
-
-
-def search_dihedral_triple(ctx: FieldCtx
-                           ) -> tuple[FiniteProjectivityGroup,
-                                      FiniteProjectivityGroup, ProjPoint]:
-    """Search for (G1 = <involution>, G2 cyclic order 3, P) generating S3
-    with the divisor condition; first hit in canonical order."""
-    elements = pgl2_elements(ctx)
-    cap = ctx.order + 2
-    order2 = [g for g in elements if g.order(cap=cap) == 2]
-    order3 = [g for g in elements if g.order(cap=cap) == 3]
-    for s in order3:
-        sinv = s.inverse()
-        for u in order2:
-            if u * s * u.inverse() != sinv:
-                continue
-            G1 = generate_group([u], cap=8)
-            G2 = generate_group([s], cap=8)
-            for P in fixed_points_p1(u):
-                if check_condition_b(G1, G2, P):
-                    return G1, G2, P
-    raise ZeroInput(f"no dihedral triple found in PGL(2, {ctx.spec})")

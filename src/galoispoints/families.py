@@ -50,7 +50,7 @@ from .errors import (
     ScalingUnstable,
     SoundnessError,
 )
-from .galois import GaloisReport, is_galois_point
+from .galois import GaloisReport, is_galois_point, transported_deck_group
 from .gf import (FieldCtx, FqElement, nth_root_of_unity,
                  parse_field_spec)
 from .polyring import Polynomial, factor_univariate, splitting_roots
@@ -653,13 +653,18 @@ def verify_family(curve: PlaneCurve, expected: FamilyExpectation,
         _check(checks, "outer_tag", expected.outer_tag, outer.descriptor.tag)
 
     # joint structure in one common representation: with a
-    # parametrization, deck groups in PGL(2)
+    # parametrization, deck groups in PGL(2); a certified collineation
+    # group is transported there, and only a center without a certified
+    # group is searched
     joint = None
     g_inner, g_outer = inner.group, outer.group
     if expected.parametrization is not None:
         groups = []
-        for g, pt in ((g_inner, expected.P), (g_outer, expected.Q)):
-            if g is None or g.n != 2:
+        for rep, pt in ((inner, expected.P), (outer, expected.Q)):
+            g = rep.group
+            if rep.method == "collineation" and rep.verdict == "certified_galois":
+                g = transported_deck_group(g, pt, expected.parametrization)
+            elif g is None or g.n != 2:
                 g = is_galois_point(curve, pt, strategy="deck",
                                     parametrization=expected.parametrization,
                                     cfg=cfg).group

@@ -11,12 +11,17 @@ methods are implemented, in decreasing order of authority:
   certifies; more than n maps prove the curve reducible: an input error.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
-  {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D; the
-  deck group is enumerated completely through the raw matrices of the
-  Moebius maps matching three anchor roots of two generic fibers,
-  filtered by fiber membership on reps and verified by the dense
-  identity N^h(at + b, ct + d) D = D^h(at + b, ct + d) N.  Order =
-  degree certifies.
+  {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D.  A
+  known group is verified, not searched (``verify_deck_group``): each map
+  passes the dense identity N^h(at + b, ct + d) D = D^h(at + b, ct + d) N
+  and the maps close to deg h elements; a certified collineation group
+  reaches PGL(2) through the parametrization
+  (``transported_deck_group``).  Otherwise the deck group is enumerated
+  completely (``deck_group``) through the Moebius maps matching three
+  anchor roots of two fibers, found by a seed-free walk over t0 and
+  lifted into one working field as zeros of the straight-lifted fiber,
+  filtered by fiber membership on reps and verified by the same
+  identity.  Order = degree certifies.
 * ``monte_carlo`` -- a statistical screen: over an unramified squarefree
   specialization of the fiber polynomial, a Galois cover has all residue
   degrees equal, so two distinct irreducible factor degrees refute
@@ -33,10 +38,11 @@ Every method reads one ``ProjectionFiber``, built once per center by
 ``fiber_polynomial``: the curve and center lifted to one field, the center
 moved to (0:1:0) and the moved form restricted to the chart z = 1.
 
-The Monte Carlo screen and the fiber search share one specialization,
-``polyring._squarefree_specializer``: F(t0, s) is built, tested for full
-degree and squarefreeness, and (in the screen) given its factor degrees on
-the dense kernel of ``polyring``, with no sparse polynomial per trial.
+The Monte Carlo screen and the deck fiber search share one
+specialization, ``polyring._squarefree_specializer``: F(t0, s) is built,
+tested for full degree and squarefreeness, and (in the screen) given its
+factor degrees on the dense kernel of ``polyring``, with no sparse
+polynomial per trial.  The screen is the only seeded search here.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import count, permutations
+from itertools import count, islice, permutations
 from typing import Optional
 
 from .config import RunConfig
@@ -64,7 +70,7 @@ from .errors import (
     ZeroInput,
 )
 from .gf import (FieldCtx, FqElement, common_field, lift, make_field,
-                 nth_root_of_unity)
+                 nth_root_of_unity, try_descend)
 from .polyring import (
     Polynomial,
     _dd_parts,
@@ -73,9 +79,11 @@ from .polyring import (
     _u_add,
     _u_deg,
     _u_divmod,
+    _u_eval,
     _u_factor_degrees,
     _u_gcd,
     _u_mul,
+    _u_sub,
     _u_trim,
     splitting_roots,
 )
@@ -89,7 +97,7 @@ from .projective import (
     identify_group,
     trivial_group,
 )
-from .ratfunc import RationalMap1D, _mobius_fixes, linear_fraction
+from .ratfunc import RationalMap1D, _mobius_fixes
 
 
 # ---------------------------------------------------------------------------
@@ -589,43 +597,80 @@ def _closed_group(elements: list[Projectivity],
 # Deck transformations of rational maps
 # ---------------------------------------------------------------------------
 
-def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, seed_tag: str,
-                  attempts: int = 64):
-    """Find two squarefree full-degree fibers of F(t, s) with split roots.
+def _walk(base: FieldCtx):
+    """t0 = 0, 1, 2, ... (by encoding) over F_q, then over F_(q^2) and
+    F_(q^3) without the elements of F_q, one of each orbit of x -> x^q
+    (the least encoding): conjugate values give conjugate fibers.  No
+    seed."""
+    q = base.order
+    for j in (1, 2, 3):
+        ectx = base if j == 1 else make_field(base.p, base.k * j)
+        for code in range(ectx.order):
+            orbit = [ectx.decode(code)]
+            for _ in range(j - 1):
+                orbit.append(ectx.pow_t(orbit[-1], q))
+            if j == 1 or orbit[1] != orbit[0] and code == min(
+                    map(ectx.encode, orbit)):
+                yield FqElement(ectx, orbit[0])
 
-    Returns a list of (t0, roots, root_ctx); t0 values are pairwise
-    distinct after lifting to their common field, whose degree over F's
-    field is at most ``ext_cap``.  ``deck_group`` reads its fibers here.
+
+def _framed_lift(base: FieldCtx, mid: FieldCtx, src: FieldCtx,
+                 dst: FieldCtx):
+    """x -> its image, as a rep, under the embedding src -> dst that agrees
+    with the straight lift base -> dst on the lift base -> mid -> src.  The
+    ``gf`` embeddings do not commute through an intermediate field, so this
+    is the straight lift composed with a power of Frobenius of src, fixed
+    on a generator of base."""
+    if base.k == 1:
+        return lambda x: lift(x, dst).rep
+    g = FqElement(base, base.decode(base.p))
+    x, want = lift(lift(g, mid), src).rep, lift(g, dst)
+    for i in range(src.k):
+        if lift(FqElement(src, x), dst) == want:
+            e = src.p ** i
+            return lambda y: lift(FqElement(src, src.pow_t(y.rep, e)), dst).rep
+        x = src.pow_t(x, src.p)
+    raise SoundnessError("no embedding extends the lift of the base field")
+
+
+def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int,
+                  attempts: int = 32) -> tuple[FieldCtx, list]:
+    """Two squarefree full-degree fibers of F(t, s), split in one field.
+
+    The first ``attempts`` values of ``_walk`` are tried in turn.  A fiber
+    over F_(q^j) is kept when it splits over at most ``ext_cap // j``
+    further degrees and the field W holding both fibers' roots has degree
+    at most ``ext_cap`` over F_q.  Returns W and, per fiber, t0 and its
+    roots as reps of W.  Each fiber's t0 and roots reach W by the
+    embedding that extends the straight lift of F's field
+    (``_framed_lift``), so every root is a zero of F lifted straight into
+    W and specialized at t0.
     """
     base = fpoly.ctx
     specialize = _squarefree_specializer(fpoly, n)
-    rng = random.Random(seed_tag)
     found = []
-    seen_t = []
-    cycle = (1,) * 10 + (2,) * 6 + (3,) * 4 + (1, 2, 3)
-    for attempt in range(attempts):
-        j = cycle[attempt % len(cycle)]
-        ectx = base if j == 1 else make_field(base.p, base.k * j)
-        t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
-        if any(lift(t0, common_field(ectx, t.ctx))
-               == lift(t, common_field(ectx, t.ctx)) for t in seen_t):
-            continue
+    for t0 in islice(_walk(base), attempts):
         spec = specialize(t0)
         if spec is None:
             continue
         try:
-            rm = splitting_roots(Polynomial.from_dense(ectx, spec),
-                                 ext_cap=max(1, ext_cap // j))
+            rm = splitting_roots(Polynomial.from_dense(t0.ctx, spec),
+                                 ext_cap=max(1, ext_cap // (t0.ctx.k // base.k)))
         except ExtensionCapExceeded:
             continue
-        if found and math.lcm(found[0][2].k, rm.ext.k) > ext_cap * base.k:
+        if found and math.lcm(found[0][1].ext.k, rm.ext.k) > ext_cap * base.k:
             continue
-        found.append((t0, [r for r, _ in rm.roots], rm.ext))
-        seen_t.append(t0)
+        found.append((t0, rm))
         if len(found) == 2:
-            return found
-    raise DegenerateFibers(
-        f"no 2 usable fibers within {attempts} attempts")
+            break
+    else:
+        raise DegenerateFibers(f"no 2 usable fibers within {attempts} attempts")
+    wctx = common_field(found[0][1].ext, found[1][1].ext)
+    fibers = []
+    for t0, rm in found:
+        to_w = _framed_lift(base, t0.ctx, rm.ext, wctx)
+        fibers.append((to_w(lift(t0, rm.ext)), [to_w(r) for r, _ in rm.roots]))
+    return wctx, fibers
 
 
 def _mobius_through(ctx: FieldCtx, src: tuple, dst: tuple) -> tuple:
@@ -646,15 +691,15 @@ def _mobius_through(ctx: FieldCtx, src: tuple, dst: tuple) -> tuple:
                             sub(mul(m3, p0), mul(m2, p1))))
 
 
-def deck_group(h: RationalMap1D, ext_cap: int = 12,
-               seed: int = 0) -> FiniteProjectivityGroup:
+def deck_group(h: RationalMap1D, ext_cap: int = 12) -> FiniteProjectivityGroup:
     """{sigma in PGL(2) : h o sigma = h}, certified complete.
 
-    Two generic fibers are computed; every deck map permutes each fiber, so
-    the Moebius maps through images of three anchor roots exhaust all
-    candidates.  Each candidate is a raw matrix over the working field,
-    every fiber root is finite (the fibers have full degree), and each
-    survivor is verified by the dense identity of ``ratfunc._mobius_fixes``.
+    Two fibers of h are split in one working field (``_fiber_search``);
+    every deck map permutes each fiber, so the Moebius maps through images
+    of three anchor roots exhaust all candidates.  Each candidate is a raw
+    matrix over the working field, every fiber root is finite (the fibers
+    have full degree), and each survivor is verified by the dense identity
+    of ``ratfunc._mobius_fixes``.
     """
     n = h.degree()
     if n == 0:
@@ -665,11 +710,7 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
     # the fiber over t = v is num(s) - v den(s) = 0
     sv = [Polynomial.variable(base, 2, 1)]
     fpoly = h.num.compose(sv) - Polynomial.variable(base, 2, 0) * h.den.compose(sv)
-    (_, roots1, ctx1), (_, roots2, ctx2) = _fiber_search(
-        fpoly, n, ext_cap, f"deck:{seed}:{base.spec}", attempts=32)
-    wctx = common_field(ctx1, ctx2)
-    r1 = [lift(r, wctx).rep for r in roots1]
-    r2 = [lift(r, wctx).rep for r in roots2]
+    wctx, ((_, r1), (_, r2)) = _fiber_search(fpoly, n, ext_cap)
     set1, set2 = set(r1), set(r2)
     hw = h.lift_to(wctx)
     num, den = hw.num.to_dense(), hw.den.to_dense()
@@ -695,9 +736,16 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
                 if not permutes(*key, r1, set1) or not permutes(*key, r2, set2):
                     continue
                 if _mobius_fixes(wctx, num, den, *key):
-                    a, b, c, d = (FqElement(wctx, x) for x in key)
-                    found[key] = Projectivity(wctx, [[a, b], [c, d]])
-    group = _closed_group(list(found.values()), n)
+                    found[key] = Projectivity._invertible(wctx, 2, list(key))
+    return _deck_closure(hw, list(found.values()), base)
+
+
+def _deck_closure(hw: RationalMap1D, found: list[Projectivity],
+                  base: FieldCtx) -> FiniteProjectivityGroup:
+    """The group of verified deck maps of hw (over their field): closed
+    with cap deg h, each element re-verified, descended to ``base``.
+    SoundnessError when the maps generate more than deg h of them."""
+    group = _closed_group(found, hw.degree())
     if group is None:
         raise SoundnessError("deck group order exceeds the degree")
     if not all(hw.invariant_under(sigma) for sigma in group.elements):
@@ -705,40 +753,145 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12,
     return group.descend_to(base)
 
 
+def verify_deck_group(h: RationalMap1D,
+                      maps: list[Projectivity]) -> FiniteProjectivityGroup:
+    """Deck(h) from maps claimed to lie in it, with no search: each map
+    passes the dense identity of ``ratfunc._mobius_fixes``, and their
+    closure (``_deck_closure``) must have order n = deg h.  Then it is all
+    of Deck(h), which has at most n elements.  SoundnessError otherwise."""
+    n = h.degree()
+    wctx = reduce(common_field, (m.ctx for m in maps), h.ctx)
+    hw = h.lift_to(wctx)
+    num, den = hw.num.to_dense(), hw.den.to_dense()
+    found = [m.lift_to(wctx) for m in maps]
+    if not all(_mobius_fixes(wctx, num, den, *m.mat[0], *m.mat[1])
+               for m in found):
+        raise SoundnessError("a known deck map fails the exact test")
+    group = _deck_closure(hw, found, h.ctx)
+    if len(group) != n:
+        raise SoundnessError(
+            f"the known deck maps generate {len(group)} maps, not deg h = {n}")
+    return group
+
+
+def transported_deck_group(group: FiniteProjectivityGroup, center: ProjPoint,
+                           parametrization: tuple[RationalMap1D, RationalMap1D]
+                           ) -> FiniteProjectivityGroup:
+    """The deck group in PGL(2) of the projection from ``center``, as the
+    image of its certified collineation group: tau = phi^-1 sigma phi for
+    each sigma, phi = (x(t) : y(t) : 1) the parametrization, verified by
+    ``verify_deck_group`` against h = the parametrization composed with
+    rows 0 and 2 of the normalizer, so no fiber is searched.  tau is read
+    off three points of a field W of at least 64 elements (``_transport``),
+    an extension of the group's field G into which phi is lifted through
+    G, and each tau descends back to G."""
+    x_t, y_t = parametrization
+    base = common_field(common_field(center.ctx, x_t.ctx), y_t.ctx)
+    h = _projection(_move_center(base, center.lift_to(base))[0],
+                    parametrization, len(group))
+    gctx = common_field(base, group.ctx)
+    wctx = make_field(gctx.p, gctx.k * next(
+        r for r in count(1) if gctx.order ** r >= 64))
+    coords = [[[lift(lift(FqElement(m.ctx, c), gctx), wctx).rep
+                for c in f.to_dense()] for f in (m.num, m.den)]
+              for m in (x_t, y_t)]
+    taus = [_transport(wctx, coords, s.lift_to(gctx).lift_to(wctx))
+            for s in group]
+    if None in taus:
+        raise ZeroInput("no three parameter points to transport a deck map")
+    down = [[try_descend(FqElement(wctx, x), gctx) for x in tau]
+            for tau in taus]
+    if any(None in tau for tau in down):
+        raise SoundnessError("a transported deck map is not defined over "
+                             "the field of its collineation")
+    return verify_deck_group(h, [Projectivity(gctx, [tau[:2], tau[2:]])
+                                 for tau in down])
+
+
+def _transport(wctx: FieldCtx, coords: list,
+               sigma: Projectivity) -> Optional[tuple]:
+    """The normalized matrix (a, b, c, d) over wctx of tau = phi^-1 sigma
+    phi, coords = [[x num, x den], [y num, y den]] dense, or None when
+    fewer than three points t qualify.  For (X : Y : Z) = sigma(phi(t)),
+    Z != 0, tau(t) is the root of the gcd of the numerators of x(u) - X/Z
+    and y(u) - Y/Z when it is linear and one of them keeps its degree (u =
+    infinity is no preimage); t at a pole of phi or with another preimage
+    is skipped."""
+    add, mul = wctx.add_t, wctx.mul_t
+    ts, us = [], []
+    for code in range(wctx.order):
+        t = wctx.decode(code)
+        vals = [(_u_eval(wctx, num, t), _u_eval(wctx, den, t))
+                for num, den in coords]
+        if not all(d for _, d in vals):
+            continue
+        x, y = (mul(v, wctx.inv_t(d)) for v, d in vals)
+        X, Y, Z = (add(add(mul(a, x), mul(b, y)), c) for a, b, c in sigma.mat)
+        if not Z:
+            continue
+        eqs = [_u_sub(wctx, [mul(Z, v) for v in num], [mul(V, v) for v in den])
+               for (num, den), V in zip(coords, (X, Y))]
+        g = _u_gcd(wctx, *eqs)
+        if len(g) == 2 and any(len(e) == max(map(len, f))
+                               for e, f in zip(eqs, coords)):
+            ts.append(t)
+            us.append(wctx.neg_t(g[0]))
+            if len(ts) == 3:
+                return _mobius_through(wctx, tuple(ts), tuple(us))
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Orchestrator
 # ---------------------------------------------------------------------------
+
+def _projection(normalizer: Projectivity,
+                parametrization: tuple[RationalMap1D, RationalMap1D],
+                n: int) -> RationalMap1D:
+    """The parametrization composed with rows 0 and 2 of a normalizer
+    (sending the center to (0:1:0)), which must have degree n: the moved
+    x-coordinate over the moved z-coordinate, since lines through (0:1:0)
+    are x = const.  With x = xn/xd and y = yn/yd, a row (a, b, c) gives
+    a xn yd + b yn xd + c xd yd over xd yd."""
+    ctx = reduce(common_field, (m.ctx for m in parametrization), normalizer.ctx)
+    (xn, xd), (yn, yd) = ((m.num.lift_to(ctx), m.den.lift_to(ctx))
+                          for m in parametrization)
+    terms = (xn * yd, yn * xd, xd * yd)
+    num, den = (sum((f * FqElement(ctx, c) for f, c in zip(terms, row)),
+                    Polynomial.zero(ctx, 1))
+                for row in normalizer.lift_to(ctx).mat[::2])
+    if den.is_zero:
+        raise ZeroInput("projection denominator is identically zero")
+    h = RationalMap1D(num, den)
+    if h.degree() != n:
+        raise ParametrizationInvalid(
+            f"projection degree {h.degree()} != fiber degree {n}; "
+            "the parametrization is not birational")
+    return h
+
 
 def projection_map(fib: ProjectionFiber,
                    parametrization: tuple[RationalMap1D, RationalMap1D]
                    ) -> RationalMap1D:
     """The projection from the fiber's center composed with a
-    parametrization of its curve: the moved x-coordinate over the moved
-    z-coordinate, since lines through (0:1:0) are x = const."""
+    parametrization of its curve, checked to lie on the curve."""
     from .curve import verify_on_curve
-    x_t, y_t = parametrization
-    verify_on_curve(fib.curve, x_t, y_t)
-    ctx = common_field(common_field(fib.curve.ctx, x_t.ctx), y_t.ctx)
-    rows = fib.normalizer.lift_to(ctx).mat
-    h = linear_fraction(x_t.lift_to(ctx), y_t.lift_to(ctx),
-                        [FqElement(ctx, c) for c in rows[0]],
-                        [FqElement(ctx, c) for c in rows[2]])
-    if h.degree() != fib.degree:
-        raise ParametrizationInvalid(
-            f"projection degree {h.degree()} != fiber degree {fib.degree}; "
-            "the parametrization is not birational")
-    return h
+    verify_on_curve(fib.curve, *parametrization)
+    return _projection(fib.normalizer, parametrization, fib.degree)
 
 
 def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
                     parametrization: Optional[tuple] = None,
-                    cfg: Optional[RunConfig] = None) -> GaloisReport:
+                    cfg: Optional[RunConfig] = None,
+                    deck_maps: Optional[list] = None) -> GaloisReport:
     """Decide whether P is a Galois point of C.
 
     strategy: "auto" tries deterministic certificates first (collineation,
     then deck when a parametrization is supplied) and falls back to the
     Monte Carlo screen; or force one of "collineation", "deck",
     "monte_carlo".  Certified verdicts carry the group and its descriptor.
+    ``deck_maps``, maps in PGL(2) known to be deck maps of the projection,
+    are verified (``verify_deck_group``) instead of searched for.
     """
     cfg = cfg or RunConfig()
     fib = fiber_polynomial(C, P)
@@ -784,7 +937,8 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
                     "deck certification needs a parametrization")
         else:
             h = projection_map(fib, parametrization)
-            dg = deck_group(h, ext_cap=cfg.ext_cap, seed=cfg.seed)
+            dg = deck_group(h, ext_cap=cfg.ext_cap) if deck_maps is None \
+                else verify_deck_group(h, deck_maps)
             if len(dg) == n:
                 return GaloisReport(fib.center, fib.point_class, n,
                                     "certified_galois", group=dg,

@@ -733,15 +733,6 @@ class FqElement:
         """Base-p integer encoding; used in text forms and reports."""
         return self.ctx.encode(self.rep)
 
-    def multiplicative_order(self) -> int:
-        if not self.rep:
-            raise ZeroDivisionError("order of zero is undefined")
-        n = self.ctx.order - 1
-        for q, e in _unit_group_factors(self.ctx).items():
-            while n % q == 0 and self.ctx.pow_t(self.rep, n // q) == 1:
-                n //= q
-        return n
-
     def __repr__(self) -> str:
         return f"Fq({self.encoding()} in {self.ctx!r})"
 

@@ -13,9 +13,8 @@ point at infinity is handled through the homogeneous pair.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import ZeroInput
 from .gf import FieldCtx, FqElement, common_field, lift
 from .polyring import (Polynomial, _u_add, _u_mul, exact_div, poly_gcd,
                        splitting_roots)
@@ -158,24 +157,7 @@ class RationalMap1D:
             raise ArithmeticError("unreduced projective evaluation")
         return ProjPoint(ectx, [nv, dv])
 
-    def value_at_infinity(self) -> ProjPoint:
-        return self.value_at_point(point_p1(self.ctx, infinity=True))
-
     # -- composition ----------------------------------------------------------
-
-    def compose_mobius(self, sigma: Projectivity) -> "RationalMap1D":
-        """h o sigma for sigma = (a t + b)/(c t + d) in PGL(2)."""
-        if sigma.n != 2:
-            raise ValueError("need a PGL(2) element")
-        ectx = common_field(self.ctx, sigma.ctx)
-        sg = sigma.lift_to(ectx)
-        (a, b), (c, d) = sg.mat
-        t = Polynomial.variable(ectx, 1, 0)
-        lin1 = t * FqElement(ectx, a) + FqElement(ectx, b)   # a t + b
-        lin2 = t * FqElement(ectx, c) + FqElement(ectx, d)   # c t + d
-        deg = self.degree()
-        return RationalMap1D(self.num.homogenize(deg).compose([lin1, lin2]),
-                             self.den.homogenize(deg).compose([lin1, lin2]))
 
     def invariant_under(self, sigma: Projectivity) -> bool:
         """Whether h o sigma = h, by the dense identity of
@@ -187,14 +169,6 @@ class RationalMap1D:
         (a, b), (c, d) = sigma.lift_to(ectx).mat
         return _mobius_fixes(ectx, h.num.to_dense(), h.den.to_dense(),
                              a, b, c, d)
-
-    def compose(self, inner: "RationalMap1D") -> "RationalMap1D":
-        """self o inner as rational functions."""
-        ectx = common_field(self.ctx, inner.ctx)
-        inn = inner.lift_to(ectx)
-        deg = self.degree()
-        return RationalMap1D(self.num.homogenize(deg).compose([inn.num, inn.den]),
-                             self.den.homogenize(deg).compose([inn.num, inn.den]))
 
     # -- divisors ----------------------------------------------------------------
 
@@ -253,33 +227,3 @@ def _mobius_fixes(ctx: FieldCtx, num: list, den: list,
         return acc
 
     return _u_mul(ctx, at(num), den) == _u_mul(ctx, at(den), num)
-
-
-def linear_fraction(xmap: RationalMap1D, ymap: RationalMap1D,
-                    row_num: Sequence[FqElement], row_den: Sequence[FqElement]) -> RationalMap1D:
-    """(a x(t) + b y(t) + c) / (d x(t) + e y(t) + f) as a reduced map.
-
-    Rows are length-3 coefficient vectors applied to (x, y, 1).
-    """
-    ctx = common_field(xmap.ctx, ymap.ctx)
-    for c in list(row_num) + list(row_den):
-        ctx = common_field(ctx, c.ctx)
-    x = xmap.lift_to(ctx)
-    y = ymap.lift_to(ctx)
-
-    def combo(row):
-        a, b, c = (lift(v, ctx) for v in row)
-        acc = RationalMap1D.const(ctx, 0)
-        if a:
-            acc = acc + x * a
-        if b:
-            acc = acc + y * b
-        if c:
-            acc = acc + RationalMap1D.const(ctx, c)
-        return acc
-
-    num = combo(row_num)
-    den = combo(row_den)
-    if den.num.is_zero:
-        raise ZeroInput("projection denominator is identically zero")
-    return num / den

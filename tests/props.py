@@ -10,7 +10,7 @@ import math
 import random
 
 from galoispoints.curve import PlaneCurve, singular_points
-from galoispoints.errors import CenterSingular, DegenerateFibers, InputError
+from galoispoints.errors import CenterSingular, DegenerateFibers, InputError, ZeroInput
 from galoispoints.galois import (
     _central,
     _collineation_fixes,
@@ -1003,16 +1003,12 @@ def _tame_center(rng, ctx, wild=False):
         return None
 
 
-def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
+def _fiber_permutation_scan(fpoly: Polynomial, search) -> list[Projectivity]:
     """Enumerate central collineations via their affine action on two
     fibers, on reps of the working field: s -> lam s + mu must permute
-    each fiber's roots, and mu = beta t + delta is read off the two."""
-    (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
-    wctx = common_field(common_field(ctx1, ctx2),
-                        common_field(t1.ctx, t2.ctx))
-    r1 = [lift(r, wctx).rep for r in roots1]
-    r2 = [lift(r, wctx).rep for r in roots2]
-    tv1, tv2 = lift(t1, wctx).rep, lift(t2, wctx).rep
+    each fiber's roots, and mu = beta t + delta is read off the two.
+    ``search`` is what ``galois._fiber_search`` returns."""
+    wctx, ((tv1, r1), (tv2, r2)) = search
     set1, set2 = set(r1), set(r2)
     rows = _dense_rows(fpoly, wctx)
     add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
@@ -1042,24 +1038,6 @@ def _fiber_permutation_scan(fpoly: Polynomial, fibers) -> list[Projectivity]:
                 if _collineation_fixes(wctx, rows, lam, beta, delta):
                     out[key] = _central(wctx, lam, beta, delta)
     return list(out.values())
-
-
-def _fibers_lift_to_zeros(fpoly, fibers) -> bool:
-    """Whether the roots of both fibers, lifted into the working field of
-    ``_fiber_permutation_scan``, are zeros of F(t0, s) lifted there.  The
-    ``gf`` embeddings do not commute through an intermediate field, so
-    fibers over two different fields can fail this, and the scan then
-    misses maps."""
-    (t1, roots1, ctx1), (t2, roots2, ctx2) = fibers
-    wctx = common_field(common_field(ctx1, ctx2),
-                        common_field(t1.ctx, t2.ctx))
-    rows = _dense_rows(fpoly, wctx)
-    for t0, roots in ((t1, roots1), (t2, roots2)):
-        t = lift(t0, wctx).rep
-        spec = [_u_eval(wctx, row, t) for row in rows]
-        if any(_u_eval(wctx, spec, lift(r, wctx).rep) for r in roots):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -1121,14 +1099,13 @@ def galois_tame_order_matches_scan(cases=40):
     ``central_collineation_group`` builds in closed form on every tame
     center, and equals the order of the exact collineation scan
     (``_fiber_search`` and ``_fiber_permutation_scan``) on every tame
-    center whose scan finds two fibers whose roots are zeros in its
-    working field: Kummer forms and perturbed ones, inner and outer, moved
-    by random projectivities, on every field shape.  Every scan finds a
-    subgroup, so its order divides the closed form's; the seeded run
-    includes a Kummer quartic over 3^8 whose fibers do not lift to zeros
-    and whose scan finds only the identity.  Over fields of at most 16
-    elements the brute scan finds the base-field part, gcd(m, q - 1) maps.
-    At wild centers (p | n) the closed form is None."""
+    center where the seed-free fiber walk finds two fibers: Kummer forms
+    and perturbed ones, inner and outer, moved by random projectivities,
+    on every field shape.  The fibers' roots are zeros of the fiber
+    polynomial lifted straight into the working field, so the scan misses
+    no map.  Over fields of at most 16 elements the brute scan finds the
+    base-field part, gcd(m, q - 1) maps.  At wild centers (p | n) the
+    closed form is None."""
     rng = random.Random(914)
     table_rng = random.Random(915)
     done = trivial = wild = 0
@@ -1157,13 +1134,10 @@ def galois_tame_order_matches_scan(cases=40):
         down = group.descend_to(ctx)
         assert down is group
         try:
-            fibers = _fiber_search(fib.poly, fib.degree, 4, f"tame:{done}")
+            search = _fiber_search(fib.poly, fib.degree, 4)
         except DegenerateFibers:
             continue
-        scan = len(_fiber_permutation_scan(fib.poly, fibers))
-        assert m % scan == 0, (ctx, fib.poly, m, scan)
-        if not _fibers_lift_to_zeros(fib.poly, fibers):
-            continue
+        scan = len(_fiber_permutation_scan(fib.poly, search))
         assert m == scan, (ctx, fib.poly, m, scan)
         if ctx.order <= 16:
             brute = brute_collineation_group(fib)
@@ -1349,7 +1323,7 @@ def ratfunc_invariant_matches_compose(cases=300):
         tau, mu = (_random_projectivity(rng, ctx) for _ in range(2))
         (a, b), (c, d) = (tuple(FqElement(ctx, x) for x in row)
                           for row in mu.mat)
-        h1 = h0.compose_mobius(tau)
+        h1 = compose_mobius(h0, tau)
         h = (h1 * a + b) / (h1 * c + d)
         cands = [(tau.inverse() * s * tau, True) for s in deck[:4]]
         cands += [(s * _random_projectivity(rng, ctx), False)
@@ -1357,7 +1331,7 @@ def ratfunc_invariant_matches_compose(cases=300):
         cands += [(_random_projectivity(rng, ctx), False) for _ in range(2)]
         for sigma, verified in cands:
             dense = h.invariant_under(sigma)
-            oracle = h.compose_mobius(sigma) == h
+            oracle = compose_mobius(h, sigma) == h
             assert dense == oracle, (ctx, h, sigma)
             assert oracle or not verified
             accepted += dense
@@ -1525,7 +1499,7 @@ def curve_family_loci_complete(specs):
 
 def curve_tangent_multiplicity(cases=500):
     """The tangent line divisor has multiplicity >= 2 at the point."""
-    from galoispoints.curve import line_intersection_divisor, tangent_line
+    from galoispoints.curve import line_intersection_divisor
     from galoispoints.errors import LineIsComponent
     rng = random.Random(403)
     F13 = make_field(13)
@@ -1570,3 +1544,206 @@ def curve_family_smoothness(cases=1):
         C = curve_from_affine(x ** (d - 1) + y ** d + 1)
         locus = singular_points(C)
         assert locus.is_empty()
+
+
+# ---------------------------------------------------------------------------
+# Oracles that no command reaches: PGL(2) enumeration and the A4 / S3
+# triple searches, composition with a Moebius map, the value at infinity,
+# the multiplicative order and the tangent line
+# ---------------------------------------------------------------------------
+
+def pgl2_elements(ctx: FieldCtx) -> list[Projectivity]:
+    """All of PGL(2, F_q), deduplicated and canonically ordered."""
+    seen = {}
+    q = ctx.order
+    for a in range(q):
+        for b in range(q):
+            for c in range(q):
+                for d in range(q):
+                    ra = ctx.decode(a)
+                    rb = ctx.decode(b)
+                    rc = ctx.decode(c)
+                    rd = ctx.decode(d)
+                    det = ctx.sub_t(ctx.mul_t(ra, rd), ctx.mul_t(rb, rc))
+                    if not det:
+                        continue
+                    g = Projectivity(ctx, [[FqElement(ctx, ra), FqElement(ctx, rb)],
+                                           [FqElement(ctx, rc), FqElement(ctx, rd)]])
+                    seen[g.mat] = g
+    return sorted(seen.values(), key=lambda g: g.row_major())
+
+
+def fixed_points_p1(g: Projectivity, ctx=None) -> list[ProjPoint]:
+    """Fixed points of a PGL(2) element among the rational points of P^1."""
+    ctx = ctx or g.ctx
+    out = []
+    h = g.lift_to(ctx)
+    for code in range(ctx.order):
+        pt = point_p1(ctx, FqElement(ctx, ctx.decode(code)))
+        if h.apply(pt) == pt:
+            out.append(pt)
+    inf = point_p1(ctx, infinity=True)
+    if h.apply(inf) == inf:
+        out.append(inf)
+    return out
+
+
+def search_tetrahedral_triple(ctx: FieldCtx) -> tuple:
+    """Exhaustive PGL(2, q) search for (G1 cyclic order 3, G2 Klein, P) with
+    <G1 u G2> = A4 and P the G1-fixed point; first hit in canonical order."""
+    from galoispoints.embedder import check_condition_b
+    elements = pgl2_elements(ctx)
+    ident = Projectivity.identity(ctx, 2)
+    cap = ctx.order + 2
+    order2 = [g for g in elements if g.order(cap=cap) == 2]
+    order3 = [g for g in elements if g.order(cap=cap) == 3]
+    for s in order3:
+        sinv = s.inverse()
+        for u in order2:
+            u1 = s * u * sinv
+            if u1 == u:
+                continue
+            u2 = s * u1 * sinv
+            V = {ident, u, u1, u2}
+            if len(V) != 4 or u * u1 not in V:
+                continue
+            G2 = generate_group([u, u1], cap=16)
+            if len(G2) != 4:
+                continue
+            G12 = generate_group([s, u], cap=16)
+            if len(G12) != 12 or identify_group(G12).tag != "a4":
+                continue
+            G1 = generate_group([s], cap=8)
+            for P in fixed_points_p1(s):
+                if check_condition_b(G1, G2, P):
+                    return G1, G2, P
+    raise ZeroInput(f"no tetrahedral triple found in PGL(2, {ctx.spec})")
+
+
+def search_dihedral_triple(ctx: FieldCtx) -> tuple:
+    """Search for (G1 = <involution>, G2 cyclic order 3, P) generating S3
+    with the divisor condition; first hit in canonical order."""
+    from galoispoints.embedder import check_condition_b
+    elements = pgl2_elements(ctx)
+    cap = ctx.order + 2
+    order2 = [g for g in elements if g.order(cap=cap) == 2]
+    order3 = [g for g in elements if g.order(cap=cap) == 3]
+    for s in order3:
+        sinv = s.inverse()
+        for u in order2:
+            if u * s * u.inverse() != sinv:
+                continue
+            G1 = generate_group([u], cap=8)
+            G2 = generate_group([s], cap=8)
+            for P in fixed_points_p1(u):
+                if check_condition_b(G1, G2, P):
+                    return G1, G2, P
+    raise ZeroInput(f"no dihedral triple found in PGL(2, {ctx.spec})")
+
+
+def compose_mobius(h: RationalMap1D, sigma: Projectivity) -> RationalMap1D:
+    """h o sigma for sigma = (a t + b)/(c t + d) in PGL(2), by substitution
+    into the homogenized numerator and denominator."""
+    if sigma.n != 2:
+        raise ValueError("need a PGL(2) element")
+    ectx = common_field(h.ctx, sigma.ctx)
+    (a, b), (c, d) = sigma.lift_to(ectx).mat
+    t = Polynomial.variable(ectx, 1, 0)
+    lin1 = t * FqElement(ectx, a) + FqElement(ectx, b)   # a t + b
+    lin2 = t * FqElement(ectx, c) + FqElement(ectx, d)   # c t + d
+    deg = h.degree()
+    return RationalMap1D(h.num.homogenize(deg).compose([lin1, lin2]),
+                         h.den.homogenize(deg).compose([lin1, lin2]))
+
+
+def value_at_infinity(h: RationalMap1D) -> ProjPoint:
+    return h.value_at_point(point_p1(h.ctx, infinity=True))
+
+
+def multiplicative_order(a: FqElement) -> int:
+    """The order of a nonzero field element in the unit group."""
+    if not a.rep:
+        raise ZeroDivisionError("order of zero is undefined")
+    n = a.ctx.order - 1
+    for q in _unit_group_factors(a.ctx):
+        while n % q == 0 and a.ctx.pow_t(a.rep, n // q) == 1:
+            n //= q
+    return n
+
+
+def tangent_line(C: PlaneCurve, P: ProjPoint):
+    """Tangent line at a smooth point: gradient coefficients at P."""
+    from galoispoints.errors import PointNotOnCurve, PointSingular
+    from galoispoints.projective import ProjLine
+    if not C.contains(P):
+        raise PointNotOnCurve(f"{P!r} is not on the curve")
+    grad = C.gradient_at(P)
+    if not any(grad):
+        raise PointSingular(f"{P!r} is a singular point")
+    return ProjLine(grad[0].ctx, grad)
+
+
+def compose(h: RationalMap1D, inner: RationalMap1D) -> RationalMap1D:
+    """h o inner as rational functions."""
+    ectx = common_field(h.ctx, inner.ctx)
+    inn = inner.lift_to(ectx)
+    deg = h.degree()
+    return RationalMap1D(h.num.homogenize(deg).compose([inn.num, inn.den]),
+                         h.den.homogenize(deg).compose([inn.num, inn.den]))
+
+
+def linear_fraction(xmap: RationalMap1D, ymap: RationalMap1D,
+                    row_num, row_den) -> RationalMap1D:
+    """(a x(t) + b y(t) + c) / (d x(t) + e y(t) + f) by rational-function
+    arithmetic, rows being length-3 coefficient vectors applied to
+    (x, y, 1): the oracle for ``galois._projection``."""
+    ctx = common_field(xmap.ctx, ymap.ctx)
+    for c in list(row_num) + list(row_den):
+        ctx = common_field(ctx, c.ctx)
+    x = xmap.lift_to(ctx)
+    y = ymap.lift_to(ctx)
+
+    def combo(row):
+        a, b, c = (lift(v, ctx) for v in row)
+        acc = RationalMap1D.const(ctx, 0)
+        if a:
+            acc = acc + x * a
+        if b:
+            acc = acc + y * b
+        if c:
+            acc = acc + RationalMap1D.const(ctx, c)
+        return acc
+
+    return combo(row_num) / combo(row_den)
+
+
+def galois_deck_fibers_are_zeros(cases=60):
+    """Both fibers ``galois._fiber_search`` returns for the deck search of
+    a random map h = N/D of degree 2 to 5 over a field that is not prime
+    are zeros of F(t0, s) = N(s) - t0 D(s), F lifted straight into the
+    working field: fibers over F_(q^j), j > 1, or splitting in different
+    fields reach it by the embedding that extends the straight lift."""
+    rng = random.Random(2121)
+    done = 0
+    while done < cases:
+        F = make_field(*rng.choice([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3),
+                                    (5, 2), (7, 2)]))
+        n = rng.randrange(2, 6)
+        t = Polynomial.variable(F, 1, 0)
+        num = t ** n + rand_univ(rng, F, n - 1)
+        den = t ** rng.randrange(1, n) + rand_univ(rng, F, 0)
+        if poly_gcd(num, den).degree() > 0:
+            continue
+        h = RationalMap1D(num, den)
+        s = [Polynomial.variable(F, 2, 1)]
+        fpoly = h.num.compose(s) - Polynomial.variable(F, 2, 0) * h.den.compose(s)
+        try:
+            wctx, fibers = _fiber_search(fpoly, n, 12)
+        except DegenerateFibers:
+            continue
+        rows = _dense_rows(fpoly, wctx)
+        for t0, roots in fibers:
+            spec = [_u_eval(wctx, row, t0) for row in rows]
+            values = [_u_eval(wctx, spec, r) for r in roots]
+            assert len(roots) == n and values == [0] * n, (F, h)
+        done += 1

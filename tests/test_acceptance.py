@@ -22,7 +22,6 @@ from galoispoints.config import RunConfig
 from galoispoints.embedder import (
     check_condition_b,
     construct_embedding,
-    search_tetrahedral_triple,
 )
 from galoispoints.errors import AllSpecializationsRamified
 from galoispoints.families import (
@@ -129,7 +128,7 @@ def test_acceptance_3_thm3_quartic():
 def test_acceptance_4_theorem1_round_trip():
     with Timer() as t:
         F13 = make_field(13)
-        G1, G2, P = search_tetrahedral_triple(F13)
+        G1, G2, P = props.search_tetrahedral_triple(F13)
         witnesses = check_condition_b(G1, G2, P)
         res = construct_embedding(G1, G2, P, RunConfig(seed=0))
     checks = [

@@ -73,15 +73,15 @@ class TestCheck:
 
     @pytest.mark.parametrize("argv, data", [
         (["check", "FILE", "--point", "0:1:0"],
-         {"field": "abc", "affine_poly": "x+y"}),
+         {"field": "abc", "affine_poly": "y^2 + x^3 + 1"}),
         (["check", "FILE", "--point", "0:1:0"],
-         {"field": "4^1", "affine_poly": "x+y"}),
+         {"field": "4^1", "affine_poly": "y^2 + x^3 + 1"}),
         (["check", "FILE", "--point", "0:1:0"],
-         {"field": "3^2", "modulus": [2, 0, 1], "affine_poly": "x+y"}),
+         {"field": "3^2", "modulus": [2, 0, 1], "affine_poly": "y^2 + x^3 + 1"}),
         (["check", "FILE", "--point", "0:1:0"],
-         {"field": "3^2", "modulus": [1, 1], "affine_poly": "x+y"}),
+         {"field": "3^2", "modulus": [1, 1], "affine_poly": "y^2 + x^3 + 1"}),
         (["check", "FILE", "--point", "0:1:0"],
-         {"field": "3^2", "modulus": ["a", 0, 1], "affine_poly": "x+y"}),
+         {"field": "3^2", "modulus": ["a", 0, 1], "affine_poly": "y^2 + x^3 + 1"}),
         (["check", "FILE", "--point", "0:1:0"],
          {"field": "2^2", "modulus": [1.7, True, 1], "affine_poly": "y^2 + x^3 + 1"}),
         (["check", "FILE", "--point", "0:1:0"],
@@ -118,8 +118,13 @@ class TestCheck:
         err = capsys.readouterr().err
         assert json.loads(err)["error"] == "InputError"
         assert "Traceback" not in err
+        message = json.loads(err)["message"]
         if data and "unknown" in data:
-            assert "unknown key 'unknown'" in json.loads(err)["message"]
+            assert "unknown key 'unknown'" in message
+        if data and "modulus" in data:
+            assert "modulus" in message
+        if data and data.get("field") in ("abc", "4^1"):
+            assert f"field spec '{data['field']}'" in message
 
     @pytest.mark.parametrize("spec, param", [
         ({"tag": "thm2_tame", "field": "13^1", "d": "4"}, "d"),

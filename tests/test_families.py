@@ -126,10 +126,10 @@ class TestWildCoveringNormalForm:
         S = [x for x in F16.elements() if x ** 4 == x]
         ap = additive_poly_from_subgroup(S, 3)
         # stage one: the additive covering, deck group = translations by S
-        G1 = deck_group(RationalMap1D.from_poly(ap.poly), seed=0)
+        G1 = deck_group(RationalMap1D.from_poly(ap.poly))
         assert len(G1) == 4 and identify_group(G1).tag == "klein"
         # composite: (g(y))^m of degree p^e * m = 12, group (Z/2)^2 x| Z/3
-        G = deck_group(RationalMap1D.from_poly(ap.poly ** 3), seed=0)
+        G = deck_group(RationalMap1D.from_poly(ap.poly ** 3))
         assert len(G) == 12
         assert identify_group(G).tag == "a4"
 

@@ -1,4 +1,6 @@
 import ast
+import inspect
+import itertools
 import json
 import math
 import os
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from galoispoints import galois
-from galoispoints.cli import load_curve
+from galoispoints.cli import dispatch, load_curve
 from galoispoints.config import RunConfig
 from galoispoints.curve import curve_from_affine, pencil_parametrization, singular_points
 from galoispoints.errors import (
@@ -27,7 +29,8 @@ from galoispoints.galois import (
     monte_carlo_galois,
 )
 from galoispoints.gf import FqElement, make_field
-from galoispoints.polyring import Polynomial, factor_univariate
+from galoispoints.polyring import (Polynomial, _dd_parts, _squarefree_specializer,
+                                   _u_eval, factor_univariate)
 from galoispoints.projective import ProjPoint, Projectivity, identify_group, point_p1
 from galoispoints.ratfunc import RationalMap1D
 
@@ -174,15 +177,34 @@ class TestCentralCollineations:
             done += 1
 
     def test_fiber_common_field_within_ext_cap(self):
-        # over F_4 the first usable fiber of this perturbed wild quartic at
-        # (0:1:1) splits over 2^6; the next one splits over 2^16, within the
-        # cap alone, but a scan would compare the two over 2^48.  deck_group
-        # reads its two fibers from the same search
+        # over F_4 the walk's first usable fiber of this perturbed wild
+        # quartic at (0:1:1), t0 = 0, splits over 2^6.  Fibers over F_16
+        # that split over 2^16 are within the cap alone (16 <= 2 * 12), but
+        # both fibers together would need 2^48: the lcm branch rejects them
+        # before a fiber over 2^12 is taken
         curve = load_curve(str(FIXTURES / "wild_p2e2_f4_perturbed_curve.json"))
         fib = fiber_polynomial(curve, ProjPoint(curve.ctx, [0, 1, 1]))
-        fibers = galois._fiber_search(fib.poly, fib.degree, 12, "coll:0:2^2")
-        ks = [ctx.k for _, _, ctx in fibers]
-        assert ks[0] == 6 and math.lcm(*ks) <= fib.poly.ctx.k * 12
+        base = fib.poly.ctx
+        wctx, fibers = galois._fiber_search(fib.poly, fib.degree, 12)
+        assert wctx.k == 12
+        specialize = _squarefree_specializer(fib.poly, fib.degree)
+        kept, rejected = [], 0
+        for t0 in itertools.islice(galois._walk(base), 32):
+            spec = specialize(t0)
+            if spec is None:
+                continue
+            j = t0.ctx.k // base.k
+            k = t0.ctx.k * math.lcm(*(dd for _, dd, _ in _dd_parts(t0.ctx, spec)))
+            if k > t0.ctx.k * max(1, 12 // j):
+                continue
+            if kept and math.lcm(kept[0][1], k) > 12 * base.k:
+                rejected += 1
+                continue
+            kept.append((t0, k))
+            if len(kept) == 2:
+                break
+        assert kept[0][1] == 6 and rejected > 0
+        assert math.lcm(*(k for _, k in kept)) == wctx.k
 
 
 class TestDeckGroup:
@@ -193,7 +215,7 @@ class TestDeckGroup:
         assert len(G) == 3 and identify_group(G).tag == "cyclic"
         hw = h.lift_to(G.ctx)
         for sigma in G.elements:
-            assert hw.compose_mobius(sigma) == hw
+            assert props.compose_mobius(hw, sigma) == hw
 
     def test_t_plus_inverse(self, F13):
         t = RationalMap1D.variable(F13)
@@ -544,6 +566,38 @@ class TestSoundnessGuards:
         assert out.stdout.splitlines() == [
             "2", "a closed-form wild collineation fails the exact test"]
 
+    def test_transport_guard_under_optimize(self):
+        # one transported deck map of the thm3 quartic's inner group,
+        # mutated from (a t + b) / (c t + d) into (a t + b + 1) / (c t + d),
+        # fails the verifier with -O: it is no assert
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from galoispoints import galois\n"
+            "from galoispoints.errors import SoundnessError\n"
+            "from galoispoints.families import FamilySpec, build_family\n"
+            "assert False, 'asserts are live'\n"
+            "curve, exp = build_family(FamilySpec(tag='thm3_quartic', "
+            "field='13^1'))\n"
+            "rep = galois.is_galois_point(curve, exp.P, strategy='collineation')\n"
+            "args = (rep.group, exp.P, exp.parametrization)\n"
+            "print(len(galois.transported_deck_group(*args)))\n"
+            "through, calls = galois._mobius_through, []\n"
+            "def mutated(ctx, src, dst):\n"
+            "    a, b, c, d = through(ctx, src, dst)\n"
+            "    calls.append(1)\n"
+            "    return (a, ctx.add_t(b, 1), c, d) if len(calls) == 1 "
+            "else (a, b, c, d)\n"
+            "galois._mobius_through = mutated\n"
+            "try:\n"
+            "    galois.transported_deck_group(*args)\n"
+            "except SoundnessError as exc:\n"
+            "    print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.splitlines() == [
+            "3", "a known deck map fails the exact test"]
+
     def test_src_has_no_assert_statement(self):
         # python -O strips asserts, so no guard may be written as one
         src = Path(__file__).resolve().parent.parent / "src" / "galoispoints"
@@ -552,6 +606,100 @@ class TestSoundnessGuards:
                  for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Assert)]
         assert found == []
+
+
+_RATIONAL_FAMILIES = ("thm3_cubic_f13", "thm3_quartic_f13", "prop4_p2e2_f4",
+                      "prop4_p2e2_f4_power")
+_EMBED_GROUPS = ("groups_a4_f13", "groups_toy_conic_f13",
+                 "groups_incompatible_f13")
+
+
+class TestKnownDeckGroups:
+    """A certified collineation group is transported into PGL(2), and the
+    embedder's groups are verified, not searched; the one deck search left
+    (the outer center of a rational family) walks its fibers with no seed
+    and splits them in one working field."""
+
+    def test_one_deck_search_per_rational_family(self, monkeypatch, capsys):
+        calls = []
+        search = galois.deck_group
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(galois, "deck_group", counted)
+        for name in _RATIONAL_FAMILIES:
+            calls.clear()
+            code = dispatch(["family", str(FIXTURES / f"{name}.json")])
+            assert (name, code, len(calls)) == (name, 0, 1)
+        for name in _EMBED_GROUPS:
+            calls.clear()
+            code = dispatch(["embed", str(FIXTURES / f"{name}.json")])
+            assert (name, code, len(calls)) == (
+                name, 2 if "incompatible" in name else 0, 0)
+        capsys.readouterr()
+
+    def test_family_reports_do_not_depend_on_the_seed(self, capsys):
+        for name in ("thm3_quartic_f13", "prop4_p2e2_f4"):
+            outs = []
+            for seed in ("0", "1"):
+                code = dispatch(["family", str(FIXTURES / f"{name}.json"),
+                                 "--seed", seed])
+                assert code == 0
+                outs.append(capsys.readouterr().out)
+            # the config echo is the only place the seed appears
+            assert outs[1].count('"seed": 1,') == 1
+            assert outs[1].replace('"seed": 1,', '"seed": 0,') == outs[0]
+
+    def test_deck_fibers_are_zeros_of_the_straight_lift(self, monkeypatch,
+                                                         capsys):
+        # h - t0, with h lifted straight into the working field, vanishes
+        # at every root of both fibers that reach the deck scan
+        seen, current = [], []
+        search, fibers = galois.deck_group, galois._fiber_search
+
+        def deck(h, *args, **kwargs):
+            current[:] = [h]
+            return search(h, *args, **kwargs)
+
+        def fiber_search(*args, **kwargs):
+            out = fibers(*args, **kwargs)
+            seen.append((current[0], out))
+            return out
+
+        monkeypatch.setattr(galois, "deck_group", deck)
+        monkeypatch.setattr(galois, "_fiber_search", fiber_search)
+        for name in _RATIONAL_FAMILIES:
+            assert dispatch(["family", str(FIXTURES / f"{name}.json")]) == 0
+        for name in _EMBED_GROUPS[:2]:
+            assert dispatch(["embed", str(FIXTURES / f"{name}.json")]) == 0
+        capsys.readouterr()
+        assert len(seen) == len(_RATIONAL_FAMILIES)
+        for h, (wctx, pairs) in seen:
+            hw = h.lift_to(wctx)
+            num, den = hw.num.to_dense(), hw.den.to_dense()
+            for t0, roots in pairs:
+                assert len(roots) == h.degree()
+                values = [wctx.sub_t(_u_eval(wctx, num, r),
+                                     wctx.mul_t(t0, _u_eval(wctx, den, r)))
+                          for r in roots]
+                assert values == [0] * len(roots), (h, wctx)
+
+    def test_random_deck_fibers_are_zeros_over_extension_bases(self):
+        props.galois_deck_fibers_are_zeros(60)
+
+    def test_walk_is_seed_free_and_distinct(self, F4):
+        walk = list(galois._walk(F4))
+        # F_4, then one of each pair of conjugates x, x^4 in F_16 - F_4
+        # and one of each triple in F_64 - F_4
+        assert [t.ctx.k for t in walk] == [2] * 4 + [4] * 6 + [6] * 20
+        assert [t.encoding() for t in walk[:4]] == [0, 1, 2, 3]
+        for t in walk[4:]:
+            orbit = {t ** 4, t ** 16, t ** 64} - {t}
+            assert orbit and min(x.encoding() for x in orbit) > t.encoding()
+        assert "random" not in ast.dump(ast.parse(inspect.getsource(
+            galois._fiber_search)))
 
 
 class TestAgreement:

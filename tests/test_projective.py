@@ -89,16 +89,14 @@ class TestGenerateGroup:
 
 class TestIdentifyGroup:
     def test_a4_histogram(self, F13):
-        from galoispoints.embedder import search_tetrahedral_triple
-        G1, G2, _ = search_tetrahedral_triple(F13)
+        G1, G2, _ = props.search_tetrahedral_triple(F13)
         J = generate_group(G1.generators + G2.generators, cap=64)
         desc = identify_group(J)
         assert desc.tag == "a4"
         assert desc.element_order_histogram == {1: 1, 2: 3, 3: 8}
 
     def test_s3(self, F13):
-        from galoispoints.embedder import search_dihedral_triple
-        G1, G2, _ = search_dihedral_triple(F13)
+        G1, G2, _ = props.search_dihedral_triple(F13)
         J = generate_group(G1.generators + G2.generators, cap=64)
         desc = identify_group(J)
         assert desc.tag == "s3" and desc.order == 6 and not desc.abelian
@@ -152,8 +150,7 @@ class TestProductStructure:
         assert len(pr.joint) == 12
 
     def test_a4_right_semidirect(self, F13):
-        from galoispoints.embedder import search_tetrahedral_triple
-        G1, G2, _ = search_tetrahedral_triple(F13)
+        G1, G2, _ = props.search_tetrahedral_triple(F13)
         pr = product_structure(G1, G2)
         assert pr.classification == "right_semidirect"
         assert not pr.g1_normal and pr.g2_normal
