@@ -686,6 +686,18 @@ class TestKnownDeckGroups:
                           for r in roots]
                 assert values == [0] * len(roots), (h, wctx)
 
+    def test_verifier_needs_the_whole_deck_group(self, F13):
+        # Deck(t^4) over F_13 is t -> i^k t, i^2 = -1: the four maps verify,
+        # and the order-2 subgroup, though each map is a deck map, is no
+        # certificate
+        t = RationalMap1D.variable(F13)
+        quarter = [Projectivity(F13, [[F13.element(5) ** k, 0], [0, 1]])
+                   for k in range(4)]
+        G = galois.verify_deck_group(t ** 4, quarter)
+        assert len(G) == 4 and G == deck_group(t ** 4)
+        with pytest.raises(SoundnessError, match="not deg h = 4"):
+            galois.verify_deck_group(t ** 4, quarter[::2])
+
     def test_random_deck_fibers_are_zeros_over_extension_bases(self):
         props.galois_deck_fibers_are_zeros(60)
 
