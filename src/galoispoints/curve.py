@@ -21,6 +21,7 @@ divisors whose support meets Sing(C) are flagged, not refined.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial, reduce
 from typing import Optional
 
 from .errors import (
@@ -32,7 +33,8 @@ from .errors import (
     ZeroInput,
 )
 from .gf import FieldCtx, FqElement, common_field, lift
-from .polyring import Polynomial, exact_div, poly_gcd, splitting_roots
+from .polyring import (Polynomial, _dense_rows, _squarefree_specializer,
+                       _u_diff, _u_prs, exact_div, poly_gcd, splitting_roots)
 from .projective import PointDivisor, ProjLine, ProjPoint
 from .ratfunc import RationalMap1D
 
@@ -114,13 +116,51 @@ class PlaneCurve:
 
 
 def curve_from_affine(f: Polynomial, assume_irreducible: bool = True) -> PlaneCurve:
-    """Homogenize a squarefree affine bivariate polynomial into a curve."""
+    """Homogenize a squarefree affine bivariate polynomial into a curve.
+
+    Squarefreeness is proven on dense rows first
+    (``_squarefree_certificate``); only a polynomial that proof leaves
+    undecided takes the exact test gcd(f, f_x, f_y) = 1, which names the
+    repeated factor in NotSquarefree.
+    """
     if f.nvars != 2 or f.is_zero or f.degree() < 1:
         raise ZeroInput("need a nonconstant bivariate polynomial")
-    g = poly_gcd(poly_gcd(f, f.derivative(0)), f.derivative(1))
-    if g.degree() > 0:
-        raise NotSquarefree(f"repeated factor {g.to_text()}")
+    if not _squarefree_certificate(f):
+        g = poly_gcd(poly_gcd(f, f.derivative(0)), f.derivative(1))
+        if g.degree() > 0:
+            raise NotSquarefree(f"repeated factor {g.to_text()}")
     return PlaneCurve(f.homogenize(), assume_irreducible)
+
+
+def _squarefree_certificate(f: Polynomial) -> bool:
+    """True when f(x, y) is proven squarefree: its y-content is squarefree
+    and f(x0, y) is squarefree of full y-degree at some x0 in F_q, or the
+    same holds with x and y swapped.  False leaves f undecided.
+
+    Suppose g^2 h = f with g nonconstant.  If deg_y g = 0, g^2 divides
+    the content.  Otherwise lc_y g(x0) != 0, as lc_y f(x0) != 0, so
+    g(x0, y)^2 divides f(x0, y).  When disc_y(f) != 0, x0 fails only on
+    the zeros of lc_y(f) disc_y(f), at most d^2 of them for total degree
+    d, so at most d^2 + 1 values of x0 are tried.
+    """
+    ctx = f.ctx
+    tries = min(ctx.order, f.degree() ** 2 + 1)
+
+    def proves(h: Polynomial) -> bool:
+        rows = _dense_rows(h, ctx)
+        content = reduce(partial(_u_prs, ctx), rows)
+        if len(content) > 1:
+            der = _u_diff(ctx, content)
+            if not der or len(_u_prs(ctx, content, der)) > 1:
+                return False
+        if len(rows) == 1:
+            return True
+        specialize = _squarefree_specializer(ctx, rows, len(rows) - 1)
+        return any(specialize(FqElement(ctx, ctx.decode(code))) is not None
+                   for code in range(tries))
+
+    return proves(f) or proves(Polynomial(ctx, 2, {
+        (b, a): rep for (a, b), rep in f.terms.items()}))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,11 @@ closure can show two factor degrees.
 
 Every method reads one ``ProjectionFiber``, built once per center by
 ``fiber_polynomial``: the curve and center lifted to one field, the center
-moved to (0:1:0) and the moved form restricted to the chart z = 1.
+moved to (0:1:0) by a closed-form projectivity, and the s-rows of the
+moved form in the chart z = 1 computed by Horner's rule on dense arrays,
+one linear form per step, with no sparse composition.  The center's
+class is read off the top two rows, with no point evaluation and no
+gradient.
 
 The Monte Carlo screen and the deck fiber search share one
 specialization, ``polyring._squarefree_specializer``: F(t0, s) is built,
@@ -51,7 +55,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import count, islice, permutations
+from itertools import count, islice
 from typing import Optional
 
 from .config import RunConfig
@@ -75,6 +79,7 @@ from .polyring import (
     Polynomial,
     _dd_parts,
     _dense_rows,
+    _lift_rows,
     _squarefree_specializer,
     _u_add,
     _u_deg,
@@ -106,21 +111,24 @@ from .ratfunc import RationalMap1D, _mobius_fixes
 
 @dataclass(frozen=True)
 class ProjectionFiber:
-    """The fiber polynomial F(t, s) of a projection.
+    """The fiber polynomial F(t, s) of a projection, as its s-rows.
 
     ``curve`` and ``center`` are lifted to one field.  The projectivity
     ``normalizer`` moves the center to (0:1:0), and ``denormalizer`` is
     its inverse; in the curve's form composed with the inverse,
     moved(x, y, z), lines through the center are x = const, and in the
     chart z = 1, F(t, s) = moved(t, s, 1) has exact s-degree n, with
-    n = d - 1 for an inner center and n = d for an outer one.  The chart
-    keeps every term of the form, so F determines moved.
+    n = d - 1 for an inner center and n = d for an outer one.  ``rows``
+    holds F: row b is the coefficient of s^b, a trimmed dense list in t
+    on reps of the curve's field, with row n nonzero on top.  The chart
+    keeps every term of the form, so F determines moved.  ``poly`` is F
+    as a sparse polynomial, built from the rows on request.
     """
 
     center: ProjPoint
     inner: bool
     degree: int
-    poly: Polynomial        # bivariate, var 0 = pencil t, var 1 = fiber s
+    rows: list
     normalizer: Projectivity  # maps center to (0:1:0)
     curve: PlaneCurve
     denormalizer: Projectivity  # maps (0:1:0) to center
@@ -130,49 +138,102 @@ class ProjectionFiber:
         return "inner" if self.inner else "outer"
 
     @cached_property
-    def rows(self) -> list:
-        """The s-rows of F as dense lists in t on reps of its field."""
-        return _dense_rows(self.poly, self.poly.ctx)
+    def poly(self) -> Polynomial:
+        """F as a bivariate polynomial: var 0 = pencil t, var 1 = fiber s."""
+        return Polynomial(self.curve.ctx, 2, {
+            (a, b): rep for b, row in enumerate(self.rows)
+            for a, rep in enumerate(row) if rep})
 
 
 def _move_center(ctx: FieldCtx, center: ProjPoint) -> tuple:
     """A deterministic projectivity g with g(center) = (0:1:0), and its
-    inverse."""
-    basis = [[ctx.element(int(i == r)) for r in range(3)] for i in range(3)]
-    for i, j in permutations(range(3), 2):
-        cols = (basis[i], center.elements(), basis[j])
-        try:
-            g_inv = Projectivity(ctx, [[col[r] for col in cols]
-                                       for r in range(3)])
-        except ValueError:
-            continue
-        return g_inv.inverse(), g_inv
-    raise ZeroInput("could not complete center to a basis")  # pragma: no cover
+    inverse g^-1 = (e_i | P | e_j) for the first (i, j) of (0, 1), (0, 2),
+    (1, 2) whose remaining coordinate P_k is nonzero (det g^-1 = +-P_k).
+    In closed form, P_k g has rows P_k e_i - P_i e_k, e_k and
+    P_k e_j - P_j e_k; both are normalized like every projectivity."""
+    P, neg = center.coords, ctx.neg_t
+    k = next(k for k in (2, 1, 0) if P[k])
+    i, j = (r for r in range(3) if r != k)
+    g = [0] * 9
+    g[i], g[k], g[3 + k], g[6 + j], g[6 + k] = \
+        P[k], neg(P[i]), 1, P[k], neg(P[j])
+    g_inv = [0] * 9
+    g_inv[1::3] = P
+    g_inv[3 * i] = g_inv[3 * j + 2] = 1
+    return (Projectivity._invertible(ctx, 3, g),
+            Projectivity._invertible(ctx, 3, g_inv))
+
+
+def _fiber_rows(ctx: FieldCtx, form: Polynomial, mat: tuple) -> list:
+    """The d + 1 s-rows of F(t, s) = form(M (t, s, 1)), M = ``mat``, on
+    reps of ``ctx``, by Horner's rule on dense arrays.
+
+    M = c (e_i | P | e_j) (``_move_center``), so row i of M is the only
+    one holding t: with the coordinates x_i = L_i(t, s) and x_m, x_r
+    linear in s alone, F = sum_a L_i^a Q_a(s) for the binary forms
+    Q_a = sum_b c_(a, b) L_m^b L_r^(d - a - b).  Each Q_a is found by
+    Horner's rule in L_m over the powers of L_r, dense in s, and F by
+    Horner's rule in L_i over the s-rows; every step multiplies by one
+    linear form."""
+    d = form.degree()
+    i = next(v for v in range(3) if mat[v][0])
+    m, r = (v for v in range(3) if v != i)
+    mul = ctx.mul_t
+    coef = [[0] * (d - a + 1) for a in range(d + 1)]
+    for exp, rep in form.terms.items():
+        coef[exp[i]][exp[m]] = rep
+    lm, lr = (_u_trim([mat[v][2], mat[v][1]]) for v in (m, r))
+    powers = [[1]]
+    for _ in range(d):
+        powers.append(_u_mul(ctx, powers[-1], lr))
+    alpha, beta, gamma = mat[i]
+    rows: list = []
+    for a in range(d, -1, -1):
+        if rows:    # rows <- rows (alpha t + beta s + gamma)
+            out, below = [], []
+            for row in rows + [[]]:
+                new = [0] + [mul(alpha, c) for c in row]
+                if gamma:
+                    new = _u_add(ctx, new, [mul(gamma, c) for c in row])
+                if beta and below:
+                    new = _u_add(ctx, new, [mul(beta, c) for c in below])
+                out.append(_u_trim(new))
+                below = row
+            rows = out
+        e, q = d - a, []
+        for b in range(e, -1, -1):
+            q = _u_mul(ctx, q, lm)
+            if coef[a][b]:
+                q = _u_add(ctx, q, [mul(coef[a][b], c)
+                                    for c in powers[e - b]])
+        rows += [[] for _ in range(len(q) - len(rows))]
+        for b, c in enumerate(q):
+            rows[b] = _u_add(ctx, rows[b], [c])
+    return rows + [[] for _ in range(d + 1 - len(rows))]
 
 
 def fiber_polynomial(C: PlaneCurve, center: ProjPoint) -> ProjectionFiber:
     """Fiber polynomial of the projection from a center on or off the curve.
 
-    Lifts C and the center to one field, classifies the center and moves
-    it to (0:1:0); every certifier reads the returned fiber.  Raises
+    Lifts C and the center to one field, moves the center to (0:1:0) and
+    reads its class off the rows of F (``_fiber_rows``): row d is
+    form(P), so the center is inner iff it is empty, and row d - 1 is
+    grad form(P) applied to e_j + t e_i, which with Euler's identity
+    sum P_r d_r form(P) = d form(P) = 0 and P_k != 0 vanishes iff the
+    gradient does.  Every certifier reads the returned fiber.  Raises
     CenterSingular when the center is a singular point of C.
     """
     ctx = common_field(C.ctx, center.ctx)
     curve = C.lift_to(ctx)
     pt = center.lift_to(ctx)
-    inner = curve.contains(pt)
-    if inner and not any(curve.gradient_at(pt)):
-        raise CenterSingular(f"{center!r} lies in Sing(C)")
     g, g_inv = _move_center(ctx, pt)
-    t, s = Polynomial.variable(ctx, 2, 0), Polynomial.variable(ctx, 2, 1)
-    fib = curve.form.compose([
-        t * FqElement(ctx, a) + s * FqElement(ctx, b) + FqElement(ctx, c)
-        for a, b, c in g_inv.mat])
-    n = curve.degree - (1 if inner else 0)
-    if fib.degree_in(1) != n:
-        raise ZeroInput(  # pragma: no cover - smoothness guarantees the degree
-            f"fiber degree {fib.degree_in(1)} != expected {n}")
-    return ProjectionFiber(pt, inner, n, fib, g, curve, g_inv)
+    rows = _fiber_rows(ctx, curve.form, g_inv.mat)
+    d = curve.degree
+    inner = not rows[d]
+    if inner and not rows[d - 1]:
+        raise CenterSingular(f"{center!r} lies in Sing(C)")
+    n = d - 1 if inner else d
+    return ProjectionFiber(pt, inner, n, rows[:n + 1], g, curve, g_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -253,14 +314,14 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n = fib.degree
-    base = fib.poly.ctx
+    base = fib.curve.ctx
     if n < 1:
         raise ZeroInput("degenerate curve for the Monte Carlo screen")
     if n == 1:
         return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])
-    specialize = _squarefree_specializer(fib.poly, n)
+    specialize = _squarefree_specializer(base, fib.rows, n)
     usable = 0
     for trial in range(trials):
         j = (trial % 3) + 1
@@ -360,7 +421,7 @@ def _tame_order(fib: ProjectionFiber) -> Optional[tuple[int, list]]:
     """(m, c) at a tame center (p does not divide n), None at a wild one:
     m is 1 unless c = a_(n-1) / (n a_n) is a polynomial of degree <= 1
     (dense, on reps of the fiber's field), and then ``_shift_order``."""
-    ctx, n, rows = fib.poly.ctx, fib.degree, fib.rows
+    ctx, n, rows = fib.curve.ctx, fib.degree, fib.rows
     if n % ctx.p == 0:
         return None
     c, rem = _u_divmod(ctx, rows[n - 1],
@@ -386,7 +447,7 @@ def _homology_group(fib: ProjectionFiber, m: int, c: list,
     lies in every field it is defined over, and zeta generates F_(q^j).
     Each map passes the exact test; D N = s I, w u = s, m <= n and the
     center's fixity are checked, and a failure raises SoundnessError."""
-    ctx = fib.poly.ctx
+    ctx = fib.curve.ctx
     if m == 1:
         return trivial_group(ctx, 3)
     if m > fib.degree:
@@ -414,7 +475,7 @@ def _homology_group(fib: ProjectionFiber, m: int, c: list,
                       for x in [s, c0, c1] + u + w)
     add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
     uw = [mul(ui, wk) for ui in uw[:3] for wk in uw[3:]]
-    rows = fib.rows if j == 1 else _dense_rows(fib.poly, wctx)
+    rows = _lift_rows(ctx, wctx, fib.rows)
     zeta = nth_root_of_unity(wctx, m).rep
     elements, lam = [Projectivity.identity(wctx, 3)], zeta
     for _ in range(m - 1):
@@ -479,7 +540,7 @@ def _wild_order(fib: ProjectionFiber, ext_cap: int) -> tuple:
     line of the rows b_(n - p^i), p^i | n, with the largest _shift_order,
     as lam^(p^i) != 1.  Frobenius permutes T - {0} and the |T| sections
     complements fix: lines of degree below |n|_p, resp. <= |T|, suffice."""
-    ctx, n, rows = fib.poly.ctx, fib.degree, fib.rows
+    ctx, n, rows = fib.curve.ctx, fib.degree, fib.rows
     shifts = [n - ctx.p ** i for i in range(n.bit_length()) if n % ctx.p ** i == 0]
     tparts = _line_gcds(ctx, rows, range(n), 1, n - min(shifts) - 1)
     has_t = max(_u_deg(g) for g, _ in tparts) > 1    # X divides each R_j
@@ -489,7 +550,7 @@ def _wild_order(fib: ProjectionFiber, ext_cap: int) -> tuple:
             raise ExactModeDegenerate(f"wild collineation group needs "
                                       f"extension degree {j} > cap {ext_cap}")
         wctx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
-        wrows = rows if j == 1 else _dense_rows(fib.poly, wctx)
+        wrows = _lift_rows(ctx, wctx, rows)
 
         def roots(g):
             lifted = Polynomial.from_dense(ctx, g).lift_to(wctx)
@@ -514,7 +575,7 @@ def _wild_group(fib: ProjectionFiber, wctx: FieldCtx, rows: list, T: list,
     """{s -> lam s + (1 - lam) x + tau : lam^m = 1, tau in T} through
     ``_scanned_group``, each map verified (SoundnessError on a failure)."""
     if len(T) * m == 1:
-        return trivial_group(fib.poly.ctx, 3)
+        return trivial_group(fib.curve.ctx, 3)
     add, mul, zeta = wctx.add_t, wctx.mul_t, nth_root_of_unity(wctx, m).rep
     maps = [(lam, add(b, mul(l1, x[0])), add(d, mul(l1, x[1])))
             for lam in (wctx.pow_t(zeta, i) for i in range(m))
@@ -647,7 +708,7 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int,
     W and specialized at t0.
     """
     base = fpoly.ctx
-    specialize = _squarefree_specializer(fpoly, n)
+    specialize = _squarefree_specializer(base, _dense_rows(fpoly, base), n)
     found = []
     for t0 in islice(_walk(base), attempts):
         spec = specialize(t0)
@@ -903,7 +964,7 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
     if n == 1:
         deckish = strategy == "deck" or (strategy == "auto"
                                          and parametrization is not None)
-        grp = trivial_group(fib.poly.ctx, 2 if deckish else 3)
+        grp = trivial_group(fib.curve.ctx, 2 if deckish else 3)
         return GaloisReport(fib.center, fib.point_class, 1, "certified_galois",
                             group=grp, descriptor=identify_group(grp),
                             method="deck" if deckish else "collineation",

@@ -20,14 +20,17 @@ The module provides the computational substrate used everywhere else:
   the monic gcd makes its result monic once, and where only the degree of
   a gcd matters (a distinct-degree step, a squarefree test) it is used
   as it stands,
-* the dense specialization f(t0, s) of a bivariate f at field values t0,
-  screened for full degree and squarefreeness (the Monte Carlo screen and
-  the fiber search of ``galois``),
+* the dense s-rows of a bivariate f(t, s), lifted into extensions, and
+  the specialization f(t0, s) at field values t0 read off them, screened
+  for full degree and squarefreeness (the Monte Carlo screen and the fiber
+  search of ``galois``, the squarefree certificate of ``curve``),
 * roots over the smallest splitting extension: one root per irreducible
   factor by equal-degree splitting, the others as its Frobenius conjugates,
 * resultants by the subresultant polynomial remainder sequence alone, one
   code path for one to three variables,
-* gcds and exact division in one to three variables (primitive PRS).
+* gcds and exact division in one to three variables (primitive PRS); a
+  curve takes the gcd of f, f_x and f_y only when its dense squarefree
+  certificate leaves it undecided.
 
 Coefficients are stored as raw int reps (see :mod:`galoispoints.gf`);
 FqElement wrappers appear only at the public boundary.
@@ -853,28 +856,34 @@ def _dense_rows(f: Polynomial, ctx: FieldCtx) -> list[list]:
     """The s-rows of a bivariate f(t, s): row b is the coefficient of s^b
     as a trimmed dense list in t, lifted into ctx (an extension of f's
     field)."""
-    base = f.ctx
     rows = [[0] * (f.degree_in(0) + 1) for _ in range(f.degree_in(1) + 1)]
     for (a, b), rep in f.terms.items():
-        rows[b][a] = rep if ctx == base else \
-            embed(base, ctx, FqElement(base, rep)).rep
-    return [_u_trim(row) for row in rows]
+        rows[b][a] = rep
+    return _lift_rows(f.ctx, ctx, [_u_trim(row) for row in rows])
 
 
-def _squarefree_specializer(f: Polynomial, n: int):
-    """For a bivariate f(t, s), the map t0 -> f(t0, s), a dense list over
-    t0's field, or None unless it has degree n and is squarefree.  f is
-    split once into its s-rows (``_dense_rows``), lifted into each field
-    on first request, and f(t0, s) is their Horner values at t0.
-    The squarefree test needs only the degree of gcd(f(t0, s), its
-    s-derivative), so it runs without inversions."""
-    lifted: dict = {}
+def _lift_rows(base: FieldCtx, ctx: FieldCtx, rows: list[list]) -> list[list]:
+    """Dense rows on reps of ``base`` lifted into ctx, an extension."""
+    if ctx == base:
+        return rows
+    return [[embed(base, ctx, FqElement(base, rep)).rep if rep else 0
+             for rep in row] for row in rows]
+
+
+def _squarefree_specializer(base: FieldCtx, rows: list[list], n: int):
+    """For a bivariate f(t, s) given by its s-rows on reps of ``base``
+    (``_dense_rows``), the map t0 -> f(t0, s), a dense list over t0's
+    field, or None unless it has degree n and is squarefree.  The rows are
+    lifted into each field on first request, and f(t0, s) is their Horner
+    values at t0.  The squarefree test needs only the degree of
+    gcd(f(t0, s), its s-derivative), so it runs without inversions."""
+    lifted: dict = {base: rows}
 
     def at(t0: FqElement) -> Optional[list]:
         ctx, t = t0.ctx, t0.rep
         got = lifted.get(ctx)
         if got is None:
-            got = lifted[ctx] = _dense_rows(f, ctx)
+            got = lifted[ctx] = _lift_rows(base, ctx, rows)
         spec = _u_trim([_u_eval(ctx, row, t) for row in got])
         if _u_deg(spec) != n:
             return None

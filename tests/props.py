@@ -6,6 +6,7 @@ The acceptance suite runs every suite at >= 500 cases; module tests reuse
 them at lower counts for quick iteration.
 """
 
+import itertools
 import math
 import random
 
@@ -1003,6 +1004,147 @@ def _tame_center(rng, ctx, wild=False):
         return None
 
 
+def sparse_fiber(C: PlaneCurve, center: ProjPoint) -> tuple:
+    """The projection fiber built on sparse polynomials, as
+    ``fiber_polynomial`` did before it read the rows off dense arrays:
+    (rows, point class, normalizer, denormalizer).  The center is
+    classified by ``contains`` and ``gradient_at`` (CenterSingular on a
+    singular point), completed to the basis (e_i | P | e_j) by the first
+    (i, j) whose matrix the checked constructor accepts, inverted by
+    cofactors, and the form is composed with the inverse's rows."""
+    ctx = common_field(C.ctx, center.ctx)
+    curve = C.lift_to(ctx)
+    pt = center.lift_to(ctx)
+    inner = curve.contains(pt)
+    if inner and not any(curve.gradient_at(pt)):
+        raise CenterSingular(f"{center!r} lies in Sing(C)")
+    basis = [[ctx.element(int(i == r)) for r in range(3)] for i in range(3)]
+    for i, j in itertools.permutations(range(3), 2):
+        cols = (basis[i], pt.elements(), basis[j])
+        try:
+            g_inv = Projectivity(ctx, [[col[r] for col in cols]
+                                       for r in range(3)])
+        except ValueError:
+            continue
+        break
+    t, s = Polynomial.variable(ctx, 2, 0), Polynomial.variable(ctx, 2, 1)
+    fib = curve.form.compose([
+        t * FqElement(ctx, a) + s * FqElement(ctx, b) + FqElement(ctx, c)
+        for a, b, c in g_inv.mat])
+    assert fib.degree_in(1) == curve.degree - inner, fib
+    return (_dense_rows(fib, ctx), "inner" if inner else "outer",
+            g_inv.inverse(), g_inv)
+
+
+# Fields of the fiber oracle: 2^1, 2^2, 2^3, 3^1, 3^2, 5^1 and 13^1.
+_FIBER_FIELDS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (13, 1))
+
+
+def _random_form(rng, ctx, d, keep=lambda exp: True):
+    """A nonzero random ternary form of degree d over its monomials that
+    ``keep`` accepts, each present with probability one half."""
+    monomials = [(a, b, d - a - b) for a in range(d + 1)
+                 for b in range(d + 1 - a) if keep((a, b, d - a - b))]
+    while True:
+        data = {e: rng.randrange(1, ctx.order) for e in monomials
+                if rng.random() < 0.5}
+        if data:
+            return Polynomial.from_terms(ctx, 3, data)
+
+
+def _random_point(rng, ctx, kind):
+    """A point of P^2 over ctx: affine (z = 1), at infinity (z = 0, y = 1)
+    or (1:0:0)."""
+    def draw():
+        return ctx.element(rng.randrange(ctx.order))
+    if kind == "affine":
+        return ProjPoint(ctx, [draw(), draw(), ctx.one])
+    if kind == "infinity":
+        return ProjPoint(ctx, [draw(), ctx.one, ctx.zero])
+    return ProjPoint(ctx, [ctx.one, ctx.zero, ctx.zero])
+
+
+def galois_fiber_matches_sparse(cases=300):
+    """``fiber_polynomial`` agrees with ``sparse_fiber`` on random forms of
+    degree 2 to 6 over every field of ``_FIBER_FIELDS``: equal rows, point
+    class, normalizer and denormalizer, and CenterSingular on both sides or
+    neither.  Centers run over affine points, points at infinity and
+    (1:0:0) (each (i, j) branch of the center move), points of the curve,
+    singular points (the form moved so that it has order 2 at the center)
+    and points over the quadratic extension of the curve's field."""
+    rng = random.Random(2203)
+    seen = set()
+    for case in range(cases):
+        ctx = make_field(*_FIBER_FIELDS[case % len(_FIBER_FIELDS)])
+        d = 2 + case // len(_FIBER_FIELDS) % 5
+        kind = ("affine", "infinity", "origin", "on", "singular",
+                "extension")[case // 35 % 6]
+        where = rng.choice(("affine", "infinity", "origin"))
+        if kind == "singular":
+            # F0 has no monomial z^d, x z^(d-1), y z^(d-1): order >= 2 at
+            # (0:0:1); A^-1 sends (0:0:1) to the center
+            center = _random_point(rng, ctx, where)
+            F0 = _random_form(rng, ctx, d, lambda e: e[2] < d - 1)
+            other = [ProjPoint(ctx, [int(i == r) for r in range(3)])
+                     for i in range(3)]
+            A_inv = next(
+                m for u, v in itertools.combinations(other, 2)
+                for m in [_try_projectivity(ctx, [
+                    [u.elements()[r], v.elements()[r], center.elements()[r]]
+                    for r in range(3)])] if m is not None)
+            A = A_inv.inverse()
+            X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+            form = F0.compose([X * FqElement(ctx, a) + Y * FqElement(ctx, b)
+                               + Z * FqElement(ctx, c) for a, b, c in A.mat])
+        else:
+            form = _random_form(rng, ctx, d)
+        C = PlaneCurve(form)
+        if kind in ("affine", "infinity", "origin"):
+            center = _random_point(rng, ctx, kind)
+        elif kind == "on":
+            on = [pt for pt in _plane_points(ctx) if C.contains(pt)]
+            center = rng.choice(on) if on else _random_point(rng, ctx, where)
+        elif kind == "extension":
+            ectx = make_field(ctx.p, 2 * ctx.k)
+            center = _random_point(rng, ectx, where)
+        try:
+            want = sparse_fiber(C, center)
+        except CenterSingular:
+            want = None
+        try:
+            fib = fiber_polynomial(C, center)
+        except CenterSingular:
+            assert want is None, (C, center)
+            seen.add("singular")
+            continue
+        assert want is not None, (C, center)
+        rows, point_class, g, g_inv = want
+        assert fib.rows == rows, (C, center)
+        assert fib.point_class == point_class, (C, center)
+        assert fib.normalizer == g and fib.denormalizer == g_inv, (C, center)
+        assert fib.poly.ctx == fib.curve.ctx
+        coords = fib.center.coords
+        seen |= {point_class, (2 if coords[2] else 1 if coords[1] else 0),
+                 "extension" if fib.center.ctx != C.ctx else "base"}
+    assert seen >= {"singular", "inner", "outer", 0, 1, 2, "extension",
+                    "base"}, seen
+
+
+def _try_projectivity(ctx, mat):
+    try:
+        return Projectivity(ctx, mat)
+    except ValueError:
+        return None
+
+
+def _plane_points(ctx):
+    """Every point of P^2 over ctx."""
+    els = list(ctx.elements())
+    yield from (ProjPoint(ctx, [x, y, ctx.one]) for x in els for y in els)
+    yield from (ProjPoint(ctx, [x, ctx.one, ctx.zero]) for x in els)
+    yield ProjPoint(ctx, [ctx.one, ctx.zero, ctx.zero])
+
+
 def _fiber_permutation_scan(fpoly: Polynomial, search) -> list[Projectivity]:
     """Enumerate central collineations via their affine action on two
     fibers, on reps of the working field: s -> lam s + mu must permute
@@ -1379,6 +1521,71 @@ def _random_reduced_curve(rng, ctx, degree):
             return curve_from_affine(f)
         except (NotSquarefree, ZeroInput):
             continue
+
+
+# Fields of the squarefree certificate suite: 2^1, 2^2, 3^1, 3^2, 5^1.
+_SQUAREFREE_FIELDS = ((2, 1), (2, 2), (3, 1), (3, 2), (5, 1))
+
+
+def _random_bivariate(rng, ctx, degree, xstep=1, ystep=1):
+    """A random nonconstant f(x, y) of total degree at most ``degree``,
+    at least max(xstep, ystep), whose x- and y-exponents are multiples of
+    ``xstep`` and ``ystep``."""
+    degree = max(degree, xstep, ystep)
+    while True:
+        data = {(a, b): rng.randrange(1, ctx.order)
+                for a in range(0, degree + 1, xstep)
+                for b in range(0, degree + 1 - a, ystep)
+                if rng.random() < 0.5}
+        f = Polynomial.from_terms(ctx, 2, data)
+        if f.degree() >= 1:
+            return f
+
+
+def curve_squarefree_certificate(cases=300):
+    """``curve._squarefree_certificate`` proves no f = g^2 h with g
+    nonconstant (g = g(x), g in F[x^p, y^p] or any g), over every field
+    of ``_SQUAREFREE_FIELDS``, and ``curve_from_affine`` raises
+    NotSquarefree naming gcd(f, f_x, f_y), as the exact test alone did.
+    On random f, a third of them in F[x, y^p], every f it proves has
+    gcd(f, f_x, f_y) = 1."""
+    from galoispoints.curve import _squarefree_certificate, curve_from_affine
+    from galoispoints.errors import NotSquarefree
+    rng = random.Random(2204)
+    proven = 0
+    for case in range(cases):
+        ctx = make_field(*_SQUAREFREE_FIELDS[case % len(_SQUAREFREE_FIELDS)])
+        x = Polynomial.variable(ctx, 2, 0)
+        kind = case // len(_SQUAREFREE_FIELDS) % 4
+        if kind == 0:
+            g = _random_bivariate(rng, ctx, 2).compose(
+                [x, Polynomial.zero(ctx, 2)])
+            if g.degree() < 1:
+                g = x + ctx.element(rng.randrange(ctx.order))
+        elif kind == 1:
+            g = _random_bivariate(rng, ctx, ctx.p, ctx.p, ctx.p)
+        elif kind == 2:
+            g = _random_bivariate(rng, ctx, 2)
+        else:
+            # one in three separable in x only: f in F[x, y^p]
+            f = _random_bivariate(rng, ctx, rng.randrange(2, 6), 1,
+                                  rng.choice((1, 1, ctx.p)))
+            if _squarefree_certificate(f):
+                proven += 1
+                exact = poly_gcd(poly_gcd(f, f.derivative(0)),
+                                 f.derivative(1))
+                assert exact.degree() == 0, f
+            continue
+        f = g * g * _random_bivariate(rng, ctx, 3)
+        assert not _squarefree_certificate(f), (f, g)
+        exact = poly_gcd(poly_gcd(f, f.derivative(0)), f.derivative(1))
+        try:
+            curve_from_affine(f)
+        except NotSquarefree as exc:
+            assert str(exc) == f"repeated factor {exact.to_text()}", (f, exc)
+        else:
+            raise AssertionError(("a square factor passed", f, g))
+    assert proven >= cases // 8, proven
 
 
 def curve_bezout_on_lines(cases=500):

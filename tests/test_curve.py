@@ -67,6 +67,9 @@ class TestCurveFromAffine:
         with pytest.raises(NotSquarefree):
             curve_from_affine((x + y) ** 2)
 
+    def test_squarefree_certificate(self):
+        props.curve_squarefree_certificate(300)
+
 
 class TestSingularPoints:
     def test_cusp_census(self, F13):

@@ -187,7 +187,7 @@ class TestCentralCollineations:
         base = fib.poly.ctx
         wctx, fibers = galois._fiber_search(fib.poly, fib.degree, 12)
         assert wctx.k == 12
-        specialize = _squarefree_specializer(fib.poly, fib.degree)
+        specialize = _squarefree_specializer(base, fib.rows, fib.degree)
         kept, rejected = [], 0
         for t0 in itertools.islice(galois._walk(base), 32):
             spec = specialize(t0)
@@ -315,15 +315,20 @@ def _no_fiber_search(*args, **kwargs):
 
 
 def _fixture_centers() -> list:
-    """The fibers at both centers of every family fixture and at the check
-    and pair centers of the curve fixtures."""
+    """The fibers at the centers of ``_fixture_pairs``."""
+    return [fiber_polynomial(curve, pt) for curve, pt in _fixture_pairs()]
+
+
+def _fixture_pairs() -> list:
+    """(curve, center) for both centers of every family fixture and the
+    check and pair centers of the curve fixtures."""
     from galoispoints.families import FamilySpec, build_family
-    fibs = []
+    pairs = []
     for path in sorted(FIXTURES.glob("*.json")):
         data = json.loads(path.read_text())
         if "tag" in data:
             curve, exp = build_family(FamilySpec.from_dict(data))
-            fibs += [fiber_polynomial(curve, pt) for pt in (exp.P, exp.Q)]
+            pairs += [(curve, pt) for pt in (exp.P, exp.Q)]
     for name, point in (("thm3_quartic_curve", (1, 0, 0)),
                         ("thm3_cubic_curve", (1, 0, 0)),
                         ("tame_d5_f19_curve", (1, 0, 0)),
@@ -331,12 +336,18 @@ def _fixture_centers() -> list:
                         ("wild_p2e2_f4_perturbed_curve", (0, 1, 1)),
                         ("refute_tail_f17_curve", (12, 13, 1))):
         curve = load_curve(str(FIXTURES / f"{name}.json"))
-        fibs.append(fiber_polynomial(curve, ProjPoint(curve.ctx, point)))
-    return fibs
+        pairs.append((curve, ProjPoint(curve.ctx, point)))
+    return pairs
 
 
 def _refute_centers(seed: int) -> list:
-    """The fibers at the centers of the refute benchmark's check jobs."""
+    """The fibers at the centers of ``_refute_inputs``."""
+    return [fiber_polynomial(curve_from_affine(f), pt)
+            for f, pt in _refute_inputs(seed)]
+
+
+def _refute_inputs(seed: int) -> list:
+    """(affine polynomial, center) of the refute benchmark's check jobs."""
     import importlib.util
     from galoispoints.gf import parse_field_spec
     from galoispoints.polyring import parse_poly
@@ -344,15 +355,51 @@ def _refute_centers(seed: int) -> list:
     spec = importlib.util.spec_from_file_location("bench_gen", path)
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)
-    fibs = []
+    inputs = []
     for job in gen.generate("refute", seed):
         data = job["files"]["curve.json"]
         ctx = parse_field_spec(data["field"])
-        curve = curve_from_affine(parse_poly(data["affine_poly"], ctx, 2))
         point = job["argv"][job["argv"].index("--point") + 1]
-        fibs.append(fiber_polynomial(curve, ProjPoint(
+        inputs.append((parse_poly(data["affine_poly"], ctx, 2), ProjPoint(
             ctx, [int(c) for c in point.split(":")])))
-    return fibs
+    return inputs
+
+
+class TestDenseFrontEnd:
+    def test_fiber_matches_sparse_oracle(self):
+        props.galois_fiber_matches_sparse(300)
+
+    def test_no_sparse_fiber_and_few_exact_gcds(self, monkeypatch):
+        # every fixture and refute (seed 7) center builds its fiber with
+        # no sparse composition, point query or gradient, and the dense
+        # squarefree certificate leaves at most 1 of the 722 refute curves
+        # to the exact gcd
+        from galoispoints import curve as curve_mod
+        exact_gcd, undecided = curve_mod.poly_gcd, []
+
+        def counted(*args):
+            undecided.append(args)
+            return exact_gcd(*args)
+
+        monkeypatch.setattr(curve_mod, "poly_gcd", counted)
+        pairs, reached = [], 0
+        inputs = _refute_inputs(7)
+        for f, pt in inputs:
+            before = len(undecided)
+            pairs.append((curve_from_affine(f), pt))
+            reached += len(undecided) > before
+        assert len(inputs) == 722 and reached <= 1, reached
+        pairs += _fixture_pairs()
+        for owner, name in ((Polynomial, "compose"),
+                            (curve_mod.PlaneCurve, "contains"),
+                            (curve_mod.PlaneCurve, "gradient_at")):
+            monkeypatch.setattr(owner, name, _no_sparse_fiber)
+        for curve, pt in pairs:
+            assert fiber_polynomial(curve, pt).rows
+
+
+def _no_sparse_fiber(*args, **kwargs):
+    raise AssertionError("sparse step in a fiber or center class")
 
 
 class TestWildGroup:
