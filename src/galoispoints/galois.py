@@ -46,7 +46,10 @@ The Monte Carlo screen and the deck fiber search share one
 specialization, ``polyring._squarefree_specializer``: F(t0, s) is built,
 tested for full degree and squarefreeness, and (in the screen) given its
 factor degrees on the dense kernel of ``polyring``, with no sparse
-polynomial per trial.  The screen is the only seeded search here.
+polynomial per trial.  The screen is the only seeded search here.  It
+does each piece of work once: a trial's draw is seeded once per process
+(``_mc_draw``), and a t0 drawn again in the same screen reuses the first
+decision instead of being specialized and factored again.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from itertools import count, islice
 from typing import Optional
 
@@ -299,6 +302,13 @@ class GaloisReport:
 # Monte Carlo screen
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _mc_draw(seed: int, trial: int, order: int) -> int:
+    """The screen's draw for ``trial``: ``randrange(order)`` from the
+    stream seeded with ``mc:{seed}:{trial}``, seeded once per process."""
+    return random.Random(f"mc:{seed}:{trial}").randrange(order)
+
+
 def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
                        seed: int = 0) -> GaloisReport:
     """Factor-degree census over random unramified specializations.
@@ -306,10 +316,16 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
     Any squarefree full-degree specialization whose irreducible factors
     have two distinct degrees certifies NOT Galois, with the witness
     recorded.  The degrees come from distinct-degree factorization of the
-    dense specialization alone; the factors themselves are never split
-    out, so the only randomness is the ``mc:{seed}:{trial}`` choice of t0.
-    Uniform degrees across all trials give ``probably_galois`` only:
-    cycle-type uniformity does not prove a cover Galois.
+    dense specialization alone (a quadratic's from its discriminant); the
+    factors themselves are never split out, so the only randomness is the
+    ``mc:{seed}:{trial}`` choice of t0.  Each draw is cached per process
+    by ``_mc_draw``, and a t0 drawn again at the same extension degree
+    counts as usable iff it was the first time, with no second
+    specialization or factorization: a repeated usable draw had uniform
+    degrees, or the screen would have returned.  So ``trials``, the usable
+    count and every witness are those of a screen that decides each trial
+    afresh.  Uniform degrees across all trials give ``probably_galois``
+    only: cycle-type uniformity does not prove a cover Galois.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -322,13 +338,17 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])
     specialize = _squarefree_specializer(base, fib.rows, n)
-    usable = 0
+    usable, seen = 0, {}
     for trial in range(trials):
         j = (trial % 3) + 1
         ectx = base if j == 1 else make_field(base.p, base.k * j)
-        rng = random.Random(f"mc:{seed}:{trial}")
-        t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
+        code = _mc_draw(seed, trial, ectx.order)
+        if (j, code) in seen:
+            usable += seen[j, code]
+            continue
+        t0 = FqElement(ectx, ectx.decode(code))
         spec = specialize(t0)
+        seen[j, code] = spec is not None
         if spec is None:
             continue
         usable += 1

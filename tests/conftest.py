@@ -5,6 +5,10 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import pytest
 
+# props holds the property suites' asserts; rewriting them keeps them live
+# under python -O, where plain asserts outside test modules are stripped
+pytest.register_assert_rewrite("props")
+
 from galoispoints.gf import make_field
 from galoispoints.polyring import Polynomial
 

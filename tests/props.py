@@ -11,8 +11,10 @@ import math
 import random
 
 from galoispoints.curve import PlaneCurve, singular_points
-from galoispoints.errors import CenterSingular, DegenerateFibers, InputError, ZeroInput
+from galoispoints.errors import (AllSpecializationsRamified, CenterSingular,
+                                 DegenerateFibers, InputError, ZeroInput)
 from galoispoints.galois import (
+    GaloisReport,
     _central,
     _collineation_fixes,
     _fiber_search,
@@ -21,6 +23,7 @@ from galoispoints.galois import (
     _tame_order,
     central_collineation_group,
     fiber_polynomial,
+    monte_carlo_galois,
 )
 from galoispoints.gf import (
     FieldCtx,
@@ -40,6 +43,7 @@ from galoispoints.polyring import (
     _dense_rows,
     _distinct_degree,
     _split_by_var,
+    _squarefree_specializer,
     _u_deg,
     _u_diff,
     _u_divmod,
@@ -47,6 +51,7 @@ from galoispoints.polyring import (
     _u_frobenius_map,
     _u_gcd,
     _u_half_power,
+    _u_monic,
     _u_mul,
     _u_powmod,
     _u_prs,
@@ -401,7 +406,11 @@ def polyring_factor_remultiplies(cases=500):
 def polyring_factor_degrees(cases=500):
     """factor_degrees of a squarefree product of distinct irreducibles, with
     several sharing one degree, matches the full factorization over F_13,
-    F_4, F_9, F_(2^13) and F_(5^6)."""
+    F_4, F_9, F_(2^13) and F_(5^6).  Squarefree quadratics that are not
+    monic, split and irreducible in turn, read [1, 1] and [2] off their
+    discriminant: the degrees match the construction, distinct-degree
+    factorization and the full factorization over F_3 (where 4 = 1), F_13,
+    F_9, F_(3^6) (log tables) and F_(5^6) (packed)."""
     rng = random.Random(204)
     fields = [make_field(13), make_field(2, 2), make_field(3, 2),
               make_field(2, 13), make_field(5, 6)]
@@ -428,6 +437,21 @@ def polyring_factor_degrees(cases=500):
         expect = sorted(g.degree() for g in set(chosen))
         assert factor_degrees(f) == expect
         assert expect == sorted(g.degree() for g, _ in factor_univariate(f))
+    for i in range(cases):
+        ctx = make_field(*((3, 1), (13, 1), (3, 2), (3, 6), (5, 6))[i % 5])
+        if i // 5 % 2:
+            expect, g = [2], _dense_irreducible(rng, ctx, 2)
+        else:
+            r1, r2 = rng.sample(range(ctx.order), 2)
+            expect = [1, 1]
+            g = _u_mul(ctx, [ctx.neg_t(ctx.decode(r1)), 1],
+                       [ctx.neg_t(ctx.decode(r2)), 1])
+        lc = ctx.decode(rng.randrange(1, ctx.order))
+        f = Polynomial.from_dense(ctx, [ctx.mul_t(lc, c) for c in g])
+        assert factor_degrees(f) == expect, f
+        assert expect == sorted(d for h, d in _distinct_degree(ctx, g)
+                                for _ in range(_u_deg(h) // d)), f
+        assert expect == [h.degree() for h, _ in factor_univariate(f)], f
 
 
 def _euclid_gcd(ctx, a, b):
@@ -1128,6 +1152,119 @@ def galois_fiber_matches_sparse(cases=300):
                  "extension" if fib.center.ctx != C.ctx else "base"}
     assert seen >= {"singular", "inner", "outer", 0, 1, 2, "extension",
                     "base"}, seen
+
+
+def reference_screen(fib, trials=64, seed=0):
+    """The Monte Carlo screen deciding every trial afresh: a new
+    ``random.Random`` per trial, no memo of repeated draws, and factor
+    degrees by distinct-degree factorization alone.  It shares only the
+    specializer with ``galois.monte_carlo_galois``, whose reports it
+    checks."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    n, base = fib.degree, fib.curve.ctx
+    if n < 1:
+        raise ZeroInput("degenerate curve for the Monte Carlo screen")
+    if n == 1:
+        return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
+                            method="monte_carlo", trials=trials,
+                            notes=["degree-1 projection is trivially Galois"])
+    specialize = _squarefree_specializer(base, fib.rows, n)
+    usable = 0
+    for trial in range(trials):
+        j = (trial % 3) + 1
+        ectx = base if j == 1 else make_field(base.p, base.k * j)
+        rng = random.Random(f"mc:{seed}:{trial}")
+        t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
+        spec = specialize(t0)
+        if spec is None:
+            continue
+        usable += 1
+        parts = _distinct_degree(ectx, _u_monic(ectx, spec))
+        degrees = sorted(d for g, d in parts for _ in range(_u_deg(g) // d))
+        if len(set(degrees)) >= 2:
+            witness = {"t0": t0.encoding(), "field": ectx.spec,
+                       "factor_degrees": degrees}
+            return GaloisReport(fib.center, fib.point_class, n,
+                                "certified_not_galois", witness=witness,
+                                method="monte_carlo", trials=trial + 1)
+    if usable == 0:
+        raise AllSpecializationsRamified(
+            "every sampled specialization was ramified or degenerate")
+    return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
+                        method="monte_carlo", trials=trials,
+                        notes=[f"usable_specializations={usable}"])
+
+
+# Fields of the screen suite: 4, 8, 9, 5, 13, 25, 31.
+_SCREEN_FIELDS = ((2, 2), (2, 3), (3, 2), (5, 1), (13, 1), (5, 2), (31, 1))
+
+
+def _screen_fiber(rng, ctx, kind):
+    """A fiber for the screen suite, or None at a singular centre.  Kinds:
+    a random form of degree 2 to 5 from a random centre ("random"); a
+    conic from a random centre or a cubic from one of its points (a random
+    centre if it has none), mostly degree-2 projections, which a screen
+    never refutes ("quadratic"); and
+    Y^p Z^(d-p) + G(X, Z) from (0:1:0) in characteristic p <= 5, whose
+    every fiber s^p + G(t, 1) is inseparable ("inseparable")."""
+    if kind == "inseparable":
+        X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+        d = ctx.p + rng.randrange(2)
+        G = _random_form(rng, ctx, d, lambda e: e[1] == 0)
+        center = ProjPoint(ctx, [0, 1, 0])
+        form = Y ** ctx.p * Z ** (d - ctx.p) + G
+    elif kind == "quadratic":
+        d = rng.choice((2, 3))
+        form = _random_form(rng, ctx, d)
+        curve = PlaneCurve(form)
+        on = [pt for pt in _plane_points(ctx) if curve.contains(pt)]
+        if d == 3 and on:
+            center = rng.choice(on)
+        else:
+            center = _random_point(rng, ctx, rng.choice(
+                ("affine", "infinity", "origin")))
+    else:
+        form = _random_form(rng, ctx, rng.randrange(2, 6))
+        center = _random_point(rng, ctx, rng.choice(
+            ("affine", "infinity", "origin")))
+    try:
+        return fiber_polynomial(PlaneCurve(form), center)
+    except CenterSingular:
+        return None
+
+
+def galois_screen_matches_reference(cases=200):
+    """``monte_carlo_galois`` (draws cached per process, repeated draws
+    decided once, quadratics by their discriminant) gives the report of
+    ``reference_screen`` on random fibers over every field of
+    ``_SCREEN_FIELDS``, with AllSpecializationsRamified on both sides or
+    neither, across trial counts 1 to 64 and seeds 0 to 3.  The fibers
+    take in refuted centres, ``probably_galois`` centres and centres
+    whose every sampled specialization is ramified."""
+    rng = random.Random(2301)
+    seen = set()
+    done = 0
+    while done < cases:
+        ctx = make_field(*_SCREEN_FIELDS[done % len(_SCREEN_FIELDS)])
+        kinds = ("random", "quadratic") + (("inseparable",)
+                                           if ctx.p <= 5 else ())
+        fib = _screen_fiber(rng, ctx, kinds[done // 7 % len(kinds)])
+        if fib is None or fib.degree < 1:
+            continue
+        trials, seed = rng.choice((1, 2, 3, 5, 16, 64)), rng.randrange(4)
+        try:
+            want = reference_screen(fib, trials, seed).to_jsonable()
+        except AllSpecializationsRamified:
+            want = "ramified"
+        try:
+            got = monte_carlo_galois(fib, trials, seed).to_jsonable()
+        except AllSpecializationsRamified:
+            got = "ramified"
+        assert got == want, (fib.curve, fib.center, trials, seed)
+        seen.add(want if want == "ramified" else want["verdict"])
+        done += 1
+    assert seen == {"ramified", "probably_galois", "certified_not_galois"}, seen
 
 
 def _try_projectivity(ctx, mat):

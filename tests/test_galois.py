@@ -7,7 +7,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from galoispoints.cli import dispatch, load_curve
 from galoispoints.config import RunConfig
 from galoispoints.curve import curve_from_affine, pencil_parametrization, singular_points
 from galoispoints.errors import (
+    AllSpecializationsRamified,
     CenterSingular,
     MissingParametrization,
     SoundnessError,
@@ -123,6 +126,58 @@ class TestMonteCarlo:
         fib = fiber_polynomial(conic, ProjPoint(F13, [0, 0, 1]))
         rep = monte_carlo_galois(fib, trials=4, seed=0)
         assert rep.verdict == "probably_galois"
+
+    def test_matches_reference_screen(self):
+        props.galois_screen_matches_reference(200)
+
+    def test_each_draw_seeded_and_decided_once(self, monkeypatch):
+        # on the refute seed-7 centres the screen factors each distinct
+        # usable (extension degree, t0) once, and seeds each trial's
+        # stream at most once per (seed, trial, order) in the process
+        seeded, factored = Counter(), []
+        real_random, real_degrees = random.Random, galois._u_factor_degrees
+
+        def counted_random(key):
+            rng = real_random(key)
+            randrange = rng.randrange
+
+            def draw(order):
+                seeded[key, order] += 1
+                return randrange(order)
+            rng.randrange = draw
+            return rng
+
+        def counted_degrees(ctx, spec):
+            factored.append(spec)
+            return real_degrees(ctx, spec)
+
+        monkeypatch.setattr(galois, "random",
+                            SimpleNamespace(Random=counted_random))
+        monkeypatch.setattr(galois, "_u_factor_degrees", counted_degrees)
+        galois._mc_draw.cache_clear()
+        run = repeated = 0
+        for fib in _refute_centers(7):
+            if fib.degree < 2:
+                continue
+            del factored[:]
+            try:
+                trials = monte_carlo_galois(fib, trials=64, seed=0).trials
+            except AllSpecializationsRamified:
+                trials = 64
+            base = fib.curve.ctx
+            specialize = _squarefree_specializer(base, fib.rows, fib.degree)
+            usable = []
+            for trial in range(trials):
+                j = trial % 3 + 1
+                ectx = base if j == 1 else make_field(base.p, base.k * j)
+                code = real_random(f"mc:0:{trial}").randrange(ectx.order)
+                if specialize(FqElement(ectx, ectx.decode(code))) is not None:
+                    usable.append((j, code))
+            assert len(factored) == len(set(usable)), fib.curve
+            run += trials
+            repeated += len(usable) - len(set(usable))
+        assert max(seeded.values()) == 1
+        assert len(seeded) < run / 10 < repeated, (len(seeded), repeated, run)
 
 
 class TestCentralCollineations:
