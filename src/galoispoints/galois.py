@@ -47,9 +47,11 @@ specialization, ``polyring._squarefree_specializer``: F(t0, s) is built,
 tested for full degree and squarefreeness, and (in the screen) given its
 factor degrees on the dense kernel of ``polyring``, with no sparse
 polynomial per trial.  The screen is the only seeded search here.  It
-does each piece of work once: a trial's draw is seeded once per process
-(``_mc_draw``), and a t0 drawn again in the same screen reuses the first
-decision instead of being specialized and factored again.
+does each piece of work once: a trial's draw is seeded once while
+``_mc_draw`` keeps it (the last 4096 draws), a t0 drawn again in the
+same screen reuses the first decision instead of being specialized and
+factored again, and a degree-2 fiber is never factored, since its
+degrees [1, 1] or [2] cannot refute.
 """
 
 from __future__ import annotations
@@ -302,10 +304,13 @@ class GaloisReport:
 # Monte Carlo screen
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+# 4096 draws hold the default 64-trial screen for 64 (seed, base field)
+# pairs; a longer screen or a wider caller evicts the least recently used
+# draws and reseeds them, with the same values
+@lru_cache(maxsize=4096)
 def _mc_draw(seed: int, trial: int, order: int) -> int:
     """The screen's draw for ``trial``: ``randrange(order)`` from the
-    stream seeded with ``mc:{seed}:{trial}``, seeded once per process."""
+    stream seeded with ``mc:{seed}:{trial}``, seeded once while cached."""
     return random.Random(f"mc:{seed}:{trial}").randrange(order)
 
 
@@ -316,16 +321,18 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
     Any squarefree full-degree specialization whose irreducible factors
     have two distinct degrees certifies NOT Galois, with the witness
     recorded.  The degrees come from distinct-degree factorization of the
-    dense specialization alone (a quadratic's from its discriminant); the
-    factors themselves are never split out, so the only randomness is the
-    ``mc:{seed}:{trial}`` choice of t0.  Each draw is cached per process
-    by ``_mc_draw``, and a t0 drawn again at the same extension degree
-    counts as usable iff it was the first time, with no second
-    specialization or factorization: a repeated usable draw had uniform
-    degrees, or the screen would have returned.  So ``trials``, the usable
-    count and every witness are those of a screen that decides each trial
-    afresh.  Uniform degrees across all trials give ``probably_galois``
-    only: cycle-type uniformity does not prove a cover Galois.
+    dense specialization alone; the factors themselves are never split
+    out, so the only randomness is the ``mc:{seed}:{trial}`` choice of t0.
+    A degree-2 fiber is only tested for being unramified: its degrees
+    [1, 1] or [2] are uniform either way, so it is never factored.  Each
+    draw is cached by ``_mc_draw``, and a t0 drawn again at the same
+    extension degree counts as usable iff it was the first time, with no
+    second specialization or factorization: a repeated usable draw had
+    uniform degrees, or the screen would have returned.  So ``trials``,
+    the usable count and every witness are those of a screen that decides
+    each trial afresh.  Uniform degrees across all trials give
+    ``probably_galois`` only: cycle-type uniformity does not prove a cover
+    Galois.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -352,6 +359,8 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
         if spec is None:
             continue
         usable += 1
+        if n == 2:      # [1, 1] or [2]: never two degrees
+            continue
         degrees = _u_factor_degrees(ectx, spec)
         if len(set(degrees)) >= 2:
             witness = {

@@ -8,9 +8,7 @@ The module provides the computational substrate used everywhere else:
 * univariate factorization (squarefree decomposition, then distinct-degree,
   then randomized equal-degree splitting with deterministic seed threading),
 * factor degrees of a squarefree univariate by distinct-degree
-  factorization alone, or in odd characteristic for a quadratic by
-  Euler's criterion on its discriminant (the Monte Carlo screen needs
-  nothing more),
+  factorization alone (the Monte Carlo screen needs nothing more),
 * Frobenius maps on residues mod a monic f: x^p by left-to-right squaring,
   x^q through the p-power map, and the q-power matrix whose columns are
   x^(qi) mod f, so distinct-degree factorization raises to the q-th power
@@ -838,20 +836,7 @@ def factor_univariate(f: Polynomial, seed: int = 0) -> list[tuple[Polynomial, in
 
 
 def _u_factor_degrees(ctx, a) -> list[int]:
-    """``factor_degrees`` of a dense squarefree a.
-
-    A quadratic c + b s + a2 s^2 over F_Q with Q odd splits iff its
-    discriminant d = b^2 - 4 a2 c, nonzero as a is squarefree, is a square:
-    by Euler's criterion iff d^((Q - 1)/2) = 1, one power in every field
-    shape.  In characteristic 2 the discriminant is b^2, always a square,
-    and the split test is an Artin-Schreier trace instead, so p = 2 stays
-    on distinct-degree factorization with the other degrees.
-    """
-    if len(a) == 3 and ctx.p != 2:
-        c, b, a2 = a
-        disc = ctx.sub_t(ctx.mul_t(b, b),
-                         ctx.smul_t(4 % ctx.p, ctx.mul_t(a2, c)))
-        return [1, 1] if ctx.pow_t(disc, (ctx.order - 1) // 2) == 1 else [2]
+    """``factor_degrees`` of a dense squarefree a."""
     parts = _distinct_degree(ctx, _u_monic(ctx, a))
     return sorted(d for g, d in parts for _ in range(_u_deg(g) // d))
 

@@ -407,10 +407,10 @@ def polyring_factor_degrees(cases=500):
     """factor_degrees of a squarefree product of distinct irreducibles, with
     several sharing one degree, matches the full factorization over F_13,
     F_4, F_9, F_(2^13) and F_(5^6).  Squarefree quadratics that are not
-    monic, split and irreducible in turn, read [1, 1] and [2] off their
-    discriminant: the degrees match the construction, distinct-degree
-    factorization and the full factorization over F_3 (where 4 = 1), F_13,
-    F_9, F_(3^6) (log tables) and F_(5^6) (packed)."""
+    monic, split and irreducible in turn, read [1, 1] and [2]: the degrees
+    match the construction, distinct-degree factorization and the full
+    factorization over F_3, F_13, F_9, F_(3^6) (log tables) and F_(5^6)
+    (packed)."""
     rng = random.Random(204)
     fields = [make_field(13), make_field(2, 2), make_field(3, 2),
               make_field(2, 13), make_field(5, 6)]
@@ -1235,8 +1235,8 @@ def _screen_fiber(rng, ctx, kind):
 
 
 def galois_screen_matches_reference(cases=200):
-    """``monte_carlo_galois`` (draws cached per process, repeated draws
-    decided once, quadratics by their discriminant) gives the report of
+    """``monte_carlo_galois`` (draws cached, repeated draws decided once,
+    degree-2 fibers never factored) gives the report of
     ``reference_screen`` on random fibers over every field of
     ``_SCREEN_FIELDS``, with AllSpecializationsRamified on both sides or
     neither, across trial counts 1 to 64 and seeds 0 to 3.  The fibers

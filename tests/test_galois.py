@@ -132,8 +132,9 @@ class TestMonteCarlo:
 
     def test_each_draw_seeded_and_decided_once(self, monkeypatch):
         # on the refute seed-7 centres the screen factors each distinct
-        # usable (extension degree, t0) once, and seeds each trial's
-        # stream at most once per (seed, trial, order) in the process
+        # usable (extension degree, t0) of a fiber of degree 3 or more
+        # once and a degree-2 fiber never, and seeds each trial's stream
+        # at most once per (seed, trial, order) in the process
         seeded, factored = Counter(), []
         real_random, real_degrees = random.Random, galois._u_factor_degrees
 
@@ -156,9 +157,11 @@ class TestMonteCarlo:
         monkeypatch.setattr(galois, "_u_factor_degrees", counted_degrees)
         galois._mc_draw.cache_clear()
         run = repeated = 0
+        degrees = Counter()
         for fib in _refute_centers(7):
             if fib.degree < 2:
                 continue
+            degrees[min(fib.degree, 3)] += 1
             del factored[:]
             try:
                 trials = monte_carlo_galois(fib, trials=64, seed=0).trials
@@ -173,11 +176,32 @@ class TestMonteCarlo:
                 code = real_random(f"mc:0:{trial}").randrange(ectx.order)
                 if specialize(FqElement(ectx, ectx.decode(code))) is not None:
                     usable.append((j, code))
-            assert len(factored) == len(set(usable)), fib.curve
+            distinct = len(set(usable)) if fib.degree > 2 else 0
+            assert len(factored) == distinct, fib.curve
             run += trials
             repeated += len(usable) - len(set(usable))
         assert max(seeded.values()) == 1
         assert len(seeded) < run / 10 < repeated, (len(seeded), repeated, run)
+        assert min(degrees[2], degrees[3]) > 50, degrees
+
+    def test_draw_cache_bounded(self, F7):
+        # a screen with more trials than the draw cache holds keeps it at
+        # its bound, and the evicted draws give the same report
+        size = galois._mc_draw.cache_info().maxsize
+        assert size is not None
+        x = Polynomial.variable(F7, 2, 0)
+        y = Polynomial.variable(F7, 2, 1)
+        # y^3 = x^2 + 1 from (0:1:0): a Kummer cubic, Galois as 7 = 1 mod 3
+        fib = fiber_polynomial(curve_from_affine(y ** 3 - x ** 2 - 1),
+                               ProjPoint(F7, [0, 1, 0]))
+        assert fib.degree == 3
+        galois._mc_draw.cache_clear()
+        for _ in range(2):
+            got = monte_carlo_galois(fib, trials=size + 500, seed=5)
+            assert galois._mc_draw.cache_info().currsize == size
+        want = props.reference_screen(fib, trials=size + 500, seed=5)
+        assert got.verdict == "probably_galois"
+        assert got.to_jsonable() == want.to_jsonable()
 
 
 class TestCentralCollineations:
