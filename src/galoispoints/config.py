@@ -12,10 +12,10 @@ class RunConfig:
 
     ext_cap is a relative extension degree: operations that need roots may
     move from F_{p^k} to F_{p^(k*j)} for j up to ext_cap.  The seed reaches
-    only the Monte Carlo screen and implicitization's sample points, which
-    derive their streams from (seed, call site, trial index), so identical
-    configurations give byte-identical reports; collineation and deck
-    groups draw no seed.  Every int field but the seed must be positive.
+    only the Monte Carlo screen, which derives its stream from (seed, trial
+    index), so identical configurations give byte-identical reports;
+    collineation and deck groups and implicitization draw no seed.  Every
+    int field but the seed must be positive.
     """
 
     trials: int = 64

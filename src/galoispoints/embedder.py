@@ -29,7 +29,6 @@ poles onto the required orbit divisor.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -43,7 +42,7 @@ from .errors import (
     ZeroInput,
 )
 from .galois import GaloisReport, is_galois_point
-from .gf import FqElement, common_field, make_field
+from .gf import FqElement, common_field
 from .polyring import Polynomial, content_in, exact_div, poly_gcd, squarefree_part
 from .projective import (
     FiniteProjectivityGroup,
@@ -52,7 +51,6 @@ from .projective import (
     Projectivity,
     ProjPoint,
     orbit,
-    point_p1,
     product_structure,
 )
 from .ratfunc import RationalMap1D
@@ -204,14 +202,14 @@ def evaluate_triple(triple, pt: ProjPoint) -> ProjPoint:
 
 
 def implicitize(f: RationalMap1D, g: RationalMap1D,
-                expected_degree: Optional[int] = None,
-                samples: int = 20, seed: int = 0) -> PlaneCurve:
+                expected_degree: Optional[int] = None) -> PlaneCurve:
     """The implicit equation of the image of phi = (f : g : 1).
 
     Eliminates t from (num_f - x den_f, num_g - y den_g) by a resultant,
     strips content in each variable, takes the squarefree part and
     homogenizes.  The result is checked by degree (when expected) and by
-    exact vanishing at sampled image points.
+    the exact identity form(X(t), Y(t), Z(t)) = 0 on the coprime triple
+    of phi (``projective_triple``): VerificationFailed otherwise.
     """
     if f.is_constant or g.is_constant:
         raise ZeroInput("implicitization needs nonconstant coordinates")
@@ -235,20 +233,8 @@ def implicitize(f: RationalMap1D, g: RationalMap1D,
     if expected_degree is not None and curve.degree != expected_degree:
         raise DegreeMismatch(
             f"implicit curve has degree {curve.degree}, expected {expected_degree}")
-    triple = projective_triple(fl, gl)
-    rng = random.Random(f"implicitize:{seed}")
-    checked = 0
-    attempts = 0
-    while checked < samples and attempts < samples * 8:
-        attempts += 1
-        j = (attempts % 3) + 1
-        ectx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
-        t0 = point_p1(ectx, FqElement(ectx, ectx.decode(rng.randrange(ectx.order))))
-        img = evaluate_triple(triple, t0)
-        if curve.value_at(img):
-            raise VerificationFailed(
-                f"implicit form does not vanish at phi({t0.spec_str()})")
-        checked += 1
+    if not curve.form.compose(list(projective_triple(fl, gl))).is_zero:
+        raise VerificationFailed("implicit form does not vanish on phi")
     return curve
 
 
@@ -324,7 +310,7 @@ def construct_embedding(G1: FiniteProjectivityGroup,
     Pt = P.lift_to(ctx)
     f = invariant_generator(H1, wit.eta.apply(Pt))
     g = invariant_generator(H2, Pt)
-    curve = implicitize(f, g, expected_degree=len(G2), seed=cfg.seed)
+    curve = implicitize(f, g, expected_degree=len(G2))
     image_P = ProjPoint(curve.ctx, [0, 1, 0])
     Qpt = ProjPoint(curve.ctx, [1, 0, 0])
     checks: list = []

@@ -6,9 +6,11 @@ methods are implemented, in decreasing order of authority:
 
 * ``collineation`` -- the group of central collineations with center P
   preserving the curve, read off the rows of the fiber polynomial in
-  closed form with no fiber search and no seed, each map verified by a
-  dense exact test (``central_collineation_group``).  Order = degree
-  certifies; more than n maps prove the curve reducible: an input error.
+  closed form with no fiber search and no seed, and written down at tame
+  and wild centers alike by one builder from (lam, beta, delta) triples,
+  each verified by a dense exact test, with no matrix product
+  (``central_collineation_group``).  Order = degree certifies; more than
+  n maps prove the curve reducible: an input error.
 * ``deck`` -- for rational curves with a supplied parametrization, the
   projection factors through P^1 and its Galois group is the deck group
   {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D.  A
@@ -102,6 +104,7 @@ from .projective import (
     GroupDescriptor,
     Projectivity,
     ProjPoint,
+    _close,
     _normalize,
     generate_group,
     identify_group,
@@ -390,13 +393,16 @@ def _shifted_rows(ctx: FieldCtx, rows: list, ell: list):
     ``rows`` are the y-rows a_i(x) of F, dense lists with a_n on top, and
     ``ell`` is a trimmed dense polynomial in x.  Each row is found by
     Horner's rule in ell, with the binomials taken mod p; for ell = 0 it
-    is a_j.
+    is the trimmed row a_j itself, read with no arithmetic.
     """
     n = len(rows) - 1
     p, smul = ctx.p, ctx.smul_t
     for j in range(n - 1, -1, -1):
+        if not ell:
+            yield j, rows[j]
+            continue
         acc = []
-        for i in range(n if ell else j, j - 1, -1):
+        for i in range(n, j - 1, -1):
             acc = _u_mul(ctx, acc, ell)
             c = math.comb(i, j) % p
             if c and rows[i]:
@@ -446,87 +452,31 @@ def _shift_order(ctx: FieldCtx, rows: list, ell: list) -> int:
     return m
 
 
-def _tame_order(fib: ProjectionFiber) -> Optional[tuple[int, list]]:
-    """(m, c) at a tame center (p does not divide n), None at a wild one:
-    m is 1 unless c = a_(n-1) / (n a_n) is a polynomial of degree <= 1
-    (dense, on reps of the fiber's field), and then ``_shift_order``."""
+def _tame_order(fib: ProjectionFiber, ext_cap: int) -> Optional[tuple]:
+    """(wctx, rows, T, m, x) at a tame center (p does not divide n), as
+    ``_wild_order`` gives it, None at a wild one: T = {0}, m = 1 unless
+    c = a_(n-1) / (n a_n) is a polynomial of degree <= 1, and then
+    ``_shift_order`` at the section x = -c = (gamma, eps); wctx is
+    F_(q^j), j = ord_m(q), the least field holding the m-th roots of
+    unity (ExactModeDegenerate past ``ext_cap``), and the rows and x are
+    lifted straight into it."""
     ctx, n, rows = fib.curve.ctx, fib.degree, fib.rows
     if n % ctx.p == 0:
         return None
     c, rem = _u_divmod(ctx, rows[n - 1],
                        [ctx.smul_t(n % ctx.p, x) for x in rows[n]])
     if rem or _u_deg(c) > 1:
-        return 1, []
-    return _shift_order(ctx, rows, [ctx.neg_t(x) for x in c]), c
-
-
-def _homology_group(fib: ProjectionFiber, m: int, c: list,
-                    ext_cap: int) -> FiniteProjectivityGroup:
-    """The tame collineation group of order m (``_tame_order``) in the
-    original coordinates over F_(q^j), the least j with m | q^j - 1, with
-    its table written down; ExactModeDegenerate when j exceeds ``ext_cap``.
-
-    In the moved coordinates sigma'_lam = I + (lam - 1) e_1 (c1, 1, c0),
-    lam^m = 1, c = c0 + c1 t.  Conjugated back, sigma_lam = D sigma'_lam N
-    = s I + (lam - 1) u w^T for the denormalizer D and normalizer N,
-    D N = s I, the center u = D e_1 and w = (c1, 1, c0) N.  As w u = s,
-    sigma_lam sigma_mu = s sigma_(lam mu): the group is cyclic on
-    sigma_zeta, zeta a primitive m-th root of unity, with that table and no
-    matrix product.  It does not descend: a homology's eigenvalue ratio lam
-    lies in every field it is defined over, and zeta generates F_(q^j).
-    Each map passes the exact test; D N = s I, w u = s, m <= n and the
-    center's fixity are checked, and a failure raises SoundnessError."""
-    ctx = fib.curve.ctx
-    if m == 1:
-        return trivial_group(ctx, 3)
-    if m > fib.degree:
-        raise SoundnessError("collineation group order exceeds the degree")
+        return ctx, rows, [(0, 0)], 1, (0, 0)
+    eps, gamma = (ctx.neg_t(x) for x in c + [0] * (2 - len(c)))
+    m = _shift_order(ctx, rows, _u_trim([eps, gamma]))
     j = next(i for i in count(1) if (ctx.order ** i - 1) % m == 0)
     if j > ext_cap:
         raise ExactModeDegenerate(
             f"tame collineation group needs extension degree {j} > "
             f"cap {ext_cap}")
-
-    def dot(a, b):
-        return reduce(ctx.add_t, map(ctx.mul_t, a, b), 0)
-
-    D, N = fib.denormalizer.mat, fib.normalizer.mat
-    N_cols = list(zip(*N))
-    s = dot(D[0], N_cols[0])
-    c0, c1 = (c + [0, 0])[:2]
-    u = [row[1] for row in D]
-    w = [dot((c1, 1, c0), col) for col in N_cols]
-    if any(dot(D[i], N_cols[k]) != (s if i == k else 0)
-           for i in range(3) for k in range(3)) or dot(w, u) != s:
-        raise SoundnessError("the homology scalar s is not D N = w u")
     wctx = ctx if j == 1 else make_field(ctx.p, ctx.k * j)
-    s, c0, c1, *uw = (lift(FqElement(ctx, x), wctx).rep
-                      for x in [s, c0, c1] + u + w)
-    add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
-    uw = [mul(ui, wk) for ui in uw[:3] for wk in uw[3:]]
-    rows = _lift_rows(ctx, wctx, fib.rows)
-    zeta = nth_root_of_unity(wctx, m).rep
-    elements, lam = [Projectivity.identity(wctx, 3)], zeta
-    for _ in range(m - 1):
-        l1 = sub(lam, 1)
-        if not _collineation_fixes(wctx, rows, lam, mul(l1, c1), mul(l1, c0)):
-            raise SoundnessError(
-                "a closed-form tame collineation fails the exact test")
-        flat = [mul(l1, x) for x in uw]
-        for i in (0, 4, 8):
-            flat[i] = add(flat[i], s)
-        elements.append(Projectivity._invertible(wctx, 3, flat))
-        lam = mul(lam, zeta)
-    center = fib.center.lift_to(wctx)
-    if elements[1].apply(center) != center:
-        raise SoundnessError("a collineation moves its center")
-    table = (0, [1], [list(range(1, m)) + [0]], [(0,) * i for i in range(m)])
-    return FiniteProjectivityGroup(wctx, 3, elements, elements[1:2], table)
-
-
-def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
-    """The collineation (x : beta x + lam y + delta z : z), lam != 0."""
-    return Projectivity._invertible(ctx, 3, [1, 0, 0, beta, lam, delta, 0, 0, 1])
+    gamma, eps = (lift(FqElement(ctx, v), wctx).rep for v in (gamma, eps))
+    return wctx, _lift_rows(ctx, wctx, rows), [(0, 0)], m, (gamma, eps)
 
 
 def _line_gcds(ctx: FieldCtx, rows: list, js, k0: int,
@@ -599,20 +549,85 @@ def _wild_order(fib: ProjectionFiber, ext_cap: int) -> tuple:
         j = i
 
 
-def _wild_group(fib: ProjectionFiber, wctx: FieldCtx, rows: list, T: list,
-                m: int, x: tuple) -> FiniteProjectivityGroup:
-    """{s -> lam s + (1 - lam) x + tau : lam^m = 1, tau in T} through
-    ``_scanned_group``, each map verified (SoundnessError on a failure)."""
+def _closed_form_group(fib: ProjectionFiber, wctx: FieldCtx, rows: list,
+                       T: list, m: int, x: tuple) -> FiniteProjectivityGroup:
+    """The group {s -> lam s + (1 - lam) x + tau : lam^m = 1, tau in T} of
+    an order finder (``_tame_order``, ``_wild_order``) in the original
+    coordinates, with no matrix product, descended to F_q(zeta).
+
+    The maps are (lam, beta, delta) triples, s -> lam s + beta t + delta,
+    each but the identity verified by the exact test, and their table is
+    their closure under (lam, b, d)(lam', b', d') = (lam lam', b + lam b',
+    d + lam d') (``projective._close``), which must not outgrow them
+    (ClosureCapExceeded otherwise).  Conjugated back, a map is
+    D sigma' N = s I + u w^T for the denormalizer D and normalizer N,
+    D N = s I, the center u = D e_1 and w = (beta, lam - 1, delta) N, as
+    sigma' = I + e_1 (beta, lam - 1, delta).  It fixes a point c iff u
+    and c are proportional or w c = 0.  On an irreducible curve the maps
+    act faithfully on k(C) over k(t), so more than n of them prove the
+    curve reducible: InputError.  A failed exact test, D N != s I or a
+    moved center raise SoundnessError.  A homology's eigenvalue ratio lies
+    in every field the group is defined over, so F_q(zeta) is the floor
+    of the descent, and at a tame center, where wctx = F_q(zeta), there is
+    none."""
+    ctx, n = fib.curve.ctx, fib.degree
     if len(T) * m == 1:
-        return trivial_group(fib.curve.ctx, 3)
-    add, mul, zeta = wctx.add_t, wctx.mul_t, nth_root_of_unity(wctx, m).rep
+        return trivial_group(ctx, 3)
+    if len(T) * m > n:
+        raise InputError(
+            f"the curve is reducible: {len(T) * m} collineations with center "
+            f"{fib.center.spec_str()} fix every line through it and generate "
+            f"more than the projection degree {n}")
+    add, sub, mul = wctx.add_t, wctx.sub_t, wctx.mul_t
+    zeta, lams = nth_root_of_unity(wctx, m).rep, [1]
+    while len(lams) < m:
+        lams.append(mul(lams[-1], zeta))
     maps = [(lam, add(b, mul(l1, x[0])), add(d, mul(l1, x[1])))
-            for lam in (wctx.pow_t(zeta, i) for i in range(m))
-            for l1 in [wctx.sub_t(1, lam)] for b, d in T]
-    if not all(_collineation_fixes(wctx, rows, *mp) for mp in maps):
+            for lam in lams for l1 in [sub(1, lam)] for b, d in T]
+    if not all(_collineation_fixes(wctx, rows, *mp)
+               for mp in maps if mp != (1, 0, 0)):
         raise SoundnessError(
-            "a closed-form wild collineation fails the exact test")
-    return _scanned_group(fib, [_central(wctx, *mp) for mp in maps])
+            "a closed-form collineation fails the exact test")
+    D, N = fib.denormalizer.mat, fib.normalizer.mat
+    DN = [[ctx.add_t(ctx.add_t(ctx.mul_t(r[0], N[0][k]),
+                               ctx.mul_t(r[1], N[1][k])),
+                     ctx.mul_t(r[2], N[2][k])) for k in range(3)] for r in D]
+    s = DN[0][0]
+    if DN != [[s, 0, 0], [0, s, 0], [0, 0, s]]:
+        raise SoundnessError("D N is not the scalar matrix s I")
+    # 0 and 1 are the reps of zero and one in every field shape
+    up = (lambda v: v) if wctx == ctx else \
+        (lambda v: v if v < 2 else lift(FqElement(ctx, v), wctx).rep)
+    s, u, c = up(s), [up(r[1]) for r in D], fib.center.lift_to(wctx).coords
+    N = [[(k, up(v)) for k, v in enumerate(row) if v] for row in N]
+    moved = any(sub(mul(u[i], c[k]), mul(u[k], c[i]))
+                for i, k in ((0, 1), (0, 2), (1, 2)))
+
+    def compose(a, b):
+        return (mul(a[0], b[0]), add(a[1], mul(a[0], b[1])),
+                add(a[2], mul(a[0], b[2])))
+
+    triples, table = _close(maps, len(maps), (1, 0, 0), compose)
+    elements = [Projectivity.identity(wctx, 3)]
+    for lam, beta, delta in triples[1:]:
+        w = [0, 0, 0]
+        for v, row in ((beta, N[0]), (sub(lam, 1), N[1]), (delta, N[2])):
+            if v:
+                for k, nv in row:
+                    w[k] = add(w[k], mul(v, nv))
+        if moved and add(add(mul(w[0], c[0]), mul(w[1], c[1])),
+                         mul(w[2], c[2])):
+            raise SoundnessError("a collineation moves its center")
+        flat = []
+        for ui in u:
+            flat += [mul(ui, wk) for wk in w] if ui else (0, 0, 0)
+        for i in (0, 4, 8):
+            flat[i] = add(flat[i], s)
+        elements.append(Projectivity._invertible(wctx, 3, flat))
+    group = FiniteProjectivityGroup(wctx, 3, elements,
+                                    [elements[g] for g in table[1]], table)
+    i = next(k for k in count(1) if (ctx.order ** k - 1) % m == 0)
+    return group.descend_to(ctx if i == 1 else make_field(ctx.p, ctx.k * i))
 
 
 def central_collineation_group(fib: ProjectionFiber,
@@ -621,9 +636,10 @@ def central_collineation_group(fib: ProjectionFiber,
     """All projectivities fixing the fiber's center and every line through
     it that send the curve to a scalar multiple of itself, in the original
     coordinates, possibly over an extension, read off the fiber's rows with
-    no fiber search and no seed: ``_tame_order`` and ``_homology_group`` at
-    a tame center (p does not divide n), ``_wild_order`` and
-    ``_wild_group`` at a wild one; ExactModeDegenerate past ``cfg.ext_cap``.
+    no fiber search, no seed and no matrix product: ``_tame_order`` at a
+    tame center (p does not divide n) or ``_wild_order`` at a wild one
+    finds T, m and x, and ``_closed_form_group`` writes the group down;
+    ExactModeDegenerate past ``cfg.ext_cap``.
 
     In the moved coordinates a collineation is s -> lam s + l,
     l = beta t + delta.  The translations T (lam = 1) form a normal
@@ -641,46 +657,8 @@ def central_collineation_group(fib: ProjectionFiber,
         raise ZeroInput("degenerate curve for collineation search")
     if n == 1:
         return trivial_group(fib.curve.ctx, 3)
-    if (tame := _tame_order(fib)) is not None:
-        return _homology_group(fib, *tame, cfg.ext_cap)
-    return _wild_group(fib, *_wild_order(fib, cfg.ext_cap))
-
-
-def _scanned_group(fib: ProjectionFiber,
-                   found: list[Projectivity]) -> FiniteProjectivityGroup:
-    """The group of verified maps in the moved coordinates:
-    conjugated back, closed, descended to the smallest field that holds
-    it, with the center's fixity checked.  On an irreducible curve the
-    maps act faithfully on k(C) over k(t), so a closure of more than n
-    proves the curve reducible: InputError."""
-    wctx = found[0].ctx     # the identity is always found
-    g_fwd, g_back = (g.lift_to(wctx) for g in (fib.normalizer,
-                                               fib.denormalizer))
-    group = _closed_group([g_back * sigma * g_fwd for sigma in found],
-                          fib.degree)
-    if group is None:
-        raise InputError(
-            f"the curve is reducible: {len(found)} collineations with center "
-            f"{fib.center.spec_str()} fix every line through it and generate "
-            f"more than the projection degree {fib.degree}")
-    group = group.descend_to(fib.curve.ctx)
-    c = fib.center.lift_to(group.ctx)
-    if any(e.apply(c) != c for e in group.elements):
-        raise SoundnessError("a collineation moves its center")
-    return group
-
-
-def _closed_group(elements: list[Projectivity],
-                  n: int) -> Optional[FiniteProjectivityGroup]:
-    """The group of verified maps, which must be closed; None
-    when they generate more than the degree ``n``."""
-    try:
-        group = generate_group(elements, cap=n)
-    except ClosureCapExceeded:
-        return None
-    if len(group) != len(elements):
-        raise ZeroInput("scan returned a non-closed set")  # pragma: no cover
-    return group
+    return _closed_form_group(fib, *(_tame_order(fib, cfg.ext_cap)
+                                     or _wild_order(fib, cfg.ext_cap)))
 
 
 # ---------------------------------------------------------------------------
@@ -835,9 +813,12 @@ def _deck_closure(hw: RationalMap1D, found: list[Projectivity],
     """The group of verified deck maps of hw (over their field): closed
     with cap deg h, each element re-verified, descended to ``base``.
     SoundnessError when the maps generate more than deg h of them."""
-    group = _closed_group(found, hw.degree())
-    if group is None:
-        raise SoundnessError("deck group order exceeds the degree")
+    try:
+        group = generate_group(found, cap=hw.degree())
+    except ClosureCapExceeded:
+        raise SoundnessError("deck group order exceeds the degree") from None
+    if len(group) != len(found):
+        raise ZeroInput("scan returned a non-closed set")  # pragma: no cover
     if not all(hw.invariant_under(sigma) for sigma in group.elements):
         raise SoundnessError("a deck map does not preserve the map")
     return group.descend_to(base)

@@ -17,6 +17,7 @@ common context on demand; see :func:`galoispoints.gf.common_field`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -311,9 +312,10 @@ class FiniteProjectivityGroup:
     The table on positions is ``(e, gens, cols, words)``: the identity, a
     reduced generating set, ``cols[j][x] = x * gens[j]`` and ``words[x]``,
     the columns whose product is x.  ``generate_group`` builds it while
-    closing, ``_factorized_joint`` and ``galois._homology_group`` write it
-    down, ``lift_to``/``conjugate``/``descend_to`` carry it over, and any
-    other group builds it from ``generators`` on first use.
+    closing, ``_factorized_joint`` writes it down, ``galois`` closes the
+    collineations' (lam, beta, delta) triples for it, ``lift_to``,
+    ``conjugate`` and ``descend_to`` carry it over, and any other group
+    builds it from ``generators`` on first use.
     """
 
     __slots__ = ("ctx", "n", "elements", "generators", "index", "_table")
@@ -330,7 +332,8 @@ class FiniteProjectivityGroup:
 
     def table(self) -> tuple:
         if self._table is None:
-            elements, table = _close(self.generators, len(self))
+            elements, table = _close(self.generators, len(self),
+                                     Projectivity.identity(self.ctx, self.n))
             if len(elements) != len(self):
                 raise SoundnessError("generators do not generate the group")
             self._table = _relabel(table, [self.index[g] for g in elements])
@@ -432,14 +435,16 @@ class FiniteProjectivityGroup:
         return f"Group(order {len(self.elements)}, PGL{self.n}, {self.ctx!r})"
 
 
-def _close(gens: Sequence[Projectivity], cap: int) -> tuple[list, tuple]:
-    """Closure of ``gens`` (one context) under right products by a reduced
-    generating set: a generator already in the group built so far is
-    skipped, so at most log2|G| of them are kept.  Returns the elements in
-    discovery order, identity first, and their table (see
-    FiniteProjectivityGroup); each (element, kept generator) pair costs one
-    matrix product."""
-    ident = Projectivity.identity(gens[0].ctx, gens[0].n)
+def _close(gens: Sequence, cap: int, ident, product=operator.mul
+           ) -> tuple[list, tuple]:
+    """Closure of ``gens`` under right products by a reduced generating
+    set: a generator already in the group built so far is skipped, so at
+    most log2|G| of them are kept.  The elements are any hashable values
+    with the identity ``ident`` and the associative ``product`` (matrix
+    products of projectivities of one context by default; galois closes
+    (lam, beta, delta) triples).  Returns the elements in discovery order,
+    identity first, and their table (see FiniteProjectivityGroup); each
+    (element, kept generator) pair costs one product."""
     elements, index, words = [ident], {ident: 0}, [()]
     kept, cols = [], []
     for g in gens:
@@ -451,7 +456,7 @@ def _close(gens: Sequence[Projectivity], cap: int) -> tuple[list, tuple]:
         while x < len(elements):
             for j, col in enumerate(cols):
                 if len(col) == x:
-                    prod = elements[x] * kept[j]
+                    prod = product(elements[x], kept[j])
                     k = index.get(prod)
                     if k is None:
                         if len(elements) >= cap:
@@ -494,7 +499,8 @@ def generate_group(gens: Sequence[Projectivity], cap: int = 4096) -> FiniteProje
         if g.n != n:
             raise DimensionMismatch("mixed dimensions in generating set")
         ctx = common_field(ctx, g.ctx)
-    elements, table = _close([g.lift_to(ctx) for g in gens], cap)
+    elements, table = _close([g.lift_to(ctx) for g in gens], cap,
+                             Projectivity.identity(ctx, n))
     return FiniteProjectivityGroup(ctx, n, elements,
                                    [elements[g] for g in table[1]] or elements[:1],
                                    table)

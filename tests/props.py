@@ -12,14 +12,13 @@ import random
 
 from galoispoints.curve import PlaneCurve, singular_points
 from galoispoints.errors import (AllSpecializationsRamified, CenterSingular,
-                                 DegenerateFibers, InputError, ZeroInput)
+                                 DegenerateFibers, InputError, SoundnessError,
+                                 ZeroInput)
 from galoispoints.galois import (
     GaloisReport,
-    _central,
     _collineation_fixes,
     _fiber_search,
     _mobius_through,
-    _scanned_group,
     _tame_order,
     central_collineation_group,
     fiber_polynomial,
@@ -1364,10 +1363,43 @@ def _probe_points(rows: list, ctx: FieldCtx, want: int = 3) -> list:
     return out
 
 
+def _central(ctx: FieldCtx, lam: int, beta: int, delta: int) -> Projectivity:
+    """The collineation (x : beta x + lam y + delta z : z), lam != 0."""
+    return Projectivity._invertible(ctx, 3, [1, 0, 0, beta, lam, delta, 0, 0, 1])
+
+
+def _scanned_group(fib, found: list) -> FiniteProjectivityGroup:
+    """The group of verified maps in the moved coordinates, assembled with
+    no closed form: each conjugated back by matrix products, closed by
+    ``generate_group``, descended to the smallest field that holds it, with
+    the center's fixity checked.  On an irreducible curve the maps act
+    faithfully on k(C) over k(t), so a closure of more than n proves the
+    curve reducible: the InputError of ``central_collineation_group``."""
+    wctx = found[0].ctx     # the identity is always found
+    g_fwd, g_back = (g.lift_to(wctx) for g in (fib.normalizer,
+                                               fib.denormalizer))
+    elements = [g_back * sigma * g_fwd for sigma in found]
+    try:
+        group = generate_group(elements, cap=fib.degree)
+    except ClosureCapExceeded:
+        raise InputError(
+            f"the curve is reducible: {len(found)} collineations with center "
+            f"{fib.center.spec_str()} fix every line through it and generate "
+            f"more than the projection degree {fib.degree}") from None
+    if len(group) != len(elements):
+        raise ZeroInput("scan returned a non-closed set")
+    group = group.descend_to(fib.curve.ctx)
+    c = fib.center.lift_to(group.ctx)
+    if any(e.apply(c) != c for e in group.elements):
+        raise SoundnessError("a collineation moves its center")
+    return group
+
+
 def brute_collineation_group(fib):
     """The central collineation group of ``fib`` over its base field, by
-    the exhaustive scan of every (beta, lam, delta), fed to the tail the
-    wild scan uses (``galois._scanned_group``).  Costs q^3 exact tests:
+    the exhaustive scan of every (beta, lam, delta), conjugated, closed
+    and descended by matrix products (``_scanned_group``), sharing no group
+    assembly with ``galois._closed_form_group``.  Costs q^3 exact tests:
     meant for fields of at most 64 elements."""
     return _scanned_group(fib, _brute_scan(fib.poly, fib.curve.ctx,
                                            fib.degree))
@@ -1394,7 +1426,7 @@ def galois_tame_order_matches_scan(cases=40):
         if rng.random() < 0.25:
             fib = _tame_center(rng, ctx, wild=True)
             if fib is not None:
-                tame = _tame_order(fib)
+                tame = _tame_order(fib, 12)
                 assert fib.degree % ctx.p == 0
                 assert tame is None
                 wild += 1
@@ -1403,15 +1435,14 @@ def galois_tame_order_matches_scan(cases=40):
         if fib is None:
             continue
         try:
-            m = _tame_order(fib)[0]
+            m = _tame_order(fib, 12)[3]
         except InputError:      # F = a_n (s + c)^n: every fiber is a power
             continue
         group = central_collineation_group(fib)
         assert len(group) == m, (ctx, fib.poly, m)
-        # the written-down table is exact, and nothing descends
+        # the closed table is exact, and nothing descends
         _check_table(group, table_rng)
-        down = group.descend_to(ctx)
-        assert down is group
+        assert group.descend_to(fib.curve.ctx) is group
         try:
             search = _fiber_search(fib.poly, fib.degree, 4)
         except DegenerateFibers:
@@ -1489,10 +1520,13 @@ def galois_wild_group_matches_brute(cases=60):
     collineation group of ``central_collineation_group`` equals, as a set,
     the exhaustive base-field scan (``brute_collineation_group``) whenever
     it lives over the base field, and contains it otherwise; or both raise
-    the reducibility InputError.  The drawn groups T x| C cover p = 2 and
-    3, |T| = p^e for e = 0, 1 and 2, |C| = 1 and > 1, and reducible
-    curves."""
+    the reducibility InputError.  Every closed-form group has an exact
+    table and no smaller field: it was descended to F_q(zeta), and a
+    homology's eigenvalue ratio zeta lies in every field it is defined
+    over.  The drawn groups T x| C cover p = 2 and 3, |T| = p^e for e = 0,
+    1 and 2, |C| = 1 and > 1, and reducible curves."""
     rng = random.Random(920)
+    table_rng = random.Random(921)
     seen, reducible, done = set(), 0, 0
     while done < cases:
         fib = _wild_center(rng, _WILD_SHAPES[done % len(_WILD_SHAPES)])
@@ -1513,6 +1547,8 @@ def galois_wild_group_matches_brute(cases=60):
             reducible += 1
             done += 1
             continue
+        _check_table(group, table_rng)
+        assert group.descend_to(base) is group
         brute = brute_collineation_group(fib)
         got = {tuple(g.row_major()) for g in group.elements}
         want = {tuple(g.row_major()) for g in brute.elements}

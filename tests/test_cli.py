@@ -342,12 +342,13 @@ class TestFamily:
         validate_report("family_verdict", report)
 
     def test_wild_f16_family_matrix_products(self, tmp_path, monkeypatch):
-        # the inner group (order 11) is written down as homologies, with no
-        # product, and J (order 132) is the product set of the two groups:
-        # 110 products (none by an identity) and 12 for its closure test,
-        # besides 60 for the wild outer group's conjugation and closure;
-        # 621 when the tame group was conjugated and closed and J closed
-        # over every kept generator
+        # the tame inner group (order 11) and the wild outer group (order
+        # 12) are written down from their (lam, beta, delta) triples with
+        # no product, and J (order 132) is the product set of the two
+        # groups: 110 products (none by an identity) and 12 for its closure
+        # test; 182 when the wild group was conjugated and closed by matrix
+        # products, 621 when the tame group was too and J closed over
+        # every kept generator
         count = [0]
         product = Projectivity.__mul__
 
@@ -359,7 +360,7 @@ class TestFamily:
         code, _ = run_cli(["family", str(FIXTURES / "thm2_wild_p2e2m3_f16.json")],
                           tmp_path)
         assert code == 0
-        assert count[0] == 182
+        assert count[0] == 122
 
     def test_thm3_quartic_locus_computed_once(self, tmp_path, monkeypatch):
         # the pencil point of build_family and the mult3_singular_on_ellP

@@ -9,8 +9,10 @@ from galoispoints.embedder import (
     invariant_generator,
     projective_triple,
 )
-from galoispoints.errors import ConditionBFails, DegreeMismatch, ZeroInput
+from galoispoints.errors import (ConditionBFails, DegreeMismatch,
+                                 VerificationFailed, ZeroInput)
 from galoispoints.gf import make_field
+from galoispoints.polyring import Polynomial
 from galoispoints.projective import (
     Projectivity,
     generate_group,
@@ -106,11 +108,22 @@ class TestImplicitize:
         t = RationalMap1D.variable(F13)
         f = t * t * 2
         g = t + t.reciprocal()
-        C = implicitize(f, g, samples=50)
+        C = implicitize(f, g)
         triple = projective_triple(f, g)
         for code in range(13):
             pt = evaluate_triple(triple, point_p1(F13, code))
             assert not C.value_at(pt)
+
+    def test_wrong_form_of_right_degree_rejected(self, F13, monkeypatch):
+        # y^2 - x + 1 has the degree of the parabola y^2 - x, but does not
+        # vanish on (t^2 : t : 1): the exact identity rejects it
+        from galoispoints import embedder
+        part = embedder.squarefree_part
+        monkeypatch.setattr(embedder, "squarefree_part", lambda f: part(f) + (
+            Polynomial.const(f.ctx, f.nvars, 1)))
+        t = RationalMap1D.variable(F13)
+        with pytest.raises(VerificationFailed):
+            implicitize(t * t, t, expected_degree=2)
 
     def test_expected_degree_mismatch(self, F13):
         t = RationalMap1D.variable(F13)

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from galoispoints import galois
+from galoispoints import galois, projective
 from galoispoints.cli import dispatch, load_curve
 from galoispoints.config import RunConfig
 from galoispoints.curve import curve_from_affine, pencil_parametrization, singular_points
@@ -223,6 +223,21 @@ class TestCentralCollineations:
         assert len(G) == 5
         assert identify_group(G).tag == "cyclic"
 
+    def test_no_matrix_product_at_fixture_centers(self, monkeypatch):
+        # every center of the family fixtures (thm2 tame and wild, prop4,
+        # thm3) and of the curve fixtures gets its group written down from
+        # (lam, beta, delta) triples: no matrix product, no closure
+        fibs = _fixture_centers()
+        monkeypatch.setattr(Projectivity, "__mul__", _no_matrix_product)
+        monkeypatch.setattr(galois, "generate_group", _no_matrix_product)
+        monkeypatch.setattr(projective, "generate_group", _no_matrix_product)
+        orders = {"tame": set(), "wild": set()}
+        for fib in fibs:
+            G = central_collineation_group(fib)
+            kind = "wild" if fib.degree % fib.curve.ctx.p == 0 else "tame"
+            orders[kind].add(len(G))
+        assert max(orders["tame"]) > 1 and max(orders["wild"]) > 1, orders
+
     def test_random_curve_only_identity(self, F7):
         x = Polynomial.variable(F7, 2, 0)
         y = Polynomial.variable(F7, 2, 1)
@@ -348,7 +363,7 @@ class TestTameOrder:
         y = Polynomial.variable(F13, 2, 1)
         C = curve_from_affine(y ** 4 + x ** 3 + x * x * y + 1)
         fib = fiber_polynomial(C, ProjPoint(F13, [0, 1, 0]))
-        assert galois._tame_order(fib)[0] == 1
+        assert galois._tame_order(fib, 12)[3] == 1
 
         def no_search(*args, **kwargs):
             raise AssertionError("fiber search at a trivial tame center")
@@ -371,14 +386,14 @@ class TestTameOrder:
         y = Polynomial.variable(F13, 2, 1)
         kummer = fiber_polynomial(curve_from_affine(y ** 4 + x ** 3 + 1),
                                   ProjPoint(F13, [0, 1, 0]))
-        assert galois._tame_order(kummer)[0] == 4
+        assert galois._tame_order(kummer, 12)[3] == 4
         G = central_collineation_group(kummer)
         assert len(G) == 4 and G.ctx == F13
         x = Polynomial.variable(F4, 2, 0)
         y = Polynomial.variable(F4, 2, 1)
         wild = fiber_polynomial(curve_from_affine(y ** 4 + y + x ** 3 + 1),
                                 ProjPoint(F4, [0, 1, 0]))
-        assert galois._tame_order(wild) is None
+        assert galois._tame_order(wild, 12) is None
         G = central_collineation_group(wild)
         assert len(G) == 4 and G.ctx == F4
         kinds = {"tame": 0, "wild": 0}
@@ -387,6 +402,10 @@ class TestTameOrder:
             assert 1 <= len(G) <= fib.degree, fib.poly
             kinds["wild" if fib.degree % fib.poly.ctx.p == 0 else "tame"] += 1
         assert min(kinds.values()) > 100, kinds
+
+
+def _no_matrix_product(*args, **kwargs):
+    raise AssertionError("matrix product in a collineation group")
 
 
 def _no_fiber_search(*args, **kwargs):
@@ -620,77 +639,46 @@ class TestSoundnessGuards:
         assert out.stdout.strip() == "raised"
 
     def test_homology_guards_under_optimize(self):
-        # the closed-form tame group raises when a map fails the exact
-        # test, when D N = s I or w u = s breaks, and when a map moves the
+        # the closed-form builder raises at a tame center when a map fails
+        # the exact test, when D N = s I breaks and when a map moves the
         # center; every case runs with -O
-        src = Path(__file__).resolve().parent.parent / "src"
         code = (
-            "import dataclasses\n"
-            "from galoispoints import galois\n"
-            "from galoispoints.curve import curve_from_affine\n"
-            "from galoispoints.errors import SoundnessError\n"
-            "from galoispoints.gf import make_field\n"
-            "from galoispoints.polyring import Polynomial\n"
-            "from galoispoints.projective import Projectivity, ProjPoint\n"
-            "assert False, 'asserts are live'\n"
             "F = make_field(13)\n"
             "x, y = (Polynomial.variable(F, 2, i) for i in range(2))\n"
             "C = curve_from_affine(x ** 3 + y ** 4 + 1)\n"
             "fib = galois.fiber_polynomial(C, ProjPoint(F, [0, 1, 0]))\n"
-            "print(len(galois.central_collineation_group(fib)))\n"
-            "D = fib.denormalizer * Projectivity(F, [[2, 0, 0], [0, 1, 0],"
-            " [0, 0, 1]])\n"
             "moved = ProjPoint(F, [1, 1, 0])\n"
-            "for bad in (dataclasses.replace(fib, denormalizer=D),\n"
-            "            dataclasses.replace(fib, center=moved), None):\n"
-            "    if bad is None:\n"
-            "        galois._collineation_fixes = lambda *args: False\n"
-            "    try:\n"
-            "        galois.central_collineation_group(bad or fib)\n"
-            "    except SoundnessError as exc:\n"
-            "        print(exc)\n")
-        out = subprocess.run([sys.executable, "-O", "-c", code],
-                             capture_output=True, text=True, check=True,
-                             env=dict(os.environ, PYTHONPATH=str(src)))
-        assert out.stdout.splitlines() == [
+            "def fail():\n"
+            "    galois._collineation_fixes = lambda *args: False\n")
+        assert _builder_guards(code) == [
             "4",
-            "the homology scalar s is not D N = w u",
+            "D N is not the scalar matrix s I",
             "a collineation moves its center",
-            "a closed-form tame collineation fails the exact test"]
+            "a closed-form collineation fails the exact test"]
 
     def test_wild_guard_under_optimize(self):
-        # a closed-form wild map that fails the exact test raises, with -O:
-        # the translation y -> y + w of y^2 + w y = x^3 over F_4 (w^2 =
-        # w + 1) is mutated into y -> y + w + 1
-        src = Path(__file__).resolve().parent.parent / "src"
+        # the same three guards at a wild center, with -O: the translation
+        # y -> y + w of y^2 + w y = x^3 over F_4 (w^2 = w + 1) moves
+        # (0:0:1), and mutated into y -> y + w + 1 it fails the exact test
         code = (
-            "from galoispoints import galois\n"
-            "from galoispoints.curve import curve_from_affine\n"
-            "from galoispoints.errors import SoundnessError\n"
-            "from galoispoints.gf import make_field\n"
-            "from galoispoints.polyring import Polynomial\n"
-            "from galoispoints.projective import ProjPoint\n"
-            "assert False, 'asserts are live'\n"
             "F = make_field(2, 2)\n"
             "x, y = (Polynomial.variable(F, 2, i) for i in range(2))\n"
             "C = curve_from_affine(y ** 2 + y * F.element(2) + x ** 3)\n"
             "fib = galois.fiber_polynomial(C, ProjPoint(F, [0, 1, 0]))\n"
-            "print(len(galois.central_collineation_group(fib)))\n"
-            "derive = galois._wild_order\n"
-            "def mutated(*args):\n"
-            "    wctx, rows, T, m, x = derive(*args)\n"
-            "    T = [(b, wctx.add_t(d, 1)) if d else (b, d) for b, d in T]\n"
-            "    return wctx, rows, T, m, x\n"
-            "galois._wild_order = mutated\n"
-            "try:\n"
-            "    galois.central_collineation_group(fib)\n"
-            "except SoundnessError as exc:\n"
-            "    print(exc)\n")
-        out = subprocess.run([sys.executable, "-O", "-c", code],
-                             capture_output=True, text=True, check=True,
-                             env=dict(os.environ, PYTHONPATH=str(src)))
-        assert out.stdout.splitlines() == [
-            "2", "a closed-form wild collineation fails the exact test"]
+            "moved = ProjPoint(F, [0, 0, 1])\n"
+            "def fail():\n"
+            "    derive = galois._wild_order\n"
+            "    def mutated(*args):\n"
+            "        wctx, rows, T, m, x = derive(*args)\n"
+            "        T = [(b, wctx.add_t(d, 1)) if d else (b, d)"
+            " for b, d in T]\n"
+            "        return wctx, rows, T, m, x\n"
+            "    galois._wild_order = mutated\n")
+        assert _builder_guards(code) == [
+            "2",
+            "D N is not the scalar matrix s I",
+            "a collineation moves its center",
+            "a closed-form collineation fails the exact test"]
 
     def test_transport_guard_under_optimize(self):
         # one transported deck map of the thm3 quartic's inner group,
@@ -738,6 +726,40 @@ _RATIONAL_FAMILIES = ("thm3_cubic_f13", "thm3_quartic_f13", "prop4_p2e2_f4",
                       "prop4_p2e2_f4_power")
 _EMBED_GROUPS = ("groups_a4_f13", "groups_toy_conic_f13",
                  "groups_incompatible_f13")
+
+
+def _builder_guards(setup: str) -> list:
+    """The lines printed by a python -O run of ``setup``, which defines
+    fib, a point ``moved`` off its center and ``fail()``, which makes the
+    exact test fail: the group order, then the SoundnessError messages of
+    the closed-form builder for a denormalizer D with D N != s I, for the
+    center replaced by ``moved`` and after ``fail()``."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import dataclasses\n"
+        "from galoispoints import galois\n"
+        "from galoispoints.curve import curve_from_affine\n"
+        "from galoispoints.errors import SoundnessError\n"
+        "from galoispoints.gf import make_field\n"
+        "from galoispoints.polyring import Polynomial\n"
+        "from galoispoints.projective import Projectivity, ProjPoint\n"
+        "assert False, 'asserts are live'\n"
+        + setup +
+        "print(len(galois.central_collineation_group(fib)))\n"
+        "D = fib.denormalizer * Projectivity(F, [[2, 0, 0], [0, 1, 0],"
+        " [0, 0, 1]])\n"
+        "for bad in (dataclasses.replace(fib, denormalizer=D),\n"
+        "            dataclasses.replace(fib, center=moved), None):\n"
+        "    if bad is None:\n"
+        "        fail()\n"
+        "    try:\n"
+        "        galois.central_collineation_group(bad or fib)\n"
+        "    except SoundnessError as exc:\n"
+        "        print(exc)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         capture_output=True, text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=str(src)))
+    return out.stdout.splitlines()
 
 
 class TestKnownDeckGroups:
