@@ -268,7 +268,7 @@ def cmd_embed(args, cfg: RunConfig) -> int:
 def cmd_family(args, cfg: RunConfig) -> int:
     data = _load_json(args.spec)
     spec = FamilySpec.from_dict(data)
-    curve, expected = build_family(spec, ext_cap=cfg.ext_cap)
+    curve, expected = build_family(spec)
     verdict = verify_family(curve, expected, cfg)
     _write(_emit(verdict.to_jsonable(), "family_verdict", cfg), cfg)
     return 0 if verdict.success else 2

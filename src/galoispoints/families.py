@@ -376,15 +376,6 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
 # Family construction
 # ---------------------------------------------------------------------------
 
-def _pencil_point(curve: PlaneCurve, ext_cap: int) -> ProjPoint:
-    """The curve's one singular point, which must have multiplicity d - 1."""
-    (S, mult), = curve.singular_locus(ext_cap).points
-    if mult != curve.degree - 1:
-        raise SoundnessError(
-            f"pencil point has multiplicity {mult} != {curve.degree - 1}")
-    return S
-
-
 def _subfield_elements(ctx: FieldCtx, e: int) -> list[FqElement]:
     """The elements of the subfield F_{p^e} inside ctx (e must divide k)."""
     if ctx.k % e != 0:
@@ -405,9 +396,11 @@ def _wild_tag(p: int, e: int, m: int) -> str:
     return "s3" if pe * m == 6 else "semidirect_p_cyclic"
 
 
-def build_family(spec: FamilySpec,
-                 ext_cap: int = 12) -> tuple[PlaneCurve, FamilyExpectation]:
-    """Construct the family curve and its expectation skeleton."""
+def build_family(spec: FamilySpec) -> tuple[PlaneCurve, FamilyExpectation]:
+    """Construct the family curve and its expectation skeleton.  The thm3
+    and prop4 pencil curves are parametrized by the pencil of lines through
+    their (d-1)-fold point (-1:0:1); ``pencil_parametrization`` checks its
+    multiplicity and verifies the result on the curve exactly."""
     ctx = parse_field_spec(spec.field)
     p = ctx.p
     if spec.tag == "thm2_tame":
@@ -492,7 +485,7 @@ def build_family(spec: FamilySpec,
             extra = ("mult3_singular_on_ellP", "noncommuting_pair")
         P = ProjPoint(ctx, [0, 1, 0])
         Q = ProjPoint(ctx, [1, 0, 0])
-        param = pencil_parametrization(curve, _pencil_point(curve, ext_cap))
+        param = pencil_parametrization(curve, ProjPoint(ctx, [-1, 0, 1]))
         return curve, FamilyExpectation(
             P=P, Q=Q, inner_order=d - 1, outer_order=d,
             inner_strategy="collineation", outer_strategy="deck",
@@ -528,7 +521,7 @@ def build_family(spec: FamilySpec,
             curve = curve_from_affine(y ** (d - 1) * x + (x + 1) ** d)
             P = ProjPoint(ctx, [0, 1, 0])
             Q = ProjPoint(ctx, [1, 0, 0])
-            param = pencil_parametrization(curve, _pencil_point(curve, ext_cap))
+            param = pencil_parametrization(curve, ProjPoint(ctx, [-1, 0, 1]))
             ell_P = ProjLine(ctx, [0, 1, 0])
         else:
             raise InputError(f"unknown prop4 variant {spec.variant!r}")

@@ -16,14 +16,14 @@ methods are implemented, in decreasing order of authority:
   {sigma in PGL(2) : h o sigma = h} of a rational function h = N/D.  A
   known group is verified, not searched (``verify_deck_group``): each map
   passes the dense identity N^h(at + b, ct + d) D = D^h(at + b, ct + d) N
-  and the maps close to deg h elements; a certified collineation group
-  reaches PGL(2) through the parametrization
+  and the maps generate deg h elements; the generators of a certified
+  collineation group reach PGL(2) through the parametrization
   (``transported_deck_group``).  Otherwise the deck group is enumerated
-  completely (``deck_group``) through the Moebius maps matching three
-  anchor roots of two fibers, found by a seed-free walk over t0 and
-  lifted into one working field as zeros of the straight-lifted fiber,
-  filtered by fiber membership on reps and verified by the same
-  identity.  Order = degree certifies.
+  completely (``deck_group``) through the Moebius maps sending three
+  anchor roots of one fiber (two when deg h = 2), found by a seed-free
+  walk over t0 and lifted into one working field as zeros of the
+  straight-lifted fiber, to distinct roots, filtered by fiber membership
+  on reps and verified by the same identity.  Order = degree certifies.
 * ``monte_carlo`` -- a statistical screen: over an unramified squarefree
   specialization of the fiber polynomial, a Galois cover has all residue
   degrees equal, so two distinct irreducible factor degrees refute
@@ -62,7 +62,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from itertools import count, islice
+from itertools import count, islice, product
 from typing import Optional
 
 from .config import RunConfig
@@ -701,15 +701,15 @@ def _framed_lift(base: FieldCtx, mid: FieldCtx, src: FieldCtx,
     raise SoundnessError("no embedding extends the lift of the base field")
 
 
-def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int,
+def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int, count: int,
                   attempts: int = 32) -> tuple[FieldCtx, list]:
-    """Two squarefree full-degree fibers of F(t, s), split in one field.
+    """``count`` squarefree full-degree fibers of F(t, s), split in one field.
 
     The first ``attempts`` values of ``_walk`` are tried in turn.  A fiber
     over F_(q^j) is kept when it splits over at most ``ext_cap // j``
-    further degrees and the field W holding both fibers' roots has degree
-    at most ``ext_cap`` over F_q.  Returns W and, per fiber, t0 and its
-    roots as reps of W.  Each fiber's t0 and roots reach W by the
+    further degrees and the field W holding the kept fibers' roots has
+    degree at most ``ext_cap`` over F_q.  Returns W and, per fiber, t0 and
+    its roots as reps of W.  Each fiber's t0 and roots reach W by the
     embedding that extends the straight lift of F's field
     (``_framed_lift``), so every root is a zero of F lifted straight into
     W and specialized at t0.
@@ -729,11 +729,12 @@ def _fiber_search(fpoly: Polynomial, n: int, ext_cap: int,
         if found and math.lcm(found[0][1].ext.k, rm.ext.k) > ext_cap * base.k:
             continue
         found.append((t0, rm))
-        if len(found) == 2:
+        if len(found) == count:
             break
     else:
-        raise DegenerateFibers(f"no 2 usable fibers within {attempts} attempts")
-    wctx = common_field(found[0][1].ext, found[1][1].ext)
+        raise DegenerateFibers(f"needs {count} usable fiber(s), found "
+                               f"{len(found)} within {attempts} attempts")
+    wctx = reduce(common_field, (rm.ext for _, rm in found))
     fibers = []
     for t0, rm in found:
         to_w = _framed_lift(base, t0.ctx, rm.ext, wctx)
@@ -762,12 +763,14 @@ def _mobius_through(ctx: FieldCtx, src: tuple, dst: tuple) -> tuple:
 def deck_group(h: RationalMap1D, ext_cap: int = 12) -> FiniteProjectivityGroup:
     """{sigma in PGL(2) : h o sigma = h}, certified complete.
 
-    Two fibers of h are split in one working field (``_fiber_search``);
-    every deck map permutes each fiber, so the Moebius maps through images
-    of three anchor roots exhaust all candidates.  Each candidate is a raw
-    matrix over the working field, every fiber root is finite (the fibers
-    have full degree), and each survivor is verified by the dense identity
-    of ``ratfunc._mobius_fixes``.
+    A deck map permutes each unramified fiber and is determined by the
+    images of three points, so every one is among the maps sending three
+    anchor roots to distinct roots: three of one fiber when n >= 3, two
+    of one and one of another when n = 2 (``_fiber_search``).  Deck(h)
+    acts freely on a fiber, so the scan takes the first map that passes
+    for each image of the first anchor.  Each candidate is a raw matrix
+    over the working field (every fiber root is finite), verified by the
+    dense identity of ``ratfunc._mobius_fixes``.
     """
     n = h.degree()
     if n == 0:
@@ -778,47 +781,47 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12) -> FiniteProjectivityGroup:
     # the fiber over t = v is num(s) - v den(s) = 0
     sv = [Polynomial.variable(base, 2, 1)]
     fpoly = h.num.compose(sv) - Polynomial.variable(base, 2, 0) * h.den.compose(sv)
-    wctx, ((_, r1), (_, r2)) = _fiber_search(fpoly, n, ext_cap)
-    set1, set2 = set(r1), set(r2)
+    wctx, fibers = _fiber_search(fpoly, n, ext_cap, 1 if n >= 3 else 2)
     hw = h.lift_to(wctx)
     num, den = hw.num.to_dense(), hw.den.to_dense()
     add, mul, inv = wctx.add_t, wctx.mul_t, wctx.inv_t
+    roots = [r for _, rs in fibers for r in rs]
+    rset, first, last = set(roots), fibers[0][1], fibers[-1][1]
+    anchors = tuple(roots[:3])
 
-    def permutes(a, b, c, d, roots, rset):
+    def permutes(a, b, c, d):
         for x in roots:
             q = add(mul(c, x), d)
             if not q or mul(add(mul(a, x), b), inv(q)) not in rset:
                 return False
         return True
 
-    anchors = (r1[0], r1[1], r2[0])
-    found = {}
-    for b1 in r1:
-        for b2 in r1:
-            if b1 == b2:
-                continue
-            for b3 in r2:
+    def deck_map(b1):
+        """The deck map sending the first anchor to b1, or None."""
+        for b2, b3 in product(first, last):
+            if len({b1, b2, b3}) == 3:
                 key = _mobius_through(wctx, anchors, (b1, b2, b3))
-                if key in found:
-                    continue
-                if not permutes(*key, r1, set1) or not permutes(*key, r2, set2):
-                    continue
-                if _mobius_fixes(wctx, num, den, *key):
-                    found[key] = Projectivity._invertible(wctx, 2, list(key))
-    return _deck_closure(hw, list(found.values()), base)
+                if permutes(*key) and _mobius_fixes(wctx, num, den, *key):
+                    return Projectivity._invertible(wctx, 2, list(key))
+        return None
+
+    found = [sigma for sigma in map(deck_map, first) if sigma is not None]
+    group = _deck_closure(hw, found, base)
+    if len(group) != len(found):
+        raise ZeroInput("scan returned a non-closed set")  # pragma: no cover
+    return group
 
 
 def _deck_closure(hw: RationalMap1D, found: list[Projectivity],
                   base: FieldCtx) -> FiniteProjectivityGroup:
-    """The group of verified deck maps of hw (over their field): closed
-    with cap deg h, each element re-verified, descended to ``base``.
+    """The group that verified deck maps of hw (over their field)
+    generate: closed with cap deg h, every element re-verified by
+    ``RationalMap1D.invariant_under``, descended to ``base``.
     SoundnessError when the maps generate more than deg h of them."""
     try:
         group = generate_group(found, cap=hw.degree())
     except ClosureCapExceeded:
         raise SoundnessError("deck group order exceeds the degree") from None
-    if len(group) != len(found):
-        raise ZeroInput("scan returned a non-closed set")  # pragma: no cover
     if not all(hw.invariant_under(sigma) for sigma in group.elements):
         raise SoundnessError("a deck map does not preserve the map")
     return group.descend_to(base)
@@ -826,10 +829,12 @@ def _deck_closure(hw: RationalMap1D, found: list[Projectivity],
 
 def verify_deck_group(h: RationalMap1D,
                       maps: list[Projectivity]) -> FiniteProjectivityGroup:
-    """Deck(h) from maps claimed to lie in it, with no search: each map
-    passes the dense identity of ``ratfunc._mobius_fixes``, and their
-    closure (``_deck_closure``) must have order n = deg h.  Then it is all
-    of Deck(h), which has at most n elements.  SoundnessError otherwise."""
+    """Deck(h) from a generating set of maps claimed to lie in it, with no
+    search: each map passes the dense identity of
+    ``ratfunc._mobius_fixes``, and the group they generate
+    (``_deck_closure``, which re-verifies every element) must have order
+    n = deg h.  Then it is all of Deck(h), which has at most n elements.
+    SoundnessError otherwise."""
     n = h.degree()
     wctx = reduce(common_field, (m.ctx for m in maps), h.ctx)
     hw = h.lift_to(wctx)
@@ -850,12 +855,13 @@ def transported_deck_group(group: FiniteProjectivityGroup, center: ProjPoint,
                            ) -> FiniteProjectivityGroup:
     """The deck group in PGL(2) of the projection from ``center``, as the
     image of its certified collineation group: tau = phi^-1 sigma phi for
-    each sigma, phi = (x(t) : y(t) : 1) the parametrization, verified by
-    ``verify_deck_group`` against h = the parametrization composed with
-    rows 0 and 2 of the normalizer, so no fiber is searched.  tau is read
-    off three points of a field W of at least 64 elements (``_transport``),
-    an extension of the group's field G into which phi is lifted through
-    G, and each tau descends back to G."""
+    each generator sigma, phi = (x(t) : y(t) : 1) the parametrization,
+    and the group the taus generate is verified by ``verify_deck_group``
+    against h = the parametrization composed with rows 0 and 2 of the
+    normalizer, so no fiber is searched.  tau is read off three points of
+    a field W of at least 64 elements (``_transport``), an extension of
+    the group's field G into which phi is lifted through G, and each tau
+    descends back to G."""
     x_t, y_t = parametrization
     base = common_field(common_field(center.ctx, x_t.ctx), y_t.ctx)
     h = _projection(_move_center(base, center.lift_to(base))[0],
@@ -867,7 +873,7 @@ def transported_deck_group(group: FiniteProjectivityGroup, center: ProjPoint,
                 for c in f.to_dense()] for f in (m.num, m.den)]
               for m in (x_t, y_t)]
     taus = [_transport(wctx, coords, s.lift_to(gctx).lift_to(wctx))
-            for s in group]
+            for s in group.generators]
     if None in taus:
         raise ZeroInput("no three parameter points to transport a deck map")
     down = [[try_descend(FqElement(wctx, x), gctx) for x in tau]

@@ -21,6 +21,7 @@ from galoispoints.galois import (
     _mobius_through,
     _tame_order,
     central_collineation_group,
+    deck_group,
     fiber_polynomial,
     monte_carlo_galois,
 )
@@ -1444,7 +1445,7 @@ def galois_tame_order_matches_scan(cases=40):
         _check_table(group, table_rng)
         assert group.descend_to(fib.curve.ctx) is group
         try:
-            search = _fiber_search(fib.poly, fib.degree, 4)
+            search = _fiber_search(fib.poly, fib.degree, 4, 2)
         except DegenerateFibers:
             continue
         scan = len(_fiber_permutation_scan(fib.poly, search))
@@ -1877,6 +1878,17 @@ def curve_family_loci_complete(specs):
         assert ok, spec
 
 
+def pencil_point_by_singular_locus(C: PlaneCurve) -> ProjPoint:
+    """The one point of C's whole singular locus, required to have
+    multiplicity d - 1: the oracle for the (d-1)-fold point that the
+    family catalogue names for its pencil curves."""
+    (S, mult), = C.singular_locus().points
+    if mult != C.degree - 1:
+        raise SoundnessError(
+            f"pencil point has multiplicity {mult} != {C.degree - 1}")
+    return S
+
+
 def curve_tangent_multiplicity(cases=500):
     """The tangent line divisor has multiplicity >= 2 at the point."""
     from galoispoints.curve import line_intersection_divisor
@@ -2097,12 +2109,31 @@ def linear_fraction(xmap: RationalMap1D, ymap: RationalMap1D,
     return combo(row_num) / combo(row_den)
 
 
+def _deck_fibers(h: RationalMap1D) -> tuple:
+    """What ``_fiber_search`` returns inside ``galois.deck_group(h)``: the
+    working field and the (t0, roots) fibers."""
+    from galoispoints import galois
+    search, seen = galois._fiber_search, []
+
+    def recorded(*args, **kwargs):
+        seen.append(search(*args, **kwargs))
+        return seen[-1]
+
+    galois._fiber_search = recorded
+    try:
+        galois.deck_group(h)
+    finally:
+        galois._fiber_search = search
+    return seen[0]
+
+
 def galois_deck_fibers_are_zeros(cases=60):
-    """Both fibers ``galois._fiber_search`` returns for the deck search of
-    a random map h = N/D of degree 2 to 5 over a field that is not prime
-    are zeros of F(t0, s) = N(s) - t0 D(s), F lifted straight into the
-    working field: fibers over F_(q^j), j > 1, or splitting in different
-    fields reach it by the embedding that extends the straight lift."""
+    """The fibers ``galois._fiber_search`` returns for the deck search of a
+    random map h = N/D of degree n = 2 to 5 over a field that is not prime
+    are one fiber when n >= 3 and two when n = 2, and every root is a zero
+    of F(t0, s) = N(s) - t0 D(s), F lifted straight into the working
+    field: fibers over F_(q^j), j > 1, or splitting in different fields
+    reach it by the embedding that extends the straight lift."""
     rng = random.Random(2121)
     done = 0
     while done < cases:
@@ -2115,15 +2146,111 @@ def galois_deck_fibers_are_zeros(cases=60):
         if poly_gcd(num, den).degree() > 0:
             continue
         h = RationalMap1D(num, den)
-        s = [Polynomial.variable(F, 2, 1)]
-        fpoly = h.num.compose(s) - Polynomial.variable(F, 2, 0) * h.den.compose(s)
         try:
-            wctx, fibers = _fiber_search(fpoly, n, 12)
+            wctx, fibers = _deck_fibers(h)
         except DegenerateFibers:
             continue
+        assert len(fibers) == (1 if n >= 3 else 2), (F, h)
+        s = [Polynomial.variable(F, 2, 1)]
+        fpoly = h.num.compose(s) - Polynomial.variable(F, 2, 0) * h.den.compose(s)
         rows = _dense_rows(fpoly, wctx)
         for t0, roots in fibers:
             spec = [_u_eval(wctx, row, t0) for row in rows]
             values = [_u_eval(wctx, spec, r) for r in roots]
             assert len(roots) == n and values == [0] * n, (F, h)
         done += 1
+
+
+def _galois_maps(F: FieldCtx) -> list:
+    """Maps of degree 2 to 5 over F that are Galois over the algebraic
+    closure: t^n for p not dividing n (deck maps t -> zeta t, zeta^n = 1,
+    over F only when n | q - 1), and the additive polynomials prod (t - v)
+    over V = F_p and, in characteristic 2, V = {0, 1, g, g + 1} (deck maps
+    t -> t + v, v in V)."""
+    t = RationalMap1D.variable(F)
+    maps = [t ** n for n in range(2, 6) if n % F.p]
+    spaces = [[F.element(a) for a in range(F.p)]] if F.p <= 5 else []
+    if F.p == 2 and F.k > 1:
+        g = F.element(2)
+        spaces.append([F.zero, F.one, g, g + F.one])
+    for V in spaces:
+        acc = RationalMap1D.const(F, 1)
+        for v in V:
+            acc = acc * (t - RationalMap1D.const(F, v))
+        maps.append(acc)
+    return maps
+
+
+def _as_map(sigma: Projectivity) -> RationalMap1D:
+    """(a t + b) / (c t + d) for sigma = [[a, b], [c, d]] in PGL(2)."""
+    (a, b), (c, d) = sigma.mat
+    return RationalMap1D(Polynomial.from_dense(sigma.ctx, [b, a]),
+                         Polynomial.from_dense(sigma.ctx, [d, c]))
+
+
+def _agrees_on_points(h: RationalMap1D, sigma: Projectivity) -> bool:
+    """Whether N(sigma x) D(x) = N(x) D(sigma x) at every x of F with
+    sigma x finite, h = N/D and sigma over F: a necessary condition for
+    h o sigma = h."""
+    F = h.ctx
+    num, den = h.num.to_dense(), h.den.to_dense()
+    add, mul = F.add_t, F.mul_t
+    (a, b), (c, d) = sigma.mat
+    for code in range(F.order):
+        x = F.decode(code)
+        q = add(mul(c, x), d)
+        if q:
+            y = mul(add(mul(a, x), b), F.inv_t(q))
+            if mul(_u_eval(F, num, y), _u_eval(F, den, x)) != \
+                    mul(_u_eval(F, num, x), _u_eval(F, den, y)):
+                return False
+    return True
+
+
+def galois_deck_group_matches_brute(cases=48):
+    """The maps of ``galois.deck_group(h)`` that are defined over F are
+    the brute set {sigma in PGL(2, F) : h o sigma = h} (``pgl2_elements``
+    and ``compose_mobius``), for random h of degree 2 to 5 over F_4, F_5,
+    F_7, F_8, F_9 and F_13.  Half are Galois, h = mu o h0 o tau with h0
+    from ``_galois_maps`` and mu, tau random in PGL(2, F), and their deck
+    group has order deg h; the others are random N/D, whose anchor images
+    mostly have no deck map."""
+    rng = random.Random(2525)
+    fields = [make_field(*f) for f in ((2, 2), (5, 1), (7, 1), (2, 3), (3, 2),
+                                       (13, 1))]
+    pgl2 = {F: pgl2_elements(F) for F in fields}
+    done = galois_cases = 0
+    while done < cases:
+        F = fields[done % len(fields)]
+        els = pgl2[F]
+        is_galois = done // len(fields) % 2 == 0
+        if is_galois:
+            mu, tau = (rng.choice(els) for _ in range(2))
+            h0 = rng.choice(_galois_maps(F))
+            h = compose(compose(_as_map(mu), h0), _as_map(tau))
+        else:
+            n = rng.randrange(2, 6)
+            num = rand_univ(rng, F, n)
+            den = rand_univ(rng, F, rng.randrange(0, n + 1))
+            if poly_gcd(num, den).degree() > 0:
+                continue
+            h = RationalMap1D(num, den)
+        try:
+            G = deck_group(h)
+        except DegenerateFibers:
+            continue
+        n = h.degree()
+        if is_galois:
+            assert len(G) == n, (F, h)
+            galois_cases += 1
+        over_f = set()
+        for g in G.elements:
+            entries = [try_descend(FqElement(G.ctx, c), F)
+                       for row in g.mat for c in row]
+            if None not in entries:
+                over_f.add(Projectivity(F, [entries[:2], entries[2:]]).mat)
+        brute = {s.mat for s in els
+                 if _agrees_on_points(h, s) and compose_mobius(h, s) == h}
+        assert over_f == brute, (F, h)
+        done += 1
+    assert galois_cases >= cases // 3

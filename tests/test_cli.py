@@ -363,8 +363,8 @@ class TestFamily:
         assert count[0] == 122
 
     def test_thm3_quartic_locus_computed_once(self, tmp_path, monkeypatch):
-        # the pencil point of build_family and the mult3_singular_on_ellP
-        # check read one locus kept on the curve
+        # the mult3_singular_on_ellP check reads one locus kept on the
+        # curve, and build_family takes its pencil point from the catalogue
         calls = []
         candidates = curve_mod._affine_singular_candidates
         monkeypatch.setattr(curve_mod, "_affine_singular_candidates",
@@ -373,6 +373,25 @@ class TestFamily:
                             tmp_path)
         assert code == 0 and json.loads(raw)["success"] is True
         assert len(calls) == 1
+
+    def test_rational_families_certify_at_ext_cap_1(self, tmp_path):
+        # the outer deck search splits one fiber when n >= 3, and over F_13
+        # and F_4 the walk meets one that splits over the base field; for
+        # the last three families two such fibers are not found within 32
+        # attempts.  The report is the default-cap report but for the
+        # config echo
+        for name in ("thm3_cubic_f13", "thm3_quartic_f13", "prop4_p2e2_f4",
+                     "prop4_p2e2_f4_power"):
+            reports = []
+            for cap in ([], ["--ext-cap", "1"]):
+                code, raw = run_cli(["family", str(FIXTURES / f"{name}.json")]
+                                    + cap, tmp_path)
+                assert (name, code) == (name, 0)
+                report = json.loads(raw)
+                assert report["outer"]["verdict"] == "certified_galois"
+                report.pop("config")
+                reports.append(report)
+            assert reports[0] == reports[1], name
 
     def test_tame_locus_takes_no_root_of_y_d_plus_1(self, tmp_path):
         # x^3 + y^4 + 1 over F_13: over x0 = 0, the root of f_x = 3 x^2,

@@ -1,12 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+import props
+from galoispoints import families
 from galoispoints.config import RunConfig
+from galoispoints.curve import pencil_parametrization
 from galoispoints.errors import (
     DegenerateOnly,
     FieldTooSmall,
     InputError,
     NotSubgroup,
     ScalingUnstable,
+    ZeroInput,
 )
 from galoispoints.families import (
     FamilySpec,
@@ -16,6 +23,7 @@ from galoispoints.families import (
     verify_family,
 )
 from galoispoints.gf import FqElement, make_field
+from galoispoints.projective import ProjPoint
 
 
 class TestBranchCertificates:
@@ -170,6 +178,44 @@ class TestBuildFamily:
     def test_unknown_tag(self):
         with pytest.raises(InputError):
             FamilySpec.from_dict({"tag": "nope", "field": "13^1"})
+
+
+def _certify_pencil_specs() -> list:
+    """The thm3 and prop4 pencil specs of the certify benchmark."""
+    path = Path(__file__).resolve().parent.parent / "verdictbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return [job["files"]["spec.json"]
+            for jobs in gen.certify_cells().values() for job in jobs
+            if job["argv"][0] == "family"
+            and (job["files"]["spec.json"]["tag"].startswith("thm3")
+                 or job["files"]["spec.json"].get("variant") == "pencil")]
+
+
+class TestPencilPoint:
+    """The thm3 and prop4 pencil curves are parametrized through the
+    catalogue's (d-1)-fold point (-1:0:1), with no singular locus."""
+
+    def test_catalogue_point_is_the_singular_locus(self):
+        specs = _certify_pencil_specs()
+        assert len(specs) >= 20
+        for data in specs:
+            curve, exp = build_family(FamilySpec.from_dict(data))
+            S = props.pencil_point_by_singular_locus(curve)
+            assert S == ProjPoint(curve.ctx, [-1, 0, 1]), data
+            assert pencil_parametrization(curve, S) == exp.parametrization
+
+    def test_wrong_point_raises(self, monkeypatch):
+        # (0:0:1) is not on the curves: multiplicity 0, not d - 1
+        pencil = families.pencil_parametrization
+        monkeypatch.setattr(families, "pencil_parametrization",
+                            lambda C, S: pencil(C, ProjPoint(C.ctx, [0, 0, 1])))
+        for spec in (FamilySpec(tag="thm3_cubic", field="13^1"),
+                     FamilySpec(tag="thm3_quartic", field="13^1"),
+                     FamilySpec(tag="prop4", field="2^2", p=2, e=2)):
+            with pytest.raises(ZeroInput, match="needs multiplicity d-1"):
+                build_family(spec)
 
 
 class TestVerifyFamily:

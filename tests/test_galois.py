@@ -20,6 +20,7 @@ from galoispoints.curve import curve_from_affine, pencil_parametrization, singul
 from galoispoints.errors import (
     AllSpecializationsRamified,
     CenterSingular,
+    DegenerateFibers,
     MissingParametrization,
     SoundnessError,
 )
@@ -279,7 +280,7 @@ class TestCentralCollineations:
         curve = load_curve(str(FIXTURES / "wild_p2e2_f4_perturbed_curve.json"))
         fib = fiber_polynomial(curve, ProjPoint(curve.ctx, [0, 1, 1]))
         base = fib.poly.ctx
-        wctx, fibers = galois._fiber_search(fib.poly, fib.degree, 12)
+        wctx, fibers = galois._fiber_search(fib.poly, fib.degree, 12, 2)
         assert wctx.k == 12
         specialize = _squarefree_specializer(base, fib.rows, fib.degree)
         kept, rejected = [], 0
@@ -338,6 +339,21 @@ class TestDeckGroup:
         t = RationalMap1D.variable(F13)
         G = deck_group(t ** 4)
         assert props.is_closed(G)
+
+    def test_matches_brute_force(self):
+        props.galois_deck_group_matches_brute(60)
+
+    def test_degenerate_fibers_name_how_many_were_needed(self, F4):
+        # every fiber of an inseparable map is a square, so none is usable;
+        # n = 2 needs two fibers and n >= 3 one
+        t = RationalMap1D.variable(F4)
+        with pytest.raises(DegenerateFibers,
+                           match="needs 2 usable fiber.s., found 0 within 32"):
+            deck_group(t * t)
+        t = RationalMap1D.variable(make_field(3))
+        with pytest.raises(DegenerateFibers,
+                           match="needs 1 usable fiber.s., found 0 within 32"):
+            deck_group(t ** 3)
 
 
 class TestDenseExactTests:
@@ -803,7 +819,7 @@ class TestKnownDeckGroups:
     def test_deck_fibers_are_zeros_of_the_straight_lift(self, monkeypatch,
                                                          capsys):
         # h - t0, with h lifted straight into the working field, vanishes
-        # at every root of both fibers that reach the deck scan
+        # at every root of the fiber that reaches the deck scan
         seen, current = [], []
         search, fibers = galois.deck_group, galois._fiber_search
 
@@ -825,6 +841,8 @@ class TestKnownDeckGroups:
         capsys.readouterr()
         assert len(seen) == len(_RATIONAL_FAMILIES)
         for h, (wctx, pairs) in seen:
+            # every outer center has n >= 3: one fiber
+            assert h.degree() >= 3 and len(pairs) == 1
             hw = h.lift_to(wctx)
             num, den = hw.num.to_dense(), hw.den.to_dense()
             for t0, roots in pairs:
@@ -835,16 +853,61 @@ class TestKnownDeckGroups:
                 assert values == [0] * len(roots), (h, wctx)
 
     def test_verifier_needs_the_whole_deck_group(self, F13):
-        # Deck(t^4) over F_13 is t -> i^k t, i^2 = -1: the four maps verify,
-        # and the order-2 subgroup, though each map is a deck map, is no
-        # certificate
+        # Deck(t^4) over F_13 is t -> i^k t, i = 5, i^2 = -1: the four maps
+        # verify, and so does the generator t -> 5t alone; the order-2
+        # subgroup or its generator t -> -t, though each map is a deck map,
+        # is no certificate
         t = RationalMap1D.variable(F13)
         quarter = [Projectivity(F13, [[F13.element(5) ** k, 0], [0, 1]])
                    for k in range(4)]
         G = galois.verify_deck_group(t ** 4, quarter)
         assert len(G) == 4 and G == deck_group(t ** 4)
-        with pytest.raises(SoundnessError, match="not deg h = 4"):
-            galois.verify_deck_group(t ** 4, quarter[::2])
+        assert galois.verify_deck_group(t ** 4, quarter[1:2]) == G
+        for half in (quarter[::2], quarter[2:3]):
+            with pytest.raises(SoundnessError, match="not deg h = 4"):
+                galois.verify_deck_group(t ** 4, half)
+
+    def test_verifier_rejects_a_generator_off_the_group_under_optimize(self):
+        # t -> 2t is no deck map of t^4 over F_13 (2^4 = 3): with -O the
+        # verifier raises on it, also beside a true generator
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "from galoispoints import galois\n"
+            "from galoispoints.errors import SoundnessError\n"
+            "from galoispoints.gf import make_field\n"
+            "from galoispoints.projective import Projectivity\n"
+            "from galoispoints.ratfunc import RationalMap1D\n"
+            "assert False, 'asserts are live'\n"
+            "F = make_field(13)\n"
+            "t = RationalMap1D.variable(F)\n"
+            "for c in ([2], [5, 2]):\n"
+            "    try:\n"
+            "        galois.verify_deck_group(t ** 4, [Projectivity(F, "
+            "[[a, 0], [0, 1]]) for a in c])\n"
+            "    except SoundnessError as exc:\n"
+            "        print(exc)\n")
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, check=True,
+                             env=dict(os.environ, PYTHONPATH=str(src)))
+        assert out.stdout.splitlines() == [
+            "a known deck map fails the exact test"] * 2
+
+    def test_only_generators_are_transported(self, monkeypatch):
+        # the inner groups of the thm3 quartic and of prop4 over F_4 are
+        # cyclic of order 3: one generator, one transport
+        calls = []
+        transport = galois._transport
+        monkeypatch.setattr(galois, "_transport", lambda *args: calls.append(
+            1) or transport(*args))
+        from galoispoints.families import FamilySpec, build_family
+        for spec in (FamilySpec(tag="thm3_quartic", field="13^1"),
+                     FamilySpec(tag="prop4", field="2^2", p=2, e=2)):
+            calls.clear()
+            curve, exp = build_family(spec)
+            rep = is_galois_point(curve, exp.P, strategy="collineation")
+            G = galois.transported_deck_group(rep.group, exp.P,
+                                              exp.parametrization)
+            assert len(G) == 3 and len(rep.group.generators) == len(calls) == 1
 
     def test_random_deck_fibers_are_zeros_over_extension_bases(self):
         props.galois_deck_fibers_are_zeros(60)
