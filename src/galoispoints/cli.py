@@ -46,7 +46,7 @@ from .galois import GaloisReport, is_galois_point
 from .gf import FieldCtx, parse_field_spec
 from .polyring import parse_poly
 from .projective import Projectivity, ProjPoint, generate_group, product_structure
-from .schema import validate_report
+from .schema import dump_report
 
 
 # RunConfig's integer knobs: each is a --flag, echoed in a report's "config"
@@ -58,8 +58,7 @@ def _emit(payload: dict, kind: str, cfg: RunConfig) -> str:
     report["kind"] = kind
     report["tool"] = {"name": "galoispoints", "version": __version__}
     report["config"] = {k.name: getattr(cfg, k.name) for k in _KNOBS}
-    validate_report(kind, payload)
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
+    return dump_report(kind, report)
 
 
 def _write(text: str, cfg: RunConfig) -> None:
@@ -358,14 +357,12 @@ def dispatch(argv: Optional[list] = None) -> int:
             raise InputError(str(exc)) from None
         return args.func(args, cfg)
     except InputError as exc:
-        sys.stderr.write(json.dumps(
-            {"kind": "error", "error": "InputError", "message": str(exc)},
-            sort_keys=True, indent=2) + "\n")
+        sys.stderr.write(dump_report("error", {
+            "kind": "error", "error": "InputError", "message": str(exc)}))
         return 1
     except GaloisPointError as exc:
-        sys.stderr.write(json.dumps(
-            {"kind": "error", "error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True, indent=2) + "\n")
+        sys.stderr.write(dump_report("error", {
+            "kind": "error", "error": type(exc).__name__, "message": str(exc)}))
         return 2
 
 

@@ -272,10 +272,18 @@ class Projectivity:
         raise ClosureCapExceeded(f"element order exceeds {cap}")
 
     def lift_to(self, ctx2: FieldCtx) -> "Projectivity":
+        """The same projectivity over an extension.  A field embedding is
+        an injective ring map: it keeps the leading 1 of the normalized
+        matrix and a nonzero determinant, so the lifted reps need neither
+        normalization nor a determinant check."""
         if ctx2 == self.ctx:
             return self
-        return Projectivity(ctx2, [[lift(FqElement(self.ctx, c), ctx2)
-                                    for c in row] for row in self.mat])
+        ctx = self.ctx
+        g = object.__new__(Projectivity)
+        g.ctx, g.n = ctx2, self.n
+        g.mat = tuple(tuple(lift(FqElement(ctx, c), ctx2).rep for c in row)
+                      for row in self.mat)
+        return g
 
     def apply(self, x: ProjPoint) -> ProjPoint:
         """Normalized image g(x); auto-embeds into a common extension."""
@@ -658,6 +666,9 @@ def product_structure(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
     """
     if G1.n != G2.n:
         raise DimensionMismatch("groups act on different spaces")
+    # lifted once: J lives over ctx, so positions() lifts nothing again
+    ctx = common_field(G1.ctx, G2.ctx)
+    G1, G2 = G1.lift_to(ctx), G2.lift_to(ctx)
     J = _factorized_joint(G1, G2, cap)
     factorized = J is not None
     if not factorized:
@@ -687,7 +698,7 @@ def product_structure(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
 def _factorized_joint(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
                       cap: int) -> Optional[FiniteProjectivityGroup]:
     """J = <G1 u G2> as the product set G1 G2 = {a b}, or None when that
-    set is not shown to be a group.
+    set is not shown to be a group; G1 and G2 share one context.
 
     It is one when its |G1| |G2| products are distinct and b g lies in it
     for every b in G2 and kept generator g of G1: then (a b) g =
@@ -701,8 +712,6 @@ def _factorized_joint(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
     n2 = len(G2)
     if len(G1) * n2 > cap:
         return None
-    ctx = common_field(G1.ctx, G2.ctx)
-    G1, G2 = G1.lift_to(ctx), G2.lift_to(ctx)
     e1, gens1, _, words1 = G1.table()
     e2, gens2, cols2, words2 = G2.table()
     elements = [b if i == e1 else a if k == e2 else a * b
@@ -729,7 +738,7 @@ def _factorized_joint(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
     gens = [g * n2 + e2 for g in gens1] + [e1 * n2 + h for h in gens2]
     table = (e1 * n2 + e2, gens, cols, words)
     return FiniteProjectivityGroup(
-        ctx, G1.n, elements,
+        G1.ctx, G1.n, elements,
         [elements[g] for g in gens] or [elements[table[0]]], table)
 
 

@@ -1,15 +1,22 @@
-"""Bundled JSON schemas for every report the CLI emits, plus a validator.
+"""Bundled JSON schemas for every report the CLI emits, and their writer.
 
 The schemas use a small, self-contained subset of JSON Schema (type,
-properties, required, items, enum); ``validate`` walks an object against a
-schema and raises ``SchemaError`` with a path on the first violation.
-Every report is validated before being written, and the test suite
-validates golden outputs against these same definitions.
+properties, required, items, enum).  Each schema is compiled once into a
+tree of closures that walks a report, applies every rule and writes the
+report's text in the same pass: the bytes ``json.dumps`` writes with
+``sort_keys=True`` and ``indent=2``.  The first violation raises
+``SchemaError`` with its path, and nothing is written.  ``dump_report``
+is that writer, so every report is validated as it is written;
+``validate`` and ``validate_report`` run the same walk and drop its text,
+and the test suite validates golden outputs with them.  Subtrees the
+schemas leave free (``witness``, ``params``, ...) and keys no schema
+names go through a plain sorted indent-2 writer.
 """
 
 from __future__ import annotations
 
-from typing import Any
+import json.encoder
+from typing import Any, Callable, Optional
 
 
 class SchemaError(Exception):
@@ -199,6 +206,7 @@ SCHEMAS = {
     "error": ERROR_REPORT,
 }
 
+
 _TYPES = {
     "object": dict,
     "array": list,
@@ -208,42 +216,269 @@ _TYPES = {
     "null": type(None),
 }
 
+_ESC = json.encoder.encode_basestring_ascii     # the C escaper
+_INF = float("inf")
+_BOOLS = {True: "true", False: "false"}
 
-def _check_type(value: Any, expected, path: str) -> None:
-    types = expected if isinstance(expected, list) else [expected]
-    ok = False
-    for t in types:
-        py = _TYPES[t]
-        if py is int:
-            if isinstance(value, int) and not isinstance(value, bool):
-                ok = True
-        elif isinstance(value, py):
-            ok = True
-    if not ok:
-        raise SchemaError(f"{path}: expected {types}, got {type(value).__name__}")
+# A compiled node: write(value, indent) -> the value's indent=2 text
+Writer = Callable[[Any, str], str]
+
+
+class _Violation(Exception):
+    """The first violation a walk meets: the message after the path, and
+    the path's segments, innermost first, added only as the walk unwinds."""
+
+    def __init__(self, tail: str):
+        self.tail = tail
+        self.segments: list = []
+
+
+def _float(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == _INF:
+        return "Infinity"
+    if v == -_INF:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+# The text of a scalar of exactly one of these classes
+_SCALARS = {str: _ESC, int: int.__repr__, bool: _BOOLS.__getitem__,
+            type(None): lambda v: "null", float: _float}
+
+
+def _key(k) -> str:
+    """A dict key as ``json`` writes it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
+
+
+def _plain(v: Any, ind: str) -> str:
+    """The text ``json.dumps`` writes for v with ``sort_keys=True`` and
+    ``indent=2``, at indentation ``ind``, for the subtrees no schema
+    describes."""
+    scalar = _SCALARS.get(v.__class__)
+    if scalar is not None:
+        return scalar(v)
+    # subclasses: None and bool have none
+    if isinstance(v, str):
+        return _ESC(v)
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        return _float(v)
+    inner = ind + "  "
+    get = _SCALARS.get
+    if isinstance(v, (list, tuple)):
+        if not v:
+            return "[]"
+        parts = [f(x) if (f := get(x.__class__)) else _plain(x, inner)
+                 for x in v]
+        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        parts = [_ESC(k if k.__class__ is str else _key(k)) + ": "
+                 + (f(x) if (f := get(x.__class__)) else _plain(x, inner))
+                 for k, x in sorted(v.items())]
+        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}}}"
+    raise TypeError(f"Object of type {v.__class__.__name__} "
+                    "is not JSON serializable")
+
+
+class _Node:
+    """A compiled schema node.  ``write`` writes a value or raises
+    _Violation; a value whose exact class has a formatter in ``fmts``
+    that gives a text needs no call of ``write`` (a leaf's shortcut)."""
+
+    __slots__ = ("write", "fmts")
+
+    def __init__(self, write: Writer, fmts: Optional[dict] = None):
+        self.write, self.fmts = write, fmts or {}
+
+
+def _object_writer(required: tuple, props: dict, full: Writer) -> Writer:
+    """A dict with its required keys and the nodes of its named
+    properties; any other key is written plain.  A dict is written by the
+    plan of its key tuple, (key, '"key": ', node) in sorted key order,
+    made once its required keys are checked; the plans of up to
+    ``_PLANS`` tuples of str keys are kept.  A value of another class goes
+    to ``full``, which passes ``checked`` for a dict subclass."""
+    plans: dict = {}
+    free = _Node(_plain, _SCALARS)
+
+    def write(v: Any, ind: str, checked: bool = False) -> str:
+        if v.__class__ is not dict and not checked:
+            return full(v, ind)
+        keys = tuple(v)
+        plan = plans.get(keys)
+        if plan is None:
+            for req in required:
+                if req not in v:
+                    raise _Violation(f"missing required key {req!r}")
+            plan = [(k, _ESC(_key(k)) + ": ", props.get(k, free))
+                    for k, _ in sorted(v.items())]
+            # (1,) == (True,), but json writes those keys apart
+            if len(plans) < _PLANS and set(map(type, keys)) <= {str}:
+                plans[keys] = plan
+        if not plan:
+            return "{}"
+        inner = ind + "  "
+        parts = []
+        key = None
+        try:
+            for key, prefix, node in plan:
+                val = v[key]
+                fmt = node.fmts.get(val.__class__)
+                parts.append(prefix + (fmt and fmt(val)
+                                       or node.write(val, inner)))
+        except _Violation as exc:
+            exc.segments.append(f".{key}")
+            raise
+        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}}}"
+    return write
+
+
+def _array_writer(item: _Node, ints: bool, full: Writer) -> Writer:
+    """A list of items; a list of plain ints, when the items are
+    integers, is checked and written in one join.  A value of another
+    class goes to ``full``, which passes ``checked`` for a list
+    subclass."""
+    fmts, write_item = item.fmts, item.write
+
+    def write(v: Any, ind: str, checked: bool = False) -> str:
+        if v.__class__ is not list and not checked:
+            return full(v, ind)
+        if not v:
+            return "[]"
+        inner = ind + "  "
+        sep = f",\n{inner}"
+        if ints and set(map(type, v)) == {int}:
+            return f"[\n{inner}" + sep.join(map(int.__repr__, v)) + f"\n{ind}]"
+        parts = []
+        i = 0
+        try:
+            for i, x in enumerate(v):
+                fmt = fmts.get(x.__class__)
+                parts.append(fmt and fmt(x) or write_item(x, inner))
+        except _Violation as exc:
+            exc.segments.append(f"[{i}]")
+            raise
+        return f"[\n{inner}" + sep.join(parts) + f"\n{ind}]"
+    return write
+
+
+def _compile(schema: dict) -> _Node:
+    """The node of one schema.  ``full`` applies the rules in order (type,
+    null, enum, then required and properties of a dict or the items of a
+    list); the node's writer and shortcut skip steps only for values of
+    an exact class whose outcome they already know."""
+    types = schema.get("type")
+    if isinstance(types, str):
+        types = [types]
+    enum = schema.get("enum")
+    required = tuple(schema.get("required", ()))
+    props = {k: _node(sub) for k, sub in schema.get("properties", {}).items()}
+    others = tuple(_TYPES[t] for t in types or () if t != "integer")
+    ints = types is not None and "integer" in types
+    obj = arr = None
+
+    def full(v: Any, ind: str) -> str:
+        if types is not None and not (
+                isinstance(v, others)
+                or ints and isinstance(v, int) and v.__class__ is not bool):
+            raise _Violation(f"expected {types}, got {type(v).__name__}")
+        if v is None:
+            return "null"
+        if enum is not None and v not in enum:
+            raise _Violation(f"{v!r} not in {enum}")
+        if obj is not None and isinstance(v, dict):
+            return obj(v, ind, True)
+        if arr is not None and isinstance(v, list):
+            return arr(v, ind, True)
+        return _plain(v, ind)
+
+    if required or props:
+        obj = _object_writer(required, props, full)
+    if "items" in schema:
+        arr = _array_writer(_node(schema["items"]),
+                            schema["items"] == {"type": "integer"}, full)
+    cls = _TYPES[types[0]] if types else None
+    fmts: dict = {}
+    write = full
+    if enum is not None:
+        # a listed str or int of the first type is written as it stands
+        if cls in (str, int):
+            fmts[cls] = {e: _plain(e, "") for e in enum
+                         if e.__class__ is cls}.get
+    elif cls in (str, int, bool):
+        fmts[cls] = _SCALARS[cls]
+    elif obj is not None and (types is None or "object" in types):
+        write = obj
+    elif arr is not None and (types is None or "array" in types):
+        write = arr
+    elif cls in (dict, list) and obj is None and arr is None:
+        def write(v: Any, ind: str) -> str:
+            return _plain(v, ind) if v.__class__ is cls else full(v, ind)
+    if types and "null" in types:
+        fmts[type(None)] = _SCALARS[type(None)]
+    return _Node(write, fmts)
+
+
+_PLANS = 16
+# Compiled nodes by id(schema), each kept with its schema
+_COMPILED: dict = {}
+
+
+def _node(schema: dict) -> _Node:
+    hit = _COMPILED.get(id(schema))
+    if hit is None or hit[0] is not schema:
+        hit = _COMPILED[id(schema)] = (schema, _compile(schema))
+    return hit[1]
+
+
+_WRITERS = {kind: _node(schema).write for kind, schema in SCHEMAS.items()}
+
+
+def _walk(write: Writer, obj: Any, path: str) -> str:
+    try:
+        return write(obj, "")
+    except _Violation as exc:
+        raise SchemaError(path + "".join(reversed(exc.segments))
+                          + ": " + exc.tail) from None
+
+
+def _report_writer(kind: str) -> Writer:
+    if kind not in _WRITERS:
+        raise SchemaError(f"unknown report kind {kind!r}")
+    return _WRITERS[kind]
 
 
 def validate(obj: Any, schema: dict, path: str = "$") -> None:
     """Validate obj against a schema subset; raises SchemaError on failure."""
-    if "type" in schema:
-        _check_type(obj, schema["type"], path)
-    if obj is None:
-        return
-    if "enum" in schema and obj not in schema["enum"]:
-        raise SchemaError(f"{path}: {obj!r} not in {schema['enum']}")
-    if isinstance(obj, dict):
-        for req in schema.get("required", []):
-            if req not in obj:
-                raise SchemaError(f"{path}: missing required key {req!r}")
-        for key, sub in schema.get("properties", {}).items():
-            if key in obj:
-                validate(obj[key], sub, f"{path}.{key}")
-    if isinstance(obj, list) and "items" in schema:
-        for i, item in enumerate(obj):
-            validate(item, schema["items"], f"{path}[{i}]")
+    _walk(_node(schema).write, obj, path)
 
 
 def validate_report(kind: str, obj: Any) -> None:
-    if kind not in SCHEMAS:
-        raise SchemaError(f"unknown report kind {kind!r}")
-    validate(obj, SCHEMAS[kind])
+    _walk(_report_writer(kind), obj, "$")
+
+
+def dump_report(kind: str, report: Any) -> str:
+    """The report validated against the schema of ``kind`` and written:
+    exactly what ``json.dumps`` writes with ``sort_keys=True`` and
+    ``indent=2``, plus a newline.  Raises SchemaError on the first
+    violation, before anything is written."""
+    return _walk(_report_writer(kind), report, "$") + "\n"

@@ -7,6 +7,7 @@ them at lower counts for quick iteration.
 """
 
 import itertools
+import json
 import math
 import random
 
@@ -66,6 +67,7 @@ from galoispoints.polyring import (
 )
 from galoispoints.errors import ClosureCapExceeded
 from galoispoints.ratfunc import RationalMap1D
+from galoispoints.schema import SCHEMAS, dump_report, validate_report
 from galoispoints.projective import (
     FiniteProjectivityGroup,
     Projectivity,
@@ -852,6 +854,26 @@ def projective_identify_conjugation_stable(cases=500):
                 continue
         tag_h, tag = identify_group(G.conjugate(h)).tag, identify_group(G).tag
         assert tag_h == tag
+
+
+# (p, k, k2): lifts from F_{p^k} to F_{p^k2}, binary, odd and prime
+LIFT_PAIRS = [(2, 1, 2), (2, 2, 4), (3, 1, 2), (5, 2, 4), (13, 1, 2)]
+
+
+def projective_lift_matches_constructor(cases=500):
+    """Projectivity.lift_to, which writes the lifted reps without
+    normalizing them or checking the determinant, equals the constructor
+    on the lifted rows, in PGL(2) and PGL(3)."""
+    rng = random.Random(305)
+    for i in range(cases):
+        p, k, k2 = LIFT_PAIRS[i % len(LIFT_PAIRS)]
+        ctx, ctx2 = make_field(p, k), make_field(p, k2)
+        g = _random_projectivity(rng, ctx, 2 + i % 2)
+        rows = [[lift(FqElement(ctx, c), ctx2) for c in row] for row in g.mat]
+        lifted = g.lift_to(ctx2)
+        assert lifted == Projectivity(ctx2, rows), (g, ctx2)
+        assert (lifted.ctx, lifted.n) == (ctx2, g.n)
+        assert lifted.lift_to(ctx2) is lifted
 
 
 def _to_standard(pts):
@@ -2254,3 +2276,101 @@ def galois_deck_group_matches_brute(cases=48):
         assert over_f == brute, (F, h)
         done += 1
     assert galois_cases >= cases // 3
+
+
+# ---------------------------------------------------------------------------
+# schema: the report writer against json.dumps
+# ---------------------------------------------------------------------------
+
+# Strings json escapes: quotes, backslashes, control characters, non-ASCII
+# in and beyond the basic plane, separators JavaScript treats as newlines
+AWKWARD_TEXT = ["", "plain", 'quote " and back \\ slash', "tab\tnew\nline",
+                "nul \x00 bell \x07 esc \x1b del \x7f", "naïve Ω ∞",
+                "F_{3^2} ⊂ F_{3^4}", "\u2028\u2029", "emoji \U0001F600",
+                "\udcff lone surrogate"]
+AWKWARD_INTS = [0, 1, -1, 2 ** 31, -2 ** 63, 10 ** 40, -(10 ** 40) - 7]
+AWKWARD_FLOATS = [0.5, -0.0, 1e300, -2.5e-300, float("inf"),
+                  float("-inf"), float("nan")]
+
+
+def json_text(obj) -> str:
+    """The reference bytes the CLI writes for a report."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def _random_text(rng):
+    if rng.random() < 0.5:
+        return rng.choice(AWKWARD_TEXT)
+    ranges = [(32, 127), (0, 32), (127, 0x3000), (0x10000, 0x10400)]
+    return "".join(chr(rng.randrange(*rng.choice(ranges)))
+                   for _ in range(rng.randrange(8)))
+
+
+def _random_int(rng):
+    return rng.choice(AWKWARD_INTS + [rng.randrange(-10 ** 6, 10 ** 6)])
+
+
+def _random_free(rng, depth=0):
+    """A value for a subtree no schema describes: scalars, lists, tuples,
+    and dicts keyed by str, int or float (one key type per dict, as the
+    sorted writers need)."""
+    r = rng.random()
+    if depth >= 3 or r < 0.5:
+        return rng.choice([_random_text(rng), _random_int(rng), None, True,
+                           False, rng.choice(AWKWARD_FLOATS)])
+    size = rng.randrange(4)
+    if r < 0.75:
+        items = [_random_free(rng, depth + 1) for _ in range(size)]
+        return tuple(items) if rng.random() < 0.2 else items
+    key = rng.choice([_random_text, _random_int,
+                      lambda rng: rng.choice(AWKWARD_FLOATS[:4])])
+    return {key(rng): _random_free(rng, depth + 1) for _ in range(size)}
+
+
+def random_payload(rng, schema):
+    """A random value that satisfies ``schema``: every required key, most
+    optional ones, now and then a key no schema names, in shuffled
+    insertion order."""
+    if "enum" in schema:
+        return rng.choice(schema["enum"])
+    types = schema["type"]
+    kind = rng.choice(types if isinstance(types, list) else [types])
+    if kind == "null":
+        return None
+    if kind == "string":
+        return _random_text(rng)
+    if kind == "integer":
+        return _random_int(rng)
+    if kind == "boolean":
+        return rng.random() < 0.5
+    if kind == "array":
+        item = schema.get("items")
+        return [random_payload(rng, item) if item else _random_free(rng)
+                for _ in range(rng.randrange(5))]
+    props, required = schema.get("properties", {}), schema.get("required", [])
+    if not props:
+        return {_random_text(rng): _random_free(rng)
+                for _ in range(rng.randrange(4))}
+    keys = [k for k in props if k in required or rng.random() < 0.7]
+    if rng.random() < 0.3:
+        keys.append("extra_" + _random_text(rng))
+    rng.shuffle(keys)
+    return {k: random_payload(rng, props[k]) if k in props
+            else _random_free(rng) for k in keys}
+
+
+def schema_writer_matches_json(cases=500):
+    """dump_report writes the bytes of json.dumps(sort_keys=True,
+    indent=2) for random valid payloads of every report kind, with the
+    kind, tool and config keys the CLI adds, and validates them."""
+    rng = random.Random(1201)
+    kinds = sorted(SCHEMAS)
+    for i in range(cases):
+        kind = kinds[i % len(kinds)]
+        report = random_payload(rng, SCHEMAS[kind])
+        if rng.random() < 0.8:
+            report.update(kind=kind, tool={"name": "galoispoints",
+                                           "version": "0.1.0"},
+                          config={"trials": 64, "seed": _random_int(rng)})
+        assert dump_report(kind, report) == json_text(report), (kind, report)
+        validate_report(kind, report)

@@ -11,11 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import props
+from galoispoints import cli
 from galoispoints import curve as curve_mod
 from galoispoints.cli import dispatch
 from galoispoints.config import RunConfig
 from galoispoints.projective import Projectivity
-from galoispoints.schema import SCHEMAS, SchemaError, validate, validate_report
+from galoispoints.schema import (SCHEMAS, SchemaError, dump_report, validate,
+                                 validate_report)
 
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -602,6 +605,179 @@ class TestSchemas:
     def test_bool_is_not_integer(self):
         with pytest.raises(SchemaError):
             validate({"error": "X", "message": True}, SCHEMAS["error"])
+
+
+_DELETE = object()
+# One violation each on a golden report: the path and the value put there
+# (_DELETE removes the key), and the exact SchemaError text that
+# validation gave before the writer took it over.
+_MUTATIONS = [
+    ("golden_family_thm3_cubic_f13.json", ("inner", "verdict"), "maybe",
+     "$.inner.verdict: 'maybe' not in ['certified_galois', "
+     "'certified_not_galois', 'probably_galois', 'inconclusive']"),
+    ("golden_family_thm3_cubic_f13.json", ("joint", "classification"),
+     _DELETE, "$.joint: missing required key 'classification'"),
+    ("golden_family_thm3_cubic_f13.json",
+     ("inner", "group", "elements", 1, 2), True,
+     "$.inner.group.elements[1][2]: expected ['integer'], got bool"),
+    ("golden_family_thm3_cubic_f13.json", ("checks", 0, "passed"), 1,
+     "$.checks[0].passed: expected ['boolean'], got int"),
+    ("golden_family_thm3_cubic_f13.json", ("curve", "modulus"), "1,0",
+     "$.curve.modulus: expected ['array'], got str"),
+    ("golden_family_thm3_cubic_f13.json", ("lemma_line",), [],
+     "$.lemma_line: expected ['object'], got list"),
+    ("golden_family_thm3_cubic_f13.json", ("inner", "point"), None,
+     "$.inner.point: expected ['object'], got NoneType"),
+    ("golden_family_thm3_cubic_f13.json", ("joint", "joint_descriptor"), None,
+     "$.joint.joint_descriptor: expected ['object'], got NoneType"),
+    ("golden_pair_tame_d5_f19.json", ("outer", "point_class"), "middle",
+     "$.outer.point_class: 'middle' not in ['inner', 'outer', 'invalid']"),
+    ("golden_pair_tame_d5_f19.json", ("lemma_line", "is_dP"), _DELETE,
+     "$.lemma_line: missing required key 'is_dP'"),
+    ("golden_pair_tame_d5_f19.json", ("inner", "point", "coords", 0), False,
+     "$.inner.point.coords[0]: expected ['integer'], got bool"),
+    ("golden_pair_tame_d5_f19.json", ("joint", "g2_normal"), 0,
+     "$.joint.g2_normal: expected ['boolean'], got int"),
+    ("golden_pair_tame_d5_f19.json", ("inner", "notes"), {"0": "note"},
+     "$.inner.notes: expected ['array'], got dict"),
+    ("golden_pair_tame_d5_f19.json", ("outer", "trials"), None,
+     "$.outer.trials: expected ['integer'], got NoneType"),
+    ("golden_embed_toy_conic_f13.json", ("inner_report", "method"), "guess",
+     "$.inner_report.method: 'guess' not in ['collineation', 'deck', "
+     "'monte_carlo', None]"),
+    ("golden_embed_toy_conic_f13.json", ("curve", "assume_irreducible"),
+     _DELETE, "$.curve: missing required key 'assume_irreducible'"),
+    ("golden_embed_toy_conic_f13.json", ("image_P", 0), True,
+     "$.image_P[0]: expected ['integer'], got bool"),
+    ("golden_embed_toy_conic_f13.json", ("curve", "assume_irreducible"), 1,
+     "$.curve.assume_irreducible: expected ['boolean'], got int"),
+    ("golden_embed_toy_conic_f13.json", ("checks", 0), ["name"],
+     "$.checks[0]: expected ['object'], got list"),
+    ("golden_embed_toy_conic_f13.json", ("field",), None,
+     "$.field: expected ['string'], got NoneType"),
+]
+
+
+def _golden(name: str) -> dict:
+    return json.loads((FIXTURES / name).read_text())
+
+
+class TestSchemaParity:
+    """validate, validate_report and the writer share one walk: a single
+    violation gives the same SchemaError text through each."""
+
+    @pytest.mark.parametrize("name, path, value, message", _MUTATIONS)
+    def test_single_mutation(self, name, path, value, message):
+        report = _golden(name)
+        node = report
+        for key in path[:-1]:
+            node = node[key]
+        if value is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = value
+        kind = report["kind"]
+        for check in (lambda: validate(report, SCHEMAS[kind]),
+                      lambda: validate_report(kind, report),
+                      lambda: dump_report(kind, report)):
+            with pytest.raises(SchemaError) as exc:
+                check()
+            assert str(exc.value) == message
+
+    def test_invalid_payload_writes_nothing(self, monkeypatch, capsys):
+        class BadCertificate:
+            def to_jsonable(self):
+                return dict(_golden("golden_branch_d3_f13.json"), d=5)
+
+        monkeypatch.setattr(cli, "branch_certificate",
+                            lambda d, ctx, ext_cap: BadCertificate())
+        with pytest.raises(SchemaError, match=r"^\$\.d: 5 not in \[3, 4\]$"):
+            dispatch(["branch", "--d", "3", "--field", "13^1"])
+        assert capsys.readouterr() == ("", "")
+
+    def test_unknown_kind(self):
+        with pytest.raises(SchemaError, match="unknown report kind 'nope'"):
+            dump_report("nope", {})
+
+
+class TestReportWriter:
+    """dump_report writes exactly json.dumps(sort_keys=True, indent=2)
+    plus a newline."""
+
+    @pytest.mark.parametrize("path", sorted(FIXTURES.glob("golden_*.json")),
+                             ids=lambda path: path.stem)
+    def test_golden_bytes(self, path):
+        raw = path.read_text()
+        report = json.loads(raw)
+        assert dump_report(report["kind"], report) == raw
+
+    def test_random_payloads(self):
+        props.schema_writer_matches_json(300)
+
+    def test_awkward_values(self):
+        report = _golden("golden_family_thm3_cubic_f13.json")
+        report["inner"]["notes"] = props.AWKWARD_TEXT
+        report["inner"]["trials"] = -(10 ** 40)
+        report["inner"]["projection_degree"] = 2 ** 64
+        report["inner"]["witness"] = {3: [], -1: {}, 10: props.AWKWARD_INTS}
+        report["outer"].update(group=None, descriptor=None, witness=None,
+                               method=None, notes=[])
+        report["joint"]["joint_descriptor"]["element_order_histogram"] = {
+            10: 4, 2: 1, 1: 1}
+        report["joint"]["joint_descriptor"]["params"] = {"floats": [
+            x for x in props.AWKWARD_FLOATS], "t": (1, "x")}
+        report["checks"] = [{"name": "", "passed": False, "expected": {},
+                             "got": [[], {}, None]}]
+        report["curve"]["modulus"] = []
+        report["config"] = {}
+        for kind, payload in (
+                ("family_verdict", report),
+                ("error", {"kind": "error", "error": "InputError",
+                           "message": "".join(props.AWKWARD_TEXT)})):
+            assert dump_report(kind, payload) == props.json_text(payload)
+
+    @pytest.mark.parametrize("workload", ["census", "certify", "refute"])
+    def test_real_reports(self, monkeypatch, tmp_path, workload):
+        # every report of one pass over seed 7's timed benchmark jobs
+        sys.path.insert(0, str(ROOT / "verdictbench"))
+        try:
+            import gen
+            import worker
+        finally:
+            sys.path.remove(str(ROOT / "verdictbench"))
+        written = []
+
+        def checked(kind, report):
+            text = dump_report(kind, report)
+            written.append(text == props.json_text(report))
+            return text
+
+        monkeypatch.setattr(cli, "dump_report", checked)
+        jobs = gen.generate(workload, 7)
+        for i, job in enumerate(jobs):
+            if not job["before"]:
+                worker.run_job(cli, worker.prepare(i, job, tmp_path), 60.0)
+        assert len(written) == sum(not job["before"] for job in jobs)
+        assert all(written)
+
+
+class TestErrorBytes:
+    """The JSON errors dispatch writes on stderr, byte for byte."""
+
+    def test_input_error_exit_1(self, capsys):
+        code = dispatch(["check", "nö\tpe.json", "--point", "0:1:0"])
+        assert code == 1
+        assert capsys.readouterr() == ("", (
+            '{\n  "error": "InputError",\n  "kind": "error",\n'
+            '  "message": "no such file: n\\u00f6\\tpe.json"\n}\n'))
+
+    def test_galois_point_error_exit_2(self, capsys):
+        code = dispatch(["embed", str(FIXTURES / "groups_a4_f13.json"),
+                         "--closure-cap", "2"])
+        assert code == 2
+        assert capsys.readouterr() == ("", (
+            '{\n  "error": "ClosureCapExceeded",\n  "kind": "error",\n'
+            '  "message": "group closure exceeded cap 2"\n}\n'))
 
 
 # Fuzzed CLI runs over fields small enough that each one stays well under a

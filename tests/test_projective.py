@@ -249,3 +249,6 @@ class TestProperties:
 
     def test_table_matches_matrices(self):
         props.projective_table(500)
+
+    def test_lift_matches_constructor(self):
+        props.projective_lift_matches_constructor(500)
