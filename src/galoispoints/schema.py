@@ -16,7 +16,7 @@ names go through a plain sorted indent-2 writer.
 from __future__ import annotations
 
 import json.encoder
-from typing import Any, Callable, Optional
+from typing import Any, Callable
 
 
 class SchemaError(Exception):
@@ -220,7 +220,7 @@ _ESC = json.encoder.encode_basestring_ascii     # the C escaper
 _INF = float("inf")
 _BOOLS = {True: "true", False: "false"}
 
-# A compiled node: write(value, indent) -> the value's indent=2 text
+# A compiled writer: write(value, indent) -> the value's indent=2 text
 Writer = Callable[[Any, str], str]
 
 
@@ -281,18 +281,15 @@ def _plain(v: Any, ind: str) -> str:
     if isinstance(v, float):
         return _float(v)
     inner = ind + "  "
-    get = _SCALARS.get
     if isinstance(v, (list, tuple)):
         if not v:
             return "[]"
-        parts = [f(x) if (f := get(x.__class__)) else _plain(x, inner)
-                 for x in v]
-        return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}]"
+        return (f"[\n{inner}" + f",\n{inner}".join([_plain(x, inner) for x in v])
+                + f"\n{ind}]")
     if isinstance(v, dict):
         if not v:
             return "{}"
-        parts = [_ESC(k if k.__class__ is str else _key(k)) + ": "
-                 + (f(x) if (f := get(x.__class__)) else _plain(x, inner))
+        parts = [_ESC(_key(k)) + ": " + _plain(x, inner)
                  for k, x in sorted(v.items())]
         return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}}}"
     raise TypeError(f"Object of type {v.__class__.__name__} "
@@ -300,103 +297,72 @@ def _plain(v: Any, ind: str) -> str:
 
 
 class _Node:
-    """A compiled schema node.  ``write`` writes a value or raises
-    _Violation; a value whose exact class has a formatter in ``fmts``
-    that gives a text needs no call of ``write`` (a leaf's shortcut)."""
+    """A compiled schema node.  ``write`` checks a value and writes it or
+    raises _Violation.  ``fmts`` maps each scalar class the node accepts
+    whatever the value (no enum) to its formatter, so that a dict or list
+    writes such a leaf without calling ``write``."""
 
     __slots__ = ("write", "fmts")
 
-    def __init__(self, write: Writer, fmts: Optional[dict] = None):
-        self.write, self.fmts = write, fmts or {}
+    def __init__(self, write: Writer, fmts: dict):
+        self.write, self.fmts = write, fmts
 
 
-def _object_writer(required: tuple, props: dict, full: Writer) -> Writer:
-    """A dict with its required keys and the nodes of its named
-    properties; any other key is written plain.  A dict is written by the
-    plan of its key tuple, (key, '"key": ', node) in sorted key order,
-    made once its required keys are checked; the plans of up to
-    ``_PLANS`` tuples of str keys are kept.  A value of another class goes
-    to ``full``, which passes ``checked`` for a dict subclass."""
-    plans: dict = {}
-    free = _Node(_plain, _SCALARS)
-
-    def write(v: Any, ind: str, checked: bool = False) -> str:
-        if v.__class__ is not dict and not checked:
-            return full(v, ind)
-        keys = tuple(v)
-        plan = plans.get(keys)
-        if plan is None:
-            for req in required:
-                if req not in v:
-                    raise _Violation(f"missing required key {req!r}")
-            plan = [(k, _ESC(_key(k)) + ": ", props.get(k, free))
-                    for k, _ in sorted(v.items())]
-            # (1,) == (True,), but json writes those keys apart
-            if len(plans) < _PLANS and set(map(type, keys)) <= {str}:
-                plans[keys] = plan
-        if not plan:
-            return "{}"
-        inner = ind + "  "
-        parts = []
-        key = None
-        try:
-            for key, prefix, node in plan:
-                val = v[key]
-                fmt = node.fmts.get(val.__class__)
-                parts.append(prefix + (fmt and fmt(val)
-                                       or node.write(val, inner)))
-        except _Violation as exc:
-            exc.segments.append(f".{key}")
-            raise
-        return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}}}"
-    return write
+_FREE = _Node(_plain, _SCALARS)
 
 
-def _array_writer(item: _Node, ints: bool, full: Writer) -> Writer:
-    """A list of items; a list of plain ints, when the items are
-    integers, is checked and written in one join.  A value of another
-    class goes to ``full``, which passes ``checked`` for a list
-    subclass."""
-    fmts, write_item = item.fmts, item.write
+def _write_object(v: dict, ind: str, props: dict) -> str:
+    """A dict in sorted key order: each named property by its node, any
+    other key plain."""
+    if not v:
+        return "{}"
+    inner = ind + "  "
+    parts = []
+    key = None
+    try:
+        for key, x in sorted(v.items()):
+            node = props.get(key, _FREE)
+            fmt = node.fmts.get(x.__class__)
+            parts.append(_ESC(_key(key)) + ": "
+                         + (fmt(x) if fmt else node.write(x, inner)))
+    except _Violation as exc:
+        exc.segments.append(f".{key}")
+        raise
+    return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}}}"
 
-    def write(v: Any, ind: str, checked: bool = False) -> str:
-        if v.__class__ is not list and not checked:
-            return full(v, ind)
-        if not v:
-            return "[]"
-        inner = ind + "  "
-        sep = f",\n{inner}"
-        if ints and set(map(type, v)) == {int}:
-            return f"[\n{inner}" + sep.join(map(int.__repr__, v)) + f"\n{ind}]"
-        parts = []
-        i = 0
-        try:
-            for i, x in enumerate(v):
-                fmt = fmts.get(x.__class__)
-                parts.append(fmt and fmt(x) or write_item(x, inner))
-        except _Violation as exc:
-            exc.segments.append(f"[{i}]")
-            raise
-        return f"[\n{inner}" + sep.join(parts) + f"\n{ind}]"
-    return write
+
+def _write_array(v: list, ind: str, item: _Node) -> str:
+    if not v:
+        return "[]"
+    inner = ind + "  "
+    fmts, write = item.fmts, item.write
+    parts = []
+    i = 0
+    try:
+        for i, x in enumerate(v):
+            fmt = fmts.get(x.__class__)
+            parts.append(fmt(x) if fmt else write(x, inner))
+    except _Violation as exc:
+        exc.segments.append(f"[{i}]")
+        raise
+    return f"[\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}]"
 
 
 def _compile(schema: dict) -> _Node:
-    """The node of one schema.  ``full`` applies the rules in order (type,
-    null, enum, then required and properties of a dict or the items of a
-    list); the node's writer and shortcut skip steps only for values of
-    an exact class whose outcome they already know."""
+    """The node of one schema.  Its writer applies the rules in order:
+    type, null, enum, then the required keys and properties of a dict or
+    the items of a list."""
     types = schema.get("type")
     if isinstance(types, str):
         types = [types]
     enum = schema.get("enum")
-    required = tuple(schema.get("required", ()))
-    props = {k: _node(sub) for k, sub in schema.get("properties", {}).items()}
+    required = schema.get("required", ())
+    props = {k: _compile(sub) for k, sub in schema.get("properties", {}).items()}
+    item = _compile(schema["items"]) if "items" in schema else None
     others = tuple(_TYPES[t] for t in types or () if t != "integer")
     ints = types is not None and "integer" in types
-    obj = arr = None
 
-    def full(v: Any, ind: str) -> str:
+    def write(v: Any, ind: str) -> str:
         if types is not None and not (
                 isinstance(v, others)
                 or ints and isinstance(v, int) and v.__class__ is not bool):
@@ -405,52 +371,22 @@ def _compile(schema: dict) -> _Node:
             return "null"
         if enum is not None and v not in enum:
             raise _Violation(f"{v!r} not in {enum}")
-        if obj is not None and isinstance(v, dict):
-            return obj(v, ind, True)
-        if arr is not None and isinstance(v, list):
-            return arr(v, ind, True)
+        if isinstance(v, dict) and (required or props):
+            for req in required:
+                if req not in v:
+                    raise _Violation(f"missing required key {req!r}")
+            return _write_object(v, ind, props)
+        if isinstance(v, list) and item is not None:
+            return _write_array(v, ind, item)
         return _plain(v, ind)
 
-    if required or props:
-        obj = _object_writer(required, props, full)
-    if "items" in schema:
-        arr = _array_writer(_node(schema["items"]),
-                            schema["items"] == {"type": "integer"}, full)
-    cls = _TYPES[types[0]] if types else None
-    fmts: dict = {}
-    write = full
-    if enum is not None:
-        # a listed str or int of the first type is written as it stands
-        if cls in (str, int):
-            fmts[cls] = {e: _plain(e, "") for e in enum
-                         if e.__class__ is cls}.get
-    elif cls in (str, int, bool):
-        fmts[cls] = _SCALARS[cls]
-    elif obj is not None and (types is None or "object" in types):
-        write = obj
-    elif arr is not None and (types is None or "array" in types):
-        write = arr
-    elif cls in (dict, list) and obj is None and arr is None:
-        def write(v: Any, ind: str) -> str:
-            return _plain(v, ind) if v.__class__ is cls else full(v, ind)
-    if types and "null" in types:
-        fmts[type(None)] = _SCALARS[type(None)]
+    fmts = {} if enum is not None else {
+        _TYPES[t]: _SCALARS[_TYPES[t]] for t in types or ()
+        if _TYPES[t] in _SCALARS}
     return _Node(write, fmts)
 
 
-_PLANS = 16
-# Compiled nodes by id(schema), each kept with its schema
-_COMPILED: dict = {}
-
-
-def _node(schema: dict) -> _Node:
-    hit = _COMPILED.get(id(schema))
-    if hit is None or hit[0] is not schema:
-        hit = _COMPILED[id(schema)] = (schema, _compile(schema))
-    return hit[1]
-
-
-_WRITERS = {kind: _node(schema).write for kind, schema in SCHEMAS.items()}
+_WRITERS = {kind: _compile(schema).write for kind, schema in SCHEMAS.items()}
 
 
 def _walk(write: Writer, obj: Any, path: str) -> str:
@@ -468,11 +404,20 @@ def _report_writer(kind: str) -> Writer:
 
 
 def validate(obj: Any, schema: dict, path: str = "$") -> None:
-    """Validate obj against a schema subset; raises SchemaError on failure."""
-    _walk(_node(schema).write, obj, path)
+    """Validate obj against a schema subset; raises SchemaError on failure.
+
+    The walk is the writer's, run on a schema compiled for this call, so
+    two things differ from a check that writes nothing: a dict's keys are
+    visited in sorted order, so of two violations under one dict the one
+    under the smaller key is reported (its required keys are still
+    checked first); and a subtree the schema leaves free must be one that
+    ``json`` can write, or the walk raises its TypeError (say, for an
+    object of another class, or a dict whose keys cannot be sorted)."""
+    _walk(_compile(schema).write, obj, path)
 
 
 def validate_report(kind: str, obj: Any) -> None:
+    """``validate`` against the bundled schema of ``kind``."""
     _walk(_report_writer(kind), obj, "$")
 
 
@@ -480,5 +425,6 @@ def dump_report(kind: str, report: Any) -> str:
     """The report validated against the schema of ``kind`` and written:
     exactly what ``json.dumps`` writes with ``sort_keys=True`` and
     ``indent=2``, plus a newline.  Raises SchemaError on the first
-    violation, before anything is written."""
+    violation (as ``validate`` orders them), before anything is
+    written."""
     return _walk(_report_writer(kind), report, "$") + "\n"

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -695,9 +696,44 @@ class TestSchemaParity:
             dispatch(["branch", "--d", "3", "--field", "13^1"])
         assert capsys.readouterr() == ("", "")
 
+    def test_two_violations(self):
+        # required keys first, then the properties in sorted key order,
+        # not in the schema's order (inner before checks)
+        report = _golden("golden_family_thm3_cubic_f13.json")
+        report["success"] = 1
+        report["inner"]["verdict"] = "maybe"
+        report["checks"][0]["passed"] = 1
+        for check in (lambda: validate(report, SCHEMAS["family_verdict"]),
+                      lambda: dump_report("family_verdict", report)):
+            with pytest.raises(SchemaError) as exc:
+                check()
+            assert str(exc.value) == (
+                "$.checks[0].passed: expected ['boolean'], got int")
+        del report["lemma_line"]
+        with pytest.raises(SchemaError) as exc:
+            validate_report("family_verdict", report)
+        assert str(exc.value) == "$: missing required key 'lemma_line'"
+
+    def test_free_subtree_is_written(self):
+        # a subtree the schema leaves free is written, so it must be JSON
+        report = {"kind": "error", "error": "E", "message": "m",
+                  "extra": object()}
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            validate_report("error", report)
+
     def test_unknown_kind(self):
         with pytest.raises(SchemaError, match="unknown report kind 'nope'"):
             dump_report("nope", {})
+
+
+def _bench_module(name: str):
+    """A module of verdictbench/, loaded under a name of its own so that
+    no top-level ``gen`` or ``worker`` enters sys.modules."""
+    spec = importlib.util.spec_from_file_location(
+        f"_verdictbench_{name}", ROOT / "verdictbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestReportWriter:
@@ -739,12 +775,8 @@ class TestReportWriter:
     @pytest.mark.parametrize("workload", ["census", "certify", "refute"])
     def test_real_reports(self, monkeypatch, tmp_path, workload):
         # every report of one pass over seed 7's timed benchmark jobs
-        sys.path.insert(0, str(ROOT / "verdictbench"))
-        try:
-            import gen
-            import worker
-        finally:
-            sys.path.remove(str(ROOT / "verdictbench"))
+        gen = _bench_module("gen")
+        worker = _bench_module("worker")
         written = []
 
         def checked(kind, report):
