@@ -180,13 +180,6 @@ class SingularLocus:
     def support(self) -> list[ProjPoint]:
         return [pt for pt, _ in self.points]
 
-    def to_jsonable(self) -> dict:
-        return {
-            "field": self.ext.spec,
-            "points": [{"coords": list(pt.encoding()), "multiplicity": m}
-                       for pt, m in self.points],
-        }
-
 
 def _roots_bounded(poly: Polynomial, ext_cap: int, relevance_bound: int):
     """Roots of factors whose degree can matter for a 0-dimensional system.

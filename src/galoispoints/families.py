@@ -122,16 +122,6 @@ class FamilySpec:
                                  f"got {v!r}")
         return cls(tag=tag, field=str(data["field"]), **kwargs)
 
-    def to_jsonable(self) -> dict:
-        out = {"tag": self.tag, "field": self.field}
-        for k in ("d", "c", "p", "e", "m", "alphas", "q"):
-            v = getattr(self, k)
-            if v is not None:
-                out[k] = v
-        if self.tag == "prop4":
-            out["variant"] = self.variant
-        return out
-
 
 @dataclass
 class FamilyExpectation:
@@ -166,17 +156,6 @@ class AdditivePolynomial:
     m: int
     coeffs: dict            # i -> FqElement (only p-power exponents)
     poly: Polynomial
-
-    def to_jsonable(self) -> dict:
-        return {
-            "p": self.p,
-            "e": self.e,
-            "m": self.m,
-            "field": self.poly.ctx.spec,
-            "coefficients": {str(i): c.encoding()
-                             for i, c in sorted(self.coeffs.items())},
-            "poly": self.poly.to_text(),
-        }
 
 
 def additive_poly_from_subgroup(S: Sequence[FqElement], m: int) -> AdditivePolynomial:

@@ -48,12 +48,13 @@ The Monte Carlo screen and the deck fiber search share one
 specialization, ``polyring._squarefree_specializer``: F(t0, s) is built,
 tested for full degree and squarefreeness, and (in the screen) given its
 factor degrees on the dense kernel of ``polyring``, with no sparse
-polynomial per trial.  The screen is the only seeded search here.  It
-does each piece of work once: a trial's draw is seeded once while
-``_mc_draw`` keeps it (the last 4096 draws), a t0 drawn again in the
-same screen reuses the first decision instead of being specialized and
-factored again, and a degree-2 fiber is never factored, since its
-degrees [1, 1] or [2] cannot refute.
+polynomial per trial.  The screen is the only random search here, and
+it takes no seed: trial i draws its t0 from the fixed stream
+``mc:0:{i}``.  It does each piece of work once: a trial's draw is seeded
+once while ``_mc_draw`` keeps it (the last 4096 draws), a t0 drawn again
+in the same screen reuses the first decision instead of being
+specialized and factored again, and a degree-2 fiber is never factored,
+since its degrees [1, 1] or [2] cannot refute.
 """
 
 from __future__ import annotations
@@ -307,25 +308,24 @@ class GaloisReport:
 # Monte Carlo screen
 # ---------------------------------------------------------------------------
 
-# 4096 draws hold the default 64-trial screen for 64 (seed, base field)
-# pairs; a longer screen or a wider caller evicts the least recently used
-# draws and reseeds them, with the same values
+# 4096 draws hold the default 64-trial screen for 64 base fields; a longer
+# screen or a wider caller evicts the least recently used draws and
+# reseeds them, with the same values
 @lru_cache(maxsize=4096)
-def _mc_draw(seed: int, trial: int, order: int) -> int:
+def _mc_draw(trial: int, order: int) -> int:
     """The screen's draw for ``trial``: ``randrange(order)`` from the
-    stream seeded with ``mc:{seed}:{trial}``, seeded once while cached."""
-    return random.Random(f"mc:{seed}:{trial}").randrange(order)
+    stream seeded with ``mc:0:{trial}``, seeded once while cached."""
+    return random.Random(f"mc:0:{trial}").randrange(order)
 
 
-def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
-                       seed: int = 0) -> GaloisReport:
+def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64) -> GaloisReport:
     """Factor-degree census over random unramified specializations.
 
     Any squarefree full-degree specialization whose irreducible factors
     have two distinct degrees certifies NOT Galois, with the witness
     recorded.  The degrees come from distinct-degree factorization of the
     dense specialization alone; the factors themselves are never split
-    out, so the only randomness is the ``mc:{seed}:{trial}`` choice of t0.
+    out, so the only randomness is the ``mc:0:{trial}`` choice of t0.
     A degree-2 fiber is only tested for being unramified: its degrees
     [1, 1] or [2] are uniform either way, so it is never factored.  Each
     draw is cached by ``_mc_draw``, and a t0 drawn again at the same
@@ -352,7 +352,7 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64,
     for trial in range(trials):
         j = (trial % 3) + 1
         ectx = base if j == 1 else make_field(base.p, base.k * j)
-        code = _mc_draw(seed, trial, ectx.order)
+        code = _mc_draw(trial, ectx.order)
         if (j, code) in seen:
             usable += seen[j, code]
             continue
@@ -1028,7 +1028,7 @@ def is_galois_point(C: PlaneCurve, P: ProjPoint, strategy: str = "auto",
                                     descriptor=identify_group(dg),
                                     method="deck", notes=notes)
 
-    mc = monte_carlo_galois(fib, trials=cfg.trials, seed=cfg.seed)
+    mc = monte_carlo_galois(fib, trials=cfg.trials)
     mc.notes = notes + mc.notes
     if coll_group is not None and len(coll_group) > 1 \
             and mc.verdict == "certified_not_galois":

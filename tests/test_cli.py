@@ -66,14 +66,16 @@ class TestCheck:
         ["--point", "0:1:0", "--strategy", "deck"],
         ["--point", "0:1:0", "--output", "."],       # a directory
         ["--point", "0:1:0", "--brute-q-cap", "64"],  # not an option
+        ["--point", "0:1:0", "--seed", "0"],         # not an option
     ])
     def test_bad_config_exit_1(self, capsys, flags):
         code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json")]
                         + flags)
         assert code == 1
-        err = capsys.readouterr().err
-        assert json.loads(err)["error"] == "InputError"
-        assert "Traceback" not in err
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert json.loads(got.err)["error"] == "InputError"
+        assert "Traceback" not in got.err
 
     @pytest.mark.parametrize("argv, data", [
         (["check", "FILE", "--point", "0:1:0"],
@@ -250,8 +252,8 @@ class TestCheck:
         # dispatch shares one parser per process: no default or error state
         # may leak from one call into the next
         curve = str(FIXTURES / "thm3_cubic_curve.json")
-        runs = [["check", curve, "--point", "0:1:0", "--seed", "5"],
-                ["check", curve, "--point", "0:1:0", "--seed", "x"],
+        runs = [["check", curve, "--point", "0:1:0", "--trials", "5"],
+                ["check", curve, "--point", "0:1:0", "--trials", "x"],
                 ["check", curve, "--point", "0:1:0"]]
         src = str(ROOT / "src")
         env = dict(os.environ, PYTHONPATH=src + os.pathsep
@@ -266,7 +268,7 @@ class TestCheck:
                 capture_output=True, text=True, env=env)
             assert (code, got.out, got.err) == (alone.returncode, alone.stdout,
                                                 alone.stderr)
-        assert json.loads(got.out)["config"]["seed"] == 0
+        assert json.loads(got.out)["config"]["trials"] == 64
 
     def test_missing_file_exit_1(self, tmp_path):
         code = dispatch(["check", str(tmp_path / "nope.json"),
@@ -412,10 +414,10 @@ class TestFamily:
                 "passed": True} in report["checks"]
 
     def test_determinism_byte_identical(self, tmp_path):
-        _, raw1 = run_cli(["family", str(FIXTURES / "thm3_cubic_f13.json"),
-                           "--seed", "7"], tmp_path, "a.json")
-        _, raw2 = run_cli(["family", str(FIXTURES / "thm3_cubic_f13.json"),
-                           "--seed", "7"], tmp_path, "b.json")
+        _, raw1 = run_cli(["family", str(FIXTURES / "thm3_cubic_f13.json")],
+                          tmp_path, "a.json")
+        _, raw2 = run_cli(["family", str(FIXTURES / "thm3_cubic_f13.json")],
+                          tmp_path, "b.json")
         assert raw1 == raw2 and raw1
 
     def test_bad_spec_exit_1(self, tmp_path):
@@ -517,10 +519,15 @@ class TestGoldenReports:
     def test_config_echoes_every_knob(self):
         # every report echoes the whole RunConfig but its output path
         knobs = {f.name for f in dataclasses.fields(RunConfig)} - {"output"}
+        assert knobs == {"closure_cap", "ext_cap", "trials"}
         goldens = sorted(FIXTURES.glob("golden_*.json"))
         assert len(goldens) == 20
         for path in goldens:
             assert set(json.loads(path.read_text())["config"]) == knobs, path
+
+    def test_run_config_takes_no_seed(self):
+        with pytest.raises(TypeError):
+            RunConfig(seed=0)
 
 
 class TestPairInvalid:
@@ -842,7 +849,6 @@ def _wellformed_run(draw):
     else:
         argv = ["--inner", draw(point), "--outer", draw(point)]
     argv += ["--trials", str(draw(st.integers(1, 8))),
-             "--seed", str(draw(st.integers(0, 5))),
              "--ext-cap", str(draw(st.integers(1, 4)))]
     return json.dumps(curve), command, argv
 
@@ -861,7 +867,8 @@ _MALFORMED_CURVE = st.one_of(
 _MALFORMED_FLAGS = st.lists(st.sampled_from([
     ["--point", "0:1:0"], ["--inner", "1:0:0"], ["--outer", "0:1:1"],
     ["--strategy", "deck"], ["--strategy", "auto"], ["--trials", "0"],
-    ["--seed", "x"], ["--ext-cap", "-1"], ["--closure-cap", "1"],
+    ["--seed", "x"], ["--seed", "0"], ["--ext-cap", "-1"],
+    ["--closure-cap", "1"],
     ["--brute-q-cap", "0"], ["--brute-q-cap", "64"], ["--bogus"],
     ["--point", "1:1"], ["--point", "0:0:0"], ["--point", "9:9:9"],
     ["--inner", "a:b:c"]]), max_size=4)
@@ -914,10 +921,8 @@ def _malformed_family(draw):
     return json.dumps(spec)
 
 
-_RUN_FLAGS = st.tuples(st.integers(1, 8), st.integers(0, 5),
-                       st.integers(1, 4)).map(
-    lambda t: ["--trials", str(t[0]), "--seed", str(t[1]),
-               "--ext-cap", str(t[2])])
+_RUN_FLAGS = st.tuples(st.integers(1, 8), st.integers(1, 4)).map(
+    lambda t: ["--trials", str(t[0]), "--ext-cap", str(t[1])])
 _BAD_FIELDS = ["4^1", "9", "13^0", "x^2", "", "2^0", "1^1", "3^-1", "^"]
 
 

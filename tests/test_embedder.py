@@ -150,7 +150,7 @@ class TestConstructEmbedding:
 
     def test_a4_quartic(self, a4_triple):
         G1, G2, P = a4_triple
-        res = construct_embedding(G1, G2, P, RunConfig(seed=0))
+        res = construct_embedding(G1, G2, P, RunConfig())
         assert res.curve.degree == 4
         assert len(res.inner_report.group) == 3
         assert len(res.outer_report.group) == 4
@@ -162,7 +162,7 @@ class TestConstructEmbedding:
 
     def test_s3_cubic(self, F13):
         G1, G2, P = props.search_dihedral_triple(F13)
-        res = construct_embedding(G1, G2, P, RunConfig(seed=0))
+        res = construct_embedding(G1, G2, P, RunConfig())
         assert res.curve.degree == 3
         assert res.joint.joint_descriptor.tag == "s3"
         assert res.joint.classification in ("left_semidirect", "right_semidirect")
@@ -194,7 +194,7 @@ class TestConstructEmbedding:
             found = False
             for cand in [point_p1(F13, c) for c in range(13)]:
                 if check_condition_b(G1, G2, cand):
-                    res = construct_embedding(G1, G2, cand, RunConfig(seed=1))
+                    res = construct_embedding(G1, G2, cand, RunConfig())
                     assert res.curve.degree == n2
                     assert len(res.inner_report.group) == n1
                     assert len(res.outer_report.group) == n2

@@ -222,7 +222,7 @@ class TestVerifyFamily:
     def test_thm2_tame_d4(self, F13):
         curve, exp = build_family(FamilySpec(tag="thm2_tame", field="13^1",
                                              d=4, c=1))
-        v = verify_family(curve, exp, RunConfig(seed=0))
+        v = verify_family(curve, exp, RunConfig())
         assert v.success, [c for c in v.checks if not c["passed"]]
         assert v.lemma_line["is_dP"] and v.lemma_line["support_size"] == 1
         by_name = {c["name"]: c for c in v.checks}
@@ -231,14 +231,14 @@ class TestVerifyFamily:
     def test_thm2_tame_d4_cusp(self, F13):
         curve, exp = build_family(FamilySpec(tag="thm2_tame", field="13^1",
                                              d=4, c=0))
-        v = verify_family(curve, exp, RunConfig(seed=0))
+        v = verify_family(curve, exp, RunConfig())
         assert v.success, [c for c in v.checks if not c["passed"]]
         by_name = {c["name"]: c for c in v.checks}
         assert by_name["cusp_at_001"]["passed"]
 
     def test_thm3_quartic(self, F13):
         curve, exp = build_family(FamilySpec(tag="thm3_quartic", field="13^1"))
-        v = verify_family(curve, exp, RunConfig(seed=0))
+        v = verify_family(curve, exp, RunConfig())
         assert v.success, [c for c in v.checks if not c["passed"]]
         assert v.joint.joint_descriptor.tag == "a4"
         assert v.joint.classification == "right_semidirect"
@@ -248,7 +248,7 @@ class TestVerifyFamily:
         curve, exp = build_family(FamilySpec(tag="thm2_wild", field="3^2",
                                              p=3, e=1, m=2))
         assert exp.outer_tag == "s3"
-        v = verify_family(curve, exp, RunConfig(seed=0))
+        v = verify_family(curve, exp, RunConfig())
         assert v.success, [c for c in v.checks if not c["passed"]]
         assert v.outer.descriptor.tag == "s3"
         assert v.joint.joint_descriptor.tag == "semidirect_p_cyclic"
@@ -258,7 +258,7 @@ class TestVerifyFamily:
         for d, p in ((4, 11), (5, 13), (6, 7)):
             curve, exp = build_family(FamilySpec(tag="thm2_tame",
                                                  field=f"{p}^1", d=d, c=1))
-            v = verify_family(curve, exp, RunConfig(seed=0))
+            v = verify_family(curve, exp, RunConfig())
             assert v.success, (d, p, [c for c in v.checks if not c["passed"]])
             assert v.lemma_line["is_dP"]
 
@@ -288,7 +288,7 @@ class TestVerifyFamily:
                                              p=2, e=2, m=1, c=1))
         assert curve.degree == 4
         assert exp.outer_tag == "klein"
-        v = verify_family(curve, exp, RunConfig(seed=0))
+        v = verify_family(curve, exp, RunConfig())
         assert v.success, [c for c in v.checks if not c["passed"]]
 
     def test_prop4_other_exponents(self):
@@ -298,13 +298,13 @@ class TestVerifyFamily:
             curve, exp = build_family(FamilySpec(tag="prop4", field=fld,
                                                  p=p_, e=e_))
             assert exp.outer_tag == tag
-            v = verify_family(curve, exp, RunConfig(seed=0))
+            v = verify_family(curve, exp, RunConfig())
             assert v.success, (p_, e_, [c for c in v.checks if not c["passed"]])
 
     def test_prop4_power_form(self, F4):
         curve, exp = build_family(FamilySpec(tag="prop4", field="2^2",
                                              p=2, e=2, variant="power"))
-        v = verify_family(curve, exp, RunConfig(seed=0))
+        v = verify_family(curve, exp, RunConfig())
         assert v.success, [c for c in v.checks if not c["passed"]]
         by_name = {c["name"]: c for c in v.checks}
         assert by_name["pq_support_d_distinct"]["passed"]
