@@ -26,6 +26,7 @@ from typing import Optional
 
 from .errors import (
     ExtensionCapExceeded,
+    InputError,
     LineIsComponent,
     NotSquarefree,
     PointNotOnCurve,
@@ -115,16 +116,29 @@ class PlaneCurve:
         return f"Curve(deg {self.degree}: {self.form.to_text()})"
 
 
+# The largest total degree of a curve: the dense kernels hold about d^2
+# coefficients.  Fixture, test and benchmark curves have degree <= 9.
+MAX_DEGREE = 1024
+
+
+def check_degree(d: int) -> None:
+    """InputError when a curve of total degree d exceeds MAX_DEGREE."""
+    if d > MAX_DEGREE:
+        raise InputError(f"total degree {d} exceeds the bound {MAX_DEGREE}")
+
+
 def curve_from_affine(f: Polynomial, assume_irreducible: bool = True) -> PlaneCurve:
     """Homogenize a squarefree affine bivariate polynomial into a curve.
 
     Squarefreeness is proven on dense rows first
     (``_squarefree_certificate``); only a polynomial that proof leaves
     undecided takes the exact test gcd(f, f_x, f_y) = 1, which names the
-    repeated factor in NotSquarefree.
+    repeated factor in NotSquarefree.  A degree above MAX_DEGREE is an
+    InputError.
     """
     if f.nvars != 2 or f.is_zero or f.degree() < 1:
         raise ZeroInput("need a nonconstant bivariate polynomial")
+    check_degree(f.degree())
     if not _squarefree_certificate(f):
         g = poly_gcd(poly_gcd(f, f.derivative(0)), f.derivative(1))
         if g.degree() > 0:

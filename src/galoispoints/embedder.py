@@ -38,6 +38,7 @@ from .errors import (
     ConditionBFails,
     DegreeMismatch,
     LadderExhausted,
+    SoundnessError,
     VerificationFailed,
     ZeroInput,
 )
@@ -94,7 +95,7 @@ def check_condition_b(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
     rhs = orbit(H2, Pt)
     base = PointDivisor(ctx, 1, {Pt: 1})
     out = []
-    for eta in H2.elements:
+    for eta in sorted(H2.elements, key=Projectivity.row_major):
         lhs = base + orbit(H1, eta.apply(Pt))
         if lhs == rhs:
             out.append(ConditionBWitness(eta, lhs, rhs))
@@ -165,12 +166,12 @@ def invariant_generator(G: FiniteProjectivityGroup, Q0: ProjPoint) -> RationalMa
     # exact verification of all three contract clauses
     for sigma in H.elements:
         if not f.invariant_under(sigma):
-            raise LadderExhausted("invariant candidate failed invariance")
+            raise SoundnessError("invariant candidate failed invariance")
     if f.degree() != n:
-        raise LadderExhausted("invariant candidate degree drop")  # pragma: no cover
+        raise SoundnessError("invariant candidate degree drop")
     expected = orbit(H, Q)
     if f.pole_divisor() != expected:
-        raise LadderExhausted("pole divisor mismatch")  # pragma: no cover
+        raise SoundnessError("pole divisor mismatch")
     return f
 
 

@@ -38,6 +38,7 @@ from typing import Optional, Sequence
 from .config import RunConfig
 from .curve import (
     PlaneCurve,
+    check_degree,
     curve_from_affine,
     line_intersection_divisor,
     pencil_parametrization,
@@ -214,7 +215,7 @@ def additive_poly_from_subgroup(S: Sequence[FqElement], m: int) -> AdditivePolyn
     powers = {p ** i: i for i in range(e + 1)}
     for (exp,), rep in g.terms.items():
         if exp not in powers:
-            raise NotSubgroup(  # pragma: no cover - roots form a group
+            raise SoundnessError(  # pragma: no cover - roots form a group
                 f"non-additive exponent {exp} appeared")
         coeffs[powers[exp]] = FqElement(ctx, rep)
     if not coeffs.get(0) or not coeffs.get(e):
@@ -230,13 +231,13 @@ def additive_poly_from_subgroup(S: Sequence[FqElement], m: int) -> AdditivePolyn
         (arg ** (p ** i) * a_i for i, a_i in coeffs.items()),
         Polynomial.zero(ctx, 2))
     if g2(y2 + z2) != g2(y2) + g2(z2):
-        raise NotSubgroup("additivity identity failed")  # pragma: no cover
+        raise SoundnessError("additivity identity failed")  # pragma: no cover
     # exact scaling equivariance: g(zeta y) = zeta g(y)
     gz = Polynomial.zero(ctx, 1)
     for i, a_i in coeffs.items():
         gz = gz + (y * zeta) ** (p ** i) * a_i
     if gz != g * zeta:
-        raise ScalingUnstable("g(zeta y) != zeta g(y)")  # pragma: no cover
+        raise SoundnessError("g(zeta y) != zeta g(y)")  # pragma: no cover
     return AdditivePolynomial(p, e, m, coeffs, g)
 
 
@@ -310,7 +311,7 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
         # exactly: (x+1)^2 (x+a) - (x+c)^3 + beta^2 x == 0
         lhs = (t + 1) ** 2 * (t + a) - (t + c) ** 3 + t * beta_sq
         if not lhs.is_zero:
-            raise DegenerateOnly("branch identity failed")  # pragma: no cover
+            raise SoundnessError("branch identity failed")  # pragma: no cover
         ident = "y^2*x+(x+1)^2*(x+a) = y^2*x-beta^2*x+(x+c)^3 with beta^2*x moved"
         return BranchCertificate(
             3,
@@ -342,7 +343,7 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
     beta = rm.roots[0][0]
     lhs = (t + 1) ** 3 * (t + a) - (t * t + t * c + d0) ** 2 + t * beta_cu
     if not lhs.is_zero:
-        raise DegenerateOnly("branch identity failed")  # pragma: no cover
+        raise SoundnessError("branch identity failed")  # pragma: no cover
     return BranchCertificate(
         4,
         {"a": a.encoding(), "c": c.encoding(), "d0": d0.encoding()},
@@ -386,6 +387,7 @@ def build_family(spec: FamilySpec) -> tuple[PlaneCurve, FamilyExpectation]:
         d = spec.d
         if d is None or d < 3:
             raise InputError("thm2_tame needs d >= 3")
+        check_degree(d)
         if (d * (d - 1)) % p == 0:
             raise InputError(
                 f"thm2_tame needs p coprime to d(d-1); got p = {p}, d = {d}")
@@ -413,6 +415,7 @@ def build_family(spec: FamilySpec) -> tuple[PlaneCurve, FamilyExpectation]:
         if spec.m % p == 0 or (p ** spec.e - 1) % spec.m != 0:
             raise InputError("need p coprime to m and m | p^e - 1")
         d = p ** spec.e * spec.m
+        check_degree(d)
         if (d - 1) % p == 0:
             raise InputError("d - 1 must be coprime to p")  # pragma: no cover
         if spec.c not in (0, 1):
@@ -483,6 +486,7 @@ def build_family(spec: FamilySpec) -> tuple[PlaneCurve, FamilyExpectation]:
         d = p ** spec.e
         if d < 3:
             raise InputError("prop4 needs d = p^e >= 3")
+        check_degree(d)
         if ctx.k % spec.e != 0:
             raise FieldTooSmall(
                 f"{ctx.spec} lacks the order-(d-1) scalars; use k divisible by e")
@@ -523,6 +527,7 @@ def build_family(spec: FamilySpec) -> tuple[PlaneCurve, FamilyExpectation]:
         if n != 1:
             raise InputError(f"q = {q} is not a power of p = {p}")
         d = q ** 3 + 1
+        check_degree(d)
         x = Polynomial.variable(ctx, 2, 0)
         y = Polynomial.variable(ctx, 2, 1)
         curve = curve_from_affine(

@@ -295,7 +295,7 @@ class GaloisReport:
                 "order": len(self.group),
                 "field": self.group.ctx.spec,
                 "dimension": self.group.n - 1,
-                "elements": [g.row_major() for g in self.group.elements],
+                "elements": sorted(g.row_major() for g in self.group.elements),
             }
         else:
             out["group"] = None
@@ -624,8 +624,7 @@ def _closed_form_group(fib: ProjectionFiber, wctx: FieldCtx, rows: list,
         for i in (0, 4, 8):
             flat[i] = add(flat[i], s)
         elements.append(Projectivity._invertible(wctx, 3, flat))
-    group = FiniteProjectivityGroup(wctx, 3, elements,
-                                    [elements[g] for g in table[1]], table)
+    group = FiniteProjectivityGroup(wctx, 3, elements, table)
     i = next(k for k in count(1) if (ctx.order ** k - 1) % m == 0)
     return group.descend_to(ctx if i == 1 else make_field(ctx.p, ctx.k * i))
 
@@ -808,7 +807,7 @@ def deck_group(h: RationalMap1D, ext_cap: int = 12) -> FiniteProjectivityGroup:
     found = [sigma for sigma in map(deck_map, first) if sigma is not None]
     group = _deck_closure(hw, found, base)
     if len(group) != len(found):
-        raise ZeroInput("scan returned a non-closed set")  # pragma: no cover
+        raise SoundnessError("scan returned a non-closed set")
     return group
 
 

@@ -3,13 +3,14 @@
 Scalar normalization (first nonzero coordinate equal to 1) gives every
 point, line and projectivity a unique representative, so equality in
 PGL(2) / PGL(3) is syntactic and hash-set group closure works.  Groups are
-explicit element lists with a multiplication table on element positions,
-built by the closure itself or written down where the structure is known
-(a cyclic group, an exact factorization), so orders, normality and
-product sets cost no matrix products; structure identification matches the order histogram
-against the small catalogue that the classification needs (trivial,
-cyclic, Klein, elementary abelian, S3, A4, p-group-by-cyclic semidirect)
-and reports "other" instead of guessing anything finer.
+explicit element lists, identity first and in the order their builder
+found, each with a multiplication table on those positions from the start
+(built by the closure or written down where the structure is known: a
+cyclic group, an exact factorization), so orders, normality and product
+sets cost no matrix products; structure identification matches the order
+histogram against the small catalogue that the classification needs
+(trivial, cyclic, Klein, elementary abelian, S3, A4, p-group-by-cyclic
+semidirect) and reports "other" instead of guessing anything finer.
 
 Objects over different extensions of the same prime field are lifted to a
 common context on demand; see :func:`galoispoints.gf.common_field`.
@@ -316,54 +317,45 @@ class Projectivity:
 class FiniteProjectivityGroup:
     """An explicitly closed finite subgroup of PGL(2) or PGL(3).
 
-    ``elements`` are sorted by encoding; ``index`` maps each to its position.
-    The table on positions is ``(e, gens, cols, words)``: the identity, a
-    reduced generating set, ``cols[j][x] = x * gens[j]`` and ``words[x]``,
-    the columns whose product is x.  ``generate_group`` builds it while
-    closing, ``_factorized_joint`` writes it down, ``galois`` closes the
-    collineations' (lam, beta, delta) triples for it, ``lift_to``,
-    ``conjugate`` and ``descend_to`` carry it over, and any other group
-    builds it from ``generators`` on first use.
+    ``elements`` keep the order their builder found, the identity first;
+    ``index`` maps each to its position.  The table on positions is
+    ``(gens, cols, words)``: a reduced generating set, ``cols[j][x] = x *
+    gens[j]`` and ``words[x]``, the columns whose product is x.
+    ``generate_group`` builds it while closing, ``_factorized_joint``
+    writes it down, ``galois`` closes the collineations' (lam, beta,
+    delta) triples for it, and ``lift_to``, ``conjugate`` and
+    ``descend_to`` carry it over: every group comes with its table.
+    ``generators`` are the elements at ``gens``, or the identity alone.
     """
 
-    __slots__ = ("ctx", "n", "elements", "generators", "index", "_table")
+    __slots__ = ("ctx", "n", "elements", "generators", "index", "table")
 
     def __init__(self, ctx: FieldCtx, n: int, elements: list[Projectivity],
-                 generators: list[Projectivity], table: Optional[tuple] = None):
-        # ``table`` is indexed by positions in the given ``elements``
+                 table: tuple):
         self.ctx = ctx
         self.n = n
-        self.elements = sorted(elements, key=lambda g: g.row_major())
-        self.index = {g: i for i, g in enumerate(self.elements)}
-        self.generators = generators
-        self._table = table and _relabel(table, [self.index[g] for g in elements])
-
-    def table(self) -> tuple:
-        if self._table is None:
-            elements, table = _close(self.generators, len(self),
-                                     Projectivity.identity(self.ctx, self.n))
-            if len(elements) != len(self):
-                raise SoundnessError("generators do not generate the group")
-            self._table = _relabel(table, [self.index[g] for g in elements])
-        return self._table
+        self.elements = elements
+        self.index = {g: i for i, g in enumerate(elements)}
+        self.table = table
+        self.generators = [elements[g] for g in table[0]] or elements[:1]
 
     def mul(self, a: int, b: int) -> int:
         """Position of the product of the elements at positions a and b."""
-        _, _, cols, words = self.table()
+        _, cols, words = self.table
         for j in words[b]:
             a = cols[j][a]
         return a
 
     def order(self, a: int) -> int:
-        e, x = self.table()[0], a
+        x = a
         for k in range(1, len(self) + 1):
-            if x == e:
+            if x == 0:
                 return k
             x = self.mul(x, a)
         raise SoundnessError("element order exceeds the group order")
 
     def inv(self, a: int) -> int:
-        x = self.table()[0]
+        x = 0
         for _ in range(self.order(a) - 1):
             x = self.mul(x, a)
         return x
@@ -374,7 +366,7 @@ class FiniteProjectivityGroup:
 
     def normalizes(self, S: set[int]) -> bool:
         """Whether g S = S g for every generator g, i.e. S is normal."""
-        _, gens, cols, _ = self.table()
+        gens, cols, _ = self.table
         return all({self.mul(g, a) for a in S} == {col[a] for a in S}
                    for g, col in zip(gens, cols))
 
@@ -400,10 +392,9 @@ class FiniteProjectivityGroup:
 
     def _map(self, ctx: FieldCtx, image) -> "FiniteProjectivityGroup":
         """The isomorphic group of the images, carrying the table over."""
-        new = {g: image(g) for g in self.elements}
-        return FiniteProjectivityGroup(ctx, self.n, list(new.values()),
-                                       [new[g] for g in self.generators],
-                                       self._table)
+        return FiniteProjectivityGroup(ctx, self.n,
+                                       [image(g) for g in self.elements],
+                                       self.table)
 
     def lift_to(self, ctx2: FieldCtx) -> "FiniteProjectivityGroup":
         if ctx2 == self.ctx:
@@ -475,19 +466,7 @@ def _close(gens: Sequence, cap: int, ident, product=operator.mul
                         words.append(words[x] + (j,))
                     col.append(k)
             x += 1
-    return elements, (0, [index[g] for g in kept], cols, words)
-
-
-def _relabel(table: tuple, perm: list[int]) -> tuple:
-    """The table with position x renamed perm[x]."""
-    e, gens, cols, words = table
-    new_cols = [[0] * len(perm) for _ in cols]
-    new_words = [()] * len(perm)
-    for x, px in enumerate(perm):
-        new_words[px] = words[x]
-        for col, new in zip(cols, new_cols):
-            new[px] = perm[col[x]]
-    return perm[e], [perm[g] for g in gens], new_cols, new_words
+    return elements, ([index[g] for g in kept], cols, words)
 
 
 def generate_group(gens: Sequence[Projectivity], cap: int = 4096) -> FiniteProjectivityGroup:
@@ -507,16 +486,13 @@ def generate_group(gens: Sequence[Projectivity], cap: int = 4096) -> FiniteProje
         if g.n != n:
             raise DimensionMismatch("mixed dimensions in generating set")
         ctx = common_field(ctx, g.ctx)
-    elements, table = _close([g.lift_to(ctx) for g in gens], cap,
-                             Projectivity.identity(ctx, n))
-    return FiniteProjectivityGroup(ctx, n, elements,
-                                   [elements[g] for g in table[1]] or elements[:1],
-                                   table)
+    return FiniteProjectivityGroup(ctx, n, *_close(
+        [g.lift_to(ctx) for g in gens], cap, Projectivity.identity(ctx, n)))
 
 
 def trivial_group(ctx: FieldCtx, n: int) -> FiniteProjectivityGroup:
-    ident = Projectivity.identity(ctx, n)
-    return FiniteProjectivityGroup(ctx, n, [ident], [ident])
+    return FiniteProjectivityGroup(ctx, n, [Projectivity.identity(ctx, n)],
+                                   ([], [], [()]))
 
 
 # ---------------------------------------------------------------------------
@@ -558,7 +534,7 @@ def identify_group(G: FiniteProjectivityGroup) -> GroupDescriptor:
     hist: dict[int, int] = {}
     for o in orders:
         hist[o] = hist.get(o, 0) + 1
-    _, gens, _, _ = G.table()
+    gens = G.table[0]
     abelian = all(G.mul(a, b) == G.mul(b, a) for a in gens for b in gens)
 
     def mk(tag, **params):
@@ -712,9 +688,9 @@ def _factorized_joint(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
     n2 = len(G2)
     if len(G1) * n2 > cap:
         return None
-    e1, gens1, _, words1 = G1.table()
-    e2, gens2, cols2, words2 = G2.table()
-    elements = [b if i == e1 else a if k == e2 else a * b
+    gens1, _, words1 = G1.table
+    gens2, cols2, words2 = G2.table
+    elements = [b if not i else a if not k else a * b
                 for i, a in enumerate(G1.elements)
                 for k, b in enumerate(G2.elements)]
     index = {x: i for i, x in enumerate(elements)}
@@ -735,11 +711,8 @@ def _factorized_joint(G1: FiniteProjectivityGroup, G2: FiniteProjectivityGroup,
     shift = len(gens1)
     words = [w1 + tuple(shift + j for j in w2)
              for w1 in words1 for w2 in words2]
-    gens = [g * n2 + e2 for g in gens1] + [e1 * n2 + h for h in gens2]
-    table = (e1 * n2 + e2, gens, cols, words)
-    return FiniteProjectivityGroup(
-        G1.ctx, G1.n, elements,
-        [elements[g] for g in gens] or [elements[table[0]]], table)
+    gens = [g * n2 for g in gens1] + gens2
+    return FiniteProjectivityGroup(G1.ctx, G1.n, elements, (gens, cols, words))
 
 
 # ---------------------------------------------------------------------------

@@ -1,21 +1,22 @@
 """Bundled JSON schemas for every report the CLI emits, and their writer.
 
 The schemas use a small, self-contained subset of JSON Schema (type,
-properties, required, items, enum).  Each schema is compiled once into a
-tree of closures that walks a report, applies every rule and writes the
-report's text in the same pass: the bytes ``json.dumps`` writes with
-``sort_keys=True`` and ``indent=2``.  The first violation raises
-``SchemaError`` with its path, and nothing is written.  ``dump_report``
-is that writer, so every report is validated as it is written;
-``validate`` and ``validate_report`` run the same walk and drop its text,
-and the test suite validates golden outputs with them.  Subtrees the
-schemas leave free (``witness``, ``params``, ...) and keys no schema
-names go through a plain sorted indent-2 writer.
+properties, required, items, enum).  Each schema is compiled, on its
+first use, into a tree of closures that walks a report, applies every
+rule and writes the report's text in the same pass: the bytes
+``json.dumps`` writes with ``sort_keys=True`` and ``indent=2``.  The
+first violation raises ``SchemaError`` with its path, and nothing is
+written.  ``dump_report`` is that writer, so every report is validated
+as it is written; ``validate`` and ``validate_report`` run the same walk
+and drop its text, and the test suite validates golden outputs with
+them.  Subtrees the schemas leave free (``witness``, ``params``, ...)
+and keys no schema names go through a plain sorted indent-2 writer.
 """
 
 from __future__ import annotations
 
 import json.encoder
+from functools import lru_cache
 from typing import Any, Callable
 
 
@@ -386,9 +387,6 @@ def _compile(schema: dict) -> _Node:
     return _Node(write, fmts)
 
 
-_WRITERS = {kind: _compile(schema).write for kind, schema in SCHEMAS.items()}
-
-
 def _walk(write: Writer, obj: Any, path: str) -> str:
     try:
         return write(obj, "")
@@ -397,10 +395,13 @@ def _walk(write: Writer, obj: Any, path: str) -> str:
                           + ": " + exc.tail) from None
 
 
+@lru_cache(maxsize=None)
 def _report_writer(kind: str) -> Writer:
-    if kind not in _WRITERS:
+    """The writer of ``kind``'s bundled schema, compiled on first use: a
+    run writes one kind, or two when it fails."""
+    if kind not in SCHEMAS:
         raise SchemaError(f"unknown report kind {kind!r}")
-    return _WRITERS[kind]
+    return _compile(SCHEMAS[kind]).write
 
 
 def validate(obj: Any, schema: dict, path: str = "$") -> None:

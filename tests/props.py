@@ -25,6 +25,7 @@ from galoispoints.galois import (
     deck_group,
     fiber_polynomial,
     monte_carlo_galois,
+    verify_deck_group,
 )
 from galoispoints.gf import (
     FieldCtx,
@@ -72,6 +73,7 @@ from galoispoints.projective import (
     FiniteProjectivityGroup,
     Projectivity,
     ProjPoint,
+    _factorized_joint,
     generate_group,
     identify_group,
     orbit,
@@ -733,8 +735,8 @@ def projective_group_closure(cases=500):
 
 def _table_groups(rng):
     """Every group of _assorted_groups, the same groups rebuilt by lift_to,
-    conjugate, descend_to and the plain constructor (tables carried over or
-    built on first use), and joint groups of product_structure."""
+    conjugate and descend_to (tables carried over), and joint groups of
+    product_structure."""
     F5, F13 = make_field(5), make_field(13)
     F25 = make_field(5, 2)
     z3, z4 = nth_root_of_unity(F13, 3), nth_root_of_unity(F13, 4)
@@ -745,8 +747,6 @@ def _table_groups(rng):
         h = Projectivity(ctx, [[rng.randrange(ctx.order), 1], [1, 0]])
         out.append(G.conjugate(h))
         out.append(G.lift_to(make_field(ctx.p, 2)).descend_to(ctx))
-        out.append(FiniteProjectivityGroup(ctx, G.n, list(G.elements),
-                                           list(G.elements)))
     pairs = [
         ([Projectivity(F13, [[z3, 0], [0, 1]])], [Projectivity(F13, [[0, 1], [1, 0]])]),
         ([Projectivity(F13, [[-1, 0], [0, 1]]), Projectivity(F13, [[0, 1], [1, 0]])],
@@ -786,9 +786,9 @@ def _check_table(G, rng) -> int:
     rng.shuffle(shuffled)
     H = generate_group(shuffled, cap=N)
     desc_h, desc_g = identify_group(H), identify_group(G)
-    assert H.elements == els
+    assert set(H.elements) == set(els)
     assert desc_h == desc_g
-    assert 2 ** len(H.table()[1]) <= N
+    assert 2 ** len(H.table[0]) <= N
     if N > 1:
         try:
             generate_group(shuffled, cap=N - 1)
@@ -803,6 +803,90 @@ def projective_table(cases=500):
     rng = random.Random(306)
     checked = sum(_check_table(G, rng) for G in _table_groups(rng))
     assert checked >= cases
+
+
+def _check_build_order(G, rng) -> None:
+    """G keeps the order its builder found: position 0 is the identity,
+    ``generators`` are the elements at the table's kept positions (the
+    identity alone when none is kept), the table agrees with matrix
+    products (``_check_table``), and a report writes G's elements in
+    encoding order."""
+    els = G.elements
+    assert els[0] == Projectivity.identity(G.ctx, G.n)
+    assert G.index == {g: i for i, g in enumerate(els)}
+    assert G.generators == ([els[g] for g in G.table[0]] or els[:1])
+    _check_table(G, rng)
+    report = GaloisReport(ProjPoint(G.ctx, [0, 1, 0]), "outer", len(G),
+                          "certified_galois", group=G,
+                          descriptor=identify_group(G), method="collineation")
+    rows = report.to_jsonable()["group"]["elements"]
+    assert rows == sorted(g.row_major() for g in els)
+
+
+def projective_builders_keep_order(cases=12):
+    """``_check_build_order`` on the groups of every builder:
+    ``generate_group`` on shuffled generators; the closed form of
+    ``central_collineation_group`` at tame and wild centers; the joints of
+    ``product_structure``, read off an exact factorization and closed;
+    ``deck_group`` and ``verify_deck_group``; ``lift_to``, ``conjugate``
+    and ``descend_to``.  ``cases`` joints, closed forms of each kind and
+    deck groups are drawn, and joints of both kinds occur."""
+    rng = random.Random(2801)
+    table_rng = random.Random(2802)
+    groups = _table_groups(rng)
+    for G in _group_pool():
+        gens = list(G.elements)
+        rng.shuffle(gens)
+        groups.append(generate_group(gens))
+        groups.append(G.lift_to(make_field(G.ctx.p, 2)))
+    closed, joints = set(), 0
+    while len(closed) < 2 or joints < cases:
+        G1, G2 = _assorted_groups(rng, 2)
+        if G1.ctx.p != G2.ctx.p:
+            continue
+        try:
+            groups.append(product_structure(G1, G2).joint)
+        except GaloisPointError:
+            continue
+        ctx = common_field(G1.ctx, G2.ctx)
+        closed.add(_factorized_joint(G1.lift_to(ctx), G2.lift_to(ctx),
+                                     4096) is None)
+        joints += 1
+    tame = wild = 0
+    while tame < cases:
+        fib = _tame_center(rng, make_field(*_TAME_FIELDS[tame % 4]))
+        if fib is not None:
+            try:
+                groups.append(central_collineation_group(fib))
+            except InputError:
+                continue
+            tame += 1
+    while wild < cases:
+        fib = _wild_center(rng, _WILD_SHAPES[wild % len(_WILD_SHAPES)])
+        if fib is not None:
+            try:
+                groups.append(central_collineation_group(fib))
+            except InputError:
+                continue
+            wild += 1
+    fields = [make_field(*f) for f in ((2, 2), (5, 1), (7, 1), (3, 2),
+                                       (13, 1))]
+    decks = 0
+    while decks < cases:
+        F = fields[decks % len(fields)]
+        mu, tau = (_random_projectivity(rng, F) for _ in range(2))
+        h = compose(compose(_as_map(mu), rng.choice(_galois_maps(F))),
+                    _as_map(tau))
+        try:
+            G = deck_group(h)
+        except DegenerateFibers:
+            continue
+        maps = list(G.generators)
+        rng.shuffle(maps)
+        groups += [G, verify_deck_group(h, maps)]
+        decks += 1
+    for G in groups:
+        _check_build_order(G, table_rng)
 
 
 def projective_orbit_degree(cases=500):

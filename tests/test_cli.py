@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -335,6 +337,34 @@ class TestCheck:
         code = dispatch(["check", str(FIXTURES / "thm3_cubic_curve.json"),
                          "--point", "12:0:1"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, data, degree", [
+        (["check", "--point", "0:1:0"],
+         {"field": "13^1", "affine_poly": "y^2+x^3+x^1000000"}, 1000000),
+        (["family"], {"tag": "thm2_tame", "field": "13^1", "d": 100000},
+         100000),
+        # (x^q + x)^(q^2 - q + 1) is never expanded
+        (["family"], {"tag": "gk", "field": "2^4", "q": 16}, 4097),
+    ], ids=["curve", "thm2_tame", "gk"])
+    def test_degree_above_bound_exit_1(self, tmp_path, capsys, argv, data,
+                                       degree):
+        # refused before any dense kernel: quickly, with no large allocation
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            code = dispatch(argv[:1] + [str(path)] + argv[1:])
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert elapsed < 1.0 and peak < 4 << 20, (elapsed, peak)
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "InputError"
+        assert err["message"].endswith(
+            f"total degree {degree} exceeds the bound {curve_mod.MAX_DEGREE}")
 
 
 class TestFamily:

@@ -10,10 +10,11 @@ from galoispoints.embedder import (
     projective_triple,
 )
 from galoispoints.errors import (ConditionBFails, DegreeMismatch,
-                                 VerificationFailed, ZeroInput)
+                                 SoundnessError, VerificationFailed, ZeroInput)
 from galoispoints.gf import make_field
 from galoispoints.polyring import Polynomial
 from galoispoints.projective import (
+    PointDivisor,
     Projectivity,
     generate_group,
     identify_group,
@@ -49,6 +50,15 @@ class TestConditionB:
             assert w.lhs == w.rhs
             assert w.lhs.degree() == 4
             assert len(w.rhs.support) == 4
+
+    def test_witnesses_in_encoding_order(self, a4_triple):
+        # the embedder takes the first witness: the least eta by encoding,
+        # whatever order G2's builder found its elements in
+        G1, G2, P = a4_triple
+        H2 = generate_group(G2.elements[::-1])
+        assert H2.elements != sorted(H2, key=Projectivity.row_major)
+        etas = [w.eta.row_major() for w in check_condition_b(G1, H2, P)]
+        assert len(etas) == 3 and etas == sorted(etas)
 
     def test_incompatible_groups_empty(self, F13):
         from galoispoints.gf import nth_root_of_unity
@@ -92,6 +102,22 @@ class TestInvariantGenerator:
         f = invariant_generator(G2, P)
         assert f.degree() == 4
         assert f.pole_divisor() == orbit(G2, P)
+
+    @pytest.mark.parametrize("name, fake, message", [
+        ("invariant_under", lambda self, sigma: False, "failed invariance"),
+        ("reciprocal", lambda self: RationalMap1D.const(self.ctx, 1),
+         "degree drop"),
+        ("pole_divisor", lambda self, *args: PointDivisor(self.ctx, 1, {}),
+         "pole divisor mismatch"),
+    ], ids=["invariance", "degree", "poles"])
+    def test_failed_post_check_is_a_soundness_error(self, F13, monkeypatch,
+                                                    name, fake, message):
+        # the ladder's candidate is invariant of degree |G| with poles on
+        # the orbit by construction: a failed re-check is a program fault
+        G = generate_group([Projectivity(F13, [[-1, 0], [0, 1]])])
+        monkeypatch.setattr(RationalMap1D, name, fake)
+        with pytest.raises(SoundnessError, match=message):
+            invariant_generator(G, point_p1(F13, 1))
 
 
 class TestImplicitize:

@@ -341,6 +341,15 @@ class TestDeckGroup:
         G = deck_group(t ** 4)
         assert props.is_closed(G)
 
+    def test_non_closed_scan_is_a_soundness_error(self, F13, monkeypatch):
+        # the scan found three maps; a closure of another order is a fault
+        # of the program, not of the input
+        monkeypatch.setattr(galois, "_deck_closure", lambda hw, found, base:
+                            projective.trivial_group(base, 2))
+        t = RationalMap1D.variable(F13)
+        with pytest.raises(SoundnessError, match="non-closed set"):
+            deck_group(t ** 3)
+
     def test_matches_brute_force(self):
         props.galois_deck_group_matches_brute(60)
 

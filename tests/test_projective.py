@@ -182,7 +182,7 @@ class TestProductStructure:
         assert (joint is not None) == factorized
         pr = product_structure(G1, G2)
         closure = generate_group(G1.generators + G2.generators)
-        assert pr.joint.elements == closure.elements
+        assert set(pr.joint.elements) == set(closure.elements)
         assert pr.classification == cls and len(pr.joint) == order
         with pytest.raises(ClosureCapExceeded):
             product_structure(G1, G2, cap=order - 1)
@@ -249,6 +249,9 @@ class TestProperties:
 
     def test_table_matches_matrices(self):
         props.projective_table(500)
+
+    def test_builders_keep_their_order(self):
+        props.projective_builders_keep_order()
 
     def test_lift_matches_constructor(self):
         props.projective_lift_matches_constructor(500)
