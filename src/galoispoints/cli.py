@@ -356,14 +356,10 @@ def dispatch(argv: Optional[list] = None) -> int:
         except ValueError as exc:
             raise InputError(str(exc)) from None
         return args.func(args, cfg)
-    except InputError as exc:
-        sys.stderr.write(dump_report("error", {
-            "kind": "error", "error": "InputError", "message": str(exc)}))
-        return 1
-    except GaloisPointError as exc:
+    except GaloisPointError as exc:     # InputError included
         sys.stderr.write(dump_report("error", {
             "kind": "error", "error": type(exc).__name__, "message": str(exc)}))
-        return 2
+        return 1 if isinstance(exc, InputError) else 2
 
 
 def main() -> None:

@@ -312,7 +312,6 @@ def branch_certificate(d: int, field: FieldCtx, ext_cap: int = 12) -> BranchCert
         lhs = (t + 1) ** 2 * (t + a) - (t + c) ** 3 + t * beta_sq
         if not lhs.is_zero:
             raise SoundnessError("branch identity failed")  # pragma: no cover
-        ident = "y^2*x+(x+1)^2*(x+a) = y^2*x-beta^2*x+(x+c)^3 with beta^2*x moved"
         return BranchCertificate(
             3,
             {"a": a.encoding(), "c": c.encoding()},

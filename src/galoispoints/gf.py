@@ -443,10 +443,13 @@ def _table_ops(p: int, n: int, exp: array, log: array,
     return ops
 
 
-def _first_generator(q: int, decode, power, primes) -> int:
-    """The first encoding in 2..q-1 whose element has order q - 1."""
+def _first_generator(ctx: FieldCtx, decode, power) -> int:
+    """The first encoding in 2..q-1 whose element has order q - 1.  For
+    k > 1 the scan starts at p: the encodings below p are the elements of
+    F_p, whose orders divide p - 1."""
+    q, primes = ctx.order, _unit_group_factors(ctx)
     n = q - 1
-    for code in range(2, q):
+    for code in range(2 if ctx.k == 1 else ctx.p, q):
         g = decode(code)
         if all(power(g, n // r) != 1 for r in primes):
             return code
@@ -548,7 +551,7 @@ class FieldCtx:
                 return _digits_code(digits(rep), p)
 
         mul, power = raw[4], raw[6]
-        gen = _first_generator(q, to_raw, power, _unit_group_factors(self))
+        gen = _first_generator(self, to_raw, power)
         exp = array("H", bytes(2 * (2 if p == 2 else 3) * n))
         log = array("H", bytes(2 * q))
         g, cur = to_raw(gen), 1
@@ -778,8 +781,7 @@ def multiplicative_generator(ctx: FieldCtx) -> FqElement:
     """The canonical generator of the unit group: the first element in
     encoding order whose order is p^k - 1.  Cached on the context."""
     if ctx._gen is None:
-        ctx._gen = ctx.decode(_first_generator(
-            ctx.order, ctx.decode, ctx.pow_t, _unit_group_factors(ctx)))
+        ctx._gen = ctx.decode(_first_generator(ctx, ctx.decode, ctx.pow_t))
     return FqElement(ctx, ctx._gen)
 
 

