@@ -53,8 +53,11 @@ it takes no seed: trial i draws its t0 from the fixed stream
 ``mc:0:{i}``.  It does each piece of work once: a trial's draw is seeded
 once while ``_mc_draw`` keeps it (the last 4096 draws), a t0 drawn again
 in the same screen reuses the first decision instead of being
-specialized and factored again, and a degree-2 fiber is never factored,
-since its degrees [1, 1] or [2] cannot refute.
+specialized and factored again, and a fiber of degree 2, or of degree 3
+in odd characteristic, is never factored.  Degrees [1, 1] or [2] cannot
+refute, and a cubic over F_Q, Q odd, is decided by one discriminant:
+zero for a repeated root, a non-square exactly for degrees [1, 2]
+(Stickelberger), a square for [1, 1, 1] or [3].
 """
 
 from __future__ import annotations
@@ -88,9 +91,11 @@ from .polyring import (
     _dd_parts,
     _dense_rows,
     _lift_rows,
+    _specializer,
     _squarefree_specializer,
     _u_add,
     _u_deg,
+    _u_disc_character,
     _u_divmod,
     _u_eval,
     _u_factor_degrees,
@@ -327,7 +332,12 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64) -> GaloisReport:
     dense specialization alone; the factors themselves are never split
     out, so the only randomness is the ``mc:0:{trial}`` choice of t0.
     A degree-2 fiber is only tested for being unramified: its degrees
-    [1, 1] or [2] are uniform either way, so it is never factored.  Each
+    [1, 1] or [2] are uniform either way, so it is never factored.  Nor
+    is a degree-3 fiber in odd characteristic: the quadratic character
+    of its discriminant, one power in F_Q, is 0 for a repeated root, -1
+    exactly for degrees [1, 2] and 1 for uniform ones
+    (``polyring._u_disc_character``).  In characteristic 2 every element
+    is a square, so a cubic there is still factored.  Each
     draw is cached by ``_mc_draw``, and a t0 drawn again at the same
     extension degree counts as usable iff it was the first time, with no
     second specialization or factorization: a repeated usable draw had
@@ -347,7 +357,9 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64) -> GaloisReport:
         return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])
-    specialize = _squarefree_specializer(base, fib.rows, n)
+    cubic = n == 3 and base.p != 2
+    specialize = (_specializer if cubic else _squarefree_specializer)(
+        base, fib.rows, n)
     usable, seen = 0, {}
     for trial in range(trials):
         j = (trial % 3) + 1
@@ -358,13 +370,15 @@ def monte_carlo_galois(fib: ProjectionFiber, trials: int = 64) -> GaloisReport:
             continue
         t0 = FqElement(ectx, ectx.decode(code))
         spec = specialize(t0)
-        seen[j, code] = spec is not None
-        if spec is None:
+        # chi(disc): 0 for a repeated root, -1 for [1, 2], 1 for uniform
+        chi = _u_disc_character(ectx, spec) if cubic and spec else None
+        seen[j, code] = ok = spec is not None and chi != 0
+        if not ok:
             continue
         usable += 1
-        if n == 2:      # [1, 1] or [2]: never two degrees
+        if n == 2 or chi == 1:      # uniform degrees
             continue
-        degrees = _u_factor_degrees(ectx, spec)
+        degrees = [1, 2] if cubic else _u_factor_degrees(ectx, spec)
         if len(set(degrees)) >= 2:
             witness = {
                 "t0": t0.encoding(),

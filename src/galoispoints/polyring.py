@@ -23,7 +23,10 @@ The module provides the computational substrate used everywhere else:
 * the dense s-rows of a bivariate f(t, s), lifted into extensions, and
   the specialization f(t0, s) at field values t0 read off them, screened
   for full degree and squarefreeness (the Monte Carlo screen and the fiber
-  search of ``galois``, the squarefree certificate of ``curve``),
+  search of ``galois``, the squarefree certificate of ``curve``); up to
+  degree 3 squarefreeness is a nonzero discriminant, whose quadratic
+  character over an odd field also tells a cubic's factor degrees
+  (Stickelberger),
 * roots over the smallest splitting extension: one root per irreducible
   factor by equal-degree splitting, the others as its Frobenius conjugates,
 * resultants by the subresultant polynomial remainder sequence alone, one
@@ -852,6 +855,41 @@ def factor_degrees(f: Polynomial) -> list[int]:
     return _u_factor_degrees(f.ctx, f.to_dense())
 
 
+def _u_discriminant(ctx, a) -> int:
+    """The discriminant of a dense polynomial of degree 1, 2 or 3, as a
+    rep: 1, b^2 - 4ac for ax^2 + bx + c, and b^2c^2 - 4ac^3 - 4b^3d -
+    27a^2d^2 + 18abcd for ax^3 + bx^2 + cx + d.  It is lc^(2n-2)
+    prod_{i<j} (r_i - r_j)^2 over the roots r_i, an identity over Z, so in
+    every characteristic it is zero exactly when there is a repeated
+    root."""
+    add, sub, mul, smul = ctx.add_t, ctx.sub_t, ctx.mul_t, ctx.smul_t
+    if len(a) == 3:
+        c, b, lc = a
+        return sub(mul(b, b), smul(4, mul(lc, c)))
+    if len(a) == 2:
+        return 1
+    d, c, b, lc = a
+    bc, ad = mul(b, c), mul(lc, d)
+    # bc (bc + 18 ad) - 4 (ac c^2 + bd b^2) - 27 (ad)^2
+    cubes = add(mul(mul(lc, c), mul(c, c)), mul(mul(b, d), mul(b, b)))
+    return sub(sub(mul(bc, add(bc, smul(18, ad))), smul(4, cubes)),
+               smul(27, mul(ad, ad)))
+
+
+def _u_disc_character(ctx, a) -> int:
+    """The quadratic character of the discriminant of a dense a of degree
+    1, 2 or 3 over F_Q, Q odd: 0 when a has a repeated root, else 1 or -1,
+    as disc^((Q-1)/2).  By Stickelberger's theorem a squarefree f of
+    degree n with r irreducible factors has chi(disc f) = (-1)^(n-r)
+    (Swan, "Factorization of polynomials over finite fields", Pacific J.
+    Math. 12, 1962), so a squarefree cubic has factor degrees [1, 2]
+    exactly when this is -1, and [1, 1, 1] or [3] when it is 1."""
+    disc = _u_discriminant(ctx, a)
+    if not disc:
+        return 0
+    return 1 if ctx.pow_t(disc, ctx.order >> 1) == 1 else -1
+
+
 def _dense_rows(f: Polynomial, ctx: FieldCtx) -> list[list]:
     """The s-rows of a bivariate f(t, s): row b is the coefficient of s^b
     as a trimmed dense list in t, lifted into ctx (an extension of f's
@@ -870,13 +908,11 @@ def _lift_rows(base: FieldCtx, ctx: FieldCtx, rows: list[list]) -> list[list]:
              for rep in row] for row in rows]
 
 
-def _squarefree_specializer(base: FieldCtx, rows: list[list], n: int):
+def _specializer(base: FieldCtx, rows: list[list], n: int):
     """For a bivariate f(t, s) given by its s-rows on reps of ``base``
     (``_dense_rows``), the map t0 -> f(t0, s), a dense list over t0's
-    field, or None unless it has degree n and is squarefree.  The rows are
-    lifted into each field on first request, and f(t0, s) is their Horner
-    values at t0.  The squarefree test needs only the degree of
-    gcd(f(t0, s), its s-derivative), so it runs without inversions."""
+    field, or None unless it has degree n.  The rows are lifted into each
+    field on first request, and f(t0, s) is their Horner values at t0."""
     lifted: dict = {base: rows}
 
     def at(t0: FqElement) -> Optional[list]:
@@ -885,8 +921,24 @@ def _squarefree_specializer(base: FieldCtx, rows: list[list], n: int):
         if got is None:
             got = lifted[ctx] = _lift_rows(base, ctx, rows)
         spec = _u_trim([_u_eval(ctx, row, t) for row in got])
-        if _u_deg(spec) != n:
+        return spec if _u_deg(spec) == n else None
+    return at
+
+
+def _squarefree_specializer(base: FieldCtx, rows: list[list], n: int):
+    """``_specializer`` screened for squarefreeness as well: None unless
+    f(t0, s) has degree n and is squarefree.  Up to degree 3 the test is
+    a nonzero discriminant; above it needs only the degree of gcd(f(t0,
+    s), its s-derivative), so it runs without inversions."""
+    full = _specializer(base, rows, n)
+
+    def at(t0: FqElement) -> Optional[list]:
+        spec = full(t0)
+        if spec is None:
             return None
+        ctx = t0.ctx
+        if n <= 3:
+            return spec if _u_discriminant(ctx, spec) else None
         der = _u_diff(ctx, spec)
         if not der or _u_deg(_u_prs(ctx, spec, der)) > 0:
             return None

@@ -44,10 +44,12 @@ from galoispoints.polyring import (
     Polynomial,
     _dense_rows,
     _distinct_degree,
+    _specializer,
     _split_by_var,
-    _squarefree_specializer,
     _u_deg,
     _u_diff,
+    _u_disc_character,
+    _u_discriminant,
     _u_divmod,
     _u_eval,
     _u_frobenius_map,
@@ -456,6 +458,76 @@ def polyring_factor_degrees(cases=500):
         assert expect == sorted(d for h, d in _distinct_degree(ctx, g)
                                 for _ in range(_u_deg(h) // d)), f
         assert expect == [h.degree() for h, _ in factor_univariate(f)], f
+
+
+def _stickelberger_oracle(ctx, f):
+    """(squarefree, factor degrees) of a dense f of degree 1 to 3: the
+    squarefree test of the remainder sequence, gcd(f, f') constant, and
+    the degrees of ``_distinct_degree`` when it passes."""
+    der = _u_diff(ctx, f)
+    if not der or _u_deg(_u_prs(ctx, f, der)) > 0:
+        return False, None
+    parts = _distinct_degree(ctx, _u_monic(ctx, f))
+    return True, sorted(d for g, d in parts for _ in range(_u_deg(g) // d))
+
+
+def _low_degree_cases(rng, ctx, cases):
+    """Every quadratic and cubic over ctx with a nonzero leading
+    coefficient when ``cases`` is None, else that many random ones, a
+    third of them with a repeated root."""
+    if cases is None:
+        for n in (2, 3):
+            for code in range(ctx.order ** n * (ctx.order - 1)):
+                f = []
+                for _ in range(n):
+                    code, c = divmod(code, ctx.order)
+                    f.append(ctx.decode(c))
+                yield f + [ctx.decode(code + 1)]
+        return
+    for i in range(cases):
+        n = 2 + i % 2
+        if i % 3:
+            yield _rand_dense(rng, ctx, n)
+            continue
+        r, s = (ctx.decode(rng.randrange(ctx.order)) for _ in range(2))
+        f = _u_mul(ctx, [ctx.neg_t(r), 1], [ctx.neg_t(r), 1])
+        if n == 3:
+            f = _u_mul(ctx, f, [ctx.neg_t(s), 1])
+        lc = ctx.decode(rng.randrange(1, ctx.order))
+        yield [ctx.mul_t(lc, c) for c in f]
+
+
+def polyring_discriminant_matches_oracle(cases=500):
+    """The discriminant decider of the Monte Carlo screen agrees with the
+    remainder-sequence squarefree test and distinct-degree factorization
+    on quadratics and cubics: ``_u_disc_character`` is 0 exactly when f
+    is not squarefree, and otherwise (-1)^(n - r) for r irreducible
+    factors (Stickelberger), so a cubic reads -1 exactly at degrees
+    [1, 2].  Every f with a nonzero leading coefficient over F_3, F_5,
+    F_7 and F_9, and ``cases`` random ones over F_13, F_25, F_27, F_(3^6)
+    (log tables), F_(5^6), F_(3^8) (packed) and F_1000003.  In
+    characteristic 2, where every element is a square, only
+    ``_u_discriminant != 0`` iff squarefree is checked: every f over F_2
+    and F_4 and random ones over F_(2^13)."""
+    rng = random.Random(3001)
+    odd = [((3, 1), None), ((5, 1), None), ((7, 1), None), ((3, 2), None)]
+    odd += [(spec, cases // 7 + 1) for spec in ((13, 1), (5, 2), (3, 3),
+            (3, 6), (5, 6), (3, 8), (1000003, 1))]
+    seen = set()
+    for spec, count in odd:
+        ctx = make_field(*spec)
+        for f in _low_degree_cases(rng, ctx, count):
+            squarefree, degrees = _stickelberger_oracle(ctx, f)
+            want = (-1) ** (len(f) - 1 - len(degrees)) if squarefree else 0
+            assert _u_disc_character(ctx, f) == want, (spec, f, degrees)
+            seen.add((len(f) - 1, want))
+    assert seen == {(n, c) for n in (2, 3) for c in (0, 1, -1)}, seen
+    for spec, count in (((2, 1), None), ((2, 2), None),
+                        ((2, 13), cases // 3 + 1)):
+        ctx = make_field(*spec)
+        for f in _low_degree_cases(rng, ctx, count):
+            squarefree, _ = _stickelberger_oracle(ctx, f)
+            assert (_u_discriminant(ctx, f) != 0) == squarefree, (spec, f)
 
 
 def _euclid_gcd(ctx, a, b):
@@ -1263,7 +1335,8 @@ def galois_fiber_matches_sparse(cases=300):
 def reference_screen(fib, trials=64):
     """The Monte Carlo screen deciding every trial afresh: a new
     ``random.Random`` per trial, no memo of repeated draws, and factor
-    degrees by distinct-degree factorization alone.  It shares only the
+    degrees by distinct-degree factorization alone, and squarefreeness by
+    the Euclid gcd with the derivative.  It shares only the full-degree
     specializer with ``galois.monte_carlo_galois``, whose reports it
     checks."""
     if trials < 1:
@@ -1275,7 +1348,7 @@ def reference_screen(fib, trials=64):
         return GaloisReport(fib.center, fib.point_class, n, "probably_galois",
                             method="monte_carlo", trials=trials,
                             notes=["degree-1 projection is trivially Galois"])
-    specialize = _squarefree_specializer(base, fib.rows, n)
+    specialize = _specializer(base, fib.rows, n)
     usable = 0
     for trial in range(trials):
         j = (trial % 3) + 1
@@ -1284,6 +1357,9 @@ def reference_screen(fib, trials=64):
         t0 = FqElement(ectx, ectx.decode(rng.randrange(ectx.order)))
         spec = specialize(t0)
         if spec is None:
+            continue
+        der = _u_diff(ectx, spec)
+        if not der or _u_deg(_euclid_gcd(ectx, spec, der)) > 0:
             continue
         usable += 1
         parts = _distinct_degree(ectx, _u_monic(ectx, spec))
@@ -1311,10 +1387,31 @@ def _screen_fiber(rng, ctx, kind):
     a random form of degree 2 to 5 from a random centre ("random"); a
     conic from a random centre or a cubic from one of its points (a random
     centre if it has none), mostly degree-2 projections, which a screen
-    never refutes ("quadratic"); and
+    never refutes ("quadratic"); degree-3 projections ("cubic"): a cubic
+    from a random centre off it, a quartic from one of its points, or
+    Y^3 - G(X, Z) (Y^3 - YZ^2 - G(X, Z) in characteristic 3) from
+    (0:1:0), whose fibers are cyclic once F_q holds the cube roots of
+    unity; and
     Y^p Z^(d-p) + G(X, Z) from (0:1:0) in characteristic p <= 5, whose
     every fiber s^p + G(t, 1) is inseparable ("inseparable")."""
-    if kind == "inseparable":
+    if kind == "cubic":
+        d = rng.choice((3, 4, None))
+        if d is None:
+            X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
+            G = _random_form(rng, ctx, 3, lambda e: e[1] == 0)
+            form = Y ** 3 - G
+            if ctx.p == 3:
+                form = form - Y * Z * Z
+            center = ProjPoint(ctx, [0, 1, 0])
+        else:
+            form = _random_form(rng, ctx, d)
+            curve = PlaneCurve(form)
+            pts = [pt for pt in _plane_points(ctx)
+                   if curve.contains(pt) == (d == 4)]
+            if not pts:
+                return None
+            center = rng.choice(pts)
+    elif kind == "inseparable":
         X, Y, Z = (Polynomial.variable(ctx, 3, i) for i in range(3))
         d = ctx.p + rng.randrange(2)
         G = _random_form(rng, ctx, d, lambda e: e[1] == 0)
@@ -1342,19 +1439,22 @@ def _screen_fiber(rng, ctx, kind):
 
 def galois_screen_matches_reference(cases=200):
     """``monte_carlo_galois`` (draws cached, repeated draws decided once,
-    degree-2 fibers never factored) gives the report of
-    ``reference_screen`` on random fibers over every field of
-    ``_SCREEN_FIELDS``, with AllSpecializationsRamified on both sides or
-    neither, across trial counts 1 to 64.  The fibers
-    take in refuted centres, ``probably_galois`` centres and centres
-    whose every sampled specialization is ramified."""
+    degree-2 fibers never factored, cubics in odd characteristic decided
+    by their discriminant) gives the report of ``reference_screen`` on
+    random fibers over every field of ``_SCREEN_FIELDS``, with
+    AllSpecializationsRamified on both sides or neither, across trial
+    counts 1 to 64.  The fibers take in refuted centres,
+    ``probably_galois`` centres and centres whose every sampled
+    specialization is ramified.  Over F_9 and F_25, degree-3 fibers are
+    refuted at extension degrees 1, 2 and 3 and found ``probably_galois``
+    after trials at all three; F_(5^6), degree 3 over F_25, is packed."""
     rng = random.Random(2301)
-    seen = set()
+    seen, cubic = set(), set()
     done = 0
     while done < cases:
         ctx = make_field(*_SCREEN_FIELDS[done % len(_SCREEN_FIELDS)])
-        kinds = ("random", "quadratic") + (("inseparable",)
-                                           if ctx.p <= 5 else ())
+        kinds = ("random", "quadratic") + (("cubic",) if ctx.p > 2 else ()) \
+            + (("inseparable",) if ctx.p <= 5 else ())
         fib = _screen_fiber(rng, ctx, kinds[done // 7 % len(kinds)])
         if fib is None or fib.degree < 1:
             continue
@@ -1369,8 +1469,17 @@ def galois_screen_matches_reference(cases=200):
             got = "ramified"
         assert got == want, (fib.curve, fib.center, trials)
         seen.add(want if want == "ramified" else want["verdict"])
+        if fib.degree == 3 and ctx.p > 2 and want != "ramified":
+            # the extension degree of a witness, None for uniform degrees
+            # at every degree up to 3
+            witness = want["witness"]
+            if witness or trials >= 3:
+                cubic.add((ctx.spec, witness and int(
+                    witness["field"].split("^")[1]) // ctx.k))
         done += 1
     assert seen == {"ramified", "probably_galois", "certified_not_galois"}, seen
+    assert {(spec, j) for spec in ("3^2", "5^2")
+            for j in (None, 1, 2, 3)} <= cubic, cubic
 
 
 def _try_projectivity(ctx, mat):

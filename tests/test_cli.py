@@ -559,6 +559,12 @@ class TestGoldenReports:
         (["check", str(FIXTURES / "refute_tail_f17_curve.json"),
           "--point", "12:13:1"],
          "golden_check_refute_tail_f17.json"),
+        (["check", str(FIXTURES / "thm3_quartic_curve.json"),
+          "--point", "0:1:0", "--strategy", "monte_carlo"],
+         "golden_check_thm3_quartic_inner_mc.json"),
+        (["check", str(FIXTURES / "thm3_cubic_curve.json"),
+          "--point", "0:0:1", "--strategy", "monte_carlo"],
+         "golden_check_thm3_cubic_outer_mc.json"),
     ])
     def test_matches_golden(self, tmp_path, args, golden):
         code, raw = run_cli(args, tmp_path)
@@ -570,7 +576,7 @@ class TestGoldenReports:
         knobs = {f.name for f in dataclasses.fields(RunConfig)} - {"output"}
         assert knobs == {"closure_cap", "ext_cap", "trials"}
         goldens = sorted(FIXTURES.glob("golden_*.json"))
-        assert len(goldens) == 20
+        assert len(goldens) == 22
         for path in goldens:
             assert set(json.loads(path.read_text())["config"]) == knobs, path
 

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from galoispoints import galois, projective
+from galoispoints import galois, polyring, projective
 from galoispoints.cli import dispatch, load_curve
 from galoispoints.config import RunConfig
 from galoispoints.curve import curve_from_affine, pencil_parametrization, singular_points
@@ -34,7 +34,8 @@ from galoispoints.galois import (
     monte_carlo_galois,
 )
 from galoispoints.gf import FqElement, make_field
-from galoispoints.polyring import (Polynomial, _dd_parts, _squarefree_specializer,
+from galoispoints.polyring import (Polynomial, _dd_parts, _lift_rows,
+                                   _specializer, _squarefree_specializer,
                                    _u_eval, factor_univariate)
 from galoispoints.projective import ProjPoint, Projectivity, identify_group, point_p1
 from galoispoints.ratfunc import RationalMap1D
@@ -133,12 +134,15 @@ class TestMonteCarlo:
         props.galois_screen_matches_reference(200)
 
     def test_each_draw_seeded_and_decided_once(self, monkeypatch):
-        # on the refute seed-7 centres the screen factors each distinct
+        # on the refute seed-7 centres the screen decides each distinct
         # usable (extension degree, t0) of a fiber of degree 3 or more
-        # once and a degree-2 fiber never, and seeds each trial's stream
-        # at most once per (trial, order) in the process
-        seeded, factored = Counter(), []
-        real_random, real_degrees = random.Random, galois._u_factor_degrees
+        # once, a cubic in odd characteristic by its discriminant's
+        # character and any other fiber by distinct-degree factorization,
+        # and a degree-2 fiber never; an odd cubic runs no factorization
+        # and no remainder sequence; and each trial's stream is seeded at
+        # most once per (trial, order) in the process
+        seeded, calls = Counter(), Counter()
+        real_random = random.Random
 
         def counted_random(key):
             rng = real_random(key)
@@ -150,41 +154,65 @@ class TestMonteCarlo:
             rng.randrange = draw
             return rng
 
-        def counted_degrees(ctx, spec):
-            factored.append(spec)
-            return real_degrees(ctx, spec)
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def call(*args):
+                calls[name] += 1
+                return real(*args)
+            monkeypatch.setattr(module, name, call)
 
         monkeypatch.setattr(galois, "random",
                             SimpleNamespace(Random=counted_random))
-        monkeypatch.setattr(galois, "_u_factor_degrees", counted_degrees)
+        counted(galois, "_u_factor_degrees")
+        counted(galois, "_u_disc_character")
+        counted(polyring, "_u_prs")
         galois._mc_draw.cache_clear()
         run = repeated = 0
-        degrees = Counter()
+        kinds = Counter()
         for fib in _refute_centers(7):
             if fib.degree < 2:
                 continue
-            degrees[min(fib.degree, 3)] += 1
-            del factored[:]
+            base = fib.curve.ctx
+            odd_cubic = fib.degree == 3 and base.p != 2
+            kinds["odd cubic" if odd_cubic else min(fib.degree, 3)] += 1
+            # building a field and embedding into it run remainder
+            # sequences, once per process and outside any trial
+            for j in (2, 3):
+                _lift_rows(base, make_field(base.p, base.k * j), fib.rows)
+            calls.clear()
             try:
                 trials = monte_carlo_galois(fib, trials=64).trials
             except AllSpecializationsRamified:
                 trials = 64
-            base = fib.curve.ctx
+            screen = dict(calls)
             specialize = _squarefree_specializer(base, fib.rows, fib.degree)
-            usable = []
+            full = _specializer(base, fib.rows, fib.degree)
+            usable, full_degree = [], set()
             for trial in range(trials):
                 j = trial % 3 + 1
                 ectx = base if j == 1 else make_field(base.p, base.k * j)
                 code = real_random(f"mc:0:{trial}").randrange(ectx.order)
-                if specialize(FqElement(ectx, ectx.decode(code))) is not None:
+                t0 = FqElement(ectx, ectx.decode(code))
+                if specialize(t0) is not None:
                     usable.append((j, code))
+                if full(t0) is not None:
+                    full_degree.add((j, code))
             distinct = len(set(usable)) if fib.degree > 2 else 0
-            assert len(factored) == distinct, fib.curve
+            if odd_cubic:
+                # the character also tests squarefreeness, so it decides
+                # every distinct full-degree draw, usable or not, once
+                assert screen.get("_u_disc_character", 0) == len(full_degree)
+                assert "_u_factor_degrees" not in screen, fib.curve
+                assert "_u_prs" not in screen, fib.curve
+            else:
+                assert screen.get("_u_factor_degrees", 0) == distinct
+                assert "_u_disc_character" not in screen, fib.curve
             run += trials
             repeated += len(usable) - len(set(usable))
         assert max(seeded.values()) == 1
         assert len(seeded) < run / 10 < repeated, (len(seeded), repeated, run)
-        assert min(degrees[2], degrees[3]) > 50, degrees
+        assert min(kinds[2], kinds[3], kinds["odd cubic"]) > 50, kinds
 
     def test_draw_cache_bounded(self, F7):
         # a screen with more trials than the draw cache holds keeps it at

@@ -353,6 +353,9 @@ class TestProperties:
     def test_factor_degrees(self):
         props.polyring_factor_degrees(150)
 
+    def test_discriminant_matches_oracle(self):
+        props.polyring_discriminant_matches_oracle(280)
+
     def test_ddf_matches_oracle(self):
         props.polyring_ddf_matches_oracle(140)
 
